@@ -37,7 +37,6 @@ def build_inputs(n_nodes, n_knots, n_samples, rng):
     return {
         "positions_at": (knot_t, knot_x, knot_y, offsets, 100.0),
         "positions_block": (knot_t, knot_x, knot_y, offsets, times),
-        "pairwise_distances": (pos,),
         "adjacency": (pos, 250.0),
         "bfs_tree": (adj, 0),
         "separation_series": (block,),

@@ -7,43 +7,17 @@ measures message cost per request (Nb_msg) and mean localization time (Rtime)
 under configurable request load, node mobility and code mobility.
 """
 
-from .config import (CODE_BANDS, MOB_TARGETS, NODE_SPEED_PRESETS, PROTOCOLS,
-                     ConfigError, ScenarioConfig, load_config_file,
-                     parse_config_text)
-from .engine import Engine, Event, EventKind, RngStreams, SimulationError
-from .geometry import GeometryError, ZoneLayout, centroid, dist, elect_server, ring_next
+from . import engine, scenario, sweep
+from .config import (NODE_SPEED_PRESETS, PROTOCOLS, ConfigError, ScenarioConfig,
+                     load_config_file)
 from .kernels import NUMBA_ACTIVE
-from .location import PositionRegistry, RegistryEntry, RlsOutcome, rls_locate
-from .metrics import (MetricsError, MetricsReport, RequestRecord,
-                      compute_nb_msg, compute_rtime)
-from .mobility import (MobilityBand, MobilityError, RandomWaypointModel,
-                       Trajectory, avg_separation, classify_mobility,
-                       network_mobility, node_mobility)
-from .protocols import (CentralizedProtocol, CodeMigrationProcess,
-                        ForwarderProtocol, LocalizationProtocol, MobileCode,
-                        ServerAgent, ZonedProtocol, make_protocol)
-from .radio import (BROADCAST, Delivery, FloodResult, MessageKind,
-                    MessageLedger, Radio)
-from .scenario import (InvariantViolation, ScenarioAborted, ScenarioResult,
-                       run_scenario)
-from .sweep import CSV_COLUMNS, comparison_table, run_sweep, write_csv
+from .scenario import run_scenario
+from .sweep import comparison_table, run_sweep, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BROADCAST", "CODE_BANDS", "CSV_COLUMNS", "CentralizedProtocol",
-    "CodeMigrationProcess", "ConfigError", "Delivery", "Engine", "Event",
-    "EventKind", "FloodResult", "ForwarderProtocol", "GeometryError",
-    "InvariantViolation", "LocalizationProtocol", "MOB_TARGETS",
-    "MessageKind", "MessageLedger", "MetricsError", "MetricsReport",
-    "MobileCode", "MobilityBand", "MobilityError", "NODE_SPEED_PRESETS",
-    "NUMBA_ACTIVE", "PROTOCOLS", "PositionRegistry", "Radio",
-    "RandomWaypointModel", "RegistryEntry", "RequestRecord", "RlsOutcome",
-    "RngStreams", "ScenarioAborted", "ScenarioConfig", "ScenarioResult",
-    "ServerAgent", "SimulationError", "Trajectory", "ZoneLayout",
-    "ZonedProtocol", "avg_separation", "centroid", "classify_mobility",
-    "compute_nb_msg", "compute_rtime", "comparison_table", "dist",
-    "elect_server", "load_config_file", "make_protocol", "network_mobility",
-    "node_mobility", "parse_config_text", "ring_next", "rls_locate",
-    "run_scenario", "run_sweep", "write_csv",
+    "NODE_SPEED_PRESETS", "NUMBA_ACTIVE", "PROTOCOLS", "ConfigError",
+    "ScenarioConfig", "comparison_table", "engine", "load_config_file",
+    "run_scenario", "run_sweep", "scenario", "sweep", "write_csv",
 ]

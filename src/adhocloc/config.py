@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 PROTOCOLS = ("forwarder_proactive", "forwarder_reactive", "centralized", "zoned")
@@ -125,8 +124,15 @@ class ScenarioConfig:
         return MOB_TARGETS.get(self.node_mob)
 
     def replace(self, **updates) -> "ScenarioConfig":
+        """A validated copy with `updates` applied. A preset node_mob label
+        given without a node_speed brings its preset speed; a node_speed
+        given without a label makes the band custom."""
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data.update(updates)
+        if "node_speed" not in updates and updates.get("node_mob") in NODE_SPEED_PRESETS:
+            data["node_speed"] = NODE_SPEED_PRESETS[updates["node_mob"]]
+        elif "node_speed" in updates and "node_mob" not in updates:
+            data["node_mob"] = "custom"
         return ScenarioConfig(**data).validated()
 
 
@@ -166,7 +172,6 @@ def parse_config_text(text: str, base: Optional[ScenarioConfig] = None) -> Scena
     """Parse the flat `key = value` format; unknown keys are rejected."""
     cfg = base if base is not None else ScenarioConfig()
     known = {f.name for f in fields(ScenarioConfig)}
-    explicit_mob = False
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -178,14 +183,8 @@ def parse_config_text(text: str, base: Optional[ScenarioConfig] = None) -> Scena
         attr = KEY_ALIASES.get(key, key)
         if attr not in known:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if attr == "node_mob":
-            explicit_mob = True
         updates[attr] = _parse_value(attr, raw)
-    if "node_speed" in updates and not explicit_mob and "node_mob" not in updates:
-        updates.setdefault("node_mob", "custom")
-    merged = {f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
-    merged.update(updates)
-    return ScenarioConfig(**merged).validated()
+    return cfg.replace(**updates)
 
 
 def load_config_file(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:

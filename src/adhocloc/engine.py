@@ -15,7 +15,6 @@ class SimulationError(RuntimeError):
 
 
 class EventKind(Enum):
-    NODE_ARRIVED_AT_WAYPOINT = "NodeArrivedAtWaypoint"  # reserved; trajectories answer positional queries exactly
     CODE_MIGRATION = "CodeMigration"
     REQUEST_ARRIVAL = "RequestArrival"
     CHAIN_CHECK_TICK = "ChainCheckTick"
@@ -60,9 +59,6 @@ class Engine:
         self.scheduled += 1
         heapq.heappush(self._heap, (fire_at, ev.sequence, ev))
         return ev
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
 
     def run_until(self, t_end: float) -> int:
         """Execute every pending event with fire_at <= t_end; returns the count run."""

@@ -86,11 +86,6 @@ def positions_block_numpy(knot_t, knot_x, knot_y, offsets, times):
     return out
 
 
-def pairwise_distances_numpy(pos):
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
-
-
 def adjacency_numpy(pos, range_m):
     """Unit-disk connectivity, range inclusive, no self-loops."""
     diff = pos[:, None, :] - pos[None, :, :]
@@ -174,18 +169,6 @@ def _positions_block_jit(knot_t, knot_x, knot_y, offsets, times):
 
 
 @njit(cache=True)
-def _pairwise_distances_jit(pos):
-    n = pos.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            dx = pos[i, 0] - pos[j, 0]
-            dy = pos[i, 1] - pos[j, 1]
-            out[i, j] = math.sqrt(dx * dx + dy * dy)
-    return out
-
-
-@njit(cache=True)
 def _adjacency_jit(pos, range_m):
     n = pos.shape[0]
     r2 = range_m * range_m
@@ -244,14 +227,12 @@ def _separation_series_jit(block):
 if NUMBA_ACTIVE:
     positions_at = _positions_at_jit
     positions_block = _positions_block_jit
-    pairwise_distances = _pairwise_distances_jit
     adjacency = _adjacency_jit
     bfs_tree = _bfs_tree_jit
     separation_series = _separation_series_jit
 else:
     positions_at = positions_at_numpy
     positions_block = positions_block_numpy
-    pairwise_distances = pairwise_distances_numpy
     adjacency = adjacency_numpy
     bfs_tree = bfs_tree_numpy
     separation_series = separation_series_numpy
@@ -260,7 +241,6 @@ else:
 NUMPY_VARIANTS = {
     "positions_at": positions_at_numpy,
     "positions_block": positions_block_numpy,
-    "pairwise_distances": pairwise_distances_numpy,
     "adjacency": adjacency_numpy,
     "bfs_tree": bfs_tree_numpy,
     "separation_series": separation_series_numpy,
@@ -269,7 +249,6 @@ NUMPY_VARIANTS = {
 JIT_VARIANTS = {
     "positions_at": _positions_at_jit,
     "positions_block": _positions_block_jit,
-    "pairwise_distances": _pairwise_distances_jit,
     "adjacency": _adjacency_jit,
     "bfs_tree": _bfs_tree_jit,
     "separation_series": _separation_series_jit,
@@ -284,7 +263,6 @@ def warm_up():
     offsets = np.array([0, 2, 4], dtype=np.int64)
     pos = positions_at(knot_t, knot_x, knot_y, offsets, 0.5)
     positions_block(knot_t, knot_x, knot_y, offsets, np.array([0.0, 1.0]))
-    pairwise_distances(pos)
     adj = adjacency(pos, 10.0)
     bfs_tree(adj, 0)
     separation_series(pos[None, :, :])

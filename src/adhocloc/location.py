@@ -1,61 +1,11 @@
-"""Station-level location services: reactive lookup (RLS) and zone registries.
-
-rls_locate finds a station by identity: a 1-hop neighbourhood query first,
-then a network-wide diffusion. The PositionRegistry is the zone-scoped
-position store co-located with each zone server; the zoned protocol feeds it
-from periodic reports and zone-crossing updates.
-"""
+"""Zone registries: the zone-scoped position store co-located with each zone
+server, fed by the zoned protocol from periodic reports and zone-crossing
+updates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-from .radio import MessageKind, Radio
-
-
-@dataclass(slots=True)
-class RlsOutcome:
-    found: bool
-    hops: int                  # established route length in hops (0 if not found)
-    units: int                 # message units spent by this lookup
-    completed_at: float        # reply arrival, or the phase-2 timeout on failure
-
-
-def rls_locate(radio: Radio, requester: int, target: int, t: float,
-               request_id: Optional[int] = None) -> RlsOutcome:
-    """Two-phase reactive station lookup.
-
-    Phase 1 broadcasts a 1-hop query; a neighbouring target answers directly.
-    On a miss, phase 2 launches after the 1-hop round trip as an unlimited
-    diffusion; the target replies along the shortest path. A target outside
-    the connected component times out after twice the network diameter.
-    """
-    if requester == target:
-        return RlsOutcome(True, 0, 0, t)
-    units = 0
-    phase1 = radio.flood(requester, MessageKind.LOCATE_REQUEST, t, ttl=1,
-                         request_id=request_id)
-    units += phase1.units
-    if phase1.depths[target] == 1:
-        reply = radio.unicast(target, requester, MessageKind.LOCATE_REPLY,
-                              t + radio.latency, request_id)
-        if reply is not None:
-            units += reply.hops
-            return RlsOutcome(True, 1, units, reply.arrival)
-    t2 = t + 2 * radio.latency
-    phase2 = radio.flood(requester, MessageKind.LOCATE_REQUEST, t2,
-                         request_id=request_id)
-    units += phase2.units
-    depth = int(phase2.depths[target])
-    if depth >= 0:
-        reply = radio.unicast(target, requester, MessageKind.LOCATE_REPLY,
-                              t2 + depth * radio.latency, request_id)
-        if reply is not None:
-            units += reply.hops
-            return RlsOutcome(True, depth, units, reply.arrival)
-    timeout = t2 + 2 * radio.diameter(t2) * radio.latency
-    return RlsOutcome(False, 0, units, timeout)
 
 
 @dataclass(slots=True)

@@ -46,31 +46,6 @@ class Trajectory:
     def end_time(self) -> float:
         return self.times[-1]
 
-    def position(self, t: float) -> tuple[float, float]:
-        times = self.times
-        k = _bisect_right(times, t) - 1
-        if k < 0:
-            return self.xs[0], self.ys[0]
-        if k >= len(times) - 1:
-            return self.xs[-1], self.ys[-1]
-        t0, t1 = times[k], times[k + 1]
-        if t1 == t0:
-            return self.xs[k], self.ys[k]
-        w = (t - t0) / (t1 - t0)
-        return (self.xs[k] + (self.xs[k + 1] - self.xs[k]) * w,
-                self.ys[k] + (self.ys[k + 1] - self.ys[k]) * w)
-
-
-def _bisect_right(seq, t):
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if t < seq[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
 
 class RandomWaypointModel:
     """Random Waypoint Model over a rectangular area.
@@ -181,12 +156,6 @@ class RandomWaypointModel:
         knot_t, knot_x, knot_y, offsets = self._flat_arrays()
         return kernels.positions_block(knot_t, knot_x, knot_y, offsets,
                                        np.asarray(times, dtype=np.float64))
-
-    def position(self, node: int, t: float) -> tuple[float, float]:
-        if not 0 <= node < self.n_nodes:
-            raise UnknownNodeError(f"node {node} not in [0, {self.n_nodes})")
-        self.ensure_horizon(t)
-        return self.trajectories[node].position(t)
 
 
 class MobilityBand(Enum):

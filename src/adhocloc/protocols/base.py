@@ -3,10 +3,7 @@ the hooks every localization protocol implements."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..config import ScenarioConfig
 from ..engine import Engine, EventKind, RngStreams

@@ -1,6 +1,12 @@
-"""Centralized localization: one mobile server agent owns the whole database.
+"""Server-agent localization: the shared base and the centralized protocol.
 
-The node closest to the network centroid hosts the agent. Every station
+ServerProtocol holds what the centralized and the zoned protocol share: the
+query/reply/contact request path with its re-queries, the staggered and
+jittered position reports, and the periodic re-election that hands an
+agent's database to a better-centered node.
+
+In the centralized protocol one mobile server agent owns the whole database;
+the node closest to the network centroid hosts it. Every station
 diffuses its position network-wide once per central_report_period, the code's
 host unicasts a location update after each jump, and requesters query the
 agent, get the database's host entry back, then contact that host; a stale
@@ -60,7 +66,120 @@ class ServerAgent:
         return len(self.code_db) + len(self.station_pos)
 
 
-class CentralizedProtocol(LocalizationProtocol):
+class ServerProtocol(LocalizationProtocol):
+    """Request path, report cadence and re-election shared by server agents.
+
+    A request queries an agent (`_attempt`), whose answer names the code's
+    host (`_reply`); the requester then contacts that host. Any undeliverable
+    leg or stale answer costs a re-query, up to max_retries. Subclasses supply
+    `_attempt(record, retries_left)`, `_report(node, t)` and
+    `_reelect(pos, ref, t)`.
+    """
+
+    def __init__(self, ctx: ScenarioContext):
+        super().__init__(ctx)
+        self.handoffs = 0
+
+    # -- position reports ------------------------------------------------------
+
+    def _start_timers(self, report_period: float) -> None:
+        """Staggered first position reports, then the re-election clock."""
+        n = self.cfg.n_nodes
+        for node in range(n):
+            self.engine.schedule(report_period * (node + 1) / n,
+                                 EventKind.TIMER_EXPIRY,
+                                 lambda v=node: self._report_tick(v, report_period))
+        self.engine.schedule(self.cfg.reelection_period,
+                             EventKind.SERVER_REELECTION_TICK,
+                             self._reelection_tick)
+
+    def _report_tick(self, node: int, period: float) -> None:
+        t = self.engine.now
+        self._report(node, t)
+        # station clocks drift, so the reporting cadence jitters around the
+        # configured period instead of staying phase-locked
+        gap = period * float(self.ctx.streams.protocol.uniform(0.75, 1.25))
+        self.engine.schedule(t + gap, EventKind.TIMER_EXPIRY,
+                             lambda: self._report_tick(node, period))
+
+    # -- elections ---------------------------------------------------------------
+
+    def _reelection_tick(self) -> None:
+        t = self.engine.now
+        pos, _ = self.radio.snapshot(t)
+        self._reelect(pos, centroid(pos), t)
+        self.engine.schedule(t + self.cfg.reelection_period,
+                             EventKind.SERVER_REELECTION_TICK,
+                             self._reelection_tick)
+
+    def _hand_off(self, agent: ServerAgent, best: int, pos,
+                  ref: tuple[float, float], entries: int, t: float) -> bool:
+        """Move `agent` to `best` if that gains more than handoff_threshold
+        in distance to `ref` and a route exists; the database of `entries`
+        costs one unit per ten entries per hop. True when the agent moved."""
+        incumbent = agent.host
+        if best == incumbent:
+            return False
+        gain = dist(pos[incumbent], ref) - dist(pos[best], ref)
+        if gain <= self.cfg.handoff_threshold:
+            return False
+        path = self.radio.route(incumbent, best, t)
+        if path is None:
+            return False
+        self.ctx.ledger.charge(MessageKind.AGENT_MIGRATION, incumbent, best,
+                               (len(path) - 1) * math.ceil(entries / 10), t, None)
+        agent.host = best
+        self.handoffs += 1
+        return True
+
+    # -- localization ---------------------------------------------------------------
+
+    def locate(self, record: RequestRecord) -> None:
+        if self._local_hit(record):
+            return
+        self._attempt(record, self.cfg.max_retries)
+
+    def _leg(self, src: int, dst: int, kind: MessageKind, record: RequestRecord,
+             retries_left: int, then: Callable[[], None]) -> None:
+        """Request-tagged unicast: re-query if undeliverable, else run
+        `then` on arrival."""
+        delivery = self.radio.unicast(src, dst, kind, self.engine.now,
+                                      request_id=record.request_id)
+        if delivery is None:
+            self._retry(record, retries_left)
+            return
+        self.engine.schedule(delivery.arrival, EventKind.MESSAGE_DELIVERY, then)
+
+    def _reply(self, record: RequestRecord, retries_left: int, server: int,
+               claimed: int) -> None:
+        """The agent at `server` answers the requester that `claimed` hosts
+        the code."""
+        truth = self.code.host
+        self._leg(server, self.code.mother, MessageKind.SERVER_REPLY, record,
+                  retries_left,
+                  lambda: self._reply_received(record, retries_left, claimed, truth))
+
+    def _reply_received(self, record: RequestRecord, retries_left: int,
+                        claimed: int, truth: int) -> None:
+        self._leg(self.code.mother, claimed, MessageKind.DATA, record, retries_left,
+                  lambda: self._contact_arrived(record, retries_left, claimed, truth))
+
+    def _contact_arrived(self, record: RequestRecord, retries_left: int,
+                         claimed: int, truth: int) -> None:
+        if self.code.host == claimed:
+            self._resolve(record, self.engine.now, claimed, truth)
+        else:
+            self._retry(record, retries_left)
+
+    def _retry(self, record: RequestRecord, retries_left: int) -> None:
+        if retries_left > 0:
+            record.retries += 1
+            self._attempt(record, retries_left - 1)
+        else:
+            self._fail(record, self.engine.now)
+
+
+class CentralizedProtocol(ServerProtocol):
     name = "centralized"
 
     def __init__(self, ctx: ScenarioContext):
@@ -68,7 +187,6 @@ class CentralizedProtocol(LocalizationProtocol):
         self.agent: Optional[ServerAgent] = None
         self.known_server: List[int] = [0] * self.cfg.n_nodes
         self.forward_map: Dict[int, int] = {}
-        self.handoffs = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -80,22 +198,14 @@ class CentralizedProtocol(LocalizationProtocol):
         self.known_server = [host] * self.cfg.n_nodes
         self._announce(0.0)
         self._send_location_update(self.code.host, 0.0)
-        period = self.cfg.central_report_period
-        for node in range(self.cfg.n_nodes):
-            first = period * (node + 1) / self.cfg.n_nodes
-            self.engine.schedule(first, EventKind.TIMER_EXPIRY,
-                                 lambda v=node: self._report(v))
-        self.engine.schedule(self.cfg.reelection_period,
-                             EventKind.SERVER_REELECTION_TICK,
-                             self._reelection_tick)
+        self._start_timers(self.cfg.central_report_period)
 
     def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
         self._send_location_update(new_host, t)
 
     # -- maintenance traffic ---------------------------------------------------
 
-    def _report(self, node: int) -> None:
-        t = self.engine.now
+    def _report(self, node: int, t: float) -> None:
         pos, _ = self.radio.snapshot(t)
         payload = (float(pos[node, 0]), float(pos[node, 1]))
         flood = self.radio.flood(node, MessageKind.POSITION_REPORT, t, ttl=None)
@@ -107,12 +217,6 @@ class CentralizedProtocol(LocalizationProtocol):
                 lambda: self.agent.process(
                     self.engine.now,
                     lambda: self.agent.station_pos.__setitem__(node, payload)))
-        # station clocks drift, so the reporting cadence jitters around the
-        # configured period instead of staying phase-locked
-        gap = self.cfg.central_report_period * float(
-            self.ctx.streams.protocol.uniform(0.75, 1.25))
-        self.engine.schedule(t + gap, EventKind.TIMER_EXPIRY,
-                             lambda: self._report(node))
 
     def _send_location_update(self, src: int, t: float) -> None:
         claimed = self.code.host
@@ -124,28 +228,12 @@ class CentralizedProtocol(LocalizationProtocol):
 
         self._to_agent(src, MessageKind.SERVER_UPDATE, t, None, stored)
 
-    def _reelection_tick(self) -> None:
-        t = self.engine.now
-        pos, _ = self.radio.snapshot(t)
-        ref = centroid(pos)
+    def _reelect(self, pos, ref: tuple[float, float], t: float) -> None:
         best = elect_server(range(self.cfg.n_nodes), pos, ref)
         incumbent = self.agent.host
-        if best != incumbent:
-            gain = dist(pos[incumbent], ref) - dist(pos[best], ref)
-            if gain > self.cfg.handoff_threshold:
-                path = self.radio.route(incumbent, best, t)
-                if path is not None:
-                    per_hop = math.ceil(self.agent.entry_count() / 10)
-                    self.ctx.ledger.charge(MessageKind.AGENT_MIGRATION,
-                                           incumbent, best,
-                                           (len(path) - 1) * per_hop, t, None)
-                    self.forward_map[incumbent] = best
-                    self.agent.host = best
-                    self.handoffs += 1
-                    self._announce(t)
-        self.engine.schedule(t + self.cfg.reelection_period,
-                             EventKind.SERVER_REELECTION_TICK,
-                             self._reelection_tick)
+        if self._hand_off(self.agent, best, pos, ref, self.agent.entry_count(), t):
+            self.forward_map[incumbent] = best
+            self._announce(t)
 
     def _announce(self, t: float) -> None:
         holder = self.agent.host
@@ -196,59 +284,13 @@ class CentralizedProtocol(LocalizationProtocol):
 
     # -- localization ---------------------------------------------------------------
 
-    def locate(self, record: RequestRecord) -> None:
-        if self._local_hit(record):
-            return
-        self._attempt(record, self.cfg.max_retries)
-
     def _attempt(self, record: RequestRecord, retries_left: int) -> None:
-        t = self.engine.now
-        mother = self.code.mother
-
         def served(ok: bool) -> None:
-            if not ok:
-                self._retry(record, retries_left)
-                return
-            now = self.engine.now
-            claimed = self.agent.code_db.get(self.code.code_id)
-            truth = self.code.host
+            claimed = self.agent.code_db.get(self.code.code_id) if ok else None
             if claimed is None:
                 self._retry(record, retries_left)
-                return
-            reply = self.radio.unicast(self.agent.host, mother,
-                                       MessageKind.SERVER_REPLY, now,
-                                       request_id=record.request_id)
-            if reply is None:
-                self._retry(record, retries_left)
-                return
-            self.engine.schedule(
-                reply.arrival, EventKind.MESSAGE_DELIVERY,
-                lambda: self._reply_received(record, retries_left, claimed, truth))
+            else:
+                self._reply(record, retries_left, self.agent.host, claimed)
 
-        self._to_agent(mother, MessageKind.SERVER_QUERY, t,
-                       record.request_id, served)
-
-    def _reply_received(self, record: RequestRecord, retries_left: int,
-                        claimed: int, truth: int) -> None:
-        contact = self.radio.unicast(self.code.mother, claimed, MessageKind.DATA,
-                                     self.engine.now, request_id=record.request_id)
-        if contact is None:
-            self._retry(record, retries_left)
-            return
-        self.engine.schedule(
-            contact.arrival, EventKind.MESSAGE_DELIVERY,
-            lambda: self._contact_arrived(record, retries_left, claimed, truth))
-
-    def _contact_arrived(self, record: RequestRecord, retries_left: int,
-                         claimed: int, truth: int) -> None:
-        if self.code.host == claimed:
-            self._resolve(record, self.engine.now, claimed, truth)
-        else:
-            self._retry(record, retries_left)
-
-    def _retry(self, record: RequestRecord, retries_left: int) -> None:
-        if retries_left > 0:
-            record.retries += 1
-            self._attempt(record, retries_left - 1)
-        else:
-            self._fail(record, self.engine.now)
+        self._to_agent(self.code.mother, MessageKind.SERVER_QUERY,
+                       self.engine.now, record.request_id, served)

@@ -9,9 +9,8 @@ report detects a crossing. The code's host keeps the zone database current
 the same way after each jump.
 
 A requester queries its own zone's agent. On a database hit the agent answers
-with the host's identity (resolving the host position from its co-located
-registry at no message cost) and the requester contacts the host, re-querying
-on stale answers up to max_retries. On a miss the query travels the ring of
+with the host's identity and the requester contacts the host, re-querying on
+stale answers up to max_retries. On a miss the query travels the ring of
 agents, at most n_zones - 1 forwards; a full circle ends with a charged
 not-found reply. Zone agents are re-elected periodically against the live
 centroid with the same hysteresis and database-transfer accounting as the
@@ -21,21 +20,20 @@ are addressed to its current host at send time (anycast within the zone).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..engine import EventKind
-from ..geometry import ZoneLayout, centroid, dist, elect_server, ring_next
-from ..location import PositionRegistry, RegistryEntry
+from ..geometry import ZoneLayout, centroid, elect_server, ring_next
+from ..location import PositionRegistry
 from ..metrics import RequestRecord
 from ..radio import MessageKind
-from .base import LocalizationProtocol, ScenarioContext
-from .server import ServerAgent
+from .base import ScenarioContext
+from .server import ServerAgent, ServerProtocol
 
 
-class ZonedProtocol(LocalizationProtocol):
+class ZonedProtocol(ServerProtocol):
     name = "zoned"
 
     def __init__(self, ctx: ScenarioContext):
@@ -45,7 +43,6 @@ class ZonedProtocol(LocalizationProtocol):
         self.registry = PositionRegistry(self.cfg.n_zones)
         self.last_zone: List[int] = []
         self.sdb_zone: Optional[int] = None  # zone database holding the code entry
-        self.handoffs = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -68,111 +65,70 @@ class ZonedProtocol(LocalizationProtocol):
         for zone in range(cfg.n_zones):
             self._announce(zone, 0.0)
         self._send_sdb_insert(self.code.host, self._zone_at(self.code.host, 0.0), 0.0)
-        for node in range(cfg.n_nodes):
-            first = cfg.report_period * (node + 1) / cfg.n_nodes
-            self.engine.schedule(first, EventKind.TIMER_EXPIRY,
-                                 lambda v=node: self._report(v))
-        self.engine.schedule(cfg.reelection_period,
-                             EventKind.SERVER_REELECTION_TICK,
-                             self._reelection_tick)
+        self._start_timers(cfg.report_period)
 
     def _zone_at(self, node: int, t: float) -> int:
         pos, _ = self.radio.snapshot(t)
         return self.layout.zone_of(pos[node])
 
+    def _at_agent(self, zone: int, action: Callable[[], None]) -> Callable[[], None]:
+        """On arrival: queue `action` behind the zone agent's service time."""
+        agent = self.agents[zone]
+        return lambda: agent.process(self.engine.now, action)
+
+    def _to_zone(self, src: int, zone: int, kind: MessageKind, t: float,
+                 action: Callable[[], None]) -> bool:
+        """Unicast to the zone's agent, which runs `action` once it has
+        processed the message; False when the message is undeliverable."""
+        delivery = self.radio.unicast(src, self.agents[zone].host, kind, t)
+        if delivery is None:
+            return False
+        self.engine.schedule(delivery.arrival, EventKind.MESSAGE_DELIVERY,
+                             self._at_agent(zone, action))
+        return True
+
     # -- registry and database upkeep ------------------------------------------
 
-    def _report(self, node: int) -> None:
-        t = self.engine.now
+    def _report(self, node: int, t: float) -> None:
         pos, _ = self.radio.snapshot(t)
         x, y = float(pos[node, 0]), float(pos[node, 1])
         zone = self.layout.zone_of((x, y))
         previous = self.last_zone[node]
-        delivery = self.radio.unicast(node, self.agents[zone].host,
-                                      MessageKind.POSITION_REPORT, t)
-        if delivery is not None:
-            self.engine.schedule(
-                delivery.arrival, EventKind.MESSAGE_DELIVERY,
-                lambda: self.agents[zone].process(
-                    self.engine.now,
-                    lambda: self.registry.record(zone, node, x, y, t)))
-            if zone != previous:
-                # the old zone's agent drops the node once told about the move
-                self.last_zone[node] = zone
-                erase = self.radio.unicast(node, self.agents[previous].host,
-                                           MessageKind.POSITION_REPORT, t)
-                if erase is not None:
-                    self.engine.schedule(
-                        erase.arrival, EventKind.MESSAGE_DELIVERY,
-                        lambda: self.agents[previous].process(
-                            self.engine.now,
-                            lambda: self.registry.drop(previous, node)))
-        # same clock drift as every reporting station: the cadence jitters
-        # around the configured period
-        gap = self.cfg.report_period * float(
-            self.ctx.streams.protocol.uniform(0.75, 1.25))
-        self.engine.schedule(t + gap, EventKind.TIMER_EXPIRY,
-                             lambda: self._report(node))
+        if (self._to_zone(node, zone, MessageKind.POSITION_REPORT, t,
+                          lambda: self.registry.record(zone, node, x, y, t))
+                and zone != previous):
+            # the old zone's agent drops the node once told about the move
+            self.last_zone[node] = zone
+            self._to_zone(node, previous, MessageKind.POSITION_REPORT, t,
+                          lambda: self.registry.drop(previous, node))
 
     def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
         zone = self._zone_at(new_host, t)
         previous = self.sdb_zone
         self._send_sdb_insert(new_host, zone, t)
         if previous is not None and previous != zone:
-            erase = self.radio.unicast(new_host, self.agents[previous].host,
-                                       MessageKind.SERVER_UPDATE, t)
-            if erase is not None:
-                code_id = self.code.code_id
-                self.engine.schedule(
-                    erase.arrival, EventKind.MESSAGE_DELIVERY,
-                    lambda: self.agents[previous].process(
-                        self.engine.now,
-                        lambda: self.agents[previous].code_db.pop(code_id, None)))
+            code_id = self.code.code_id
+            self._to_zone(new_host, previous, MessageKind.SERVER_UPDATE, t,
+                          lambda: self.agents[previous].code_db.pop(code_id, None))
 
     def _send_sdb_insert(self, host: int, zone: int, t: float) -> None:
-        delivery = self.radio.unicast(host, self.agents[zone].host,
-                                      MessageKind.SERVER_UPDATE, t)
+        code_id = self.code.code_id
         self.sdb_zone = zone
-        if delivery is not None:
-            code_id = self.code.code_id
-            self.engine.schedule(
-                delivery.arrival, EventKind.MESSAGE_DELIVERY,
-                lambda: self.agents[zone].process(
-                    self.engine.now,
-                    lambda: self.agents[zone].code_db.__setitem__(code_id, host)))
+        self._to_zone(host, zone, MessageKind.SERVER_UPDATE, t,
+                      lambda: self.agents[zone].code_db.__setitem__(code_id, host))
 
     # -- elections ---------------------------------------------------------------
 
-    def _reelection_tick(self) -> None:
-        t = self.engine.now
-        pos, _ = self.radio.snapshot(t)
-        ref = centroid(pos)
+    def _reelect(self, pos, ref: tuple[float, float], t: float) -> None:
         zones = [self.layout.zone_of(p) for p in pos]
-        for zone in range(self.cfg.n_zones):
-            agent = self.agents[zone]
+        for zone, agent in enumerate(self.agents):
             members = [v for v in range(self.cfg.n_nodes) if zones[v] == zone]
             if not members:
                 continue
             best = elect_server(members, pos, ref)
-            incumbent = agent.host
-            if best == incumbent:
-                continue
-            gain = dist(pos[incumbent], ref) - dist(pos[best], ref)
-            if gain <= self.cfg.handoff_threshold:
-                continue
-            path = self.radio.route(incumbent, best, t)
-            if path is None:
-                continue
             entries = len(agent.code_db) + self.registry.size(zone)
-            per_hop = math.ceil(entries / 10)
-            self.ctx.ledger.charge(MessageKind.AGENT_MIGRATION, incumbent, best,
-                                   (len(path) - 1) * per_hop, t, None)
-            agent.host = best
-            self.handoffs += 1
-            self._announce(zone, t)
-        self.engine.schedule(t + self.cfg.reelection_period,
-                             EventKind.SERVER_REELECTION_TICK,
-                             self._reelection_tick)
+            if self._hand_off(agent, best, pos, ref, entries, t):
+                self._announce(zone, t)
 
     def _announce(self, zone: int, t: float) -> None:
         pos, _ = self.radio.snapshot(t)
@@ -182,96 +138,27 @@ class ZonedProtocol(LocalizationProtocol):
 
     # -- localization --------------------------------------------------------------
 
-    def registry_lookup(self, zone: int, node: int) -> Optional[RegistryEntry]:
-        """Position table read at the agent itself; costs no messages."""
-        return self.registry.lookup(zone, node)
-
-    def locate(self, record: RequestRecord) -> None:
-        if self._local_hit(record):
-            return
-        self._attempt(record, self.cfg.max_retries)
-
     def _attempt(self, record: RequestRecord, retries_left: int) -> None:
-        t = self.engine.now
-        zone = self._zone_at(self.code.mother, t)
-        delivery = self.radio.unicast(self.code.mother, self.agents[zone].host,
-                                      MessageKind.SERVER_QUERY, t,
-                                      request_id=record.request_id)
-        if delivery is None:
-            self._retry(record, retries_left)
-            return
-        self.engine.schedule(
-            delivery.arrival, EventKind.MESSAGE_DELIVERY,
-            lambda: self.agents[zone].process(
-                self.engine.now,
-                lambda: self._serve(record, retries_left, zone,
-                                    self.cfg.n_zones - 1)))
+        zone = self._zone_at(self.code.mother, self.engine.now)
+        self._leg(self.code.mother, self.agents[zone].host,
+                  MessageKind.SERVER_QUERY, record, retries_left,
+                  self._at_agent(zone, lambda: self._serve(
+                      record, retries_left, zone, self.cfg.n_zones - 1)))
 
     def _serve(self, record: RequestRecord, retries_left: int, zone: int,
                forwards_left: int) -> None:
         """Runs at a zone agent when it finishes processing the query."""
-        t = self.engine.now
         agent = self.agents[zone]
         claimed = agent.code_db.get(self.code.code_id)
         if claimed is not None:
-            truth = self.code.host
-            self.registry_lookup(zone, claimed)
-            reply = self.radio.unicast(agent.host, self.code.mother,
-                                       MessageKind.SERVER_REPLY, t,
-                                       request_id=record.request_id)
-            if reply is None:
-                self._retry(record, retries_left)
-                return
-            self.engine.schedule(
-                reply.arrival, EventKind.MESSAGE_DELIVERY,
-                lambda: self._reply_received(record, retries_left, claimed, truth))
-            return
-        if forwards_left <= 0:
+            self._reply(record, retries_left, agent.host, claimed)
+        elif forwards_left <= 0:
             # full circle, nobody holds the code: charged not-found answer
-            nack = self.radio.unicast(agent.host, self.code.mother,
-                                      MessageKind.SERVER_REPLY, t,
-                                      request_id=record.request_id)
-            if nack is None:
-                self._retry(record, retries_left)
-                return
-            self.engine.schedule(
-                nack.arrival, EventKind.MESSAGE_DELIVERY,
-                lambda: self._retry(record, retries_left))
-            return
-        nxt = ring_next(zone, self.cfg.n_zones)
-        forward = self.radio.unicast(agent.host, self.agents[nxt].host,
-                                     MessageKind.RING_FORWARD, t,
-                                     request_id=record.request_id)
-        if forward is None:
-            self._retry(record, retries_left)
-            return
-        self.engine.schedule(
-            forward.arrival, EventKind.MESSAGE_DELIVERY,
-            lambda: self.agents[nxt].process(
-                self.engine.now,
-                lambda: self._serve(record, retries_left, nxt, forwards_left - 1)))
-
-    def _reply_received(self, record: RequestRecord, retries_left: int,
-                        claimed: int, truth: int) -> None:
-        contact = self.radio.unicast(self.code.mother, claimed, MessageKind.DATA,
-                                     self.engine.now, request_id=record.request_id)
-        if contact is None:
-            self._retry(record, retries_left)
-            return
-        self.engine.schedule(
-            contact.arrival, EventKind.MESSAGE_DELIVERY,
-            lambda: self._contact_arrived(record, retries_left, claimed, truth))
-
-    def _contact_arrived(self, record: RequestRecord, retries_left: int,
-                         claimed: int, truth: int) -> None:
-        if self.code.host == claimed:
-            self._resolve(record, self.engine.now, claimed, truth)
+            self._leg(agent.host, self.code.mother, MessageKind.SERVER_REPLY,
+                      record, retries_left, lambda: self._retry(record, retries_left))
         else:
-            self._retry(record, retries_left)
-
-    def _retry(self, record: RequestRecord, retries_left: int) -> None:
-        if retries_left > 0:
-            record.retries += 1
-            self._attempt(record, retries_left - 1)
-        else:
-            self._fail(record, self.engine.now)
+            nxt = ring_next(zone, self.cfg.n_zones)
+            self._leg(agent.host, self.agents[nxt].host, MessageKind.RING_FORWARD,
+                      record, retries_left,
+                      self._at_agent(nxt, lambda: self._serve(
+                          record, retries_left, nxt, forwards_left - 1)))

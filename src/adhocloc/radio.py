@@ -11,7 +11,7 @@ log is the ground truth any total must recount to.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -37,16 +37,6 @@ class MessageKind(Enum):
     AGENT_MIGRATION = "AgentMigration"
     RING_FORWARD = "RingForward"
     POSITION_REPORT = "PositionReport"
-
-
-@dataclass(slots=True)
-class Message:
-    kind: MessageKind
-    src: int
-    dst: int
-    hops_so_far: int = 0
-    request_id: Optional[int] = None
-    born_at: float = 0.0
 
 
 @dataclass(slots=True)

@@ -10,7 +10,7 @@ partitioned longer than partition_grace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import ScenarioConfig

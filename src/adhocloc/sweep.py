@@ -12,7 +12,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 from .config import ScenarioConfig
 from .metrics import MetricsReport
-from .scenario import ScenarioResult, run_scenario
+from .scenario import run_scenario
 
 CSV_COLUMNS = ("protocol", "lambda", "node_mob_target", "measured_mob",
                "code_band", "seed", "n_requests", "n_failed",

@@ -131,6 +131,27 @@ class TestDeterminism:
         verdict("A6", rows[0] == rows[1],
                 f"rerun row identical ({len(rows[0])} bytes)")
 
+    @pytest.mark.parametrize("protocol, expected", [
+        ("centralized", (38078, {"AgentMigration": 15, "Data": 151,
+                                 "PositionReport": 37477, "ServerQuery": 117,
+                                 "ServerReply": 117, "ServerUpdate": 201},
+                         59, 0, 0.21498165772159566)),
+        ("zoned", (1619, {"AgentMigration": 18, "Data": 150,
+                          "PositionReport": 977, "RingForward": 20,
+                          "ServerQuery": 113, "ServerReply": 117,
+                          "ServerUpdate": 224},
+                   59, 0, 0.11601149666894803)),
+    ])
+    def test_server_protocol_outputs_are_pinned(self, protocol, expected):
+        # exact figures of a full run: a refactor of the server protocols
+        # must reproduce them, a behaviour change must update them on purpose
+        cfg = ScenarioConfig().replace(protocol=protocol, lam=1.0, seed=3,
+                                       duration=60.0)
+        report = run_scenario(cfg).report
+        got = (report.total_messages, report.by_kind, report.n_resolved,
+               report.n_failed, report.rtime_s)
+        assert got == expected
+
 
 class TestNumericOracles:
     def test_a7_geometry_agrees_with_brute_force(self):

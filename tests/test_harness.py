@@ -1,13 +1,17 @@
 """Config parsing, scenario runs, sweeps, CSV output and the CLI."""
 
+import importlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
+import adhocloc
 from adhocloc import cli
 from adhocloc.config import (ConfigError, ScenarioConfig, NODE_SPEED_PRESETS,
                              parse_config_text)
+from adhocloc.mobility import classify_mobility
 from adhocloc.scenario import InvariantViolation, run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
                             comparison_table, report_to_row, run_sweep,
@@ -63,6 +67,17 @@ class TestConfig:
             ScenarioConfig(duration=1.0, metric_dt=1.0).validated()
         with pytest.raises(ConfigError, match="node_speed"):
             ScenarioConfig(node_mob="custom").validated()
+
+    def test_a_mobility_label_brings_its_preset_speed(self):
+        cfg = ScenarioConfig().validated()
+        assert cfg.replace(node_mob="high").node_speed == NODE_SPEED_PRESETS["high"]
+        custom = cfg.replace(node_speed=(3.0, 6.0))
+        assert custom.node_mob == "custom" and custom.node_speed == (3.0, 6.0)
+        # a custom band keeps its speed; a label and a speed given together
+        # are both kept as given
+        assert custom.replace(node_mob="custom").node_speed == (3.0, 6.0)
+        both = cfg.replace(node_mob="low", node_speed=(3.0, 6.0))
+        assert both.node_mob == "low" and both.node_speed == (3.0, 6.0)
 
     def test_replace_validates_a_copy_and_leaves_the_original_alone(self):
         cfg = ScenarioConfig().validated()
@@ -251,6 +266,18 @@ class TestCli:
         capsys.readouterr()
         assert len(out.read_text().splitlines()) == 3
 
+    def test_sweep_node_mob_labels_set_the_node_speed(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli.main(["sweep", "--set", "duration=60", "--seeds", "1",
+                         "--node-mobs", "low,medium,high", "--csv", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        rows = out.read_text().splitlines()[1:]
+        column = CSV_COLUMNS.index("measured_mob")
+        bands = [classify_mobility(float(row.split(",")[column])).value
+                 for row in rows]
+        assert bands == ["low", "medium", "high"]
+
     def test_compare_prints_the_ranking_table(self, capsys):
         code = cli.main(["compare", "--set", "duration=12", "--set", "warmup=2",
                          "--protocols", "forwarder_reactive,centralized",
@@ -259,3 +286,23 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert stdout.startswith("lambda = 0.25")
         assert "forwarder_reactive" in stdout and "centralized" in stdout
+
+
+class TestPublicSurface:
+    def test_names_and_benchmark_span_targets_resolve(self, monkeypatch):
+        # the benchmark wraps these functions from outside; a target that no
+        # longer exists would silently drop its per-layer metrics
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        spans = importlib.import_module("spans")
+        tracer = spans.Tracer(full=True)
+        tracer.install()
+        try:
+            assert tracer.missing == []
+        finally:
+            tracer.uninstall()
+        # perfbench reads these from the package itself
+        assert {"ScenarioConfig", "NODE_SPEED_PRESETS", "PROTOCOLS", "NUMBA_ACTIVE",
+                "engine", "scenario", "sweep"} <= set(adhocloc.__all__)
+        for name in adhocloc.__all__:
+            assert getattr(adhocloc, name) is not None, name

@@ -72,15 +72,6 @@ class TestPositionKernels:
 
 
 class TestDistanceAndAdjacency:
-    def test_pairwise_distances_match_brute_force(self):
-        rng = np.random.default_rng(2)
-        pos = rng.uniform(0, 1000, (12, 2))
-        d = kernels.pairwise_distances_numpy(pos)
-        for i in range(12):
-            for j in range(12):
-                assert d[i, j] == pytest.approx(np.hypot(*(pos[i] - pos[j])),
-                                                rel=1e-12, abs=1e-12)
-
     def test_adjacency_is_range_inclusive_without_self_loops(self):
         pos = np.array([[0.0, 0.0], [250.0, 0.0], [250.0 + 1e-6, 100.0],
                         [500.0, 0.0]])
@@ -162,8 +153,6 @@ class TestJitParity:
                               jit["positions_at"](*self.flat, 12.3))
         assert np.array_equal(ref["positions_block"](*self.flat, self.times),
                               jit["positions_block"](*self.flat, self.times))
-        assert np.array_equal(ref["pairwise_distances"](self.pos),
-                              jit["pairwise_distances"](self.pos))
         adj = ref["adjacency"](self.pos, 300.0)
         assert np.array_equal(adj, jit["adjacency"](self.pos, 300.0))
         rd, rp = ref["bfs_tree"](adj, 0)

@@ -1,63 +1,6 @@
-"""Reactive station lookup and the zone-scoped position registry."""
+"""The zone-scoped position registry."""
 
-import pytest
-
-from adhocloc.location import PositionRegistry, rls_locate
-from adhocloc.radio import MessageKind, MessageLedger, Radio
-from conftest import static_model
-
-LINE = [(0, 0), (200, 0), (400, 0), (600, 0)]
-
-
-def line_radio():
-    ledger = MessageLedger()
-    return Radio(static_model(LINE), 250.0, 0.01, ledger), ledger
-
-
-class TestRlsLocate:
-    def test_locating_yourself_costs_nothing(self):
-        radio, ledger = line_radio()
-        out = rls_locate(radio, 2, 2, 1.0)
-        assert out.found and out.hops == 0 and out.units == 0
-        assert out.completed_at == 1.0
-        assert ledger.recount() == 0
-
-    def test_neighbour_answers_the_one_hop_query(self):
-        radio, ledger = line_radio()
-        out = rls_locate(radio, 1, 2, 0.0, request_id=3)
-        assert out.found and out.hops == 1
-        # 1-hop broadcast (1 unit) plus the direct reply (1 unit)
-        assert out.units == 2
-        assert out.completed_at == pytest.approx(0.02)
-        assert ledger.units_for_request(3) == out.units
-
-    def test_distant_target_needs_the_network_wide_phase(self):
-        radio, ledger = line_radio()
-        out = rls_locate(radio, 0, 3, 0.0, request_id=8)
-        assert out.found and out.hops == 3
-        # phase 1 broadcast, full diffusion, then a 3-hop reply
-        assert out.units == 1 + 4 + 3
-        # reply leaves when the diffusion reaches depth 3
-        assert out.completed_at == pytest.approx(0.02 + 0.03 + 0.03)
-        assert ledger.units_for_request(8) == out.units
-
-    def test_unreachable_target_times_out_after_both_phases(self):
-        model = static_model([(0, 0), (100, 0), (900, 400)])
-        ledger = MessageLedger()
-        radio = Radio(model, 250.0, 0.01, ledger)
-        out = rls_locate(radio, 0, 2, 1.0, request_id=11)
-        assert not out.found
-        assert out.hops == 0
-        # both floods were paid for even though nobody answered
-        assert out.units == ledger.units_for_request(11) > 0
-        assert out.completed_at > 1.02
-
-    def test_lookup_charges_locate_kinds(self):
-        radio, ledger = line_radio()
-        rls_locate(radio, 0, 3, 0.0)
-        kinds = set(ledger.by_kind)
-        assert kinds == {MessageKind.LOCATE_REQUEST.value,
-                         MessageKind.LOCATE_REPLY.value}
+from adhocloc.location import PositionRegistry
 
 
 class TestPositionRegistry:

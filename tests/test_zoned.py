@@ -1,5 +1,7 @@
 """Zoned servers: partition, ring queries, registry upkeep, misses."""
 
+import math
+
 import pytest
 
 from adhocloc.metrics import RequestRecord
@@ -110,3 +112,39 @@ class TestDatabaseUpkeep:
         entry = proto.registry.lookup(1, 0)
         assert entry is not None and entry.x == pytest.approx(-120.0)
         assert proto.registry.lookup(0, 0) is None
+
+
+class TestReelection:
+    def test_a_drifting_zone_agent_hands_off_inside_its_zone(self):
+        # node 1, zone 0's agent, walks outward along its own ray until node 0
+        # sits much closer to the live centroid; the other agents stay best
+        knots = [[(0.0, x, y), (12.0, x, y)] for x, y in BOX8]
+        knots[1] = [(0.0, 60.0, 150.0), (4.0, 120.0, 300.0), (12.0, 120.0, 300.0)]
+        proto = make_zoned(scripted_model(knots), host=0, report_period=1.0)
+        floods = []
+        flood = proto.radio.flood
+
+        def recording_flood(origin, kind, t, **kwargs):
+            result = flood(origin, kind, t, **kwargs)
+            floods.append((origin, kind, t, result))
+            return result
+
+        proto.radio.flood = recording_flood
+        proto.engine.run_until(4.99)
+        entries = len(proto.agents[0].code_db) + proto.registry.size(0)
+        assert entries == 3         # the code entry plus both members' reports
+        hops = len(proto.radio.route(1, 0, 5.0)) - 1
+        proto.engine.run_until(5.0)
+        assert [a.host for a in proto.agents] == [0, 3, 5, 7]
+        assert proto.handoffs == 1
+        rows = [r for r in proto.ctx.ledger.rows
+                if r.kind is MessageKind.AGENT_MIGRATION]
+        assert len(rows) == 1
+        assert (rows[0].src, rows[0].dst, rows[0].t) == (1, 0, 5.0)
+        assert rows[0].units == hops * math.ceil(entries / 10)
+        announced = [res for origin, kind, t, res in floods
+                     if kind is MessageKind.SERVER_UPDATE and t == 5.0]
+        assert len(announced) == 1
+        assert announced[0].origin == 0
+        assert set(announced[0].reached) == {0, 1}
+        assert announced[0].units == 2
