@@ -10,14 +10,13 @@ under configurable request load, node mobility and code mobility.
 from . import engine, scenario, sweep
 from .config import (NODE_SPEED_PRESETS, PROTOCOLS, ConfigError, ScenarioConfig,
                      load_config_file)
-from .kernels import NUMBA_ACTIVE
 from .scenario import run_scenario
 from .sweep import comparison_table, run_sweep, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NODE_SPEED_PRESETS", "NUMBA_ACTIVE", "PROTOCOLS", "ConfigError",
-    "ScenarioConfig", "comparison_table", "engine", "load_config_file",
-    "run_scenario", "run_sweep", "scenario", "sweep", "write_csv",
+    "NODE_SPEED_PRESETS", "PROTOCOLS", "ConfigError", "ScenarioConfig",
+    "comparison_table", "engine", "load_config_file", "run_scenario",
+    "run_sweep", "scenario", "sweep", "write_csv",
 ]

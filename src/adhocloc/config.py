@@ -69,6 +69,10 @@ class ScenarioConfig:
             if self.node_mob == "custom":
                 raise ConfigError("node_mob=custom requires an explicit node_speed")
             self.node_speed = NODE_SPEED_PRESETS[self.node_mob]
+        preset = NODE_SPEED_PRESETS.get(self.node_mob)
+        if preset is not None and tuple(self.node_speed) != preset:
+            raise ConfigError(f"node_mob={self.node_mob} runs at {preset} m/s, got "
+                              f"node_speed {tuple(self.node_speed)}; use node_mob=custom")
         smin, smax = self.node_speed
         if not (0 < smin <= smax):
             raise ConfigError("node_speed must satisfy 0 < min <= max")

@@ -55,6 +55,7 @@ class MessageLedger:
     def __init__(self):
         self.total_units = 0
         self.by_kind: Counter = Counter()
+        self.by_request: Counter = Counter()  # key None: unbilled traffic
         self.rows: list[LedgerRow] = []
 
     def charge(self, kind: MessageKind, src: int, dst: int, units: int, t: float,
@@ -63,14 +64,15 @@ class MessageLedger:
             raise ValueError("cannot charge negative units")
         self.total_units += units
         self.by_kind[kind.value] += units
+        self.by_request[request_id] += units
         self.rows.append(LedgerRow(request_id, kind, src, dst, units, t))
 
     def recount(self) -> int:
         """Independent total from the raw log; must equal total_units exactly."""
         return sum(row.units for row in self.rows)
 
-    def units_for_request(self, request_id: int) -> int:
-        return sum(row.units for row in self.rows if row.request_id == request_id)
+    def units_for_request(self, request_id: Optional[int]) -> int:
+        return self.by_request[request_id]
 
 
 @dataclass(slots=True)

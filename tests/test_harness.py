@@ -73,11 +73,14 @@ class TestConfig:
         assert cfg.replace(node_mob="high").node_speed == NODE_SPEED_PRESETS["high"]
         custom = cfg.replace(node_speed=(3.0, 6.0))
         assert custom.node_mob == "custom" and custom.node_speed == (3.0, 6.0)
-        # a custom band keeps its speed; a label and a speed given together
-        # are both kept as given
+        # a custom band keeps its speed; a preset label must come with its
+        # own preset speed, so a row's label always describes its run
         assert custom.replace(node_mob="custom").node_speed == (3.0, 6.0)
-        both = cfg.replace(node_mob="low", node_speed=(3.0, 6.0))
-        assert both.node_mob == "low" and both.node_speed == (3.0, 6.0)
+        assert cfg.replace(node_mob="low", node_speed=(2.0, 4.5)).node_mob == "low"
+        with pytest.raises(ConfigError, match="node_mob=low"):
+            cfg.replace(node_mob="low", node_speed=(3.0, 6.0))
+        with pytest.raises(ConfigError, match="node_mob=high"):
+            ScenarioConfig(node_mob="high", node_speed=(3.0, 6.0)).validated()
 
     def test_replace_validates_a_copy_and_leaves_the_original_alone(self):
         cfg = ScenarioConfig().validated()
@@ -302,7 +305,7 @@ class TestPublicSurface:
         finally:
             tracer.uninstall()
         # perfbench reads these from the package itself
-        assert {"ScenarioConfig", "NODE_SPEED_PRESETS", "PROTOCOLS", "NUMBA_ACTIVE",
+        assert {"ScenarioConfig", "NODE_SPEED_PRESETS", "PROTOCOLS",
                 "engine", "scenario", "sweep"} <= set(adhocloc.__all__)
         for name in adhocloc.__all__:
             assert getattr(adhocloc, name) is not None, name

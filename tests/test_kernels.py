@@ -1,8 +1,4 @@
-"""Numeric kernels against brute-force oracles, plus numpy/jit parity."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels against brute-force oracles and bit-exact loop references."""
 
 import numpy as np
 import networkx as nx
@@ -35,6 +31,29 @@ def interp_oracle(ts, vs, t):
     raise AssertionError("unreachable")
 
 
+def positions_at_loop(knot_t, knot_x, knot_y, offsets, t):
+    """Per-node searchsorted loop: the reference positions_at must match bit for bit."""
+    n = offsets.size - 1
+    out = np.empty((n, 2), dtype=np.float64)
+    for i in range(n):
+        s, e = offsets[i], offsets[i + 1]
+        k = int(np.searchsorted(knot_t[s:e], t, side="right")) - 1
+        if k < 0:
+            out[i] = knot_x[s], knot_y[s]
+        elif k >= e - s - 1:
+            out[i] = knot_x[e - 1], knot_y[e - 1]
+        else:
+            t0 = knot_t[s + k]
+            t1 = knot_t[s + k + 1]
+            if t1 == t0:
+                out[i] = knot_x[s + k], knot_y[s + k]
+            else:
+                w = (t - t0) / (t1 - t0)
+                out[i, 0] = knot_x[s + k] + (knot_x[s + k + 1] - knot_x[s + k]) * w
+                out[i, 1] = knot_y[s + k] + (knot_y[s + k + 1] - knot_y[s + k]) * w
+    return out
+
+
 def random_trajs(rng, n_nodes, n_knots=6, span=50.0):
     trajs = []
     for _ in range(n_nodes):
@@ -51,7 +70,7 @@ class TestPositionKernels:
         trajs = random_trajs(rng, 8)
         flat = flatten_trajectories(trajs)
         for t in (0.0, 3.7, 25.0, 49.9, 80.0):
-            pos = kernels.positions_at_numpy(*flat, t)
+            pos = kernels.positions_at(*flat, t)
             for i, (ts, xs, ys) in enumerate(trajs):
                 assert pos[i, 0] == pytest.approx(interp_oracle(ts, xs, t), rel=1e-12)
                 assert pos[i, 1] == pytest.approx(interp_oracle(ts, ys, t), rel=1e-12)
@@ -60,22 +79,55 @@ class TestPositionKernels:
         rng = np.random.default_rng(1)
         flat = flatten_trajectories(random_trajs(rng, 5))
         times = np.array([0.0, 1.5, 10.0, 60.0])
-        block = kernels.positions_block_numpy(*flat, times)
+        block = kernels.positions_block(*flat, times)
         assert block.shape == (4, 5, 2)
         for j, t in enumerate(times):
-            assert np.allclose(block[j], kernels.positions_at_numpy(*flat, t))
+            assert np.array_equal(block[j], kernels.positions_at(*flat, t))
 
     def test_clamping_before_first_and_after_last_knot(self):
         flat = flatten_trajectories([([0.0, 2.0], [10.0, 30.0], [5.0, 5.0])])
-        assert np.allclose(kernels.positions_at_numpy(*flat, -1.0), [[10.0, 5.0]])
-        assert np.allclose(kernels.positions_at_numpy(*flat, 99.0), [[30.0, 5.0]])
+        assert np.allclose(kernels.positions_at(*flat, -1.0), [[10.0, 5.0]])
+        assert np.allclose(kernels.positions_at(*flat, 99.0), [[30.0, 5.0]])
+
+
+    def test_positions_at_is_bit_identical_to_the_per_node_loop(self):
+        rng = np.random.default_rng(7)
+        queries = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            trajs = []
+            for _ in range(n):
+                k = int(rng.integers(1, 8))          # single-knot nodes included
+                # few decimals, so knot times repeat within and across nodes
+                ts = np.sort(np.round(rng.uniform(0.0, 40.0, k), int(rng.integers(0, 2))))
+                trajs.append((list(ts), list(rng.uniform(0, 1000, k)),
+                              list(rng.uniform(0, 500, k))))
+            flat = flatten_trajectories(trajs)
+            knot_t = flat[0]
+            times = np.concatenate([rng.uniform(-5.0, 45.0, 8), knot_t,
+                                    [knot_t.min() - 1.0, knot_t.max() + 1.0]])
+            for t in times:
+                assert np.array_equal(kernels.positions_at(*flat, t),
+                                      positions_at_loop(*flat, t)), t
+                queries += 1
+        assert queries > 1000
+
+    def test_duplicate_knot_times_rest_at_the_later_knot(self):
+        # a zero-length segment: at t == 2 the node is at the last knot stamped 2
+        flat = flatten_trajectories([([0.0, 2.0, 2.0, 4.0], [0.0, 10.0, 20.0, 40.0],
+                                      [0.0, 0.0, 0.0, 0.0]),
+                                     ([1.0], [7.0], [8.0])])
+        assert np.array_equal(kernels.positions_at(*flat, 2.0),
+                              [[20.0, 0.0], [7.0, 8.0]])
+        assert np.array_equal(kernels.positions_at(*flat, 3.0),
+                              [[30.0, 0.0], [7.0, 8.0]])
 
 
 class TestDistanceAndAdjacency:
     def test_adjacency_is_range_inclusive_without_self_loops(self):
         pos = np.array([[0.0, 0.0], [250.0, 0.0], [250.0 + 1e-6, 100.0],
                         [500.0, 0.0]])
-        adj = kernels.adjacency_numpy(pos, 250.0)
+        adj = kernels.adjacency(pos, 250.0)
         assert adj.dtype == np.bool_
         assert not adj.diagonal().any()
         assert adj[0, 1] and adj[1, 0]          # exactly at range
@@ -83,9 +135,26 @@ class TestDistanceAndAdjacency:
         assert adj[1, 3]                        # 250 again, inclusive
         assert np.array_equal(adj, adj.T)
 
+    def test_adjacency_equals_the_summed_square_form_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            pos = np.round(rng.uniform(0, 1000, (20, 2)), 1)
+            # pairs exactly at range, along an axis and along a 3-4-5 diagonal,
+            pos[1] = pos[0] + [250.0, 0.0]
+            pos[2] = pos[0] + [0.0, -250.0]
+            pos[3] = pos[0] + [150.0, 200.0]
+            # and pairs on the range circle, where rounding decides the link
+            angles = rng.uniform(0.0, 2 * np.pi, 8)
+            pos[4:12] = pos[0] + 250.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+            diff = pos[:, None, :] - pos[None, :, :]
+            ref = (diff ** 2).sum(axis=2) <= 250.0 * 250.0
+            np.fill_diagonal(ref, False)
+            adj = kernels.adjacency(pos, 250.0)
+            assert np.array_equal(adj, ref)
+
     def test_adjacency_rejects_just_past_the_boundary(self):
         pos = np.array([[0.0, 0.0], [250.0000001, 0.0]])
-        assert not kernels.adjacency_numpy(pos, 250.0)[0, 1]
+        assert not kernels.adjacency(pos, 250.0)[0, 1]
 
 
 class TestBfsTree:
@@ -93,8 +162,8 @@ class TestBfsTree:
         rng = np.random.default_rng(3)
         for _ in range(20):
             pos = rng.uniform(0, 1000, (18, 2))
-            adj = kernels.adjacency_numpy(pos, 280.0)
-            depths, parents = kernels.bfs_tree_numpy(adj, 0)
+            adj = kernels.adjacency(pos, 280.0)
+            depths, parents = kernels.bfs_tree(adj, 0)
             g = nx.from_numpy_array(adj)
             lengths = nx.single_source_shortest_path_length(g, 0)
             for v in range(18):
@@ -103,8 +172,8 @@ class TestBfsTree:
     def test_parents_are_canonical_lowest_id_at_previous_depth(self):
         rng = np.random.default_rng(4)
         pos = rng.uniform(0, 800, (20, 2))
-        adj = kernels.adjacency_numpy(pos, 260.0)
-        depths, parents = kernels.bfs_tree_numpy(adj, 0)
+        adj = kernels.adjacency(pos, 260.0)
+        depths, parents = kernels.bfs_tree(adj, 0)
         for v in range(20):
             if v == 0 or depths[v] < 0:
                 assert parents[v] == -1
@@ -115,8 +184,8 @@ class TestBfsTree:
 
     def test_unreachable_nodes_get_minus_one(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
-        adj = kernels.adjacency_numpy(pos, 150.0)
-        depths, parents = kernels.bfs_tree_numpy(adj, 0)
+        adj = kernels.adjacency(pos, 150.0)
+        depths, parents = kernels.bfs_tree(adj, 0)
         assert depths.tolist() == [0, 1, -1]
         assert parents.tolist() == [-1, 0, -1]
 
@@ -125,57 +194,10 @@ class TestSeparationSeries:
     def test_matches_brute_force_mean_distances(self):
         rng = np.random.default_rng(5)
         block = rng.uniform(0, 1000, (7, 6, 2))
-        series = kernels.separation_series_numpy(block)
+        series = kernels.separation_series(block)
         assert series.shape == (7, 6)
         for j in range(7):
             for i in range(6):
                 dists = [np.hypot(*(block[j, i] - block[j, k]))
                          for k in range(6) if k != i]
                 assert series[j, i] == pytest.approx(np.mean(dists), rel=1e-12)
-
-
-@pytest.mark.skipif(kernels.JIT_VARIANTS is None,
-                    reason="numba disabled in this process")
-class TestJitParity:
-    """The compiled kernels must agree with the numpy reference exactly."""
-
-    def setup_method(self):
-        rng = np.random.default_rng(6)
-        self.flat = flatten_trajectories(random_trajs(rng, 10))
-        self.times = np.linspace(0.0, 60.0, 9)
-        self.pos = rng.uniform(0, 1000, (16, 2))
-
-    def test_every_kernel_pair_agrees(self):
-        ref = kernels.NUMPY_VARIANTS
-        jit = kernels.JIT_VARIANTS
-        assert set(ref) == set(jit)
-        assert np.array_equal(ref["positions_at"](*self.flat, 12.3),
-                              jit["positions_at"](*self.flat, 12.3))
-        assert np.array_equal(ref["positions_block"](*self.flat, self.times),
-                              jit["positions_block"](*self.flat, self.times))
-        adj = ref["adjacency"](self.pos, 300.0)
-        assert np.array_equal(adj, jit["adjacency"](self.pos, 300.0))
-        rd, rp = ref["bfs_tree"](adj, 0)
-        jd, jp = jit["bfs_tree"](adj, 0)
-        assert np.array_equal(rd, jd) and np.array_equal(rp, jp)
-        block = ref["positions_block"](*self.flat, self.times)
-        assert np.allclose(ref["separation_series"](block),
-                           jit["separation_series"](block), rtol=1e-12)
-
-
-def test_env_flag_selects_the_numpy_fallback():
-    code = ("import adhocloc.kernels as k; "
-            "assert not k.NUMBA_ACTIVE; "
-            "assert k.JIT_VARIANTS is None; "
-            "assert k.adjacency is k.adjacency_numpy; "
-            "assert k.bfs_tree is k.bfs_tree_numpy; "
-            "print('fallback ok')")
-    env = dict(os.environ, **{kernels.ENV_FLAG: "1"})
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "fallback ok" in out.stdout
-
-
-def test_warm_up_runs_cleanly():
-    kernels.warm_up()
