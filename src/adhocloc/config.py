@@ -17,6 +17,9 @@ NODE_SPEED_PRESETS = {
     "high": (18.0, 30.0),
 }
 
+#: code jumps per second, per code band
+JUMP_RATES = {"low": 0.1, "medium": 0.5, "high": 2.0}
+
 #: nominal Mob target per band, echoed into result rows
 MOB_TARGETS = {"low": 1.5, "medium": 5.0, "high": 10.0}
 
@@ -39,24 +42,11 @@ class ScenarioConfig:
     duration: float = 200.0
     seed: int = 1
     mother: int = 0
-    pause_time: float = 0.0
     metric_dt: float = 1.0
-    per_hop_latency: float = 0.01
-    ack_timeout: float = 0.03               # silence before a link is declared broken
-    repair_ttl: int = 3
-    chain_check_period: float = 1.0
-    proactive_wait_ticks: int = 3
-    report_period: float = 2.0              # registry update cadence (zoned)
+    report_period: float = 2.0              # station report cadence (zoned)
     central_report_period: float = 1.0      # diffusion report cadence (centralized)
-    reelection_period: float = 5.0
-    handoff_threshold: float = 50.0
-    server_service_time: float = 0.036
-    max_retries: int = 3
     warmup: float = 10.0
     partition_grace: float = 30.0
-    jump_rate_low: float = 0.1              # jumps/second per code band
-    jump_rate_medium: float = 0.5
-    jump_rate_high: float = 2.0
 
     def validated(self) -> "ScenarioConfig":
         if self.protocol not in PROTOCOLS:
@@ -97,31 +87,15 @@ class ScenarioConfig:
             raise ConfigError("metric_dt must be positive")
         if self.duration > 0 and self.metric_dt >= self.duration:
             raise ConfigError("metric_dt must be smaller than duration")
-        if self.per_hop_latency < 0 or self.pause_time < 0 or self.ack_timeout < 0:
-            raise ConfigError("latency, pause_time and ack_timeout must be >= 0")
-        if self.repair_ttl < 1:
-            raise ConfigError("repair_ttl must be >= 1")
-        if (self.chain_check_period <= 0 or self.report_period <= 0
-                or self.central_report_period <= 0 or self.reelection_period <= 0):
+        if self.report_period <= 0 or self.central_report_period <= 0:
             raise ConfigError("periods must be positive")
-        if self.proactive_wait_ticks < 1:
-            raise ConfigError("proactive_wait_ticks must be >= 1")
-        if self.handoff_threshold < 0 or self.server_service_time < 0:
-            raise ConfigError("handoff_threshold and server_service_time must be >= 0")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
         if self.warmup < 0 or self.partition_grace <= 0:
             raise ConfigError("warmup must be >= 0 and partition_grace > 0")
-        for rate in (self.jump_rate_low, self.jump_rate_medium, self.jump_rate_high):
-            if rate <= 0:
-                raise ConfigError("jump rates must be positive")
         return self
 
     @property
     def jump_rate(self) -> float:
-        return {"low": self.jump_rate_low,
-                "medium": self.jump_rate_medium,
-                "high": self.jump_rate_high}[self.code_band]
+        return JUMP_RATES[self.code_band]
 
     @property
     def mob_target(self) -> Optional[float]:
@@ -143,8 +117,7 @@ class ScenarioConfig:
 #: file key -> dataclass field, where they differ
 KEY_ALIASES = {"lambda": "lam"}
 
-_INT_FIELDS = {"n_nodes", "n_zones", "seed", "mother", "repair_ttl",
-               "proactive_wait_ticks", "max_retries"}
+_INT_FIELDS = {"n_nodes", "n_zones", "seed", "mother"}
 _STR_FIELDS = {"protocol", "node_mob", "code_band"}
 
 

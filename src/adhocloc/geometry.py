@@ -73,11 +73,6 @@ class ZoneLayout:
     def alpha(self) -> float:
         return TWO_PI / self.n_zones
 
-    def boundaries(self, zone: int) -> tuple[float, float]:
-        if not 0 <= zone < self.n_zones:
-            raise GeometryError(f"zone {zone} not in [0, {self.n_zones})")
-        return zone * self.alpha, (zone + 1) * self.alpha
-
     def zone_of(self, point) -> int:
         """Zone index containing `point` under the sector-membership rule."""
         if self.n_zones == 1:
@@ -98,17 +93,3 @@ class ZoneLayout:
         if k >= self.n_zones:  # guards theta == 2*pi after rounding
             k = self.n_zones - 1
         return k
-
-    def membership_inequalities(self, point, zone: int) -> tuple[float, float]:
-        """The two sector-test expressions for `point` against `zone`'s edges.
-
-        Membership in the interior means lower > 0 and upper < 0, where
-        lower = (Y-Yv)cos(b1) - (X-Xv)sin(b1) and
-        upper = (Y-Yv)cos(b2) - (X-Xv)sin(b2).
-        """
-        b1, b2 = self.boundaries(zone)
-        dx = point[0] - self.center[0]
-        dy = point[1] - self.center[1]
-        lower = dy * math.cos(b1) - dx * math.sin(b1)
-        upper = dy * math.cos(b2) - dx * math.sin(b2)
-        return lower, upper

@@ -63,20 +63,11 @@ class MetricsReport:
 
     @property
     def nb_msg(self) -> Optional[float]:
+        """Every unit charged in the run (maintenance, announcements, updates
+        and lookups alike) per measured request; None without any."""
         if self.n_requests == 0:
             return None
         return self.total_messages / self.n_requests
-
-
-def compute_nb_msg(report: MetricsReport) -> float:
-    """Total message units per measured request.
-
-    Counts every unit charged in the run (maintenance, announcements, updates
-    and lookups alike) against the measured request population.
-    """
-    if report.n_requests == 0:
-        raise MetricsError("Nb_msg undefined: no measured requests")
-    return report.total_messages / report.n_requests
 
 
 def compute_rtime(records: Sequence[RequestRecord]) -> float:

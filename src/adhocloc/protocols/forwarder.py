@@ -29,18 +29,20 @@ own repair immediately, reactive or not, rewiring the station toward the best
 answerer (a station with no pointer is grafted in just below its adoptee,
 deleting nothing, since it holds no place in the order to bridge from).
 
-A station concludes its successor is gone only after ack_timeout of silence,
-so every break costs that much time before repair or parking starts.
+A station concludes its successor is gone only after ACK_TIMEOUT of silence,
+so every break costs that much time before repair or parking starts. The
+proactive tick runs every CHAIN_CHECK_PERIOD; a parked walk gives up after
+PROACTIVE_WAIT_TICKS of them.
 
-A repair diffuses a search around the broken station. The current host and
-every station of order higher than the searcher answer (each reply is charged).
-The searcher reconnects to the sought successor, or to an answerer that is
-nearer in hops than the sought one, preferring the highest order, then the
-fewest hops, then the lowest id. Relay nodes on the adopted multi-hop path are
-turned into chain members with interpolated orders so the rebuilt stretch stays
-walkable over direct links; stations whose order falls inside the bridged
-stretch but that are not on the new path drop out of the chain and forget
-their entries.
+A repair diffuses a search around the broken station, first within REPAIR_TTL
+hops, then network-wide. The current host and every station of order higher
+than the searcher answer (each reply is charged). The searcher reconnects to
+the sought successor, or to an answerer that is nearer in hops than the sought
+one, preferring the highest order, then the fewest hops, then the lowest id.
+Relay nodes on the adopted multi-hop path are turned into chain members with
+interpolated orders so the rebuilt stretch stays walkable over direct links;
+stations whose order falls inside the bridged stretch but that are not on the
+new path drop out of the chain and forget their entries.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ from .base import LocalizationProtocol, ProtocolError, ScenarioContext
 # this many in-band repairs, is declared failed instead of looping.
 MAX_WALK_FACTOR = 4
 MAX_REPAIRS_PER_REQUEST = 8
+#: seconds of silence before a link is declared broken
+ACK_TIMEOUT = 0.03
+#: hop limit of a repair's first, local search
+REPAIR_TTL = 3
+#: seconds between proactive link checks
+CHAIN_CHECK_PERIOD = 1.0
+#: check periods a parked walk waits for a repair
+PROACTIVE_WAIT_TICKS = 3
 
 
 @dataclass(slots=True)
@@ -93,7 +103,7 @@ class ForwarderProtocol(LocalizationProtocol):
 
     def start(self) -> None:
         if self.proactive:
-            self.engine.schedule(self.cfg.chain_check_period,
+            self.engine.schedule(CHAIN_CHECK_PERIOD,
                                  EventKind.CHAIN_CHECK_TICK, self._chain_tick)
 
     def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
@@ -178,7 +188,7 @@ class ForwarderProtocol(LocalizationProtocol):
 
     def _break_after_timeout(self, record: RequestRecord, station: int,
                              anchor: ForwarderEntry, t: float) -> None:
-        self.engine.schedule(t + self.cfg.ack_timeout, EventKind.TIMER_EXPIRY,
+        self.engine.schedule(t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
                              lambda: self._break(record, station, anchor,
                                                  self.engine.now))
 
@@ -195,7 +205,7 @@ class ForwarderProtocol(LocalizationProtocol):
         if self.proactive and not force_repair:
             # an ordinary link break; the periodic check will notice it too,
             # so the walk parks and lets maintenance do the repair
-            timeout_at = t + self.cfg.proactive_wait_ticks * self.cfg.chain_check_period
+            timeout_at = t + PROACTIVE_WAIT_TICKS * CHAIN_CHECK_PERIOD
             ev = self.engine.schedule(timeout_at, EventKind.TIMER_EXPIRY,
                                       lambda: self._park_timeout(record, station))
             self._parked.setdefault(station, []).append((record, ev))
@@ -252,12 +262,12 @@ class ForwarderProtocol(LocalizationProtocol):
             if probe is None:
                 self._repair_active.add(station)
                 self.engine.schedule(
-                    t + self.cfg.ack_timeout, EventKind.TIMER_EXPIRY,
+                    t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
                     lambda s=station, e=entry: self._tick_repair_start(s, e))
             elif station in self._parked:
                 # the link healed on its own; waiting walks can move again
                 self._release_parked(station)
-        self.engine.schedule(t + self.cfg.chain_check_period,
+        self.engine.schedule(t + CHAIN_CHECK_PERIOD,
                              EventKind.CHAIN_CHECK_TICK, self._chain_tick)
 
     def _tick_repair_start(self, station: int, probed: ForwarderEntry) -> None:
@@ -286,7 +296,7 @@ class ForwarderProtocol(LocalizationProtocol):
         # acting on a chain that no longer exists and must stand down
         anchor = self.entries.get(station)
         self._repair_round(station, searcher_order, anchor, t, request_id,
-                           on_done, self.cfg.repair_ttl)
+                           on_done, REPAIR_TTL)
 
     def _repair_round(self, station: int, searcher_order: float,
                       anchor: Optional[ForwarderEntry], t: float,
@@ -296,7 +306,7 @@ class ForwarderProtocol(LocalizationProtocol):
         if self.entries.get(station) is not anchor:
             on_done(False)
             return
-        lat = self.cfg.per_hop_latency
+        lat = self.radio.latency
         flood = self.radio.flood(station, MessageKind.CHAIN_REPAIR_FLOOD, t,
                                  ttl=ttl, request_id=request_id)
         code = self.code

@@ -6,18 +6,18 @@ jittered position reports, and the periodic re-election that hands an
 agent's database to a better-centered node.
 
 In the centralized protocol one mobile server agent owns the whole database;
-the node closest to the network centroid hosts it. Every station
-diffuses its position network-wide once per central_report_period, the code's
-host unicasts a location update after each jump, and requesters query the
-agent, get the database's host entry back, then contact that host; a stale
-entry costs a re-query, up to max_retries. A periodic re-election moves the
+the node closest to the network centroid hosts it. Every station diffuses its
+position network-wide once per central_report_period, the code's host unicasts
+a location update after each jump, and requesters query the agent, get the
+database's host entry back, then contact that host; a stale entry costs a
+re-query, up to MAX_RETRIES. A re-election every REELECTION_PERIOD moves the
 agent (and its database, charged per hop at one unit per ten entries) to a
-better-centered node when the gain clears handoff_threshold, followed by a
+better-centered node when the gain clears HANDOFF_THRESHOLD, followed by a
 network-wide announcement. Queries addressed to an ex-host chase the agent
 through the forwarding pointer each ex-host keeps.
 
 The agent serializes everything it ingests through a single FIFO worker with
-a fixed per-message service time, so its response latency degrades as report
+a fixed per-message SERVICE_TIME, so its response latency degrades as report
 and query traffic converges on it.
 """
 
@@ -34,21 +34,27 @@ from .base import LocalizationProtocol, ScenarioContext
 
 #: longest chain of stale-host forwards a message may follow
 CHASE_BUDGET = 8
+#: re-queries a request may make after a failed or stale answer
+MAX_RETRIES = 3
+#: seconds between agent re-elections
+REELECTION_PERIOD = 5.0
+#: metres an agent's distance to the centroid must improve by to move it
+HANDOFF_THRESHOLD = 50.0
+#: seconds an agent spends on each message
+SERVICE_TIME = 0.036
 
 
 class ServerAgent:
-    """One FIFO worker with a fixed per-message service time.
+    """One FIFO worker taking SERVICE_TIME per message.
 
     `process` enqueues a unit of work arriving at `arrival`, schedules
     `action` at its completion instant and returns that instant.
+    `station_pos` holds the last reported position of each station.
     """
 
-    def __init__(self, engine: Engine, host: int, service_time: float,
-                 zone: Optional[int] = None):
+    def __init__(self, engine: Engine, host: int):
         self.engine = engine
         self.host = host
-        self.service_time = service_time
-        self.zone = zone
         self.busy_until = 0.0
         self.code_db: Dict[int, int] = {}
         self.station_pos: Dict[int, tuple[float, float]] = {}
@@ -56,7 +62,7 @@ class ServerAgent:
 
     def process(self, arrival: float, action: Callable[[], None]) -> float:
         start = max(arrival, self.busy_until)
-        done = start + self.service_time
+        done = start + SERVICE_TIME
         self.busy_until = done
         self.processed += 1
         self.engine.schedule(done, EventKind.TIMER_EXPIRY, action)
@@ -71,7 +77,7 @@ class ServerProtocol(LocalizationProtocol):
 
     A request queries an agent (`_attempt`), whose answer names the code's
     host (`_reply`); the requester then contacts that host. Any undeliverable
-    leg or stale answer costs a re-query, up to max_retries. Subclasses supply
+    leg or stale answer costs a re-query, up to MAX_RETRIES. Subclasses supply
     `_attempt(record, retries_left)`, `_report(node, t)` and
     `_reelect(pos, ref, t)`.
     """
@@ -89,7 +95,7 @@ class ServerProtocol(LocalizationProtocol):
             self.engine.schedule(report_period * (node + 1) / n,
                                  EventKind.TIMER_EXPIRY,
                                  lambda v=node: self._report_tick(v, report_period))
-        self.engine.schedule(self.cfg.reelection_period,
+        self.engine.schedule(REELECTION_PERIOD,
                              EventKind.SERVER_REELECTION_TICK,
                              self._reelection_tick)
 
@@ -108,26 +114,26 @@ class ServerProtocol(LocalizationProtocol):
         t = self.engine.now
         pos, _ = self.radio.snapshot(t)
         self._reelect(pos, centroid(pos), t)
-        self.engine.schedule(t + self.cfg.reelection_period,
+        self.engine.schedule(t + REELECTION_PERIOD,
                              EventKind.SERVER_REELECTION_TICK,
                              self._reelection_tick)
 
     def _hand_off(self, agent: ServerAgent, best: int, pos,
-                  ref: tuple[float, float], entries: int, t: float) -> bool:
-        """Move `agent` to `best` if that gains more than handoff_threshold
-        in distance to `ref` and a route exists; the database of `entries`
-        costs one unit per ten entries per hop. True when the agent moved."""
+                  ref: tuple[float, float], t: float) -> bool:
+        """Move `agent` to `best` if that gains more than HANDOFF_THRESHOLD
+        in distance to `ref` and a route exists; the agent's database costs
+        one unit per ten entries per hop. True when the agent moved."""
         incumbent = agent.host
         if best == incumbent:
             return False
         gain = dist(pos[incumbent], ref) - dist(pos[best], ref)
-        if gain <= self.cfg.handoff_threshold:
+        if gain <= HANDOFF_THRESHOLD:
             return False
         path = self.radio.route(incumbent, best, t)
         if path is None:
             return False
-        self.ctx.ledger.charge(MessageKind.AGENT_MIGRATION, incumbent, best,
-                               (len(path) - 1) * math.ceil(entries / 10), t, None)
+        units = (len(path) - 1) * math.ceil(agent.entry_count() / 10)
+        self.ctx.ledger.charge(MessageKind.AGENT_MIGRATION, incumbent, best, units, t)
         agent.host = best
         self.handoffs += 1
         return True
@@ -137,7 +143,7 @@ class ServerProtocol(LocalizationProtocol):
     def locate(self, record: RequestRecord) -> None:
         if self._local_hit(record):
             return
-        self._attempt(record, self.cfg.max_retries)
+        self._attempt(record, MAX_RETRIES)
 
     def _leg(self, src: int, dst: int, kind: MessageKind, record: RequestRecord,
              retries_left: int, then: Callable[[], None]) -> None:
@@ -194,7 +200,7 @@ class CentralizedProtocol(ServerProtocol):
         pos, _ = self.radio.snapshot(0.0)
         ref = centroid(pos)
         host = elect_server(range(self.cfg.n_nodes), pos, ref)
-        self.agent = ServerAgent(self.engine, host, self.cfg.server_service_time)
+        self.agent = ServerAgent(self.engine, host)
         self.known_server = [host] * self.cfg.n_nodes
         self._announce(0.0)
         self._send_location_update(self.code.host, 0.0)
@@ -211,7 +217,7 @@ class CentralizedProtocol(ServerProtocol):
         flood = self.radio.flood(node, MessageKind.POSITION_REPORT, t, ttl=None)
         target = self.agent.host
         if flood.depths[target] >= 0:
-            arrive = t + int(flood.depths[target]) * self.cfg.per_hop_latency
+            arrive = t + int(flood.depths[target]) * self.radio.latency
             self.engine.schedule(
                 arrive, EventKind.MESSAGE_DELIVERY,
                 lambda: self.agent.process(
@@ -231,14 +237,14 @@ class CentralizedProtocol(ServerProtocol):
     def _reelect(self, pos, ref: tuple[float, float], t: float) -> None:
         best = elect_server(range(self.cfg.n_nodes), pos, ref)
         incumbent = self.agent.host
-        if self._hand_off(self.agent, best, pos, ref, self.agent.entry_count(), t):
+        if self._hand_off(self.agent, best, pos, ref, t):
             self.forward_map[incumbent] = best
             self._announce(t)
 
     def _announce(self, t: float) -> None:
         holder = self.agent.host
         flood = self.radio.flood(holder, MessageKind.SERVER_UPDATE, t, ttl=None)
-        lat = self.cfg.per_hop_latency
+        lat = self.radio.latency
         for v in flood.reached:
             depth = int(flood.depths[v])
             if depth == 0:

@@ -4,13 +4,14 @@ The deployment area is split into angular zones around the network centroid
 at t = 0; the partition stays fixed afterwards. Each zone elects the member
 node closest to the live network centroid as its agent. Members report their
 position to their own zone's agent (an in-zone unicast per report_period),
-inserting into the new zone's registry and deleting from the old one when a
-report detects a crossing. The code's host keeps the zone database current
-the same way after each jump.
+which stores it in its station table; a node sits in at most one zone's
+table, and a report that detects a crossing also tells the old zone's agent
+to drop the node. The code's host keeps the zone database current the same
+way after each jump.
 
 A requester queries its own zone's agent. On a database hit the agent answers
 with the host's identity and the requester contacts the host, re-querying on
-stale answers up to max_retries. On a miss the query travels the ring of
+stale answers up to MAX_RETRIES. On a miss the query travels the ring of
 agents, at most n_zones - 1 forwards; a full circle ends with a charged
 not-found reply. Zone agents are re-elected periodically against the live
 centroid with the same hysteresis and database-transfer accounting as the
@@ -26,7 +27,6 @@ import numpy as np
 
 from ..engine import EventKind
 from ..geometry import ZoneLayout, centroid, elect_server, ring_next
-from ..location import PositionRegistry
 from ..metrics import RequestRecord
 from ..radio import MessageKind
 from .base import ScenarioContext
@@ -40,7 +40,6 @@ class ZonedProtocol(ServerProtocol):
         super().__init__(ctx)
         self.layout: Optional[ZoneLayout] = None
         self.agents: List[ServerAgent] = []
-        self.registry = PositionRegistry(self.cfg.n_zones)
         self.last_zone: List[int] = []
         self.sdb_zone: Optional[int] = None  # zone database holding the code entry
 
@@ -60,8 +59,7 @@ class ZonedProtocol(ServerProtocol):
                 members = [v for v in range(cfg.n_nodes) if v not in taken]
             host = elect_server(members, pos, ref)
             taken.add(host)
-            self.agents.append(ServerAgent(self.engine, host,
-                                           cfg.server_service_time, zone=zone))
+            self.agents.append(ServerAgent(self.engine, host))
         for zone in range(cfg.n_zones):
             self._announce(zone, 0.0)
         self._send_sdb_insert(self.code.host, self._zone_at(self.code.host, 0.0), 0.0)
@@ -87,7 +85,7 @@ class ZonedProtocol(ServerProtocol):
                              self._at_agent(zone, action))
         return True
 
-    # -- registry and database upkeep ------------------------------------------
+    # -- station table and database upkeep --------------------------------------
 
     def _report(self, node: int, t: float) -> None:
         pos, _ = self.radio.snapshot(t)
@@ -95,12 +93,17 @@ class ZonedProtocol(ServerProtocol):
         zone = self.layout.zone_of((x, y))
         previous = self.last_zone[node]
         if (self._to_zone(node, zone, MessageKind.POSITION_REPORT, t,
-                          lambda: self.registry.record(zone, node, x, y, t))
+                          lambda: self._record(zone, node, (x, y)))
                 and zone != previous):
             # the old zone's agent drops the node once told about the move
             self.last_zone[node] = zone
             self._to_zone(node, previous, MessageKind.POSITION_REPORT, t,
-                          lambda: self.registry.drop(previous, node))
+                          lambda: self.agents[previous].station_pos.pop(node, None))
+
+    def _record(self, zone: int, node: int, xy: tuple[float, float]) -> None:
+        for agent in self.agents:
+            agent.station_pos.pop(node, None)
+        self.agents[zone].station_pos[node] = xy
 
     def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
         zone = self._zone_at(new_host, t)
@@ -126,8 +129,7 @@ class ZonedProtocol(ServerProtocol):
             if not members:
                 continue
             best = elect_server(members, pos, ref)
-            entries = len(agent.code_db) + self.registry.size(zone)
-            if self._hand_off(agent, best, pos, ref, entries, t):
+            if self._hand_off(agent, best, pos, ref, t):
                 self._announce(zone, t)
 
     def _announce(self, zone: int, t: float) -> None:

@@ -22,6 +22,10 @@ from .mobility import RandomWaypointModel
 
 #: destination marker for flood log rows
 BROADCAST = -1
+#: seconds per radio hop
+PER_HOP_LATENCY = 0.01
+#: connectivity snapshots kept; the least recently used is evicted first
+SNAPSHOT_CACHE_SIZE = 64
 
 
 class MessageKind(Enum):
@@ -93,7 +97,7 @@ class FloodResult:
 
 class Radio:
     def __init__(self, model: RandomWaypointModel, range_m: float,
-                 per_hop_latency: float, ledger: MessageLedger, cache_size: int = 64):
+                 per_hop_latency: float, ledger: MessageLedger):
         if range_m <= 0:
             raise ValueError("radio range must be positive")
         if per_hop_latency < 0:
@@ -103,7 +107,6 @@ class Radio:
         self.latency = per_hop_latency
         self.ledger = ledger
         self._cache: OrderedDict[float, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._cache_size = cache_size
 
     # -- topology queries ---------------------------------------------------
 
@@ -116,7 +119,7 @@ class Radio:
         pos = self.model.positions(t)
         adj = kernels.adjacency(pos, self.range_m)
         self._cache[t] = (pos, adj)
-        if len(self._cache) > self._cache_size:
+        if len(self._cache) > SNAPSHOT_CACHE_SIZE:
             self._cache.popitem(last=False)
         return pos, adj
 
@@ -155,11 +158,7 @@ class Radio:
         hops, parents = kernels.bfs_tree(adj, src)
         if hops[dst] < 0:
             return None
-        path = [dst]
-        while path[-1] != src:
-            path.append(int(parents[path[-1]]))
-        path.reverse()
-        return tuple(path)
+        return _parent_walk(parents, src, dst)
 
     # -- transmissions ------------------------------------------------------
 
@@ -170,19 +169,12 @@ class Radio:
         The path is planned once on the send-time snapshot; each hop's link is
         re-validated at that hop's own send instant, so a topology change can
         break delivery mid-path. Charges one unit per hop actually traversed.
-        Returns None when unreachable (nothing delivered).
+        Returns None when unreachable (nothing delivered); a send to self
+        is delivered at once for zero units.
         """
-        if src == dst:
-            self.ledger.charge(kind, src, dst, 0, t, request_id)
-            return Delivery(0, t, (src,))
-        _, adj = self.snapshot(t)
-        hops, parents = kernels.bfs_tree(adj, src)
-        if hops[dst] < 0:
+        path = self.route(src, dst, t)
+        if path is None:
             return None
-        path = [dst]
-        while path[-1] != src:
-            path.append(int(parents[path[-1]]))
-        path.reverse()
         traversed = 0
         for k in range(len(path) - 1):
             hop_time = t + k * self.latency
@@ -191,7 +183,7 @@ class Radio:
                 return None
             traversed += 1
         self.ledger.charge(kind, src, dst, traversed, t, request_id)
-        return Delivery(traversed, t + traversed * self.latency, tuple(path))
+        return Delivery(traversed, t + traversed * self.latency, path)
 
     def _edge_alive(self, a: int, b: int, t: float) -> bool:
         pos = self.model.positions(t)
@@ -247,8 +239,13 @@ class Radio:
         """Relay path origin -> node inside a flood's BFS tree."""
         if flood.depths[node] < 0:
             raise ValueError(f"node {node} was not reached by the flood")
-        path = [node]
-        while path[-1] != flood.origin:
-            path.append(int(flood.parents[path[-1]]))
-        path.reverse()
-        return tuple(path)
+        return _parent_walk(flood.parents, flood.origin, node)
+
+
+def _parent_walk(parents: np.ndarray, src: int, dst: int) -> tuple[int, ...]:
+    """Path src -> dst read back from a BFS tree's parent array."""
+    path = [dst]
+    while path[-1] != src:
+        path.append(int(parents[path[-1]]))
+    path.reverse()
+    return tuple(path)

@@ -19,7 +19,7 @@ from .metrics import MetricsReport, RequestRecord, build_report
 from .mobility import RandomWaypointModel, network_mobility
 from .protocols import (CodeMigrationProcess, LocalizationProtocol, MobileCode,
                         ScenarioContext, make_protocol)
-from .radio import MessageLedger, Radio
+from .radio import PER_HOP_LATENCY, MessageLedger, Radio
 
 
 class ScenarioAborted(RuntimeError):
@@ -93,11 +93,11 @@ def run_scenario(cfg: ScenarioConfig, trace: bool = False) -> ScenarioResult:
     streams = RngStreams(cfg.seed)
     smin, smax = cfg.node_speed
     model = RandomWaypointModel(cfg.n_nodes, cfg.area[0], cfg.area[1],
-                                smin, smax, cfg.pause_time,
+                                smin, smax, 0.0,
                                 lambda node: streams.substream("mobility", node),
                                 horizon=cfg.duration)
     ledger = MessageLedger()
-    radio = Radio(model, cfg.range, cfg.per_hop_latency, ledger)
+    radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
     code = MobileCode(code_id=0, mother=cfg.mother, host=cfg.mother,
                       jump_rate=cfg.jump_rate, band=cfg.code_band)
     ctx = ScenarioContext(cfg, engine, streams, model, radio, ledger, code)

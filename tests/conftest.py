@@ -4,7 +4,7 @@ from adhocloc.config import ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols.base import MobileCode, ScenarioContext
-from adhocloc.radio import MessageLedger, Radio
+from adhocloc.radio import PER_HOP_LATENCY, MessageLedger, Radio
 
 
 def static_model(points, width=1000.0, height=500.0):
@@ -34,7 +34,7 @@ def build_ctx(model, mother=0, host=None, trace=False, **overrides):
     engine = Engine(trace=trace)
     streams = RngStreams(cfg.seed)
     ledger = MessageLedger()
-    radio = Radio(model, cfg.range, cfg.per_hop_latency, ledger)
+    radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
     code = MobileCode(code_id=0, mother=mother,
                       host=mother if host is None else host,
                       jump_rate=cfg.jump_rate, band=cfg.code_band)

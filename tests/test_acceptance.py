@@ -131,22 +131,46 @@ class TestDeterminism:
         verdict("A6", rows[0] == rows[1],
                 f"rerun row identical ({len(rows[0])} bytes)")
 
-    @pytest.mark.parametrize("protocol, expected", [
-        ("centralized", (38078, {"AgentMigration": 15, "Data": 151,
-                                 "PositionReport": 37477, "ServerQuery": 117,
-                                 "ServerReply": 117, "ServerUpdate": 201},
-                         59, 0, 0.21498165772159566)),
-        ("zoned", (1619, {"AgentMigration": 18, "Data": 150,
-                          "PositionReport": 977, "RingForward": 20,
-                          "ServerQuery": 113, "ServerReply": 117,
-                          "ServerUpdate": 224},
-                   59, 0, 0.11601149666894803)),
+    @pytest.mark.parametrize("overrides, expected", [
+        pytest.param(
+            {"protocol": "centralized"},
+            (38078, {"AgentMigration": 15, "Data": 151, "PositionReport": 37477,
+                     "ServerQuery": 117, "ServerReply": 117, "ServerUpdate": 201},
+             59, 0, 0.21498165772159566),
+            id="centralized"),
+        pytest.param(
+            {"protocol": "zoned"},
+            (1619, {"AgentMigration": 18, "Data": 150, "PositionReport": 977,
+                    "RingForward": 20, "ServerQuery": 113, "ServerReply": 117,
+                    "ServerUpdate": 224},
+             59, 0, 0.11601149666894803),
+            id="zoned"),
+        pytest.param(
+            {"protocol": "forwarder_reactive", "node_mob": "high"},
+            (565, {"ChainRepairFlood": 335, "ChainRepairReply": 47,
+                   "LocateReply": 79, "LocateRequest": 104},
+             59, 0, 0.033220338983048395),
+            id="forwarder_reactive-high"),
+        pytest.param(
+            {"protocol": "forwarder_proactive", "node_mob": "high"},
+            (1158, {"ChainCheck": 320, "ChainRepairFlood": 403,
+                    "ChainRepairReply": 158, "LocateReply": 80,
+                    "LocateRequest": 197},
+             59, 0, 0.36800084603135874),
+            id="forwarder_proactive-high"),
+        pytest.param(
+            # four zones at high node speed: zone crossings move station entries
+            {"protocol": "zoned", "n_zones": 4, "node_mob": "high"},
+            (1777, {"AgentMigration": 28, "Data": 82, "PositionReport": 1151,
+                    "RingForward": 74, "ServerQuery": 97, "ServerReply": 99,
+                    "ServerUpdate": 246},
+             59, 0, 0.12680587269082147),
+            id="zoned4-high"),
     ])
-    def test_server_protocol_outputs_are_pinned(self, protocol, expected):
-        # exact figures of a full run: a refactor of the server protocols
-        # must reproduce them, a behaviour change must update them on purpose
-        cfg = ScenarioConfig().replace(protocol=protocol, lam=1.0, seed=3,
-                                       duration=60.0)
+    def test_protocol_outputs_are_pinned(self, overrides, expected):
+        # exact figures of a full run: a refactor of the protocols must
+        # reproduce them, a behaviour change must update them on purpose
+        cfg = ScenarioConfig().replace(lam=1.0, seed=3, duration=60.0, **overrides)
         report = run_scenario(cfg).report
         got = (report.total_messages, report.by_kind, report.n_resolved,
                report.n_failed, report.rtime_s)

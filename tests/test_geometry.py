@@ -59,13 +59,6 @@ class TestZoneLayout:
         assert ZoneLayout(4, (0.0, 0.0)).alpha == pytest.approx(math.pi / 2)
         assert ZoneLayout(2, (0.0, 0.0)).alpha == pytest.approx(math.pi)
 
-    def test_boundaries_tile_the_circle(self):
-        layout = ZoneLayout(3, (0.0, 0.0))
-        assert layout.boundaries(0) == pytest.approx((0.0, TWO_PI / 3))
-        assert layout.boundaries(2) == pytest.approx((2 * TWO_PI / 3, TWO_PI))
-        with pytest.raises(GeometryError):
-            layout.boundaries(3)
-
     def test_more_than_two_pi_aperture_is_rejected(self):
         with pytest.raises(GeometryError):
             ZoneLayout(0, (0.0, 0.0))
@@ -108,20 +101,3 @@ class TestZoneLayout:
                 theta = math.atan2(y - center[1], x - center[0]) % TWO_PI
                 expected = min(int(theta / alpha), n - 1)
                 assert layout.zone_of((x, y)) == expected
-
-    def test_membership_inequalities_sign_convention(self):
-        layout = ZoneLayout(4, (0.0, 0.0))
-        for n in range(4):
-            lo, hi = layout.membership_inequalities((1.0, 1.0), n)
-            inside = lo > 0 and hi < 0
-            assert inside == (n == 0)
-
-    def test_membership_inequalities_match_the_rotation_formula(self):
-        layout = ZoneLayout(3, (2.0, -1.0))
-        point = (5.0, 4.0)
-        for zone in range(3):
-            b1, b2 = layout.boundaries(zone)
-            dx, dy = point[0] - 2.0, point[1] + 1.0
-            lo, hi = layout.membership_inequalities(point, zone)
-            assert lo == pytest.approx(dy * math.cos(b1) - dx * math.sin(b1))
-            assert hi == pytest.approx(dy * math.cos(b2) - dx * math.sin(b2))

@@ -3,14 +3,15 @@
 import importlib
 import io
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import adhocloc
 from adhocloc import cli
-from adhocloc.config import (ConfigError, ScenarioConfig, NODE_SPEED_PRESETS,
-                             parse_config_text)
+from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, ConfigError,
+                             NODE_SPEED_PRESETS, ScenarioConfig, parse_config_text)
 from adhocloc.mobility import classify_mobility
 from adhocloc.scenario import InvariantViolation, run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
@@ -30,6 +31,8 @@ class TestConfig:
         assert cfg.node_speed == NODE_SPEED_PRESETS["medium"]
         assert cfg.jump_rate == 0.5
         assert cfg.mob_target == 5.0
+        for band in CODE_BANDS:
+            assert cfg.replace(code_band=band).jump_rate == JUMP_RATES[band]
 
     def test_flat_text_parses_comments_aliases_and_pairs(self):
         cfg = parse_config_text("""
@@ -51,6 +54,9 @@ class TestConfig:
     def test_unknown_keys_and_malformed_lines_are_rejected(self):
         with pytest.raises(ConfigError, match="line 1.*unknown"):
             parse_config_text("latency = 3")
+        # fixed protocol parameters are constants, not config keys
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text("max_retries = 1")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("protocol centralized")
         with pytest.raises(ConfigError, match="integer"):
@@ -88,6 +94,13 @@ class TestConfig:
         assert other.lam == 1.0 and cfg.lam == 0.25
         with pytest.raises(ConfigError):
             cfg.replace(lam=-1.0)
+
+    def test_the_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("#### Config keys", 1)[1].split("\n#", 1)[0]
+        listed = [KEY_ALIASES.get(key, key)
+                  for key in re.findall(r"^- `(\w+)`", section, flags=re.M)]
+        assert listed == [f.name for f in fields(ScenarioConfig)]
 
 
 class TestScenario:
@@ -228,6 +241,8 @@ class TestCli:
     def test_bad_overrides_exit_with_the_config_code(self, capsys):
         assert cli.main(["run", "--set", "latency=3"]) == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+        assert cli.main(["run", "--set", "ack_timeout=0.05"]) == cli.EXIT_CONFIG
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_a_missing_config_file_exits_with_the_config_code(self, capsys):
         assert cli.main(["run", "/nonexistent/scenario.cfg"]) == cli.EXIT_CONFIG

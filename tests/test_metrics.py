@@ -3,7 +3,7 @@
 import pytest
 
 from adhocloc.metrics import (MetricsError, RequestRecord, build_report,
-                              compute_nb_msg, compute_rtime)
+                              compute_rtime)
 from adhocloc.radio import MessageKind, MessageLedger
 
 
@@ -59,13 +59,10 @@ class TestHeadlineMetrics:
                               rec(1, 1.0, failed_at=1.5)], ledger)
         assert report.total_messages == 20
         assert report.nb_msg == pytest.approx(10.0)
-        assert compute_nb_msg(report) == pytest.approx(10.0)
 
     def test_nb_msg_is_undefined_without_measured_requests(self):
         report = make_report([rec(0, 0.0, resolved_at=0.1, warmup=True)])
         assert report.nb_msg is None
-        with pytest.raises(MetricsError, match="Nb_msg undefined"):
-            compute_nb_msg(report)
 
 
 class TestBuildReport:

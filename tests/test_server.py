@@ -4,7 +4,7 @@ import pytest
 
 from adhocloc.engine import Engine
 from adhocloc.metrics import RequestRecord
-from adhocloc.protocols.server import CentralizedProtocol, ServerAgent
+from adhocloc.protocols.server import SERVICE_TIME, CentralizedProtocol, ServerAgent
 from adhocloc.radio import MessageKind
 from conftest import build_ctx, jump_code, scripted_model, static_model
 
@@ -35,18 +35,21 @@ def migration_rows(proto):
 class TestServerAgent:
     def test_work_queues_fifo_behind_the_service_time(self):
         engine = Engine()
-        agent = ServerAgent(engine, host=0, service_time=0.5)
+        agent = ServerAgent(engine, host=0)
+        s = SERVICE_TIME
         fired = []
-        assert agent.process(1.0, lambda: fired.append(engine.now)) == 1.5
-        assert agent.process(1.2, lambda: fired.append(engine.now)) == 2.0
+        assert agent.process(1.0, lambda: fired.append(engine.now)) == 1.0 + s
+        # arriving while the first job runs: queued behind it
+        assert agent.process(1.0 + s / 2,
+                             lambda: fired.append(engine.now)) == 1.0 + s + s
         # an idle gap resets the queue instead of accumulating
-        assert agent.process(3.0, lambda: fired.append(engine.now)) == 3.5
+        assert agent.process(3.0, lambda: fired.append(engine.now)) == 3.0 + s
         engine.run_until(5.0)
-        assert fired == [1.5, 2.0, 3.5]
-        assert agent.processed == 3 and agent.busy_until == 3.5
+        assert fired == [1.0 + s, 1.0 + s + s, 3.0 + s]
+        assert agent.processed == 3 and agent.busy_until == 3.0 + s
 
     def test_entry_count_spans_both_tables(self):
-        agent = ServerAgent(Engine(), host=0, service_time=0.1)
+        agent = ServerAgent(Engine(), host=0)
         agent.code_db[7] = 3
         agent.station_pos[0] = (1.0, 2.0)
         agent.station_pos[4] = (3.0, 4.0)

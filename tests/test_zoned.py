@@ -1,4 +1,4 @@
-"""Zoned servers: partition, ring queries, registry upkeep, misses."""
+"""Zoned servers: partition, ring queries, station table upkeep, misses."""
 
 import math
 
@@ -44,7 +44,7 @@ class TestPartition:
         assert proto.sdb_zone == 1
         proto.engine.run_until(0.1)
         assert proto.agents[1].code_db == {0: 2}
-        assert all(not a.code_db for a in proto.agents if a.zone != 1)
+        assert [bool(a.code_db) for a in proto.agents] == [False, True, False, False]
 
 
 class TestRequestPath:
@@ -106,12 +106,24 @@ class TestDatabaseUpkeep:
         knots[0] = [(0.0, 150.0, 80.0), (1.0, 150.0, 80.0),
                     (1.5, -120.0, 80.0), (4.0, -120.0, 80.0)]
         proto = make_zoned(scripted_model(knots), host=2, report_period=0.5)
+        record = proto._record
+        seen = []
+
+        def record_and_look(zone, node, xy):
+            record(zone, node, xy)
+            seen.append((zone, [z for z, agent in enumerate(proto.agents)
+                                if node in agent.station_pos]))
+
+        proto._record = record_and_look
         proto.engine.run_until(3.0)
         assert proto.last_zone[0] == 1
-        assert proto.registry.zone_holding(0) == 1
-        entry = proto.registry.lookup(1, 0)
-        assert entry is not None and entry.x == pytest.approx(-120.0)
-        assert proto.registry.lookup(0, 0) is None
+        # right after every record, before any drop message arrives, the node
+        # sits in the recording zone's table only
+        assert seen and all(holders == [zone] for zone, holders in seen)
+        holders = [zone for zone, agent in enumerate(proto.agents)
+                   if 0 in agent.station_pos]
+        assert holders == [1]
+        assert proto.agents[1].station_pos[0] == pytest.approx((-120.0, 80.0))
 
 
 class TestReelection:
@@ -131,7 +143,7 @@ class TestReelection:
 
         proto.radio.flood = recording_flood
         proto.engine.run_until(4.99)
-        entries = len(proto.agents[0].code_db) + proto.registry.size(0)
+        entries = proto.agents[0].entry_count()
         assert entries == 3         # the code entry plus both members' reports
         hops = len(proto.radio.route(1, 0, 5.0)) - 1
         proto.engine.run_until(5.0)
