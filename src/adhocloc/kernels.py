@@ -53,30 +53,63 @@ def adjacency(pos, range_m):
     return adj
 
 
-def bfs_tree(adj, src):
+#: columns packed per matmul in neighbour_bits, so a block's row sum fits int64
+_BITS_PER_WORD = 62
+_WORD_WEIGHTS = np.left_shift(1, np.arange(_BITS_PER_WORD, dtype=np.int64))
+
+
+def neighbour_bits(adj):
+    """Pack a bool adjacency matrix into one int per row: bit v of row u is
+    adj[u, v]. Any number of columns; each 62-column block is one matmul."""
+    rows = [0] * adj.shape[0]
+    for base in range(0, adj.shape[1], _BITS_PER_WORD):
+        block = adj[:, base:base + _BITS_PER_WORD]
+        words = (block @ _WORD_WEIGHTS[:block.shape[1]]).tolist()
+        rows = [r | w << base for r, w in zip(rows, words)] if base else words
+    return rows
+
+
+def set_bits(bits):
+    """Positions of the set bits of a non-negative int, ascending."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(low.bit_length() - 1)
+        bits ^= low
+    return ids
+
+
+def bfs_tree(rows, src, mask=-1):
     """Hop counts and BFS parents from src; -1 marks unreachable / root.
 
-    Parents are canonical: the minimum-id neighbour in the previous level, so
-    every caller reconstructs the same shortest paths.
+    `rows` are symmetric neighbour bitmasks as from `neighbour_bits`. Only
+    nodes whose bit is set in `mask` are entered (src always is). Parents are
+    canonical: the minimum-id neighbour in the previous level, so every
+    caller reconstructs the same shortest paths.
     """
-    n = adj.shape[0]
-    hops = np.full(n, -1, dtype=np.int64)
-    parents = np.full(n, -1, dtype=np.int64)
+    n = len(rows)
+    hops = [-1] * n
+    parents = [-1] * n
     hops[src] = 0
-    frontier = np.array([src], dtype=np.int64)
+    seen = frontier_bits = 1 << src
+    frontier = [src]
     d = 0
-    while frontier.size:
-        reach = adj[frontier]
-        newmask = reach.any(axis=0) & (hops < 0)
-        new = np.nonzero(newmask)[0]
-        if new.size == 0:
+    while frontier:
+        reach = 0
+        for u in frontier:
+            reach |= rows[u]
+        new = reach & mask & ~seen
+        if not new:
             break
-        first = np.argmax(reach[:, new], axis=0)
-        parents[new] = frontier[first]
-        hops[new] = d + 1
-        frontier = new.astype(np.int64)
+        seen |= new
         d += 1
-    return hops, parents
+        frontier = set_bits(new)
+        for v in frontier:
+            from_frontier = rows[v] & frontier_bits
+            parents[v] = (from_frontier & -from_frontier).bit_length() - 1
+            hops[v] = d
+        frontier_bits = new
+    return np.array(hops, dtype=np.int64), np.array(parents, dtype=np.int64)
 
 
 def separation_series(block):

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..engine import EventKind
 from ..geometry import ZoneLayout, centroid, elect_server, ring_next
 from ..metrics import RequestRecord
@@ -134,9 +132,10 @@ class ZonedProtocol(ServerProtocol):
 
     def _announce(self, zone: int, t: float) -> None:
         pos, _ = self.radio.snapshot(t)
-        mask = np.array([self.layout.zone_of(p) == zone for p in pos])
+        members = sum(1 << v for v, p in enumerate(pos)
+                      if self.layout.zone_of(p) == zone)
         self.radio.flood(self.agents[zone].host, MessageKind.SERVER_UPDATE, t,
-                         ttl=None, member_mask=mask)
+                         ttl=None, member_mask=members)
 
     # -- localization --------------------------------------------------------------
 

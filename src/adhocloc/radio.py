@@ -1,5 +1,10 @@
 """Idealized radio substrate: unit-disk connectivity, routed unicast, floods.
 
+A connectivity snapshot holds the node positions and one int per node whose
+bit v is set when node v is in range (`kernels.neighbour_bits`); every
+topology query reads those bits, and routes and floods are BFS trees walked
+over them with canonical lowest-id parents (`kernels.bfs_tree`).
+
 The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
 link at each hop's own send instant), so routing-layer discovery is free while
@@ -106,44 +111,44 @@ class Radio:
         self.range_m = range_m
         self.latency = per_hop_latency
         self.ledger = ledger
-        self._cache: OrderedDict[float, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._cache: OrderedDict[float, tuple[np.ndarray, list[int]]] = OrderedDict()
 
     # -- topology queries ---------------------------------------------------
 
-    def snapshot(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, adjacency) at time t, memoized on the exact timestamp."""
+    def snapshot(self, t: float) -> tuple[np.ndarray, list[int]]:
+        """(positions, neighbour bitmasks) at time t, memoized on the exact
+        timestamp."""
         hit = self._cache.get(t)
         if hit is not None:
             self._cache.move_to_end(t)
             return hit
         pos = self.model.positions(t)
-        adj = kernels.adjacency(pos, self.range_m)
-        self._cache[t] = (pos, adj)
+        rows = kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
+        self._cache[t] = (pos, rows)
         if len(self._cache) > SNAPSHOT_CACHE_SIZE:
             self._cache.popitem(last=False)
-        return pos, adj
+        return pos, rows
 
     def neighbors(self, node: int, t: float) -> list[int]:
         """Node ids within radio range at t (inclusive boundary), ascending."""
-        _, adj = self.snapshot(t)
-        return [int(v) for v in np.nonzero(adj[node])[0]]
+        _, rows = self.snapshot(t)
+        return kernels.set_bits(rows[node])
 
     def in_range(self, a: int, b: int, t: float) -> bool:
-        _, adj = self.snapshot(t)
-        return bool(adj[a, b])
+        _, rows = self.snapshot(t)
+        return bool(rows[a] >> b & 1)
 
     def connected(self, t: float) -> bool:
-        _, adj = self.snapshot(t)
-        hops, _ = kernels.bfs_tree(adj, 0)
+        _, rows = self.snapshot(t)
+        hops, _ = kernels.bfs_tree(rows, 0)
         return bool((hops >= 0).all())
 
     def diameter(self, t: float) -> int:
         """Largest finite hop distance over all pairs at t."""
-        _, adj = self.snapshot(t)
-        n = adj.shape[0]
+        _, rows = self.snapshot(t)
         best = 0
-        for src in range(n):
-            hops, _ = kernels.bfs_tree(adj, src)
+        for src in range(len(rows)):
+            hops, _ = kernels.bfs_tree(rows, src)
             m = int(hops.max())
             if m > best:
                 best = m
@@ -154,8 +159,8 @@ class Radio:
         callers that bill at a non-unit rate charge the ledger themselves."""
         if src == dst:
             return (src,)
-        _, adj = self.snapshot(t)
-        hops, parents = kernels.bfs_tree(adj, src)
+        _, rows = self.snapshot(t)
+        hops, parents = kernels.bfs_tree(rows, src)
         if hops[dst] < 0:
             return None
         return _parent_walk(parents, src, dst)
@@ -204,27 +209,22 @@ class Radio:
 
     def flood(self, origin: int, kind: MessageKind, t: float,
               ttl: Optional[int] = None, request_id: Optional[int] = None,
-              member_mask: Optional[np.ndarray] = None) -> FloodResult:
+              member_mask: int = -1) -> FloodResult:
         """Breadth-first diffusion from origin on the snapshot at t.
 
         Every reached node rebroadcasts once except those exactly at a finite
         ttl, which receive without relaying; the origin always transmits, even
-        into silence. With a member_mask only masked-in nodes (plus the origin)
-        relay or count as reached, confining the diffusion to a zone.
+        into silence. Only members of member_mask (bit v set for member v; all
+        nodes by default), plus the origin, relay or count as reached, which
+        confines a zone's diffusion to the zone.
         """
         if ttl is not None and ttl < 1:
             raise ValueError("flood ttl must be >= 1")
-        _, adj = self.snapshot(t)
-        if member_mask is not None:
-            mask = member_mask.copy()
-            mask[origin] = True
-            adj = adj & mask[None, :] & mask[:, None]
-        depths, parents = kernels.bfs_tree(adj, origin)
+        _, rows = self.snapshot(t)
+        depths, parents = kernels.bfs_tree(rows, origin, member_mask)
         if ttl is not None:
             cut = depths > ttl
-            depths = depths.copy()
             depths[cut] = -1
-            parents = parents.copy()
             parents[cut] = -1
         reached = tuple(int(v) for v in np.nonzero(depths >= 0)[0])
         if ttl is None:

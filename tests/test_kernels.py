@@ -3,6 +3,7 @@
 import numpy as np
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adhocloc import kernels
 
@@ -52,6 +53,33 @@ def positions_at_loop(knot_t, knot_x, knot_y, offsets, t):
                 out[i, 0] = knot_x[s + k] + (knot_x[s + k + 1] - knot_x[s + k]) * w
                 out[i, 1] = knot_y[s + k] + (knot_y[s + k + 1] - knot_y[s + k]) * w
     return out
+
+
+def bfs_tree_frontier(adj, src):
+    """Numpy-frontier BFS on a bool matrix: the reference bfs_tree must match."""
+    n = adj.shape[0]
+    hops = np.full(n, -1, dtype=np.int64)
+    parents = np.full(n, -1, dtype=np.int64)
+    hops[src] = 0
+    frontier = np.array([src], dtype=np.int64)
+    d = 0
+    while frontier.size:
+        reach = adj[frontier]
+        newmask = reach.any(axis=0) & (hops < 0)
+        new = np.nonzero(newmask)[0]
+        if new.size == 0:
+            break
+        first = np.argmax(reach[:, new], axis=0)
+        parents[new] = frontier[first]
+        hops[new] = d + 1
+        frontier = new.astype(np.int64)
+        d += 1
+    return hops, parents
+
+
+def mask_bits(member):
+    """Bitmask with bit v set where member[v] is true."""
+    return sum(1 << int(v) for v in np.nonzero(member)[0])
 
 
 def random_trajs(rng, n_nodes, n_knots=6, span=50.0):
@@ -157,13 +185,30 @@ class TestDistanceAndAdjacency:
         assert not kernels.adjacency(pos, 250.0)[0, 1]
 
 
+class TestNeighbourBits:
+    @pytest.mark.parametrize("n", [1, 62, 63, 130])
+    def test_round_trips_to_the_bool_matrix_across_word_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        adj = rng.uniform(size=(n, n)) < 0.4
+        adj[:, -1] = True                       # the top bit of every row
+        rows = kernels.neighbour_bits(adj)
+        assert len(rows) == n and all(type(r) is int for r in rows)
+        back = np.array([[r >> v & 1 for v in range(n)] for r in rows], dtype=bool)
+        assert np.array_equal(back, adj)
+
+    def test_set_bits_lists_ids_ascending(self):
+        assert kernels.set_bits(0) == []
+        assert kernels.set_bits(0b1011) == [0, 1, 3]
+        assert kernels.set_bits(1 << 129 | 1 << 62) == [62, 129]
+
+
 class TestBfsTree:
     def test_depths_match_networkx_on_random_graphs(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pos = rng.uniform(0, 1000, (18, 2))
             adj = kernels.adjacency(pos, 280.0)
-            depths, parents = kernels.bfs_tree(adj, 0)
+            depths, parents = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
             g = nx.from_numpy_array(adj)
             lengths = nx.single_source_shortest_path_length(g, 0)
             for v in range(18):
@@ -173,7 +218,7 @@ class TestBfsTree:
         rng = np.random.default_rng(4)
         pos = rng.uniform(0, 800, (20, 2))
         adj = kernels.adjacency(pos, 260.0)
-        depths, parents = kernels.bfs_tree(adj, 0)
+        depths, parents = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
         for v in range(20):
             if v == 0 or depths[v] < 0:
                 assert parents[v] == -1
@@ -185,9 +230,34 @@ class TestBfsTree:
     def test_unreachable_nodes_get_minus_one(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
         adj = kernels.adjacency(pos, 150.0)
-        depths, parents = kernels.bfs_tree(adj, 0)
+        depths, parents = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
         assert depths.tolist() == [0, 1, -1]
         assert parents.tolist() == [-1, 0, -1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 25, 63, 70]),
+           seed=st.integers(0, 2**32 - 1),
+           range_m=st.floats(50.0, 600.0),
+           member_share=st.floats(0.0, 1.0))
+    def test_bit_identical_to_the_numpy_frontier(self, n, seed, range_m, member_share):
+        rng = np.random.default_rng(seed)
+        pos = np.round(rng.uniform(0, 1000, (n, 2)), 1)
+        adj = kernels.adjacency(pos, range_m)
+        rows = kernels.neighbour_bits(adj)
+        member = rng.uniform(size=n) < member_share
+        for src in range(n):
+            hops, parents = kernels.bfs_tree(rows, src)
+            ref_hops, ref_parents = bfs_tree_frontier(adj, src)
+            assert hops.dtype == parents.dtype == np.int64
+            assert np.array_equal(hops, ref_hops)
+            assert np.array_equal(parents, ref_parents)
+            # a member mask keeps only the members' links, the source's included
+            m = member.copy()
+            m[src] = True
+            hops, parents = kernels.bfs_tree(rows, src, mask_bits(member))
+            ref_hops, ref_parents = bfs_tree_frontier(adj & m[None, :] & m[:, None], src)
+            assert np.array_equal(hops, ref_hops)
+            assert np.array_equal(parents, ref_parents)
 
 
 class TestSeparationSeries:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from adhocloc import kernels
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.radio import BROADCAST, MessageKind, MessageLedger, Radio
 from conftest import scripted_model, static_model
+from test_kernels import bfs_tree_frontier, mask_bits
 
 LINE = [(0, 0), (200, 0), (400, 0), (600, 0)]
 
@@ -13,6 +15,32 @@ LINE = [(0, 0), (200, 0), (400, 0), (600, 0)]
 def line_radio(latency=0.01, range_m=250.0):
     ledger = MessageLedger()
     return Radio(static_model(LINE), range_m, latency, ledger), ledger
+
+
+def random_radio(rng, n, range_m=250.0):
+    """A radio over n still nodes; also returns their bool adjacency matrix."""
+    points = np.round(rng.uniform(0, [1000.0, 500.0], (n, 2)), 1)
+    radio = Radio(static_model(points), range_m, 0.01, MessageLedger())
+    return radio, kernels.adjacency(radio.model.positions(0.0), range_m)
+
+
+def flood_on_matrix(adj, origin, ttl, member):
+    """Depths, parents, units and reached of a flood on a masked bool matrix."""
+    if member is not None:
+        m = member.copy()
+        m[origin] = True
+        adj = adj & m[None, :] & m[:, None]
+    depths, parents = bfs_tree_frontier(adj, origin)
+    if ttl is not None:
+        cut = depths > ttl
+        depths[cut] = -1
+        parents[cut] = -1
+    reached = tuple(int(v) for v in np.nonzero(depths >= 0)[0])
+    if ttl is None:
+        units = len(reached)
+    else:
+        units = max(int(((depths >= 0) & (depths < ttl)).sum()), 1)
+    return depths, parents, units, reached
 
 
 class TestLinks:
@@ -38,6 +66,15 @@ class TestLinks:
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(model, 250.0, 0.01, MessageLedger())
         assert not radio.connected(0.0)
+
+    def test_neighbor_queries_equal_the_matrix(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 25, 70):
+            radio, adj = random_radio(rng, n)
+            for a in range(n):
+                assert radio.neighbors(a, 0.0) == np.nonzero(adj[a])[0].tolist()
+                for b in range(n):
+                    assert radio.in_range(a, b, 0.0) == adj[a, b]
 
     def test_route_is_shortest_and_uncharged(self):
         radio, ledger = line_radio()
@@ -140,15 +177,31 @@ class TestFlood:
 
     def test_member_mask_blocks_excluded_relays(self):
         radio, _ = line_radio()
-        mask = np.array([True, False, True, True])
-        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=mask)
+        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1101)
         assert sorted(flood.reached) == [0]
 
     def test_origin_is_always_a_member_of_its_own_flood(self):
         radio, _ = line_radio()
-        mask = np.array([False, True, True, True])
-        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=mask)
+        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1110)
         assert sorted(flood.reached) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("ttl", [None, 1, 2, 4])
+    def test_masked_flood_equals_the_masked_matrix(self, ttl):
+        rng = np.random.default_rng(12)
+        for n in (2, 25, 70):
+            radio, adj = random_radio(rng, n, range_m=300.0)
+            for with_mask in (False, True):
+                member = rng.uniform(size=n) < 0.6 if with_mask else None
+                bits = mask_bits(member) if with_mask else -1
+                for origin in range(n):
+                    flood = radio.flood(origin, MessageKind.SERVER_UPDATE, 0.0,
+                                        ttl=ttl, member_mask=bits)
+                    depths, parents, units, reached = flood_on_matrix(
+                        adj, origin, ttl, member)
+                    assert np.array_equal(flood.depths, depths)
+                    assert np.array_equal(flood.parents, parents)
+                    assert flood.units == units
+                    assert flood.reached == reached
 
     def test_flood_is_charged_as_a_broadcast_row(self):
         radio, ledger = line_radio()
