@@ -12,7 +12,8 @@ import csv
 import sys
 from typing import Optional, Sequence
 
-from .config import ConfigError, ScenarioConfig, load_config_file, parse_config_text
+from .config import (ConfigError, ScenarioConfig, _parse_value, load_config_file,
+                     parse_config_text)
 from .metrics import MetricsError
 from .mobility import write_trajectory_csv
 from .scenario import InvariantViolation, ScenarioResult, run_scenario
@@ -22,10 +23,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ABORTED = 2
 EXIT_INVARIANT = 3
-
-
-def _split_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 def _load_config(path: Optional[str], overrides: Sequence[str]) -> ScenarioConfig:
@@ -71,16 +68,20 @@ def _print_report(result: ScenarioResult, out) -> None:
         print(f"aborted:         yes ({result.abort_reason})", file=out)
 
 
+def _write_rows(rows: list[dict], path: Optional[str]) -> None:
+    """Result rows as CSV to `path`, or to stdout without one."""
+    if not path:
+        write_csv(rows, sys.stdout)
+        return
+    with open(path, "w", newline="") as fh:
+        write_csv(rows, fh)
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.set or [])
     result = run_scenario(cfg, trace=False)
     _print_report(result, sys.stdout)
-    row = report_to_row(result.report)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            write_csv([row], fh)
-    else:
-        write_csv([row], sys.stdout)
+    _write_rows([report_to_row(result.report)], args.csv)
     if args.dump_trace:
         _dump_trace(result, args.dump_trace)
     if args.dump_messages:
@@ -89,39 +90,29 @@ def cmd_run(args) -> int:
 
 
 def _axes_from_args(cfg: ScenarioConfig, args) -> dict:
+    def axis(raw: Optional[str], key: str, default) -> list:
+        if not raw:
+            return [default]
+        return [_parse_value(key, part) for part in raw.split(",") if part.strip()]
+
     return {
-        "protocols": _split_list(args.protocols) if args.protocols else [cfg.protocol],
-        "lambdas": ([float(v) for v in _split_list(args.lambdas)]
-                    if args.lambdas else [cfg.lam]),
-        "node_mobs": (_split_list(args.node_mobs)
-                      if args.node_mobs else [cfg.node_mob]),
-        "code_bands": (_split_list(args.code_bands)
-                       if args.code_bands else [cfg.code_band]),
-        "seeds": ([int(v) for v in _split_list(args.seeds)]
-                  if args.seeds else [cfg.seed]),
+        "protocols": axis(args.protocols, "protocol", cfg.protocol),
+        "lambdas": axis(args.lambdas, "lambda", cfg.lam),
+        "node_mobs": axis(args.node_mobs, "node_mob", cfg.node_mob),
+        "code_bands": axis(args.code_bands, "code_band", cfg.code_band),
+        "seeds": axis(args.seeds, "seed", cfg.seed),
     }
 
 
 def cmd_sweep(args) -> int:
+    """`sweep` writes every row; `compare` always averages, prints the
+    ranking table and writes rows only with --csv."""
     cfg = _load_config(args.config, args.set or [])
-    axes = _axes_from_args(cfg, args)
-    rows = run_sweep(cfg, average=not args.no_average, **axes)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
-    return EXIT_ABORTED if any(row["aborted"] for row in rows) else EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
-    axes = _axes_from_args(cfg, args)
-    rows = run_sweep(cfg, average=True, **axes)
-    print(comparison_table(rows))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            write_csv(rows, fh)
+    rows = run_sweep(cfg, average=not args.no_average, **_axes_from_args(cfg, args))
+    if args.command == "compare":
+        print(comparison_table(rows))
+    if args.csv or args.command == "sweep":
+        _write_rows(rows, args.csv)
     return EXIT_ABORTED if any(row["aborted"] for row in rows) else EXIT_OK
 
 
@@ -132,18 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "localization protocols in an ad hoc network.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool) -> None:
-        if config_required:
-            p.add_argument("config", help="scenario config file (key = value lines)")
-        else:
-            p.add_argument("config", nargs="?", default=None,
-                           help="scenario config file (key = value lines)")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("config", nargs="?", default=None,
+                       help="scenario config file (key = value lines)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--csv", metavar="PATH", help="write result rows here")
 
     p_run = sub.add_parser("run", help="run one scenario")
-    common(p_run, config_required=False)
+    common(p_run)
     p_run.add_argument("--dump-trace", metavar="PATH",
                        help="write sampled node trajectories (node_id,t,x,y)")
     p_run.add_argument("--dump-messages", metavar="PATH",
@@ -159,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="comma list of seeds")
 
     p_sweep = sub.add_parser("sweep", help="run a scenario grid")
-    common(p_sweep, config_required=False)
+    common(p_sweep)
     axes(p_sweep)
     p_sweep.add_argument("--no-average", action="store_true",
                          help="omit the seed-averaged rows")
@@ -167,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare",
                            help="run protocols on the same seeds and rank them")
-    common(p_cmp, config_required=False)
+    common(p_cmp)
     axes(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
+    p_cmp.set_defaults(fn=cmd_sweep, no_average=False)
     return parser
 
 

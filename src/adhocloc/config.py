@@ -75,8 +75,9 @@ class ScenarioConfig:
             raise ConfigError("mother must name a node id")
         if self.range <= 0:
             raise ConfigError("radio range must be positive")
-        if self.protocol == "zoned" and self.n_zones < 2:
-            raise ConfigError("zoned protocol needs n_zones >= 2")
+        if self.protocol == "zoned" and not 2 <= self.n_zones <= self.n_nodes:
+            raise ConfigError(f"zoned protocol needs 2 <= n_zones <= n_nodes, got "
+                              f"n_zones={self.n_zones} for {self.n_nodes} nodes")
         if self.n_zones < 1:
             raise ConfigError("n_zones must be >= 1")
         if self.lam <= 0:
@@ -117,38 +118,36 @@ class ScenarioConfig:
 #: file key -> dataclass field, where they differ
 KEY_ALIASES = {"lambda": "lam"}
 
-_INT_FIELDS = {"n_nodes", "n_zones", "seed", "mother"}
-_STR_FIELDS = {"protocol", "node_mob", "code_band"}
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+
+def _parse_pair(key: str, raw: str) -> tuple[float, float]:
+    parts = raw.lower().replace("x", " ").replace(",", " ").split()
+    try:
+        first, second = (float(part) for part in parts)
+    except ValueError:
+        raise ConfigError(f"{key} expects two numbers like 1000x500 or 3,6, "
+                          f"got {raw!r}") from None
+    return (first, second)
 
 
 def _parse_value(key: str, raw: str):
-    if key == "area":
-        parts = raw.lower().replace("x", " ").split()
-        if len(parts) != 2:
-            raise ConfigError(f"area must look like 1000x500, got {raw!r}")
-        return (float(parts[0]), float(parts[1]))
-    if key == "node_speed":
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ConfigError(f"node_speed must be 'min,max', got {raw!r}")
-        return (float(parts[0]), float(parts[1]))
-    if key in _STR_FIELDS:
+    """`raw` typed like the default of the field that file key `key` names."""
+    default = _DEFAULTS[KEY_ALIASES.get(key, key)]
+    if default is None or isinstance(default, tuple):  # node_speed, area
+        return _parse_pair(key, raw)
+    if isinstance(default, str):
         return raw.strip()
-    if key in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
+    kind, noun = (int, "an integer") if isinstance(default, int) else (float, "a number")
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key} expects a number, got {raw!r}") from None
+        raise ConfigError(f"{key} expects {noun}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
     """Parse the flat `key = value` format; unknown keys are rejected."""
     cfg = base if base is not None else ScenarioConfig()
-    known = {f.name for f in fields(ScenarioConfig)}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -158,9 +157,9 @@ def parse_config_text(text: str, base: Optional[ScenarioConfig] = None) -> Scena
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         attr = KEY_ALIASES.get(key, key)
-        if attr not in known:
+        if attr not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        updates[attr] = _parse_value(attr, raw)
+        updates[attr] = _parse_value(key, raw)
     return cfg.replace(**updates)
 
 

@@ -56,18 +56,15 @@ class ZoneLayout:
 
     Zone k spans polar angles (k*alpha, (k+1)*alpha) with alpha = 2*pi/n.
     Boundary rays belong to the lower-indexed adjacent zone, the 0/2pi ray and
-    the centre itself to zone 0. n_zones == 1 is the degenerate whole-plane
-    layout used by single-server setups.
+    the centre itself to zone 0. At least two zones, so alpha <= pi.
     """
 
     n_zones: int
     center: tuple[float, float]
 
     def __post_init__(self):
-        if self.n_zones < 1:
-            raise GeometryError("need at least one zone")
-        if self.n_zones >= 2 and not (0 < self.alpha <= math.pi):
-            raise GeometryError("zone aperture must satisfy 0 < alpha <= pi")
+        if self.n_zones < 2:
+            raise GeometryError("need at least two zones")
 
     @property
     def alpha(self) -> float:
@@ -75,8 +72,6 @@ class ZoneLayout:
 
     def zone_of(self, point) -> int:
         """Zone index containing `point` under the sector-membership rule."""
-        if self.n_zones == 1:
-            return 0
         dx = point[0] - self.center[0]
         dy = point[1] - self.center[1]
         if dx == 0.0 and dy == 0.0:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .config import ScenarioConfig
 from .radio import MessageLedger
 
 
@@ -83,43 +85,38 @@ def compute_rtime(records: Sequence[RequestRecord]) -> float:
     return sum(durations) / len(durations)
 
 
-def build_report(protocol: str, lam: float, node_mob_target: Optional[float],
-                 measured_mob: float, code_band: str, seed: int,
+def build_report(cfg: ScenarioConfig, measured_mob: float,
                  records: Sequence[RequestRecord], ledger: MessageLedger,
                  aborted: bool = False) -> MetricsReport:
+    """The run's report, labelled from the config that ran it."""
     measured = [r for r in records if not r.warmup]
-    n_resolved = sum(1 for r in measured if r.status == "resolved")
-    n_failed = sum(1 for r in measured if r.status == "failed")
-    n_in_flight = sum(1 for r in measured if r.status == "in_flight")
+    statuses = Counter(r.status for r in measured)
     total = ledger.total_units
     recount = ledger.recount()
     if recount != total:
         raise MetricsError(f"ledger total {total} != raw-log recount {recount}")
-    truth_checked = sum(1 for r in measured
-                        if r.status == "resolved" and r.returned_host is not None)
-    truth_matches = sum(1 for r in measured
-                        if r.status == "resolved" and r.returned_host is not None
-                        and r.returned_host == r.truth_host)
+    checked = [r for r in measured
+               if r.status == "resolved" and r.returned_host is not None]
     try:
         rtime = compute_rtime(records)
     except MetricsError:
         rtime = None
     return MetricsReport(
-        protocol=protocol,
-        lam=lam,
-        node_mob_target=node_mob_target,
+        protocol=cfg.protocol,
+        lam=cfg.lam,
+        node_mob_target=cfg.mob_target,
         measured_mob=measured_mob,
-        code_band=code_band,
-        seed=seed,
+        code_band=cfg.code_band,
+        seed=cfg.seed,
         n_requests=len(measured),
-        n_resolved=n_resolved,
-        n_failed=n_failed,
-        n_in_flight=n_in_flight,
+        n_resolved=statuses["resolved"],
+        n_failed=statuses["failed"],
+        n_in_flight=statuses["in_flight"],
         n_warmup=len(records) - len(measured),
         total_messages=total,
         by_kind=dict(sorted(ledger.by_kind.items())),
         rtime_s=rtime,
         aborted=aborted,
-        truth_checked=truth_checked,
-        truth_matches=truth_matches,
+        truth_checked=len(checked),
+        truth_matches=sum(1 for r in checked if r.returned_host == r.truth_host),
     )

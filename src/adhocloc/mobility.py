@@ -23,10 +23,6 @@ class MobilityError(ValueError):
     """Bad metric parameters (too few nodes, bad window, non-positive mobility)."""
 
 
-class UnknownNodeError(LookupError):
-    pass
-
-
 @dataclass
 class Trajectory:
     """Knot times with matching coordinates; linear between knots, clamped outside."""
@@ -51,20 +47,17 @@ class RandomWaypointModel:
     """Random Waypoint Model over a rectangular area.
 
     Each node draws a uniform start, then repeats: pick a uniform destination,
-    travel there at a uniform speed from [speed_min, speed_max], pause. Legs
-    are generated lazily per node from that node's own RNG substream, so
-    extension order never changes the draw sequence.
+    travel there at a uniform speed from [speed_min, speed_max], leave again
+    at once (no pause). Legs are generated lazily per node from that node's
+    own RNG substream, so extension order never changes the draw sequence.
     """
 
     def __init__(self, n_nodes: int, width: float, height: float,
-                 speed_min: float, speed_max: float, pause: float,
-                 rng_for_node, horizon: float):
+                 speed_min: float, speed_max: float, rng_for_node, horizon: float):
         if n_nodes < 1:
             raise MobilityError("need at least one node")
         if not (0 < speed_min <= speed_max):
             raise MobilityError("speeds must satisfy 0 < speed_min <= speed_max")
-        if pause < 0:
-            raise MobilityError("pause time must be >= 0")
         if width <= 0 or height <= 0:
             raise MobilityError("area dimensions must be positive")
         self.n_nodes = n_nodes
@@ -72,7 +65,6 @@ class RandomWaypointModel:
         self.height = height
         self.speed_min = speed_min
         self.speed_max = speed_max
-        self.pause = pause
         self.horizon = float(horizon)
         self._rngs = [rng_for_node(i) for i in range(n_nodes)]
         self.trajectories: list[Trajectory] = []
@@ -96,7 +88,6 @@ class RandomWaypointModel:
         model.height = height
         model.speed_min = 0.0
         model.speed_max = 0.0
-        model.pause = 0.0
         model.horizon = max(t.end_time for t in trajectories)
         model._rngs = []
         model.trajectories = trajectories
@@ -115,8 +106,6 @@ class RandomWaypointModel:
             if leg == 0.0:
                 continue
             traj.append(traj.end_time + leg / speed, dest_x, dest_y)
-            if self.pause > 0:
-                traj.append(traj.end_time + self.pause, dest_x, dest_y)
 
     def ensure_horizon(self, t: float) -> None:
         if t <= self.horizon:
@@ -186,17 +175,6 @@ def _sample_times(duration: float, dt: float) -> np.ndarray:
     return np.arange(steps + 1, dtype=np.float64) * dt
 
 
-def avg_separation(model: RandomWaypointModel, node: int, t: float) -> float:
-    """Mean distance from `node` to every other node at time t."""
-    if model.n_nodes < 2:
-        raise MobilityError("average separation needs at least two nodes")
-    if not 0 <= node < model.n_nodes:
-        raise UnknownNodeError(f"node {node} not in [0, {model.n_nodes})")
-    pos = model.positions(t)
-    d = np.sqrt(((pos - pos[node]) ** 2).sum(axis=1))
-    return float(d.sum() / (model.n_nodes - 1))
-
-
 def separation_matrix(model: RandomWaypointModel, duration: float, dt: float) -> np.ndarray:
     """A_i(t) sampled on the metric grid: shape (samples, n_nodes)."""
     if model.n_nodes < 2:
@@ -206,16 +184,9 @@ def separation_matrix(model: RandomWaypointModel, duration: float, dt: float) ->
     return kernels.separation_series(block)
 
 
-def node_mobility(model: RandomWaypointModel, node: int, duration: float, dt: float) -> float:
-    """M_i: summed |A_i(t+dt) - A_i(t)| over the grid, normalised by (duration - dt)."""
-    if not 0 <= node < model.n_nodes:
-        raise UnknownNodeError(f"node {node} not in [0, {model.n_nodes})")
-    series = separation_matrix(model, duration, dt)[:, node]
-    return float(np.abs(np.diff(series)).sum() / (duration - dt))
-
-
 def network_mobility(model: RandomWaypointModel, duration: float, dt: float) -> float:
-    """Mob: the M_i averaged over all nodes."""
+    """Mob: the M_i averaged over all nodes, where M_i sums |A_i(t+dt) - A_i(t)|
+    over the grid and divides by (duration - dt)."""
     series = separation_matrix(model, duration, dt)
     per_node = np.abs(np.diff(series, axis=0)).sum(axis=0) / (duration - dt)
     return float(per_node.mean())

@@ -93,7 +93,7 @@ def run_scenario(cfg: ScenarioConfig, trace: bool = False) -> ScenarioResult:
     streams = RngStreams(cfg.seed)
     smin, smax = cfg.node_speed
     model = RandomWaypointModel(cfg.n_nodes, cfg.area[0], cfg.area[1],
-                                smin, smax, 0.0,
+                                smin, smax,
                                 lambda node: streams.substream("mobility", node),
                                 horizon=cfg.duration)
     ledger = MessageLedger()
@@ -139,8 +139,6 @@ def run_scenario(cfg: ScenarioConfig, trace: bool = False) -> ScenarioResult:
             f"recount {ledger.recount()}")
 
     measured_mob = network_mobility(model, cfg.duration, cfg.metric_dt)
-    report = build_report(cfg.protocol, cfg.lam, cfg.mob_target, measured_mob,
-                          cfg.code_band, cfg.seed, records, ledger,
-                          aborted=aborted)
+    report = build_report(cfg, measured_mob, records, ledger, aborted=aborted)
     return ScenarioResult(cfg, report, records, ledger, engine, model, radio,
                           protocol, mover, aborted, abort_reason)

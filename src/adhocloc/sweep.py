@@ -14,12 +14,44 @@ from .config import ScenarioConfig
 from .metrics import MetricsReport
 from .scenario import run_scenario
 
-CSV_COLUMNS = ("protocol", "lambda", "node_mob_target", "measured_mob",
-               "code_band", "seed", "n_requests", "n_failed",
-               "total_messages", "nb_msg", "rtime_s", "aborted")
-
 #: seed column value for rows averaged across seeds
 AVERAGE_SEED = "avg"
+
+
+def _first(values: list):
+    return values[0]
+
+
+def _mean(values: list) -> Optional[float]:
+    """Mean of the values present, summed in seed order; None without any."""
+    present = [value for value in values if value is not None]
+    if not present:
+        return None
+    return float(sum(present)) / len(present)
+
+
+def _seed_marker(values: list) -> str:
+    return AVERAGE_SEED
+
+
+#: one result row: (CSV column, MetricsReport attribute, how a seed-averaged
+#: row combines the cell's per-seed values, in seed order)
+COLUMNS = (
+    ("protocol", "protocol", _first),
+    ("lambda", "lam", _first),
+    ("node_mob_target", "node_mob_target", _first),
+    ("measured_mob", "measured_mob", _mean),
+    ("code_band", "code_band", _first),
+    ("seed", "seed", _seed_marker),
+    ("n_requests", "n_requests", _mean),
+    ("n_failed", "n_failed", _mean),
+    ("total_messages", "total_messages", _mean),
+    ("nb_msg", "nb_msg", _mean),
+    ("rtime_s", "rtime_s", _mean),
+    ("aborted", "aborted", any),
+)
+
+CSV_COLUMNS = tuple(column for column, _, _ in COLUMNS)
 
 
 def _fmt(value) -> str:
@@ -34,48 +66,15 @@ def _fmt(value) -> str:
 
 def report_to_row(report: MetricsReport) -> dict:
     """One result row, keyed by CSV_COLUMNS, values still typed."""
-    return {
-        "protocol": report.protocol,
-        "lambda": report.lam,
-        "node_mob_target": report.node_mob_target,
-        "measured_mob": report.measured_mob,
-        "code_band": report.code_band,
-        "seed": report.seed,
-        "n_requests": report.n_requests,
-        "n_failed": report.n_failed,
-        "total_messages": report.total_messages,
-        "nb_msg": report.nb_msg,
-        "rtime_s": report.rtime_s,
-        "aborted": report.aborted,
-    }
+    return {column: getattr(report, attr) for column, attr, _ in COLUMNS}
 
 
 def average_row(rows: Sequence[dict]) -> dict:
     """Seed-averaged row over same-cell results; seed becomes "avg"."""
     if not rows:
         raise ValueError("cannot average zero rows")
-
-    def mean_of(column: str) -> Optional[float]:
-        values = [row[column] for row in rows if row[column] is not None]
-        if not values:
-            return None
-        return float(sum(values)) / len(values)
-
-    first = rows[0]
-    return {
-        "protocol": first["protocol"],
-        "lambda": first["lambda"],
-        "node_mob_target": first["node_mob_target"],
-        "measured_mob": mean_of("measured_mob"),
-        "code_band": first["code_band"],
-        "seed": AVERAGE_SEED,
-        "n_requests": mean_of("n_requests"),
-        "n_failed": mean_of("n_failed"),
-        "total_messages": mean_of("total_messages"),
-        "nb_msg": mean_of("nb_msg"),
-        "rtime_s": mean_of("rtime_s"),
-        "aborted": any(row["aborted"] for row in rows),
-    }
+    return {column: combine([row[column] for row in rows])
+            for column, _, combine in COLUMNS}
 
 
 def write_csv(rows: Iterable[dict], fh: IO[str]) -> int:

@@ -239,7 +239,7 @@ class TestNumericOracles:
             for seed in SEEDS:
                 streams = RngStreams(seed)
                 model = RandomWaypointModel(
-                    25, 1000.0, 500.0, smin, smax, 0.0,
+                    25, 1000.0, 500.0, smin, smax,
                     lambda node: streams.substream("mobility", node),
                     horizon=200.0)
                 mob = network_mobility(model, 200.0, 1.0)

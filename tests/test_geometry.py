@@ -62,11 +62,9 @@ class TestZoneLayout:
     def test_more_than_two_pi_aperture_is_rejected(self):
         with pytest.raises(GeometryError):
             ZoneLayout(0, (0.0, 0.0))
-
-    def test_degenerate_single_zone_covers_everything(self):
-        layout = ZoneLayout(1, (10.0, 10.0))
-        for p in [(10.0, 10.0), (-500.0, 3.0), (700.0, -2.0)]:
-            assert layout.zone_of(p) == 0
+        # one zone (the whole plane) is no partition either
+        with pytest.raises(GeometryError, match="two zones"):
+            ZoneLayout(1, (0.0, 0.0))
 
     def test_quadrant_interiors(self):
         layout = ZoneLayout(4, (0.0, 0.0))

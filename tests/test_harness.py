@@ -1,5 +1,6 @@
 """Config parsing, scenario runs, sweeps, CSV output and the CLI."""
 
+import hashlib
 import importlib
 import io
 import re
@@ -61,6 +62,19 @@ class TestConfig:
             parse_config_text("protocol centralized")
         with pytest.raises(ConfigError, match="integer"):
             parse_config_text("n_nodes = many")
+        # errors name the key as written in the file, not the field
+        with pytest.raises(ConfigError, match="lambda expects a number"):
+            parse_config_text("lambda = abc")
+
+    def test_pairs_parse_in_every_spelling(self):
+        for raw in ("1000x500", "1000X500", "1000 500", "1000,500"):
+            assert parse_config_text(f"area = {raw}").area == (1000.0, 500.0)
+        for raw in ("3,6", "3, 6", "3 6"):
+            cfg = parse_config_text(f"node_speed = {raw}")
+            assert cfg.node_speed == (3.0, 6.0)
+        for raw in ("3", "a,b", "1x2x3", ""):
+            with pytest.raises(ConfigError, match="node_speed expects two numbers"):
+                parse_config_text(f"node_speed = {raw}")
 
     def test_validation_guards_the_interesting_edges(self):
         with pytest.raises(ConfigError, match="protocol"):
@@ -244,6 +258,20 @@ class TestCli:
         assert cli.main(["run", "--set", "ack_timeout=0.05"]) == cli.EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_more_zones_than_nodes_exit_with_the_config_code(self, capsys):
+        code = cli.main(["run", "--set", "protocol=zoned", "--set", "n_zones=9",
+                         "--set", "n_nodes=5"])
+        assert code == cli.EXIT_CONFIG
+        assert "n_zones" in capsys.readouterr().err
+
+    def test_bad_axis_values_exit_with_the_config_code(self, capsys):
+        assert cli.main(["sweep", "--lambda", "abc"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lambda" in err
+        assert cli.main(["compare", "--seeds", "1.5"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+
     def test_a_missing_config_file_exits_with_the_config_code(self, capsys):
         assert cli.main(["run", "/nonexistent/scenario.cfg"]) == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
@@ -304,6 +332,28 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert stdout.startswith("lambda = 0.25")
         assert "forwarder_reactive" in stdout and "centralized" in stdout
+
+    def test_sweep_and_compare_bytes_are_pinned(self, tmp_path, capsys):
+        # sha256 of the outputs, recorded before the result rows were built
+        # from one column table; a changed byte means a changed result
+        grid = ["--set", "duration=12", "--set", "warmup=2",
+                "--protocols", "forwarder_reactive,centralized",
+                "--lambda", "0.5", "--seeds", "1,2"]
+        rows_sha = "c3bfc66b36ac01ed2395d52ed34dafbe46dbf5a59d1ec37b40936fa97609456f"
+        table_sha = "066ad2f218d369a6ec31bc27b2e64eda35a6a63cc5b027dbebab6585ee37a41b"
+        sweep_csv, compare_csv = tmp_path / "sweep.csv", tmp_path / "compare.csv"
+
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        assert cli.main(["sweep", *grid, "--csv", str(sweep_csv)]) == 0
+        assert capsys.readouterr().out == ""
+        assert sha(sweep_csv.read_bytes()) == rows_sha
+        assert cli.main(["sweep", *grid]) == 0
+        assert sha(capsys.readouterr().out.encode()) == rows_sha
+        assert cli.main(["compare", *grid, "--csv", str(compare_csv)]) == 0
+        assert sha(capsys.readouterr().out.encode()) == table_sha
+        assert sha(compare_csv.read_bytes()) == rows_sha
 
 
 class TestPublicSurface:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from adhocloc.config import ScenarioConfig
 from adhocloc.metrics import (MetricsError, RequestRecord, build_report,
                               compute_rtime)
 from adhocloc.radio import MessageKind, MessageLedger
@@ -15,14 +16,12 @@ def rec(request_id, issued_at, resolved_at=None, failed_at=None,
                          truth_host=truth_host)
 
 
-def make_report(records, ledger=None, **meta):
+def make_report(records, ledger=None):
     if ledger is None:
         ledger = MessageLedger()
-    kwargs = dict(protocol="forwarder_reactive", lam=0.25,
-                  node_mob_target=5.0, measured_mob=4.8,
-                  code_band="medium", seed=1)
-    kwargs.update(meta)
-    return build_report(records=records, ledger=ledger, **kwargs)
+    cfg = ScenarioConfig(protocol="forwarder_reactive", lam=0.25,
+                         code_band="medium", seed=1).validated()
+    return build_report(cfg, 4.8, records, ledger)
 
 
 class TestRequestRecord:
@@ -66,6 +65,18 @@ class TestHeadlineMetrics:
 
 
 class TestBuildReport:
+    def test_labels_come_from_the_config_that_ran(self):
+        records = [rec(0, 0.0, resolved_at=0.1)]
+        cfg = ScenarioConfig(protocol="zoned", lam=1.0, node_mob="high",
+                             code_band="low", seed=9).validated()
+        report = build_report(cfg, 10.3, records, MessageLedger())
+        assert (report.protocol, report.lam, report.node_mob_target,
+                report.measured_mob, report.code_band, report.seed) == (
+            "zoned", 1.0, 10.0, 10.3, "low", 9)
+        custom = cfg.replace(node_speed=(3.0, 6.0))
+        report = build_report(custom, 2.0, records, MessageLedger())
+        assert report.node_mob_target is None
+
     def test_counts_partition_measured_requests_by_status(self):
         records = [
             rec(0, 0.0, resolved_at=0.1, returned_host=3, truth_host=3),

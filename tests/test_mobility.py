@@ -8,11 +8,16 @@ import pytest
 from adhocloc.engine import RngStreams
 from adhocloc.mobility import (BAND_LOW_MAX, BAND_MEDIUM_MAX, MobilityBand,
                                MobilityError, RandomWaypointModel, Trajectory,
-                               UnknownNodeError, avg_separation,
                                classify_mobility, network_mobility,
-                               node_mobility, separation_matrix,
-                               write_trajectory_csv)
+                               separation_matrix, write_trajectory_csv)
 from conftest import scripted_model, static_model
+
+
+def avg_separation(model, node, t):
+    """Reference A_i(t): mean distance from `node` to every other node."""
+    pos = model.positions(t)
+    d = np.sqrt(((pos - pos[node]) ** 2).sum(axis=1))
+    return float(d.sum() / (model.n_nodes - 1))
 
 
 class TestTrajectory:
@@ -23,9 +28,9 @@ class TestTrajectory:
 
 
 class TestRandomWaypointModel:
-    def make(self, seed=3, horizon=40.0, pause=0.0, smin=2.0, smax=8.0):
+    def make(self, seed=3, horizon=40.0, smin=2.0, smax=8.0):
         streams = RngStreams(seed)
-        return RandomWaypointModel(6, 1000.0, 500.0, smin, smax, pause,
+        return RandomWaypointModel(6, 1000.0, 500.0, smin, smax,
                                    lambda node: streams.substream("mobility", node),
                                    horizon=horizon)
 
@@ -45,15 +50,6 @@ class TestRandomWaypointModel:
                              traj.ys[k + 1] - traj.ys[k])
                 assert 2.0 - 1e-9 <= d / dt <= 8.0 + 1e-9
 
-    def test_pause_inserts_a_stationary_knot_after_each_leg(self):
-        model = self.make(pause=1.5)
-        traj = model.trajectories[0]
-        # knots alternate: start, arrive, pause-end, arrive, pause-end ...
-        for k in range(2, len(traj.times), 2):
-            assert traj.times[k] - traj.times[k - 1] == pytest.approx(1.5)
-            assert traj.xs[k] == traj.xs[k - 1]
-            assert traj.ys[k] == traj.ys[k - 1]
-
     def test_same_seed_reproduces_the_same_motion(self):
         a, b = self.make(seed=9), self.make(seed=9)
         assert np.array_equal(a.positions(33.3), b.positions(33.3))
@@ -67,10 +63,6 @@ class TestRandomWaypointModel:
         assert np.array_equal(a.positions(80.0), b.positions(80.0))
         assert np.array_equal(a.positions(120.0)[3], b.positions(120.0)[3])
 
-    def test_unknown_node_raises(self):
-        with pytest.raises(UnknownNodeError):
-            avg_separation(self.make(), 6, 0.0)
-
     def test_negative_query_time_raises(self):
         with pytest.raises(MobilityError):
             self.make().positions(-0.1)
@@ -79,15 +71,13 @@ class TestRandomWaypointModel:
         streams = RngStreams(1)
         factory = lambda node: streams.substream("mobility", node)
         with pytest.raises(MobilityError):
-            RandomWaypointModel(0, 1000, 500, 1, 2, 0, factory, 10)
+            RandomWaypointModel(0, 1000, 500, 1, 2, factory, 10)
         with pytest.raises(MobilityError):
-            RandomWaypointModel(3, 1000, 500, 0.0, 2, 0, factory, 10)
+            RandomWaypointModel(3, 1000, 500, 0.0, 2, factory, 10)
         with pytest.raises(MobilityError):
-            RandomWaypointModel(3, 1000, 500, 5, 2, 0, factory, 10)
+            RandomWaypointModel(3, 1000, 500, 5, 2, factory, 10)
         with pytest.raises(MobilityError):
-            RandomWaypointModel(3, 1000, 500, 1, 2, -1, factory, 10)
-        with pytest.raises(MobilityError):
-            RandomWaypointModel(3, -5, 500, 1, 2, 0, factory, 10)
+            RandomWaypointModel(3, -5, 500, 1, 2, factory, 10)
 
 
 class TestSeparationMetrics:
@@ -95,10 +85,12 @@ class TestSeparationMetrics:
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1000, (9, 2))
         model = static_model(pts)
+        series = separation_matrix(model, 4.0, 1.0)
         for node in range(9):
             dists = [np.hypot(*(pts[node] - pts[k])) for k in range(9) if k != node]
             assert avg_separation(model, node, 4.0) == pytest.approx(
                 np.mean(dists), rel=1e-12)
+            assert series[:, node] == pytest.approx(np.mean(dists), rel=1e-12)
 
     def test_separation_matrix_samples_the_metric_grid(self):
         model = scripted_model([
@@ -117,15 +109,16 @@ class TestSeparationMetrics:
 
     def test_receding_pair_matches_the_closed_form(self):
         # node 1 recedes from a parked node 0 at a constant 3 m/s, so
-        # A_i(t) = 100 + 3t for both and each |step| on the unit grid is 3
+        # A_i(t) = 100 + 3t for both, each |step| on the unit grid is 3, and
+        # each node's M_i equals Mob
         v, duration, dt = 3.0, 10.0, 1.0
         model = scripted_model([
             [(0.0, 0.0, 0.0), (20.0, 0.0, 0.0)],
             [(0.0, 100.0, 0.0), (20.0, 100.0 + 20.0 * v, 0.0)],
         ])
         expected = 10 * v * dt / (duration - dt)
-        assert node_mobility(model, 0, duration, dt) == pytest.approx(expected, rel=1e-6)
-        assert node_mobility(model, 1, duration, dt) == pytest.approx(expected, rel=1e-6)
+        series = separation_matrix(model, duration, dt)
+        assert np.array_equal(series[:, 0], series[:, 1])
         assert network_mobility(model, duration, dt) == pytest.approx(expected, rel=1e-6)
 
     def test_zigzag_counts_absolute_variation(self):
@@ -138,19 +131,20 @@ class TestSeparationMetrics:
         series = separation_matrix(model, 5.0, 1.0)
         total = np.abs(np.diff(series[:, 0])).sum()
         assert total == pytest.approx(40.0)
-        assert node_mobility(model, 0, 5.0, 1.0) == pytest.approx(40.0 / 4.0)
+        # a pair: node 0's M_i is Mob
+        assert network_mobility(model, 5.0, 1.0) == pytest.approx(40.0 / 4.0)
 
     def test_window_validation(self):
         model = static_model([(0, 0), (10, 0)])
         with pytest.raises(MobilityError):
-            node_mobility(model, 0, 5.0, 5.0)
+            network_mobility(model, 5.0, 5.0)
         with pytest.raises(MobilityError):
-            node_mobility(model, 0, 5.0, 0.0)
+            network_mobility(model, 5.0, 0.0)
 
     def test_single_node_network_has_no_separation(self):
         model = static_model([(0, 0)])
         with pytest.raises(MobilityError):
-            avg_separation(model, 0, 1.0)
+            separation_matrix(model, 10.0, 1.0)
         with pytest.raises(MobilityError):
             network_mobility(model, 10.0, 1.0)
 
