@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .config import (ConfigError, ScenarioConfig, _parse_value, load_config_file,
-                     parse_config_text)
+                     parse_assignments)
 from .metrics import MetricsError
 from .mobility import write_trajectory_csv
 from .scenario import InvariantViolation, ScenarioResult, run_scenario
@@ -27,10 +27,7 @@ EXIT_INVARIANT = 3
 
 def _load_config(path: Optional[str], overrides: Sequence[str]) -> ScenarioConfig:
     cfg = load_config_file(path) if path else ScenarioConfig().validated()
-    if overrides:
-        text = "\n".join(item.replace("=", " = ", 1) for item in overrides)
-        cfg = parse_config_text(text, base=cfg)
-    return cfg
+    return parse_assignments(((f"--set {item}", item) for item in overrides), cfg)
 
 
 def _dump_messages(result: ScenarioResult, path: str) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Iterable, Optional
 
 PROTOCOLS = ("forwarder_proactive", "forwarder_reactive", "centralized", "zoned")
 CODE_BANDS = ("low", "medium", "high")
@@ -145,22 +145,31 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"{key} expects {noun}, got {raw!r}") from None
 
 
-def parse_config_text(text: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
-    """Parse the flat `key = value` format; unknown keys are rejected."""
+def parse_assignments(assignments: Iterable[tuple[str, str]],
+                      base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
+    """Apply `key = value` assignments, given as (where, text) pairs; an
+    error names the assignment by its `where`. Unknown keys are rejected."""
     cfg = base if base is not None else ScenarioConfig()
     updates = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        attr = KEY_ALIASES.get(key, key)
-        if attr not in _DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        updates[attr] = _parse_value(key, raw)
+    for where, text in assignments:
+        try:
+            if "=" not in text:
+                raise ConfigError(f"expected key = value, got {text!r}")
+            key, raw = (part.strip() for part in text.split("=", 1))
+            attr = KEY_ALIASES.get(key, key)
+            if attr not in _DEFAULTS:
+                raise ConfigError(f"unknown config key {key!r}")
+            updates[attr] = _parse_value(key, raw)
+        except ConfigError as err:
+            raise ConfigError(f"{where}: {err}") from None
     return cfg.replace(**updates)
+
+
+def parse_config_text(text: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
+    """Parse the flat `key = value` format, one assignment per line."""
+    lines = ((f"line {n}", line.split("#", 1)[0].strip())
+             for n, line in enumerate(text.splitlines(), start=1))
+    return parse_assignments(((where, line) for where, line in lines if line), base)
 
 
 def load_config_file(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:

@@ -112,6 +112,127 @@ def bfs_tree(rows, src, mask=-1):
     return np.array(hops, dtype=np.int64), np.array(parents, dtype=np.int64)
 
 
+#: pair-intervals per block of range_crossings' vectorised pass, so that a
+#: build's temporaries stay near 130 kB each whatever the network's size
+_BLOCK_PAIR_INTERVALS = 16384
+
+
+def range_crossings(knot_t, knot_x, knot_y, offsets, lo, hi, r2, delta):
+    """Where every node pair enters or leaves range r in the window [lo, hi).
+
+    Between consecutive knot times every node moves linearly, so on such an
+    interval a pair's d² − r² is A τ² + B τ + C in the time τ since its start,
+    and the link can flip only at a root. Returns
+
+    - `start`: (n, n) bool, the links at lo;
+    - `events`: (times, a, b) arrays sorted by time; at each the link a-b
+      flips, so the links at t are `start` with every event at or before t
+      applied;
+    - `guards`: (lows, highs) of the time spans where d² − r² may lie within
+      `delta` of 0, so that the float error of this model or of the exact
+      test could decide the sign. Around a root the half-width is
+      δ/|dd²/dt| + sqrt(δ/A); a pair whose minimum of d² − r² lies within δ
+      of 0 (grazing), or that does not move relative to the other (A = 0)
+      with |C| <= δ, is guarded for the whole interval. A link that differs
+      across a knot time, where a node jumps (two knots at one time) or
+      rounding splits a crossing, flips there, and that instant is guarded.
+    """
+    n = offsets.size - 1
+    starts = offsets[:-1]
+    last = offsets[1:] - 1
+    # each node's segment at each interval start: its knots at or before lo,
+    # as in positions_at, plus its knots inside the window up to the start
+    k_lo = starts + np.add.reduceat((knot_t <= lo).astype(np.int64), starts) - 1
+    in_window = np.nonzero((knot_t > lo) & (knot_t < hi))[0]
+    # sorted distinct times; np.unique would do, but its first call costs
+    # 1.5 MB of resident memory
+    breaks = np.sort(np.concatenate(([lo], knot_t[in_window], [hi])))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    m = breaks.size - 1
+    row = np.searchsorted(breaks, knot_t[in_window])
+    node = np.searchsorted(offsets, in_window, side="right") - 1
+    k = k_lo + np.bincount(row * n + node, minlength=m * n).reshape(m, n).cumsum(axis=0)
+    k = np.clip(k, starts, last)
+    k1 = np.minimum(k + 1, last)
+    begin = breaks[:-1, None]
+    t0 = knot_t[k]
+    dt = knot_t[k1] - t0
+    moving = (t0 <= begin) & (dt > 0)
+    dt = np.where(moving, dt, 1.0)
+    a, b = np.triu_indices(n, 1)
+    motion = []
+    for knot_v in (knot_x, knot_y):
+        v = np.where(moving, (knot_v[k1] - knot_v[k]) / dt, 0.0)
+        motion.append((knot_v[k] + v * (begin - t0), v))
+    (px, vx), (py, vy) = motion
+    span = np.diff(breaks)[:, None]
+    inside = np.empty((m, a.size), dtype=bool)
+    found = []
+    # a block of intervals at a time, so the (intervals × pairs) temporaries
+    # stay small; only pairs whose d² − r² comes near 0 on their interval
+    # go on to the roots, the others keep one side of the range throughout
+    rows = max(1, _BLOCK_PAIR_INTERVALS // max(1, a.size))
+    for r in range(0, m, rows):
+        block = slice(r, r + rows)
+        dx = px[block][:, a] - px[block][:, b]
+        dy = py[block][:, a] - py[block][:, b]
+        ux = vx[block][:, a] - vx[block][:, b]
+        uy = vy[block][:, a] - vy[block][:, b]
+        A = ux * ux + uy * uy
+        B = 2.0 * (dx * ux + dy * uy)
+        C = dx * dx + dy * dy - r2
+        inside[block] = C <= 0
+        L = span[block]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tv = np.clip(np.where(A > 0, -B / (2.0 * A), 0.0), 0.0, L)
+        near = (((A * tv + B) * tv + C <= 2.0 * delta)
+                & (np.maximum(C, (A * L + B) * L + C) >= -2.0 * delta))
+        j, p = np.nonzero(near)
+        found.append((j + r, p, A[j, p], B[j, p], C[j, p]))
+    j, p, A, B, C = (np.concatenate(parts) for parts in zip(*found))
+    L = span[j, 0]
+    disc = B * B - 4.0 * A * C
+    two = disc > 4.0 * A * delta            # two roots, d² − r² dips below −δ
+    graze = ~two                            # near 0 throughout: guard it all
+    j2, p2, A, B, C, L, disc = (x[two] for x in (j, p, A, B, C, L, disc))
+    sq = np.sqrt(disc)
+    q = -0.5 * (B + np.copysign(sq, B))
+    tau1 = np.minimum(q / A, C / q)
+    tau2 = np.maximum(q / A, C / q)
+    half = delta / sq + np.sqrt(delta / A)
+    # the links just after each interval start: a root at τ = 0 has passed
+    inside[j2, p2] = (tau1 <= 0) & (tau2 > 0)
+    enter = (tau1 > 0) & (tau1 < L)
+    leave = (tau2 > 0) & (tau2 < L)
+    after = inside.copy()
+    after[j2[enter], p2[enter]] = True
+    after[j2[leave], p2[leave]] = False
+    j0, p0 = np.nonzero(after[:-1] != inside[1:])   # a jump, or rounding at a knot
+    j0 += 1
+    times = np.concatenate((breaks[j2[enter]] + tau1[enter],
+                            breaks[j2[leave]] + tau2[leave], breaks[j0]))
+    pairs = np.concatenate((p2[enter], p2[leave], p0))
+    order = np.argsort(times, kind="stable")
+    pairs = pairs[order]
+    # guards: root bands reaching into their interval, grazing intervals,
+    # and the instants of boundary flips
+    lows, highs = [], []
+    for tau in (tau1, tau2):
+        near = (tau + half >= 0) & (tau - half <= L)
+        mid = breaks[j2[near]] + tau[near]
+        lows.append(mid - half[near])
+        highs.append(mid + half[near])
+    lows.append(breaks[j[graze]])
+    highs.append(breaks[j[graze] + 1])
+    lows.append(breaks[j0])
+    highs.append(breaks[j0])
+    adj = np.zeros((n, n), dtype=bool)
+    adj[a, b] = inside[0]
+    adj |= adj.T
+    return (adj, (times[order], a[pairs], b[pairs]),
+            (np.concatenate(lows), np.concatenate(highs)))
+
+
 def separation_series(block):
     """Average separation A_i(t) per node for a (S, n, 2) position block."""
     diff = block[:, :, None, :] - block[:, None, :, :]

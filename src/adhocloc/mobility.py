@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Optional
@@ -116,7 +117,8 @@ class RandomWaypointModel:
         self.horizon = t
         self._flat = None
 
-    def _flat_arrays(self):
+    def knot_arrays(self):
+        """Every node's knots stored flat: (times, xs, ys, per-node offsets)."""
         if self._flat is None:
             offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
             for i, traj in enumerate(self.trajectories):
@@ -137,12 +139,30 @@ class RandomWaypointModel:
         if t < 0:
             raise MobilityError(f"negative query time {t}")
         self.ensure_horizon(t)
-        knot_t, knot_x, knot_y, offsets = self._flat_arrays()
+        knot_t, knot_x, knot_y, offsets = self.knot_arrays()
         return kernels.positions_at(knot_t, knot_x, knot_y, offsets, t)
+
+    def position(self, node: int, t: float) -> tuple[float, float]:
+        """One node's position at time t, bit for bit `positions(t)[node]`:
+        a bisection of that node's knots and `kernels.positions_at`'s
+        expression on Python floats."""
+        if t < 0:
+            raise MobilityError(f"negative query time {t}")
+        self.ensure_horizon(t)
+        traj = self.trajectories[node]
+        times = traj.times
+        k = bisect_right(times, t) - 1
+        if k < 0:
+            return traj.xs[0], traj.ys[0]
+        if k == len(times) - 1:
+            return traj.xs[k], traj.ys[k]
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        x0, y0 = traj.xs[k], traj.ys[k]
+        return x0 + (traj.xs[k + 1] - x0) * w, y0 + (traj.ys[k + 1] - y0) * w
 
     def positions_block(self, times: np.ndarray) -> np.ndarray:
         self.ensure_horizon(float(times[-1]) if len(times) else 0.0)
-        knot_t, knot_x, knot_y, offsets = self._flat_arrays()
+        knot_t, knot_x, knot_y, offsets = self.knot_arrays()
         return kernels.positions_block(knot_t, knot_x, knot_y, offsets,
                                        np.asarray(times, dtype=np.float64))
 

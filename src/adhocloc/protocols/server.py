@@ -212,8 +212,7 @@ class CentralizedProtocol(ServerProtocol):
     # -- maintenance traffic ---------------------------------------------------
 
     def _report(self, node: int, t: float) -> None:
-        pos, _ = self.radio.snapshot(t)
-        payload = (float(pos[node, 0]), float(pos[node, 1]))
+        payload = self.model.position(node, t)
         flood = self.radio.flood(node, MessageKind.POSITION_REPORT, t, ttl=None)
         target = self.agent.host
         if flood.depths[target] >= 0:

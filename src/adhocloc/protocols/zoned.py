@@ -64,8 +64,7 @@ class ZonedProtocol(ServerProtocol):
         self._start_timers(cfg.report_period)
 
     def _zone_at(self, node: int, t: float) -> int:
-        pos, _ = self.radio.snapshot(t)
-        return self.layout.zone_of(pos[node])
+        return self.layout.zone_of(self.model.position(node, t))
 
     def _at_agent(self, zone: int, action: Callable[[], None]) -> Callable[[], None]:
         """On arrival: queue `action` behind the zone agent's service time."""
@@ -86,8 +85,7 @@ class ZonedProtocol(ServerProtocol):
     # -- station table and database upkeep --------------------------------------
 
     def _report(self, node: int, t: float) -> None:
-        pos, _ = self.radio.snapshot(t)
-        x, y = float(pos[node, 0]), float(pos[node, 1])
+        x, y = self.model.position(node, t)
         zone = self.layout.zone_of((x, y))
         previous = self.last_zone[node]
         if (self._to_zone(node, zone, MessageKind.POSITION_REPORT, t,

@@ -1,9 +1,23 @@
 """Idealized radio substrate: unit-disk connectivity, routed unicast, floods.
 
-A connectivity snapshot holds the node positions and one int per node whose
-bit v is set when node v is in range (`kernels.neighbour_bits`); every
-topology query reads those bits, and routes and floods are BFS trees walked
-over them with canonical lowest-id parents (`kernels.bfs_tree`).
+Topology is one int per node whose bit v is set when node v is in range;
+every topology query reads those rows, and routes and floods are BFS trees
+walked over them with canonical lowest-id parents (`kernels.bfs_tree`).
+
+Trajectories are piecewise linear, so a link changes only where the pair's
+d² − r² crosses 0, at a root of one quadratic per interval between knots.
+A `LinkTimeline` precomputes those crossings per WINDOW_S window
+(`kernels.range_crossings`) and answers rows by moving a cursor over them,
+two bits per crossing. Its answers equal the exact path's bit for bit: the
+exact path (`snapshot`: `positions_at`, then `adjacency` and
+`neighbour_bits`) answers instead wherever float error could matter, in
+guard bands around each crossing sized from the root's conditioning, over
+grazing and co-moving pairs near range, and at the instants a link flips
+across a knot (a jump), as well as at or past the model's horizon and in
+windows not built yet. A window is built only after it has served
+BUILD_AFTER_MISSES exact answers, so start-up and sparse windows never pay
+for a build. Readers of coordinates call `snapshot` for every node or
+`RandomWaypointModel.position` for one.
 
 The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
@@ -15,7 +29,9 @@ log is the ground truth any total must recount to.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -29,8 +45,22 @@ from .mobility import RandomWaypointModel
 BROADCAST = -1
 #: seconds per radio hop
 PER_HOP_LATENCY = 0.01
-#: connectivity snapshots kept; the least recently used is evicted first
-SNAPSHOT_CACHE_SIZE = 64
+#: seconds of simulated time per timeline window. A longer window costs
+#: less to build per simulated second (15-30 µs/s at 50 s, 22-33 at 25 s)
+#: and leaves fewer windows to arm.
+WINDOW_S = 50.0
+#: exact answers, at distinct times, a window serves before it is built.
+#: Building a window costs as much as 20-40 exact answers (0.8-1.6 ms against
+#: about 44 µs for positions, matrix and packing), but a window of a scenario
+#: run serves hundreds of queries (median 680), so one that has served 16
+#: will almost surely serve many more. Start-up, which needs at most 3, and
+#: sparsely queried windows stay on the exact path.
+BUILD_AFTER_MISSES = 16
+#: slack on d² − r², relative to the squared extent of the knots. Either
+#: path computes d² − r² to a few ulps of that square (about 1e-15 of it), so
+#: 1e-12 leaves a thousandfold margin; the guard bands it implies have a
+#: half-width of about 1e-4 s at 1 km and 10 m/s.
+SLACK = 1e-12
 
 
 class MessageKind(Enum):
@@ -100,6 +130,94 @@ class FloodResult:
     reached: tuple[int, ...]
 
 
+class _Window:
+    """One built span of the timeline: its events, guards and a cursor.
+
+    Events and guards sit in flat arrays, about 40 bytes per crossing, since
+    a run keeps every window it built.
+    """
+
+    __slots__ = ("hi", "times", "a", "b", "guard_lo", "guard_hi", "epoch", "rows")
+
+    def __init__(self, hi, start, events, guards):
+        times, a, b = events
+        lows, highs = guards
+        order = np.argsort(lows, kind="stable")
+        self.hi = hi
+        self.times = array("d", times.tobytes())
+        self.a = array("q", a.astype(np.int64).tobytes())
+        self.b = array("q", b.astype(np.int64).tobytes())
+        self.guard_lo = array("d", lows[order].tobytes())
+        # running maximum: a query is guarded when it lies at or below the
+        # highest end among the guards starting at or before it
+        self.guard_hi = array("d", np.maximum.accumulate(highs[order]).tobytes())
+        self.epoch = 0
+        self.rows = kernels.neighbour_bits(start)
+
+    def guarded(self, t: float) -> bool:
+        i = bisect_right(self.guard_lo, t) - 1
+        return i >= 0 and t <= self.guard_hi[i]
+
+    def seek(self, epoch: int) -> list[int]:
+        """Rows after the first `epoch` events; moves the cursor there."""
+        if epoch != self.epoch:
+            rows = list(self.rows)
+            lo, hi = sorted((self.epoch, epoch))
+            for a, b in zip(self.a[lo:hi], self.b[lo:hi]):
+                rows[a] ^= 1 << b
+                rows[b] ^= 1 << a
+            self.epoch = epoch
+            self.rows = rows
+        return self.rows
+
+
+class LinkTimeline:
+    """Neighbour bitmasks answered from precomputed range crossings.
+
+    Time is cut into WINDOW_S windows, built lazily by `kernels.range_crossings`
+    once a window has served BUILD_AFTER_MISSES exact answers. A query's rows
+    are the window's start rows with every crossing at or before it applied;
+    the rows of one epoch (count of crossings applied) are reused by every
+    query that falls in it. `rows` returns None where the exact path must
+    answer: in a guard band, at or past the model's horizon, or in a window
+    not built yet.
+    """
+
+    def __init__(self, model: RandomWaypointModel, range_m: float):
+        self.model = model
+        self.range_m = range_m
+        self.windows: dict[int, _Window] = {}
+        self.misses: Counter = Counter()
+        self._last_miss: Optional[float] = None
+
+    def rows(self, t: float) -> Optional[list[int]]:
+        if not 0.0 <= t < self.model.horizon:
+            return None
+        w = int(t // WINDOW_S)
+        win = self.windows.get(w)
+        if win is None:
+            if t != self._last_miss:    # a repeat is the exact path's memo hit
+                self._last_miss = t
+                self.misses[w] += 1
+            if self.misses[w] < BUILD_AFTER_MISSES:
+                return None
+            win = self.windows[w] = self._build(w)
+        if t >= win.hi or win.guarded(t):
+            return None
+        return win.seek(bisect_right(win.times, t))
+
+    def _build(self, w: int) -> _Window:
+        knot_t, knot_x, knot_y, offsets = self.model.knot_arrays()
+        lo = w * WINDOW_S
+        hi = min(lo + WINDOW_S, self.model.horizon)
+        extent = max(self.range_m, float(np.abs(knot_x).max()),
+                     float(np.abs(knot_y).max()))
+        start, events, guards = kernels.range_crossings(
+            knot_t, knot_x, knot_y, offsets, lo, hi,
+            self.range_m * self.range_m, SLACK * extent * extent)
+        return _Window(hi, start, events, guards)
+
+
 class Radio:
     def __init__(self, model: RandomWaypointModel, range_m: float,
                  per_hop_latency: float, ledger: MessageLedger):
@@ -111,41 +229,43 @@ class Radio:
         self.range_m = range_m
         self.latency = per_hop_latency
         self.ledger = ledger
-        self._cache: OrderedDict[float, tuple[np.ndarray, list[int]]] = OrderedDict()
+        self.timeline = LinkTimeline(model, range_m)
+        self._last: tuple = (None, None)    # (t, snapshot) of the last exact answer
 
     # -- topology queries ---------------------------------------------------
 
     def snapshot(self, t: float) -> tuple[np.ndarray, list[int]]:
-        """(positions, neighbour bitmasks) at time t, memoized on the exact
-        timestamp."""
-        hit = self._cache.get(t)
-        if hit is not None:
-            self._cache.move_to_end(t)
-            return hit
-        pos = self.model.positions(t)
-        rows = kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
-        self._cache[t] = (pos, rows)
-        if len(self._cache) > SNAPSHOT_CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return pos, rows
+        """(positions, neighbour bitmasks) at time t, computed exactly: the
+        readers of every position, and topology queries the timeline leaves
+        to the exact path."""
+        last_t, last = self._last
+        if t != last_t:
+            pos = self.model.positions(t)
+            last = pos, kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
+            self._last = t, last
+        return last
+
+    def _rows(self, t: float) -> list[int]:
+        rows = self.timeline.rows(t)
+        if rows is None:
+            _, rows = self.snapshot(t)
+        return rows
 
     def neighbors(self, node: int, t: float) -> list[int]:
         """Node ids within radio range at t (inclusive boundary), ascending."""
-        _, rows = self.snapshot(t)
-        return kernels.set_bits(rows[node])
+        return kernels.set_bits(self._rows(t)[node])
 
     def in_range(self, a: int, b: int, t: float) -> bool:
-        _, rows = self.snapshot(t)
-        return bool(rows[a] >> b & 1)
+        return bool(self._rows(t)[a] >> b & 1)
 
     def connected(self, t: float) -> bool:
-        _, rows = self.snapshot(t)
+        rows = self._rows(t)
         hops, _ = kernels.bfs_tree(rows, 0)
         return bool((hops >= 0).all())
 
     def diameter(self, t: float) -> int:
         """Largest finite hop distance over all pairs at t."""
-        _, rows = self.snapshot(t)
+        rows = self._rows(t)
         best = 0
         for src in range(len(rows)):
             hops, _ = kernels.bfs_tree(rows, src)
@@ -159,7 +279,7 @@ class Radio:
         callers that bill at a non-unit rate charge the ledger themselves."""
         if src == dst:
             return (src,)
-        _, rows = self.snapshot(t)
+        rows = self._rows(t)
         hops, parents = kernels.bfs_tree(rows, src)
         if hops[dst] < 0:
             return None
@@ -183,18 +303,12 @@ class Radio:
         traversed = 0
         for k in range(len(path) - 1):
             hop_time = t + k * self.latency
-            if k > 0 and not self._edge_alive(path[k], path[k + 1], hop_time):
+            if k > 0 and not self.in_range(path[k], path[k + 1], hop_time):
                 self.ledger.charge(kind, src, dst, traversed, t, request_id)
                 return None
             traversed += 1
         self.ledger.charge(kind, src, dst, traversed, t, request_id)
         return Delivery(traversed, t + traversed * self.latency, path)
-
-    def _edge_alive(self, a: int, b: int, t: float) -> bool:
-        pos = self.model.positions(t)
-        dx = pos[a, 0] - pos[b, 0]
-        dy = pos[a, 1] - pos[b, 1]
-        return dx * dx + dy * dy <= self.range_m * self.range_m
 
     def direct(self, src: int, dst: int, kind: MessageKind, t: float,
                request_id: Optional[int] = None) -> Optional[Delivery]:
@@ -220,7 +334,7 @@ class Radio:
         """
         if ttl is not None and ttl < 1:
             raise ValueError("flood ttl must be >= 1")
-        _, rows = self.snapshot(t)
+        rows = self._rows(t)
         depths, parents = kernels.bfs_tree(rows, origin, member_mask)
         if ttl is not None:
             cut = depths > ttl

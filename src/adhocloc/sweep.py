@@ -95,25 +95,24 @@ def run_sweep(base: ScenarioConfig,
               seeds: Sequence[int],
               average: bool = True,
               on_result=None) -> list[dict]:
-    """Run the full grid; per-seed rows first, then the cell's averaged row."""
+    """Run the full grid; per-seed rows first, then the cell's averaged row.
+    Every cell's config is built and validated before the first one runs."""
+    cells = [[base.replace(protocol=protocol, lam=lam, node_mob=node_mob,
+                           code_band=code_band, seed=seed) for seed in seeds]
+             for protocol in protocols for lam in lambdas
+             for node_mob in node_mobs for code_band in code_bands]
     rows: list[dict] = []
-    for protocol in protocols:
-        for lam in lambdas:
-            for node_mob in node_mobs:
-                for code_band in code_bands:
-                    cell_rows = []
-                    for seed in seeds:
-                        cfg = base.replace(protocol=protocol, lam=lam,
-                                           node_mob=node_mob,
-                                           code_band=code_band, seed=seed)
-                        result = run_scenario(cfg)
-                        row = report_to_row(result.report)
-                        cell_rows.append(row)
-                        rows.append(row)
-                        if on_result is not None:
-                            on_result(result)
-                    if average and len(seeds) > 1:
-                        rows.append(average_row(cell_rows))
+    for cfgs in cells:
+        cell_rows = []
+        for cfg in cfgs:
+            result = run_scenario(cfg)
+            row = report_to_row(result.report)
+            cell_rows.append(row)
+            rows.append(row)
+            if on_result is not None:
+                on_result(result)
+        if average and len(seeds) > 1:
+            rows.append(average_row(cell_rows))
     return rows
 
 

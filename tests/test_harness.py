@@ -172,6 +172,14 @@ class TestSweep:
                          code_bands=["medium"], seeds=[3])
         assert len(rows) == 1 and rows[0]["seed"] == 3
 
+    def test_a_bad_axis_value_stops_the_grid_before_any_cell_runs(self):
+        ran = []
+        with pytest.raises(ConfigError, match="bogus"):
+            run_sweep(short_cfg(), protocols=["zoned", "bogus"], lambdas=[1.0],
+                      node_mobs=["medium"], code_bands=["medium"],
+                      seeds=[1, 2, 3], on_result=ran.append)
+        assert len(ran) == 0
+
     def test_average_row_means_numbers_and_ors_aborts(self):
         rows = [
             {"protocol": "zoned", "lambda": 0.25, "node_mob_target": 5.0,
@@ -255,6 +263,15 @@ class TestCli:
     def test_bad_overrides_exit_with_the_config_code(self, capsys):
         assert cli.main(["run", "--set", "latency=3"]) == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+        # the error names the override as written, not a line of a text
+        # the user never saw
+        assert cli.main(["run", "--set", "duration=12",
+                         "--set", "latency=3"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--set latency=3: unknown config key 'latency'" in err
+        assert "line" not in err
+        assert cli.main(["run", "--set", "duration"]) == cli.EXIT_CONFIG
+        assert "--set duration: expected key = value" in capsys.readouterr().err
         assert cli.main(["run", "--set", "ack_timeout=0.05"]) == cli.EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 

@@ -63,9 +63,36 @@ class TestRandomWaypointModel:
         assert np.array_equal(a.positions(80.0), b.positions(80.0))
         assert np.array_equal(a.positions(120.0)[3], b.positions(120.0)[3])
 
+    def test_one_node_position_is_bit_identical_to_all_positions(self):
+        rng = np.random.default_rng(17)
+        models = [self.make(seed=6)]        # queried past its horizon below
+        for _ in range(30):
+            trajs = []
+            for _ in range(int(rng.integers(1, 6))):
+                k = int(rng.integers(1, 7))      # single-knot nodes rest
+                # one decimal, so knot times repeat: duplicates are jumps
+                ts = np.sort(np.round(rng.uniform(0.0, 40.0, k), 1))
+                trajs.append(Trajectory(ts.tolist(), rng.uniform(0, 1000, k).tolist(),
+                                        rng.uniform(0, 500, k).tolist()))
+            models.append(RandomWaypointModel.from_trajectories(trajs))
+        checks = 0
+        for model in models:
+            knots = [t for traj in model.trajectories for t in traj.times]
+            times = np.concatenate([knots, rng.uniform(0.0, 45.0, 20), [60.0, 75.5]])
+            times = np.concatenate([times, np.nextafter(times, -np.inf),
+                                    np.nextafter(times, np.inf)])
+            for t in times[times >= 0]:
+                pos = model.positions(float(t))
+                for node in range(model.n_nodes):
+                    assert model.position(node, float(t)) == (pos[node, 0], pos[node, 1])
+                    checks += 1
+        assert checks > 5000
+
     def test_negative_query_time_raises(self):
         with pytest.raises(MobilityError):
             self.make().positions(-0.1)
+        with pytest.raises(MobilityError):
+            self.make().position(0, -0.1)
 
     def test_constructor_validation(self):
         streams = RngStreams(1)

@@ -1,11 +1,20 @@
-"""Unit-disk links, unicast planning with in-flight revalidation, floods."""
+"""Unit-disk links, the link timeline, unicast planning with in-flight
+revalidation, floods."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhocloc import kernels
+from adhocloc.config import PROTOCOLS, ScenarioConfig
+from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
-from adhocloc.radio import BROADCAST, MessageKind, MessageLedger, Radio
+from adhocloc.radio import (BROADCAST, WINDOW_S, LinkTimeline, MessageKind,
+                            MessageLedger, Radio)
+from adhocloc.scenario import run_scenario
 from conftest import scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
 
@@ -256,3 +265,140 @@ def test_moving_node_changes_its_neighbourhood():
     radio = Radio(model, 250.0, 0.01, MessageLedger())
     assert radio.in_range(0, 1, 0.0)
     assert not radio.in_range(0, 1, 10.0)
+
+
+def exact_rows(model, range_m, t):
+    """The exact path's rows: interpolate every node, test every pair."""
+    return kernels.neighbour_bits(kernels.adjacency(model.positions(t), range_m))
+
+
+def built_radio(model, range_m=250.0):
+    """A radio whose timeline has built every window up to the horizon."""
+    radio = Radio(model, range_m, 0.01, MessageLedger())
+    timeline = radio.timeline
+    for w in range(math.ceil(model.horizon / WINDOW_S)):
+        timeline.windows[w] = timeline._build(w)
+    return radio
+
+
+def around(times):
+    """Each time and its neighbouring floats on either side."""
+    times = np.asarray(list(times), dtype=np.float64)
+    return np.concatenate([times, np.nextafter(times, -np.inf),
+                           np.nextafter(times, np.inf)])
+
+
+def crossing_times(radio):
+    return [t for win in radio.timeline.windows.values() for t in win.times]
+
+
+def assert_rows_are_exact(radio, times):
+    """Timeline answers equal the exact rows at every time; returns how many
+    the timeline answered itself."""
+    answered = 0
+    for t in times:
+        t = float(t)
+        if t < 0:
+            continue
+        exact = exact_rows(radio.model, radio.range_m, t)
+        rows = radio.timeline.rows(t)
+        if rows is not None:
+            answered += 1
+            assert rows == exact, t
+        assert radio._rows(t) == exact, t
+    return answered
+
+
+#: knot gaps in seconds; 0 stacks two knots at one time, where a node jumps
+GAPS = st.sampled_from([0.0, 0.5, 7.0, 12.5, 30.0, 45.25])
+#: coordinates on a 12.5 m grid, so pairs sit exactly at range (250 m) often
+COORD = st.integers(0, 40).map(lambda k: 12.5 * k)
+
+
+@st.composite
+def knot_lists(draw):
+    nodes = []
+    for _ in range(draw(st.integers(2, 6))):
+        k = draw(st.integers(1, 6))               # single-knot nodes rest
+        t = draw(st.sampled_from([0.0, 0.0, 3.0]))
+        knots = []
+        for gap in [0.0] + draw(st.lists(GAPS, min_size=k - 1, max_size=k - 1)):
+            t += gap
+            knots.append((t, draw(COORD), draw(COORD)))
+        nodes.append(knots)
+    return nodes
+
+
+class TestLinkTimeline:
+    @settings(max_examples=120, deadline=None)
+    @given(nodes=knot_lists(), extra=st.lists(st.floats(0.0, 200.0), max_size=20))
+    def test_rows_equal_the_exact_rows(self, nodes, extra):
+        model = scripted_model(nodes)
+        radio = built_radio(model)
+        knots = [t for knots in nodes for t, _, _ in knots]
+        bounds = [w * WINDOW_S for w in range(5)]
+        past = [model.horizon, model.horizon + 1.0]
+        assert_rows_are_exact(radio, around(knots + crossing_times(radio) + bounds
+                                            + past + extra))
+
+    @pytest.mark.parametrize("nodes", [
+        # closest approach exactly at range, and a hair inside and outside it
+        *([[(0.0, 0.0, 0.0)], [(0.0, -300.0, y), (60.0, 300.0, y)]]
+          for y in (250.0, 250.0 - 1e-9, 250.0 + 1e-9)),
+        # two nodes moving in parallel exactly at range
+        [[(0.0, 0.0, 0.0), (60.0, 600.0, 0.0)], [(0.0, 0.0, 250.0), (60.0, 600.0, 250.0)]],
+        # a jump across the range, one knot time stamped twice
+        [[(0.0, 0.0, 0.0)], [(0.0, 100.0, 0.0), (20.0, 100.0, 0.0),
+                             (20.0, 400.0, 0.0), (70.0, 0.0, 0.0)]],
+    ])
+    def test_edge_cases_equal_the_exact_rows(self, nodes):
+        radio = built_radio(scripted_model(nodes))
+        times = np.linspace(0.0, 80.0, 801).tolist() + [30.0, 50.0, 20.0]
+        assert_rows_are_exact(radio, around(times + crossing_times(radio)))
+
+    def test_waypoint_runs_past_the_horizon_stay_exact(self, monkeypatch):
+        # blocks of a few intervals, so a build takes many blocks
+        monkeypatch.setattr(kernels, "_BLOCK_PAIR_INTERVALS", 1000)
+        streams = RngStreams(4)
+        model = RandomWaypointModel(25, 1000.0, 500.0, 8.0, 15.0,
+                                    lambda node: streams.substream("mobility", node),
+                                    horizon=60.0)
+        radio = Radio(model, 250.0, 0.01, MessageLedger())
+        rng = np.random.default_rng(4)
+        # the window across the horizon is built first, then the model is
+        # extended lazily by a query past it
+        early = assert_rows_are_exact(radio, rng.uniform(0.0, 60.0, 400))
+        assert_rows_are_exact(radio, rng.uniform(60.0, 130.0, 200))
+        late = assert_rows_are_exact(radio, rng.uniform(0.0, 130.0, 400))
+        assert early > 300 and late > 200
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_runs_equal_the_exact_path_runs(self, protocol, monkeypatch):
+        for node_mob in ("medium", "high"):
+            cfg = ScenarioConfig(protocol=protocol, node_mob=node_mob, lam=1.0,
+                                 duration=60.0, seed=4)
+            timed = run_scenario(cfg)
+            assert timed.radio.timeline.windows
+            with monkeypatch.context() as patch:
+                patch.setattr(LinkTimeline, "rows", lambda self, t: None)
+                exact = run_scenario(cfg)
+            assert not exact.radio.timeline.windows
+            assert timed.ledger.rows == exact.ledger.rows
+            assert timed.records == exact.records
+
+    def test_no_window_is_built_before_the_event_loop(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def run_until(engine, t_end):
+            raise Started
+
+        built = []
+        monkeypatch.setattr(Engine, "run_until", run_until)
+        monkeypatch.setattr(LinkTimeline, "_build", lambda self, w: built.append(w))
+        for protocol in PROTOCOLS:
+            for n_zones in (2, 25):
+                with pytest.raises(Started):
+                    run_scenario(ScenarioConfig(protocol=protocol, n_zones=n_zones,
+                                                lam=4.0, seed=2))
+        assert built == []
