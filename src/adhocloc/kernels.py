@@ -80,7 +80,8 @@ def set_bits(bits):
 
 
 def bfs_tree(rows, src, mask=-1):
-    """Hop counts and BFS parents from src; -1 marks unreachable / root.
+    """Hop counts and BFS parents from src, as lists; -1 marks unreachable /
+    root.
 
     `rows` are symmetric neighbour bitmasks as from `neighbour_bits`. Only
     nodes whose bit is set in `mask` are entered (src always is). Parents are
@@ -109,7 +110,7 @@ def bfs_tree(rows, src, mask=-1):
             parents[v] = (from_frontier & -from_frontier).bit_length() - 1
             hops[v] = d
         frontier_bits = new
-    return np.array(hops, dtype=np.int64), np.array(parents, dtype=np.int64)
+    return hops, parents
 
 
 #: pair-intervals per block of range_crossings' vectorised pass, so that a
@@ -117,14 +118,14 @@ def bfs_tree(rows, src, mask=-1):
 _BLOCK_PAIR_INTERVALS = 16384
 
 
-def range_crossings(knot_t, knot_x, knot_y, offsets, lo, hi, r2, delta):
-    """Where every node pair enters or leaves range r in the window [lo, hi).
+def range_crossings(knot_t, knot_x, knot_y, offsets, hi, r2, delta):
+    """Where every node pair enters or leaves range r in the span [0, hi).
 
     Between consecutive knot times every node moves linearly, so on such an
     interval a pair's d² − r² is A τ² + B τ + C in the time τ since its start,
     and the link can flip only at a root. Returns
 
-    - `start`: (n, n) bool, the links at lo;
+    - `start`: (n, n) bool, the links at 0;
     - `events`: (times, a, b) arrays sorted by time; at each the link a-b
       flips, so the links at t are `start` with every event at or before t
       applied;
@@ -140,44 +141,46 @@ def range_crossings(knot_t, knot_x, knot_y, offsets, lo, hi, r2, delta):
     n = offsets.size - 1
     starts = offsets[:-1]
     last = offsets[1:] - 1
-    # each node's segment at each interval start: its knots at or before lo,
-    # as in positions_at, plus its knots inside the window up to the start
-    k_lo = starts + np.add.reduceat((knot_t <= lo).astype(np.int64), starts) - 1
-    in_window = np.nonzero((knot_t > lo) & (knot_t < hi))[0]
+    # each node's segment at each interval start: its knots at or before 0,
+    # as in positions_at, plus its knots inside the span up to the start
+    k_lo = starts + np.add.reduceat((knot_t <= 0.0).astype(np.int64), starts) - 1
+    in_span = np.nonzero((knot_t > 0.0) & (knot_t < hi))[0]
     # sorted distinct times; np.unique would do, but its first call costs
     # 1.5 MB of resident memory
-    breaks = np.sort(np.concatenate(([lo], knot_t[in_window], [hi])))
+    breaks = np.sort(np.concatenate(([0.0], knot_t[in_span], [hi])))
     breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     m = breaks.size - 1
-    row = np.searchsorted(breaks, knot_t[in_window])
-    node = np.searchsorted(offsets, in_window, side="right") - 1
+    row = np.searchsorted(breaks, knot_t[in_span])
+    node = np.searchsorted(offsets, in_span, side="right") - 1
     k = k_lo + np.bincount(row * n + node, minlength=m * n).reshape(m, n).cumsum(axis=0)
     k = np.clip(k, starts, last)
-    k1 = np.minimum(k + 1, last)
-    begin = breaks[:-1, None]
-    t0 = knot_t[k]
-    dt = knot_t[k1] - t0
-    moving = (t0 <= begin) & (dt > 0)
-    dt = np.where(moving, dt, 1.0)
     a, b = np.triu_indices(n, 1)
-    motion = []
-    for knot_v in (knot_x, knot_y):
-        v = np.where(moving, (knot_v[k1] - knot_v[k]) / dt, 0.0)
-        motion.append((knot_v[k] + v * (begin - t0), v))
-    (px, vx), (py, vy) = motion
     span = np.diff(breaks)[:, None]
     inside = np.empty((m, a.size), dtype=bool)
     found = []
-    # a block of intervals at a time, so the (intervals × pairs) temporaries
-    # stay small; only pairs whose d² − r² comes near 0 on their interval
-    # go on to the roots, the others keep one side of the range throughout
+    # a block of intervals at a time, so the per-node motion and the
+    # (intervals × pairs) temporaries stay small; only pairs whose d² − r²
+    # comes near 0 on their interval go on to the roots, the others keep one
+    # side of the range throughout
     rows = max(1, _BLOCK_PAIR_INTERVALS // max(1, a.size))
     for r in range(0, m, rows):
         block = slice(r, r + rows)
-        dx = px[block][:, a] - px[block][:, b]
-        dy = py[block][:, a] - py[block][:, b]
-        ux = vx[block][:, a] - vx[block][:, b]
-        uy = vy[block][:, a] - vy[block][:, b]
+        kb = k[block]
+        k1 = np.minimum(kb + 1, last)
+        begin = breaks[:-1][block, None]
+        t0 = knot_t[kb]
+        dt = knot_t[k1] - t0
+        moving = (t0 <= begin) & (dt > 0)
+        dt = np.where(moving, dt, 1.0)
+        motion = []
+        for knot_v in (knot_x, knot_y):
+            v = np.where(moving, (knot_v[k1] - knot_v[kb]) / dt, 0.0)
+            motion.append((knot_v[kb] + v * (begin - t0), v))
+        (px, vx), (py, vy) = motion
+        dx = px[:, a] - px[:, b]
+        dy = py[:, a] - py[:, b]
+        ux = vx[:, a] - vx[:, b]
+        uy = vy[:, a] - vy[:, b]
         A = ux * ux + uy * uy
         B = 2.0 * (dx * ux + dy * uy)
         C = dx * dx + dy * dy - r2

@@ -333,7 +333,7 @@ class ForwarderProtocol(LocalizationProtocol):
                 replies.append((reply.arrival, x))
 
         if sought is not None and flood.depths[sought] >= 0:
-            sought_depth = int(flood.depths[sought])
+            sought_depth = flood.depths[sought]
         else:
             sought_depth = self.cfg.n_nodes + 1  # effectively unreachable
         pool = [x for _, x in replies
@@ -357,7 +357,7 @@ class ForwarderProtocol(LocalizationProtocol):
         def preference(x: int) -> Tuple[float, int, int]:
             e = self.entries.get(x)
             order = e.order if e is not None else float(code.jumps)
-            return (-order, int(flood.depths[x]), x)
+            return (-order, flood.depths[x], x)
 
         best = min(pool, key=preference)
         path = self.radio.flood_path(flood, best)

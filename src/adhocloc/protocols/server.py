@@ -216,7 +216,7 @@ class CentralizedProtocol(ServerProtocol):
         flood = self.radio.flood(node, MessageKind.POSITION_REPORT, t, ttl=None)
         target = self.agent.host
         if flood.depths[target] >= 0:
-            arrive = t + int(flood.depths[target]) * self.radio.latency
+            arrive = t + flood.depths[target] * self.radio.latency
             self.engine.schedule(
                 arrive, EventKind.MESSAGE_DELIVERY,
                 lambda: self.agent.process(
@@ -245,7 +245,7 @@ class CentralizedProtocol(ServerProtocol):
         flood = self.radio.flood(holder, MessageKind.SERVER_UPDATE, t, ttl=None)
         lat = self.radio.latency
         for v in flood.reached:
-            depth = int(flood.depths[v])
+            depth = flood.depths[v]
             if depth == 0:
                 self.known_server[v] = holder
             else:

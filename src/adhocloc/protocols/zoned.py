@@ -4,10 +4,10 @@ The deployment area is split into angular zones around the network centroid
 at t = 0; the partition stays fixed afterwards. Each zone elects the member
 node closest to the live network centroid as its agent. Members report their
 position to their own zone's agent (an in-zone unicast per report_period),
-which stores it in its station table; a node sits in at most one zone's
-table, and a report that detects a crossing also tells the old zone's agent
-to drop the node. The code's host keeps the zone database current the same
-way after each jump.
+which stores it in its station table. A report that detects a crossing also
+tells the old zone's agent to drop the node; tables learn only by these
+messages, so an undeliverable drop leaves the old entry in place. The code's
+host keeps the zone database current the same way after each jump.
 
 A requester queries its own zone's agent. On a database hit the agent answers
 with the host's identity and the requester contacts the host, re-querying on
@@ -89,17 +89,13 @@ class ZonedProtocol(ServerProtocol):
         zone = self.layout.zone_of((x, y))
         previous = self.last_zone[node]
         if (self._to_zone(node, zone, MessageKind.POSITION_REPORT, t,
-                          lambda: self._record(zone, node, (x, y)))
+                          lambda: self.agents[zone].station_pos.__setitem__(
+                              node, (x, y)))
                 and zone != previous):
             # the old zone's agent drops the node once told about the move
             self.last_zone[node] = zone
             self._to_zone(node, previous, MessageKind.POSITION_REPORT, t,
                           lambda: self.agents[previous].station_pos.pop(node, None))
-
-    def _record(self, zone: int, node: int, xy: tuple[float, float]) -> None:
-        for agent in self.agents:
-            agent.station_pos.pop(node, None)
-        self.agents[zone].station_pos[node] = xy
 
     def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
         zone = self._zone_at(new_host, t)

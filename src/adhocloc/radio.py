@@ -6,17 +6,17 @@ walked over them with canonical lowest-id parents (`kernels.bfs_tree`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per interval between knots.
-A `LinkTimeline` precomputes those crossings per WINDOW_S window
-(`kernels.range_crossings`) and answers rows by moving a cursor over them,
-two bits per crossing. Its answers equal the exact path's bit for bit: the
-exact path (`snapshot`: `positions_at`, then `adjacency` and
-`neighbour_bits`) answers instead wherever float error could matter, in
+A `LinkTimeline` precomputes those crossings in one span from 0 to the
+model's horizon (`kernels.range_crossings`) and answers rows by moving a
+cursor over them, two bits per crossing. Its answers equal the exact path's
+bit for bit: the exact path (`snapshot`: `positions_at`, then `adjacency`
+and `neighbour_bits`) answers instead wherever float error could matter, in
 guard bands around each crossing sized from the root's conditioning, over
 grazing and co-moving pairs near range, and at the instants a link flips
-across a knot (a jump), as well as at or past the model's horizon and in
-windows not built yet. A window is built only after it has served
-BUILD_AFTER_MISSES exact answers, so start-up and sparse windows never pay
-for a build. Readers of coordinates call `snapshot` for every node or
+across a knot (a jump), as well as at or past the horizon the span was
+solved to and before the span is built. The span is built only after the
+timeline has served BUILD_AFTER_MISSES exact answers, so start-up never pays
+for it. Readers of coordinates call `snapshot` for every node or
 `RandomWaypointModel.position` for one.
 
 The medium is lossless and queue-free. Unicast routing is idealized (BFS
@@ -45,16 +45,12 @@ from .mobility import RandomWaypointModel
 BROADCAST = -1
 #: seconds per radio hop
 PER_HOP_LATENCY = 0.01
-#: seconds of simulated time per timeline window. A longer window costs
-#: less to build per simulated second (15-30 µs/s at 50 s, 22-33 at 25 s)
-#: and leaves fewer windows to arm.
-WINDOW_S = 50.0
-#: exact answers, at distinct times, a window serves before it is built.
-#: Building a window costs as much as 20-40 exact answers (0.8-1.6 ms against
-#: about 44 µs for positions, matrix and packing), but a window of a scenario
-#: run serves hundreds of queries (median 680), so one that has served 16
-#: will almost surely serve many more. Start-up, which needs at most 3, and
-#: sparsely queried windows stay on the exact path.
+#: exact answers, at distinct times, the timeline serves before it is built.
+#: Building the span of a 200 s run costs as much as 70-110 exact answers
+#: (3-5 ms against about 44 µs for positions, matrix and packing), but such a
+#: run asks thousands of topology queries (1,800-6,600 at λ=1), so one that
+#: has asked 16 will almost surely ask many more. Start-up, which needs at
+#: most 3, stays on the exact path.
 BUILD_AFTER_MISSES = 16
 #: slack on d² − r², relative to the squared extent of the knots. Either
 #: path computes d² − r² to a few ulps of that square (about 1e-15 of it), so
@@ -124,26 +120,55 @@ class Delivery:
 @dataclass(slots=True)
 class FloodResult:
     origin: int
-    depths: np.ndarray          # -1 where unreached
-    parents: np.ndarray
+    depths: list[int]           # -1 where unreached
+    parents: list[int]
     units: int
     reached: tuple[int, ...]
 
 
-class _Window:
-    """One built span of the timeline: its events, guards and a cursor.
+class LinkTimeline:
+    """Neighbour bitmasks answered from precomputed range crossings.
 
-    Events and guards sit in flat arrays, about 40 bytes per crossing, since
-    a run keeps every window it built.
+    One span of crossings, from 0 to the model's horizon, is solved by
+    `kernels.range_crossings` once the timeline has served BUILD_AFTER_MISSES
+    exact answers. A query's rows are the start rows with every crossing at
+    or before it applied; the rows of one epoch (count of crossings applied)
+    are reused by every query that falls in it. `rows` returns None where the
+    exact path must answer: in a guard band, at or past the horizon the span
+    was solved to, or before the span is built. Events and guards sit in flat
+    arrays, about 40 bytes per crossing.
     """
 
-    __slots__ = ("hi", "times", "a", "b", "guard_lo", "guard_hi", "epoch", "rows")
+    def __init__(self, model: RandomWaypointModel, range_m: float):
+        self.model = model
+        self.range_m = range_m
+        self.solved_to: Optional[float] = None    # None until the span is built
+        self.misses = 0
+        self._last_miss: Optional[float] = None
 
-    def __init__(self, hi, start, events, guards):
-        times, a, b = events
-        lows, highs = guards
+    def rows(self, t: float) -> Optional[list[int]]:
+        if self.solved_to is None:
+            if not 0.0 <= t < self.model.horizon:
+                return None
+            if t != self._last_miss:    # a repeat is the exact path's memo hit
+                self._last_miss = t
+                self.misses += 1
+            if self.misses < BUILD_AFTER_MISSES:
+                return None
+            self._build()
+        if not 0.0 <= t < self.solved_to or self._guarded(t):
+            return None
+        return self._seek(bisect_right(self.times, t))
+
+    def _build(self) -> None:
+        knot_t, knot_x, knot_y, offsets = self.model.knot_arrays()
+        hi = self.model.horizon
+        extent = max(self.range_m, float(np.abs(knot_x).max()),
+                     float(np.abs(knot_y).max()))
+        start, (times, a, b), (lows, highs) = kernels.range_crossings(
+            knot_t, knot_x, knot_y, offsets, hi,
+            self.range_m * self.range_m, SLACK * extent * extent)
         order = np.argsort(lows, kind="stable")
-        self.hi = hi
         self.times = array("d", times.tobytes())
         self.a = array("q", a.astype(np.int64).tobytes())
         self.b = array("q", b.astype(np.int64).tobytes())
@@ -152,70 +177,24 @@ class _Window:
         # highest end among the guards starting at or before it
         self.guard_hi = array("d", np.maximum.accumulate(highs[order]).tobytes())
         self.epoch = 0
-        self.rows = kernels.neighbour_bits(start)
+        self._epoch_rows = kernels.neighbour_bits(start)
+        self.solved_to = hi
 
-    def guarded(self, t: float) -> bool:
+    def _guarded(self, t: float) -> bool:
         i = bisect_right(self.guard_lo, t) - 1
         return i >= 0 and t <= self.guard_hi[i]
 
-    def seek(self, epoch: int) -> list[int]:
+    def _seek(self, epoch: int) -> list[int]:
         """Rows after the first `epoch` events; moves the cursor there."""
         if epoch != self.epoch:
-            rows = list(self.rows)
+            rows = list(self._epoch_rows)
             lo, hi = sorted((self.epoch, epoch))
             for a, b in zip(self.a[lo:hi], self.b[lo:hi]):
                 rows[a] ^= 1 << b
                 rows[b] ^= 1 << a
             self.epoch = epoch
-            self.rows = rows
-        return self.rows
-
-
-class LinkTimeline:
-    """Neighbour bitmasks answered from precomputed range crossings.
-
-    Time is cut into WINDOW_S windows, built lazily by `kernels.range_crossings`
-    once a window has served BUILD_AFTER_MISSES exact answers. A query's rows
-    are the window's start rows with every crossing at or before it applied;
-    the rows of one epoch (count of crossings applied) are reused by every
-    query that falls in it. `rows` returns None where the exact path must
-    answer: in a guard band, at or past the model's horizon, or in a window
-    not built yet.
-    """
-
-    def __init__(self, model: RandomWaypointModel, range_m: float):
-        self.model = model
-        self.range_m = range_m
-        self.windows: dict[int, _Window] = {}
-        self.misses: Counter = Counter()
-        self._last_miss: Optional[float] = None
-
-    def rows(self, t: float) -> Optional[list[int]]:
-        if not 0.0 <= t < self.model.horizon:
-            return None
-        w = int(t // WINDOW_S)
-        win = self.windows.get(w)
-        if win is None:
-            if t != self._last_miss:    # a repeat is the exact path's memo hit
-                self._last_miss = t
-                self.misses[w] += 1
-            if self.misses[w] < BUILD_AFTER_MISSES:
-                return None
-            win = self.windows[w] = self._build(w)
-        if t >= win.hi or win.guarded(t):
-            return None
-        return win.seek(bisect_right(win.times, t))
-
-    def _build(self, w: int) -> _Window:
-        knot_t, knot_x, knot_y, offsets = self.model.knot_arrays()
-        lo = w * WINDOW_S
-        hi = min(lo + WINDOW_S, self.model.horizon)
-        extent = max(self.range_m, float(np.abs(knot_x).max()),
-                     float(np.abs(knot_y).max()))
-        start, events, guards = kernels.range_crossings(
-            knot_t, knot_x, knot_y, offsets, lo, hi,
-            self.range_m * self.range_m, SLACK * extent * extent)
-        return _Window(hi, start, events, guards)
+            self._epoch_rows = rows
+        return self._epoch_rows
 
 
 class Radio:
@@ -261,18 +240,12 @@ class Radio:
     def connected(self, t: float) -> bool:
         rows = self._rows(t)
         hops, _ = kernels.bfs_tree(rows, 0)
-        return bool((hops >= 0).all())
+        return -1 not in hops
 
     def diameter(self, t: float) -> int:
         """Largest finite hop distance over all pairs at t."""
         rows = self._rows(t)
-        best = 0
-        for src in range(len(rows)):
-            hops, _ = kernels.bfs_tree(rows, src)
-            m = int(hops.max())
-            if m > best:
-                best = m
-        return best
+        return max(max(kernels.bfs_tree(rows, src)[0]) for src in range(len(rows)))
 
     def route(self, src: int, dst: int, t: float) -> Optional[tuple[int, ...]]:
         """Hop path src -> dst on the snapshot at t, or None. Charges nothing;
@@ -337,15 +310,15 @@ class Radio:
         rows = self._rows(t)
         depths, parents = kernels.bfs_tree(rows, origin, member_mask)
         if ttl is not None:
-            cut = depths > ttl
-            depths[cut] = -1
-            parents[cut] = -1
-        reached = tuple(int(v) for v in np.nonzero(depths >= 0)[0])
+            for v, d in enumerate(depths):
+                if d > ttl:
+                    depths[v] = parents[v] = -1
+        reached = tuple(v for v, d in enumerate(depths) if d >= 0)
         if ttl is None:
             units = len(reached)
         else:
-            units = int(((depths >= 0) & (depths < ttl)).sum())
-            units = max(units, 1)  # an isolated origin still transmits once
+            # an isolated origin still transmits once
+            units = max(sum(depths[v] < ttl for v in reached), 1)
         self.ledger.charge(kind, origin, BROADCAST, units, t, request_id)
         return FloodResult(origin, depths, parents, units, reached)
 
@@ -356,10 +329,10 @@ class Radio:
         return _parent_walk(flood.parents, flood.origin, node)
 
 
-def _parent_walk(parents: np.ndarray, src: int, dst: int) -> tuple[int, ...]:
-    """Path src -> dst read back from a BFS tree's parent array."""
+def _parent_walk(parents: list[int], src: int, dst: int) -> tuple[int, ...]:
+    """Path src -> dst read back from a BFS tree's parent list."""
     path = [dst]
     while path[-1] != src:
-        path.append(int(parents[path[-1]]))
+        path.append(parents[path[-1]])
     path.reverse()
     return tuple(path)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from adhocloc.config import NODE_SPEED_PRESETS, ScenarioConfig
+from adhocloc.config import NODE_SPEED_PRESETS, PROTOCOLS, ScenarioConfig
 from adhocloc.engine import RngStreams
 from adhocloc.geometry import ZoneLayout, centroid, dist, elect_server
 from adhocloc.mobility import (MobilityBand, RandomWaypointModel, Trajectory,
@@ -175,6 +175,18 @@ class TestDeterminism:
         got = (report.total_messages, report.by_kind, report.n_resolved,
                report.n_failed, report.rtime_s)
         assert got == expected
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_request_times_are_plain_floats(self, protocol):
+        # a numpy scalar prints another repr than the float of equal value,
+        # so a time that leaks one changes the bytes of whatever prints it
+        cfg = ScenarioConfig().replace(protocol=protocol, node_mob="high", lam=1.0,
+                                       seed=3, duration=60.0)
+        result = run_scenario(cfg)
+        times = [row.t for row in result.ledger.rows]
+        for record in result.records:
+            times += [record.issued_at, record.resolved_at, record.failed_at]
+        assert {type(t) for t in times if t is not None} == {float}
 
 
 class TestNumericOracles:

@@ -231,8 +231,8 @@ class TestBfsTree:
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
         adj = kernels.adjacency(pos, 150.0)
         depths, parents = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
-        assert depths.tolist() == [0, 1, -1]
-        assert parents.tolist() == [-1, 0, -1]
+        assert depths == [0, 1, -1]
+        assert parents == [-1, 0, -1]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2, 25, 63, 70]),
@@ -248,7 +248,7 @@ class TestBfsTree:
         for src in range(n):
             hops, parents = kernels.bfs_tree(rows, src)
             ref_hops, ref_parents = bfs_tree_frontier(adj, src)
-            assert hops.dtype == parents.dtype == np.int64
+            assert all(type(v) is int for v in hops + parents)
             assert np.array_equal(hops, ref_hops)
             assert np.array_equal(parents, ref_parents)
             # a member mask keeps only the members' links, the source's included

@@ -1,8 +1,6 @@
 """Unit-disk links, the link timeline, unicast planning with in-flight
 revalidation, floods."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +10,7 @@ from adhocloc import kernels
 from adhocloc.config import PROTOCOLS, ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
-from adhocloc.radio import (BROADCAST, WINDOW_S, LinkTimeline, MessageKind,
-                            MessageLedger, Radio)
+from adhocloc.radio import BROADCAST, LinkTimeline, MessageKind, MessageLedger, Radio
 from adhocloc.scenario import run_scenario
 from conftest import scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
@@ -168,7 +165,7 @@ class TestFlood:
         flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
         assert sorted(flood.reached) == [0, 1, 2, 3]
         assert flood.units == 4
-        assert flood.depths.tolist() == [0, 1, 2, 3]
+        assert flood.depths == [0, 1, 2, 3]
 
     def test_ttl_limits_depth_and_frontier_nodes_do_not_relay(self):
         radio, _ = line_radio()
@@ -273,11 +270,11 @@ def exact_rows(model, range_m, t):
 
 
 def built_radio(model, range_m=250.0):
-    """A radio whose timeline has built every window up to the horizon."""
+    """A radio whose timeline is solved up to the horizon; a zero horizon
+    leaves it unbuilt, as `rows` would."""
     radio = Radio(model, range_m, 0.01, MessageLedger())
-    timeline = radio.timeline
-    for w in range(math.ceil(model.horizon / WINDOW_S)):
-        timeline.windows[w] = timeline._build(w)
+    if model.horizon > 0:
+        radio.timeline._build()
     return radio
 
 
@@ -289,7 +286,7 @@ def around(times):
 
 
 def crossing_times(radio):
-    return [t for win in radio.timeline.windows.values() for t in win.times]
+    return list(radio.timeline.times) if radio.timeline.solved_to else []
 
 
 def assert_rows_are_exact(radio, times):
@@ -310,7 +307,7 @@ def assert_rows_are_exact(radio, times):
 
 
 #: knot gaps in seconds; 0 stacks two knots at one time, where a node jumps
-GAPS = st.sampled_from([0.0, 0.5, 7.0, 12.5, 30.0, 45.25])
+GAPS = st.sampled_from([0.0, 0.5, 7.0, 12.5, 30.0, 45.25, 120.0])
 #: coordinates on a 12.5 m grid, so pairs sit exactly at range (250 m) often
 COORD = st.integers(0, 40).map(lambda k: 12.5 * k)
 
@@ -331,15 +328,15 @@ def knot_lists(draw):
 
 class TestLinkTimeline:
     @settings(max_examples=120, deadline=None)
-    @given(nodes=knot_lists(), extra=st.lists(st.floats(0.0, 200.0), max_size=20))
+    @given(nodes=knot_lists(), extra=st.lists(st.floats(0.0, 1.0), max_size=20))
     def test_rows_equal_the_exact_rows(self, nodes, extra):
         model = scripted_model(nodes)
         radio = built_radio(model)
         knots = [t for knots in nodes for t, _, _ in knots]
-        bounds = [w * WINDOW_S for w in range(5)]
         past = [model.horizon, model.horizon + 1.0]
-        assert_rows_are_exact(radio, around(knots + crossing_times(radio) + bounds
-                                            + past + extra))
+        extra = [f * model.horizon for f in extra]
+        assert_rows_are_exact(radio, around(knots + crossing_times(radio) + past
+                                            + extra))
 
     @pytest.mark.parametrize("nodes", [
         # closest approach exactly at range, and a hair inside and outside it
@@ -365,12 +362,15 @@ class TestLinkTimeline:
                                     horizon=60.0)
         radio = Radio(model, 250.0, 0.01, MessageLedger())
         rng = np.random.default_rng(4)
-        # the window across the horizon is built first, then the model is
+        # the span is solved to the horizon first, then the model is
         # extended lazily by a query past it
         early = assert_rows_are_exact(radio, rng.uniform(0.0, 60.0, 400))
         assert_rows_are_exact(radio, rng.uniform(60.0, 130.0, 200))
-        late = assert_rows_are_exact(radio, rng.uniform(0.0, 130.0, 400))
-        assert early > 300 and late > 200
+        assert_rows_are_exact(radio, rng.uniform(0.0, 130.0, 400))
+        assert early > 300
+        assert radio.timeline.solved_to == 60.0 and model.horizon > 120.0
+        assert all(radio.timeline.rows(t) is None
+                   for t in [60.0, *rng.uniform(60.0, 130.0, 50)])
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_runs_equal_the_exact_path_runs(self, protocol, monkeypatch):
@@ -378,11 +378,11 @@ class TestLinkTimeline:
             cfg = ScenarioConfig(protocol=protocol, node_mob=node_mob, lam=1.0,
                                  duration=60.0, seed=4)
             timed = run_scenario(cfg)
-            assert timed.radio.timeline.windows
+            assert timed.radio.timeline.solved_to == cfg.duration
             with monkeypatch.context() as patch:
                 patch.setattr(LinkTimeline, "rows", lambda self, t: None)
                 exact = run_scenario(cfg)
-            assert not exact.radio.timeline.windows
+            assert exact.radio.timeline.solved_to is None
             assert timed.ledger.rows == exact.ledger.rows
             assert timed.records == exact.records
 
@@ -395,10 +395,24 @@ class TestLinkTimeline:
 
         built = []
         monkeypatch.setattr(Engine, "run_until", run_until)
-        monkeypatch.setattr(LinkTimeline, "_build", lambda self, w: built.append(w))
+        monkeypatch.setattr(LinkTimeline, "_build", lambda self: built.append(self))
         for protocol in PROTOCOLS:
             for n_zones in (2, 25):
                 with pytest.raises(Started):
                     run_scenario(ScenarioConfig(protocol=protocol, n_zones=n_zones,
                                                 lam=4.0, seed=2))
         assert built == []
+
+    def test_a_run_builds_the_timeline_once(self, monkeypatch):
+        builds = []
+        build = LinkTimeline._build
+
+        def counted(timeline):
+            builds.append(timeline)
+            build(timeline)
+
+        monkeypatch.setattr(LinkTimeline, "_build", counted)
+        for protocol in PROTOCOLS:
+            builds.clear()
+            run_scenario(ScenarioConfig(protocol=protocol, duration=200.0, seed=4))
+            assert len(builds) == 1, protocol

@@ -102,28 +102,44 @@ class TestDatabaseUpkeep:
         assert len(ring_rows(proto)) == 2
 
     def test_a_crossing_report_moves_the_registry_entry(self):
+        # node 0 walks from zone 0 (agent node 1) into zone 1 (agent node 3)
         knots = [[(0.0, x, y), (4.0, x, y)] for x, y in BOX8]
         knots[0] = [(0.0, 150.0, 80.0), (1.0, 150.0, 80.0),
                     (1.5, -120.0, 80.0), (4.0, -120.0, 80.0)]
-        proto = make_zoned(scripted_model(knots), host=2, report_period=0.5)
-        record = proto._record
-        seen = []
+        for undeliverable in (False, True):
+            if undeliverable:
+                # zone 0's agent leaves everyone's range before node 0 crosses
+                knots[1] = [(0.0, 60.0, 150.0), (1.0, 60.0, 150.0),
+                            (1.2, 60.0, 1000.0), (4.0, 60.0, 1000.0)]
+            proto = make_zoned(scripted_model(knots), host=2, report_period=0.5)
+            pops = []
 
-        def record_and_look(zone, node, xy):
-            record(zone, node, xy)
-            seen.append((zone, [z for z, agent in enumerate(proto.agents)
-                                if node in agent.station_pos]))
+            class Table(dict):
+                def pop(self, node, default=None):
+                    pops.append((proto.engine.now, node))
+                    return super().pop(node, default)
 
-        proto._record = record_and_look
-        proto.engine.run_until(3.0)
-        assert proto.last_zone[0] == 1
-        # right after every record, before any drop message arrives, the node
-        # sits in the recording zone's table only
-        assert seen and all(holders == [zone] for zone, holders in seen)
-        holders = [zone for zone, agent in enumerate(proto.agents)
-                   if 0 in agent.station_pos]
-        assert holders == [1]
-        assert proto.agents[1].station_pos[0] == pytest.approx((-120.0, 80.0))
+            proto.agents[0].station_pos = Table()
+            proto.engine.run_until(3.0)
+            assert proto.last_zone[0] == 1
+            reports = [(r.t, r.dst) for r in proto.ctx.ledger.rows
+                       if r.kind is MessageKind.POSITION_REPORT and r.src == 0]
+            crossed = min(t for t, dst in reports if dst == 3)
+            holders = [zone for zone, agent in enumerate(proto.agents)
+                       if 0 in agent.station_pos]
+            assert proto.agents[1].station_pos[0] == pytest.approx((-120.0, 80.0))
+            if undeliverable:
+                # nothing tells zone 0 of the move, so its entry stays
+                assert (crossed, 1) not in reports
+                assert pops == [] and holders == [0, 1]
+                assert proto.agents[0].station_pos[0] == (150.0, 80.0)
+            else:
+                # the charged drop removes the entry once zone 0's agent has
+                # processed it, and nothing else does
+                assert (crossed, 1) in reports
+                [(popped_at, node)] = pops
+                assert node == 0 and popped_at > crossed
+                assert holders == [1]
 
 
 class TestReelection:
