@@ -82,11 +82,11 @@ class ScenarioConfig:
             raise ConfigError("n_zones must be >= 1")
         if self.lam <= 0:
             raise ConfigError("lambda must be positive")
-        if self.duration < 0:
-            raise ConfigError("duration must be >= 0")
+        if self.duration <= 0:
+            raise ConfigError("duration must be positive")
         if self.metric_dt <= 0:
             raise ConfigError("metric_dt must be positive")
-        if self.duration > 0 and self.metric_dt >= self.duration:
+        if self.metric_dt >= self.duration:
             raise ConfigError("metric_dt must be smaller than duration")
         if self.report_period <= 0 or self.central_report_period <= 0:
             raise ConfigError("periods must be positive")

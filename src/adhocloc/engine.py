@@ -79,6 +79,14 @@ class Engine:
         self.now = t_end
         return ran
 
+    def discard_pending(self) -> None:
+        """Drop every pending event and its action. Actions are closures over
+        their owners, so a finished run's queue would otherwise keep the run
+        alive in a reference cycle until the cyclic collector finds it."""
+        for _, _, ev in self._heap:
+            ev.action = None
+        self._heap.clear()
+
 
 STREAM_NAMES = ("mobility", "workload", "code-migration", "protocol")
 

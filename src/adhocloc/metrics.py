@@ -27,6 +27,10 @@ class RequestRecord:
     truth_host: Optional[int] = None
 
     @property
+    def done(self) -> bool:
+        return self.resolved_at is not None or self.failed_at is not None
+
+    @property
     def status(self) -> str:
         if self.resolved_at is not None:
             return "resolved"

@@ -12,7 +12,6 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import IO, Optional
 
 import numpy as np
@@ -165,27 +164,6 @@ class RandomWaypointModel:
         knot_t, knot_x, knot_y, offsets = self.knot_arrays()
         return kernels.positions_block(knot_t, knot_x, knot_y, offsets,
                                        np.asarray(times, dtype=np.float64))
-
-
-class MobilityBand(Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-
-#: band boundaries: Mob in (0, 3] is low, (3, 8] medium, above 8 high
-BAND_LOW_MAX = 3.0
-BAND_MEDIUM_MAX = 8.0
-
-
-def classify_mobility(mob: float) -> MobilityBand:
-    if mob <= 0:
-        raise MobilityError(f"mobility must be positive to classify, got {mob}")
-    if mob <= BAND_LOW_MAX:
-        return MobilityBand.LOW
-    if mob <= BAND_MEDIUM_MAX:
-        return MobilityBand.MEDIUM
-    return MobilityBand.HIGH
 
 
 def _sample_times(duration: float, dt: float) -> np.ndarray:

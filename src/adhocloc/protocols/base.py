@@ -4,12 +4,13 @@ the hooks every localization protocol implements."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..config import ScenarioConfig
 from ..engine import Engine, EventKind, RngStreams
 from ..metrics import RequestRecord
 from ..mobility import RandomWaypointModel
-from ..radio import MessageLedger, Radio
+from ..radio import MessageKind, MessageLedger, Radio
 
 
 class ProtocolError(RuntimeError):
@@ -60,20 +61,29 @@ class LocalizationProtocol:
     def locate(self, record: RequestRecord) -> None:
         raise NotImplementedError
 
+    def _send(self, src: int, dst: int, kind: MessageKind, t: float,
+              then: Callable[[], None], request_id: Optional[int] = None) -> bool:
+        """Unicast src -> dst at t and run `then` at the arrival; False when
+        the message cannot be delivered."""
+        delivery = self.radio.unicast(src, dst, kind, t, request_id=request_id)
+        if delivery is None:
+            return False
+        self.engine.schedule(delivery.arrival, EventKind.MESSAGE_DELIVERY, then)
+        return True
+
     # -- request outcomes ----------------------------------------------------
 
     def _resolve(self, record: RequestRecord, t: float,
                  returned_host: int, truth_host: int) -> None:
-        if record.resolved_at is not None or record.failed_at is not None:
+        if record.done:
             return
         record.resolved_at = t
         record.returned_host = returned_host
         record.truth_host = truth_host
 
     def _fail(self, record: RequestRecord, t: float) -> None:
-        if record.resolved_at is not None or record.failed_at is not None:
-            return
-        record.failed_at = t
+        if not record.done:
+            record.failed_at = t
 
     def _local_hit(self, record: RequestRecord) -> bool:
         """Requests for a code sitting at its mother resolve on the spot."""

@@ -93,9 +93,8 @@ class ForwarderProtocol(LocalizationProtocol):
         self.proactive = proactive
         self.name = "forwarder_proactive" if proactive else "forwarder_reactive"
         self.entries: Dict[int, ForwarderEntry] = {}
-        self._walks: Dict[int, _WalkState] = {}
-        # station -> list of (record, timeout event) waiting for a tick repair
-        self._parked: Dict[int, List[Tuple[RequestRecord, Event]]] = {}
+        # station -> (record, walk, timeout event) per walk waiting for a tick repair
+        self._parked: Dict[int, List[Tuple[RequestRecord, _WalkState, Event]]] = {}
         self._repair_active: set[int] = set()
         self._max_steps = MAX_WALK_FACTOR * ctx.cfg.n_nodes
 
@@ -124,83 +123,67 @@ class ForwarderProtocol(LocalizationProtocol):
     def locate(self, record: RequestRecord) -> None:
         if self._local_hit(record):
             return
-        self._walks[record.request_id] = _WalkState()
-        self._advance(record, self.code.mother)
+        self._advance(record, _WalkState(), self.code.mother)
 
-    def _advance(self, record: RequestRecord, station: int) -> None:
-        if record.resolved_at is not None or record.failed_at is not None:
-            self._walks.pop(record.request_id, None)
+    def _advance(self, record: RequestRecord, walk: _WalkState,
+                 station: int) -> None:
+        if record.done:
             return
         t = self.engine.now
-        state = self._walks[record.request_id]
-        state.steps += 1
-        if state.steps > self._max_steps:
-            self._give_up(record, t)
+        walk.steps += 1
+        if walk.steps > self._max_steps:
+            self._fail(record, t)
             return
         code = self.code
         if station == code.host:
             truth = code.host
-            reply = self.radio.unicast(station, code.mother,
-                                       MessageKind.LOCATE_REPLY, t,
-                                       request_id=record.request_id)
-            if reply is None:
-                self._give_up(record, t)
-                return
-            self.engine.schedule(reply.arrival, EventKind.MESSAGE_DELIVERY,
-                                 lambda: self._complete(record, station, truth))
+            if not self._send(station, code.mother, MessageKind.LOCATE_REPLY, t,
+                              lambda: self._complete(record, station, truth),
+                              record.request_id):
+                self._fail(record, t)
             return
         entry = self.entries.get(station)
-        if station in state.seen:
+        if station in walk.seen:
             # the chain wrapped back on itself through stale pointers; the
             # walk's own trail proves it, so repair right here
-            self._break(record, station, entry, t, force_repair=True)
+            self._break(record, walk, station, entry, t, force_repair=True)
             return
         if entry is None:
             # a station with no pointer has nothing to wait out: the walk
             # must search for the chain itself
-            self._break(record, station, None, t, force_repair=True)
+            self._break(record, walk, station, None, t, force_repair=True)
             return
         hop = self.radio.direct(station, entry.next_hop,
                                 MessageKind.LOCATE_REQUEST, t,
                                 request_id=record.request_id)
         if hop is None:
-            self._break_after_timeout(record, station, entry, t)
+            self.engine.schedule(t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
+                                 lambda: self._break(record, walk, station, entry,
+                                                     self.engine.now))
             return
-        state.seen.add(station)
+        walk.seen.add(station)
         nxt = entry.next_hop
         self.engine.schedule(hop.arrival, EventKind.MESSAGE_DELIVERY,
-                             lambda: self._advance(record, nxt))
+                             lambda: self._advance(record, walk, nxt))
 
     def _complete(self, record: RequestRecord, replier: int, truth: int) -> None:
         self._resolve(record, self.engine.now, replier, truth)
-        self._walks.pop(record.request_id, None)
         if not self.proactive:
             # the answered request re-anchors the chain: one link, no history
             self.entries.clear()
             if replier != self.code.mother:
                 self.entries[self.code.mother] = ForwarderEntry(replier, 0.0)
 
-    def _give_up(self, record: RequestRecord, t: float) -> None:
-        self._fail(record, t)
-        self._walks.pop(record.request_id, None)
-
     # -- break handling --------------------------------------------------------
 
-    def _break_after_timeout(self, record: RequestRecord, station: int,
-                             anchor: ForwarderEntry, t: float) -> None:
-        self.engine.schedule(t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
-                             lambda: self._break(record, station, anchor,
-                                                 self.engine.now))
-
-    def _break(self, record: RequestRecord, station: int,
+    def _break(self, record: RequestRecord, walk: _WalkState, station: int,
                anchor: Optional[ForwarderEntry], t: float,
                force_repair: bool = False) -> None:
-        if record.resolved_at is not None or record.failed_at is not None:
-            self._walks.pop(record.request_id, None)
+        if record.done:
             return
         if self.entries.get(station) is not anchor:
             # the chain was rewired while we waited out the ack; walk again
-            self._advance(record, station)
+            self._advance(record, walk, station)
             return
         if self.proactive and not force_repair:
             # an ordinary link break; the periodic check will notice it too,
@@ -208,12 +191,11 @@ class ForwarderProtocol(LocalizationProtocol):
             timeout_at = t + PROACTIVE_WAIT_TICKS * CHAIN_CHECK_PERIOD
             ev = self.engine.schedule(timeout_at, EventKind.TIMER_EXPIRY,
                                       lambda: self._park_timeout(record, station))
-            self._parked.setdefault(station, []).append((record, ev))
+            self._parked.setdefault(station, []).append((record, walk, ev))
             return
-        state = self._walks[record.request_id]
-        state.repairs += 1
-        if state.repairs > MAX_REPAIRS_PER_REQUEST:
-            self._give_up(record, t)
+        walk.repairs += 1
+        if walk.repairs > MAX_REPAIRS_PER_REQUEST:
+            self._fail(record, t)
             return
 
         def resume(success: bool) -> None:
@@ -223,29 +205,27 @@ class ForwarderProtocol(LocalizationProtocol):
                 # the station's rewired pointer deserves a fresh attempt even
                 # if the walk has been here before (the repairs counter still
                 # bounds how often)
-                state.seen.discard(station)
-                self._advance(record, station)
+                walk.seen.discard(station)
+                self._advance(record, walk, station)
             else:
                 # the widened search drew silence from an unchanged chain:
                 # nobody reachable can extend it, so the request is lost
-                self._give_up(record, self.engine.now)
+                self._fail(record, self.engine.now)
 
-        searcher_order = anchor.order if anchor is not None else -1.0
-        self._start_repair(station, searcher_order, t,
-                           record.request_id, resume)
+        self._start_repair(station, t, record.request_id, resume)
 
     def _park_timeout(self, record: RequestRecord, station: int) -> None:
         waiting = self._parked.get(station)
         if waiting:
-            self._parked[station] = [(r, e) for r, e in waiting if r is not record]
+            self._parked[station] = [p for p in waiting if p[0] is not record]
             if not self._parked[station]:
                 del self._parked[station]
-        self._give_up(record, self.engine.now)
+        self._fail(record, self.engine.now)
 
     def _release_parked(self, station: int) -> None:
-        for record, ev in self._parked.pop(station, []):
+        for record, walk, ev in self._parked.pop(station, []):
             ev.cancel()
-            self._advance(record, station)
+            self._advance(record, walk, station)
 
     # -- proactive maintenance ---------------------------------------------------
 
@@ -276,7 +256,7 @@ class ForwarderProtocol(LocalizationProtocol):
             # rewired while the ack timed out; nothing left to repair here
             self._repair_active.discard(station)
             return
-        self._start_repair(station, entry.order, self.engine.now, None,
+        self._start_repair(station, self.engine.now, None,
                            lambda ok: self._tick_repair_done(station, ok))
 
     def _tick_repair_done(self, station: int, success: bool) -> None:
@@ -288,13 +268,14 @@ class ForwarderProtocol(LocalizationProtocol):
 
     # -- repair ------------------------------------------------------------------
 
-    def _start_repair(self, station: int, searcher_order: float, t: float,
-                      request_id: Optional[int],
+    def _start_repair(self, station: int, t: float, request_id: Optional[int],
                       on_done: Callable[[bool], None]) -> None:
         # the searcher's entry object anchors the repair: if it is replaced
         # or dropped while search messages are in flight, the repair is
-        # acting on a chain that no longer exists and must stand down
+        # acting on a chain that no longer exists and must stand down. A
+        # searcher with no entry is off the chain: every member may answer it
         anchor = self.entries.get(station)
+        searcher_order = anchor.order if anchor is not None else -1.0
         self._repair_round(station, searcher_order, anchor, t, request_id,
                            on_done, REPAIR_TTL)
 

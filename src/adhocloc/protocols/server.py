@@ -49,7 +49,8 @@ class ServerAgent:
 
     `process` enqueues a unit of work arriving at `arrival`, schedules
     `action` at its completion instant and returns that instant.
-    `station_pos` holds the last reported position of each station.
+    `code_db` maps each code to its reported host; `stations` holds the ids
+    of the stations whose position reports the agent has processed.
     """
 
     def __init__(self, engine: Engine, host: int):
@@ -57,7 +58,7 @@ class ServerAgent:
         self.host = host
         self.busy_until = 0.0
         self.code_db: Dict[int, int] = {}
-        self.station_pos: Dict[int, tuple[float, float]] = {}
+        self.stations: set[int] = set()
         self.processed = 0
 
     def process(self, arrival: float, action: Callable[[], None]) -> float:
@@ -69,7 +70,7 @@ class ServerAgent:
         return done
 
     def entry_count(self) -> int:
-        return len(self.code_db) + len(self.station_pos)
+        return len(self.code_db) + len(self.stations)
 
 
 class ServerProtocol(LocalizationProtocol):
@@ -79,7 +80,8 @@ class ServerProtocol(LocalizationProtocol):
     host (`_reply`); the requester then contacts that host. Any undeliverable
     leg or stale answer costs a re-query, up to MAX_RETRIES. Subclasses supply
     `_attempt(record, retries_left)`, `_report(node, t)` and
-    `_reelect(pos, ref, t)`.
+    `_reelect(pos, ref, t)`; `pos` holds every node's position, read from the
+    mobility model.
     """
 
     def __init__(self, ctx: ScenarioContext):
@@ -112,7 +114,7 @@ class ServerProtocol(LocalizationProtocol):
 
     def _reelection_tick(self) -> None:
         t = self.engine.now
-        pos, _ = self.radio.snapshot(t)
+        pos = self.model.positions(t)
         self._reelect(pos, centroid(pos), t)
         self.engine.schedule(t + REELECTION_PERIOD,
                              EventKind.SERVER_REELECTION_TICK,
@@ -149,12 +151,9 @@ class ServerProtocol(LocalizationProtocol):
              retries_left: int, then: Callable[[], None]) -> None:
         """Request-tagged unicast: re-query if undeliverable, else run
         `then` on arrival."""
-        delivery = self.radio.unicast(src, dst, kind, self.engine.now,
-                                      request_id=record.request_id)
-        if delivery is None:
+        if not self._send(src, dst, kind, self.engine.now, then,
+                          record.request_id):
             self._retry(record, retries_left)
-            return
-        self.engine.schedule(delivery.arrival, EventKind.MESSAGE_DELIVERY, then)
 
     def _reply(self, record: RequestRecord, retries_left: int, server: int,
                claimed: int) -> None:
@@ -197,7 +196,7 @@ class CentralizedProtocol(ServerProtocol):
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        pos, _ = self.radio.snapshot(0.0)
+        pos = self.model.positions(0.0)
         ref = centroid(pos)
         host = elect_server(range(self.cfg.n_nodes), pos, ref)
         self.agent = ServerAgent(self.engine, host)
@@ -212,7 +211,6 @@ class CentralizedProtocol(ServerProtocol):
     # -- maintenance traffic ---------------------------------------------------
 
     def _report(self, node: int, t: float) -> None:
-        payload = self.model.position(node, t)
         flood = self.radio.flood(node, MessageKind.POSITION_REPORT, t, ttl=None)
         target = self.agent.host
         if flood.depths[target] >= 0:
@@ -220,8 +218,7 @@ class CentralizedProtocol(ServerProtocol):
             self.engine.schedule(
                 arrive, EventKind.MESSAGE_DELIVERY,
                 lambda: self.agent.process(
-                    self.engine.now,
-                    lambda: self.agent.station_pos.__setitem__(node, payload)))
+                    self.engine.now, lambda: self.agent.stations.add(node)))
 
     def _send_location_update(self, src: int, t: float) -> None:
         claimed = self.code.host
@@ -268,11 +265,6 @@ class CentralizedProtocol(ServerProtocol):
     def _chase_step(self, sender: int, target: int, kind: MessageKind, t: float,
                     request_id: Optional[int],
                     on_processed: Callable[[bool], None], budget: int) -> None:
-        delivery = self.radio.unicast(sender, target, kind, t, request_id=request_id)
-        if delivery is None:
-            on_processed(False)
-            return
-
         def arrived() -> None:
             now = self.engine.now
             if target == self.agent.host:
@@ -285,7 +277,8 @@ class CentralizedProtocol(ServerProtocol):
             self._chase_step(target, successor, kind, now, request_id,
                              on_processed, budget - 1)
 
-        self.engine.schedule(delivery.arrival, EventKind.MESSAGE_DELIVERY, arrived)
+        if not self._send(sender, target, kind, t, arrived, request_id):
+            on_processed(False)
 
     # -- localization ---------------------------------------------------------------
 

@@ -4,10 +4,10 @@ The deployment area is split into angular zones around the network centroid
 at t = 0; the partition stays fixed afterwards. Each zone elects the member
 node closest to the live network centroid as its agent. Members report their
 position to their own zone's agent (an in-zone unicast per report_period),
-which stores it in its station table. A report that detects a crossing also
-tells the old zone's agent to drop the node; tables learn only by these
-messages, so an undeliverable drop leaves the old entry in place. The code's
-host keeps the zone database current the same way after each jump.
+which enters the member in its station table. A report that detects a
+crossing also tells the old zone's agent to drop the node; tables learn only
+by these messages, so an undeliverable drop leaves the old entry in place.
+The code's host keeps the zone database current the same way after each jump.
 
 A requester queries its own zone's agent. On a database hit the agent answers
 with the host's identity and the requester contacts the host, re-querying on
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..engine import EventKind
 from ..geometry import ZoneLayout, centroid, elect_server, ring_next
 from ..metrics import RequestRecord
 from ..radio import MessageKind
@@ -45,7 +44,7 @@ class ZonedProtocol(ServerProtocol):
 
     def start(self) -> None:
         cfg = self.cfg
-        pos, _ = self.radio.snapshot(0.0)
+        pos = self.model.positions(0.0)
         self.layout = ZoneLayout(cfg.n_zones, centroid(pos))
         self.last_zone = [self._zone_at(node, 0.0) for node in range(cfg.n_nodes)]
         ref = centroid(pos)
@@ -59,7 +58,7 @@ class ZonedProtocol(ServerProtocol):
             taken.add(host)
             self.agents.append(ServerAgent(self.engine, host))
         for zone in range(cfg.n_zones):
-            self._announce(zone, 0.0)
+            self._announce(zone, pos, 0.0)
         self._send_sdb_insert(self.code.host, self._zone_at(self.code.host, 0.0), 0.0)
         self._start_timers(cfg.report_period)
 
@@ -75,27 +74,21 @@ class ZonedProtocol(ServerProtocol):
                  action: Callable[[], None]) -> bool:
         """Unicast to the zone's agent, which runs `action` once it has
         processed the message; False when the message is undeliverable."""
-        delivery = self.radio.unicast(src, self.agents[zone].host, kind, t)
-        if delivery is None:
-            return False
-        self.engine.schedule(delivery.arrival, EventKind.MESSAGE_DELIVERY,
-                             self._at_agent(zone, action))
-        return True
+        return self._send(src, self.agents[zone].host, kind, t,
+                          self._at_agent(zone, action))
 
     # -- station table and database upkeep --------------------------------------
 
     def _report(self, node: int, t: float) -> None:
-        x, y = self.model.position(node, t)
-        zone = self.layout.zone_of((x, y))
+        zone = self._zone_at(node, t)
         previous = self.last_zone[node]
         if (self._to_zone(node, zone, MessageKind.POSITION_REPORT, t,
-                          lambda: self.agents[zone].station_pos.__setitem__(
-                              node, (x, y)))
+                          lambda: self.agents[zone].stations.add(node))
                 and zone != previous):
             # the old zone's agent drops the node once told about the move
             self.last_zone[node] = zone
             self._to_zone(node, previous, MessageKind.POSITION_REPORT, t,
-                          lambda: self.agents[previous].station_pos.pop(node, None))
+                          lambda: self.agents[previous].stations.discard(node))
 
     def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
         zone = self._zone_at(new_host, t)
@@ -122,10 +115,9 @@ class ZonedProtocol(ServerProtocol):
                 continue
             best = elect_server(members, pos, ref)
             if self._hand_off(agent, best, pos, ref, t):
-                self._announce(zone, t)
+                self._announce(zone, pos, t)
 
-    def _announce(self, zone: int, t: float) -> None:
-        pos, _ = self.radio.snapshot(t)
+    def _announce(self, zone: int, pos, t: float) -> None:
         members = sum(1 << v for v, p in enumerate(pos)
                       if self.layout.zone_of(p) == zone)
         self.radio.flood(self.agents[zone].host, MessageKind.SERVER_UPDATE, t,

@@ -16,8 +16,9 @@ grazing and co-moving pairs near range, and at the instants a link flips
 across a knot (a jump), as well as at or past the horizon the span was
 solved to and before the span is built. The span is built only after the
 timeline has served BUILD_AFTER_MISSES exact answers, so start-up never pays
-for it. Readers of coordinates call `snapshot` for every node or
-`RandomWaypointModel.position` for one.
+for it. The radio answers topology only: readers of coordinates ask the
+mobility model, `RandomWaypointModel.positions` for every node or
+`position` for one.
 
 The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
@@ -209,26 +210,23 @@ class Radio:
         self.latency = per_hop_latency
         self.ledger = ledger
         self.timeline = LinkTimeline(model, range_m)
-        self._last: tuple = (None, None)    # (t, snapshot) of the last exact answer
+        self._last: tuple = (None, None)    # (t, rows) of the last exact answer
 
     # -- topology queries ---------------------------------------------------
 
-    def snapshot(self, t: float) -> tuple[np.ndarray, list[int]]:
-        """(positions, neighbour bitmasks) at time t, computed exactly: the
-        readers of every position, and topology queries the timeline leaves
-        to the exact path."""
-        last_t, last = self._last
+    def snapshot(self, t: float) -> list[int]:
+        """Neighbour bitmasks at time t, computed exactly from the positions:
+        the topology queries the timeline leaves to the exact path."""
+        last_t, rows = self._last
         if t != last_t:
             pos = self.model.positions(t)
-            last = pos, kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
-            self._last = t, last
-        return last
+            rows = kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
+            self._last = t, rows
+        return rows
 
     def _rows(self, t: float) -> list[int]:
         rows = self.timeline.rows(t)
-        if rows is None:
-            _, rows = self.snapshot(t)
-        return rows
+        return self.snapshot(t) if rows is None else rows
 
     def neighbors(self, node: int, t: float) -> list[int]:
         """Node ids within radio range at t (inclusive boundary), ascending."""

@@ -124,6 +124,8 @@ def run_scenario(cfg: ScenarioConfig, trace: bool = False) -> ScenarioResult:
     except ScenarioAborted as stop:
         aborted = True
         abort_reason = str(stop)
+    finally:
+        engine.discard_pending()
 
     for record in records:
         record.units = ledger.units_for_request(record.request_id)

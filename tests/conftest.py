@@ -1,8 +1,11 @@
-"""Shared builders: scripted mobility models and hand-wired protocol contexts."""
+"""Shared builders: scripted mobility models and hand-wired protocol contexts,
+and the mobility bands the speed presets are calibrated against."""
+
+from enum import Enum
 
 from adhocloc.config import ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
-from adhocloc.mobility import RandomWaypointModel, Trajectory
+from adhocloc.mobility import MobilityError, RandomWaypointModel, Trajectory
 from adhocloc.protocols.base import MobileCode, ScenarioContext
 from adhocloc.radio import PER_HOP_LATENCY, MessageLedger, Radio
 
@@ -49,3 +52,26 @@ def jump_code(protocol, new_host, t):
     code.jumps += 1
     code.host = new_host
     protocol.on_code_jump(old_host, new_host, t)
+
+
+class MobilityBand(Enum):
+    LOW = "low"
+    MEDIUM = "medium"
+    HIGH = "high"
+
+
+#: band boundaries: Mob in (0, 3] is low, (3, 8] medium, above 8 high
+BAND_LOW_MAX = 3.0
+BAND_MEDIUM_MAX = 8.0
+
+
+def classify_mobility(mob: float) -> MobilityBand:
+    """The band a measured Mob falls in: the calibration oracle for the
+    node-speed presets."""
+    if mob <= 0:
+        raise MobilityError(f"mobility must be positive to classify, got {mob}")
+    if mob <= BAND_LOW_MAX:
+        return MobilityBand.LOW
+    if mob <= BAND_MEDIUM_MAX:
+        return MobilityBand.MEDIUM
+    return MobilityBand.HIGH

@@ -16,10 +16,10 @@ import pytest
 from adhocloc.config import NODE_SPEED_PRESETS, PROTOCOLS, ScenarioConfig
 from adhocloc.engine import RngStreams
 from adhocloc.geometry import ZoneLayout, centroid, dist, elect_server
-from adhocloc.mobility import (MobilityBand, RandomWaypointModel, Trajectory,
-                               classify_mobility, network_mobility)
+from adhocloc.mobility import RandomWaypointModel, Trajectory, network_mobility
 from adhocloc.scenario import run_scenario
 from adhocloc.sweep import report_to_row, write_csv
+from conftest import MobilityBand, classify_mobility
 
 GRID_LAMBDAS = (0.1, 0.25, 1.0)
 SEEDS = (1, 2, 3, 4, 5)
@@ -166,11 +166,22 @@ class TestDeterminism:
                     "ServerUpdate": 246},
              59, 0, 0.12680587269082147),
             id="zoned4-high"),
+        pytest.param(
+            # a fast code under heavy load: walks park and resume, and the
+            # replies of three requests find no route, so they fail
+            {"protocol": "forwarder_proactive", "node_mob": "high",
+             "code_band": "high", "lam": 4.0},
+            (2747, {"ChainCheck": 499, "ChainRepairFlood": 573,
+                    "ChainRepairReply": 270, "LocateReply": 433,
+                    "LocateRequest": 972},
+             205, 3, 0.1260478000649053),
+            id="forwarder_proactive-high-load-failing"),
     ])
     def test_protocol_outputs_are_pinned(self, overrides, expected):
         # exact figures of a full run: a refactor of the protocols must
         # reproduce them, a behaviour change must update them on purpose
-        cfg = ScenarioConfig().replace(lam=1.0, seed=3, duration=60.0, **overrides)
+        cfg = ScenarioConfig().replace(**{"lam": 1.0, "seed": 3, "duration": 60.0,
+                                          **overrides})
         report = run_scenario(cfg).report
         got = (report.total_messages, report.by_kind, report.n_resolved,
                report.n_failed, report.rtime_s)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from adhocloc.engine import RngStreams
-from adhocloc.mobility import (BAND_LOW_MAX, BAND_MEDIUM_MAX, MobilityBand,
-                               MobilityError, RandomWaypointModel, Trajectory,
-                               classify_mobility, network_mobility,
-                               separation_matrix, write_trajectory_csv)
-from conftest import scripted_model, static_model
+from adhocloc.mobility import (MobilityError, RandomWaypointModel, Trajectory,
+                               network_mobility, separation_matrix,
+                               write_trajectory_csv)
+from conftest import (BAND_LOW_MAX, BAND_MEDIUM_MAX, MobilityBand,
+                      classify_mobility, scripted_model, static_model)
 
 
 def avg_separation(model, node, t):

@@ -51,8 +51,7 @@ class TestServerAgent:
     def test_entry_count_spans_both_tables(self):
         agent = ServerAgent(Engine(), host=0)
         agent.code_db[7] = 3
-        agent.station_pos[0] = (1.0, 2.0)
-        agent.station_pos[4] = (3.0, 4.0)
+        agent.stations.update((0, 4))
         assert agent.entry_count() == 3
 
 
@@ -71,8 +70,7 @@ class TestElection:
                             central_report_period=1.0)
         proto.engine.run_until(2.2)
         assert proto.ctx.ledger.by_kind["PositionReport"] >= 6
-        assert sorted(proto.agent.station_pos) == [0, 1, 2, 3, 4, 5]
-        assert proto.agent.station_pos[5] == (350.0, -100.0)
+        assert sorted(proto.agent.stations) == [0, 1, 2, 3, 4, 5]
         assert proto.agent.entry_count() == 7
 
 

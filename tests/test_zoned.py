@@ -112,33 +112,31 @@ class TestDatabaseUpkeep:
                 knots[1] = [(0.0, 60.0, 150.0), (1.0, 60.0, 150.0),
                             (1.2, 60.0, 1000.0), (4.0, 60.0, 1000.0)]
             proto = make_zoned(scripted_model(knots), host=2, report_period=0.5)
-            pops = []
+            drops = []
 
-            class Table(dict):
-                def pop(self, node, default=None):
-                    pops.append((proto.engine.now, node))
-                    return super().pop(node, default)
+            class Table(set):
+                def discard(self, node):
+                    drops.append((proto.engine.now, node))
+                    super().discard(node)
 
-            proto.agents[0].station_pos = Table()
+            proto.agents[0].stations = Table()
             proto.engine.run_until(3.0)
             assert proto.last_zone[0] == 1
             reports = [(r.t, r.dst) for r in proto.ctx.ledger.rows
                        if r.kind is MessageKind.POSITION_REPORT and r.src == 0]
             crossed = min(t for t, dst in reports if dst == 3)
             holders = [zone for zone, agent in enumerate(proto.agents)
-                       if 0 in agent.station_pos]
-            assert proto.agents[1].station_pos[0] == pytest.approx((-120.0, 80.0))
+                       if 0 in agent.stations]
             if undeliverable:
                 # nothing tells zone 0 of the move, so its entry stays
                 assert (crossed, 1) not in reports
-                assert pops == [] and holders == [0, 1]
-                assert proto.agents[0].station_pos[0] == (150.0, 80.0)
+                assert drops == [] and holders == [0, 1]
             else:
                 # the charged drop removes the entry once zone 0's agent has
                 # processed it, and nothing else does
                 assert (crossed, 1) in reports
-                [(popped_at, node)] = pops
-                assert node == 0 and popped_at > crossed
+                [(dropped_at, node)] = drops
+                assert node == 0 and dropped_at > crossed
                 assert holders == [1]
 
 
