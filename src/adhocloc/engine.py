@@ -25,8 +25,7 @@ class EventKind(Enum):
 
 @dataclass(slots=True)
 class Event:
-    fire_at: float
-    sequence: int
+    """A pending action; its time and sequence live in the queue's heap entry."""
     kind: EventKind
     action: Optional[Callable[[], None]]
     cancelled: bool = False
@@ -54,10 +53,10 @@ class Engine:
     def schedule(self, fire_at: float, kind: EventKind, action: Callable[[], None]) -> Event:
         if fire_at < self.now:
             raise SimulationError(f"cannot schedule at {fire_at:.6f}, clock is at {self.now:.6f}")
-        ev = Event(fire_at, self._seq, kind, action)
+        ev = Event(kind, action)
+        heapq.heappush(self._heap, (fire_at, self._seq, ev))
         self._seq += 1
         self.scheduled += 1
-        heapq.heappush(self._heap, (fire_at, ev.sequence, ev))
         return ev
 
     def run_until(self, t_end: float) -> int:
@@ -92,7 +91,9 @@ STREAM_NAMES = ("mobility", "workload", "code-migration", "protocol")
 
 
 class RngStreams:
-    """Independent, named PCG64 streams derived from one scenario seed.
+    """Independent PCG64 streams derived from one scenario seed: `workload`,
+    `code_migration` and `protocol`, plus keyed substreams such as one
+    mobility stream per node.
 
     Consuming draws from one stream never perturbs another, so e.g. the same
     node trajectories appear under every protocol at a given seed.
@@ -100,34 +101,13 @@ class RngStreams:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gens = {
-            name: np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, i))))
-            for i, name in enumerate(STREAM_NAMES)
-        }
-
-    def get(self, name: str) -> np.random.Generator:
-        try:
-            return self._gens[name]
-        except KeyError:
-            raise KeyError(f"unknown RNG stream {name!r}, have {STREAM_NAMES}") from None
+        self.workload = self._stream(STREAM_NAMES.index("workload"))
+        self.code_migration = self._stream(STREAM_NAMES.index("code-migration"))
+        self.protocol = self._stream(STREAM_NAMES.index("protocol"))
 
     def substream(self, name: str, key: int) -> np.random.Generator:
         """A child stream, e.g. one per node, stable under any draw interleaving."""
-        idx = STREAM_NAMES.index(name)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, idx, int(key)))))
+        return self._stream(STREAM_NAMES.index(name), int(key))
 
-    @property
-    def mobility(self) -> np.random.Generator:
-        return self._gens["mobility"]
-
-    @property
-    def workload(self) -> np.random.Generator:
-        return self._gens["workload"]
-
-    @property
-    def code_migration(self) -> np.random.Generator:
-        return self._gens["code-migration"]
-
-    @property
-    def protocol(self) -> np.random.Generator:
-        return self._gens["protocol"]
+    def _stream(self, *key: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, *key))))

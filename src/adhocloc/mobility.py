@@ -192,8 +192,9 @@ def network_mobility(model: RandomWaypointModel, duration: float, dt: float) -> 
 
 def write_trajectory_csv(model: RandomWaypointModel, duration: float, dt: float,
                          fh: IO[str]) -> int:
-    """Dump sampled positions as (node_id, t, x, y) rows; returns the row count."""
-    times = np.arange(0.0, duration + dt / 2, dt)
+    """Dump positions sampled on the Mob metric's grid, which ends within the
+    run, as (node_id, t, x, y) rows; returns the row count."""
+    times = _sample_times(duration, dt)
     block = model.positions_block(times)
     writer = csv.writer(fh)
     writer.writerow(["node_id", "t", "x", "y"])

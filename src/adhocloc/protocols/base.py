@@ -19,12 +19,10 @@ class ProtocolError(RuntimeError):
 
 @dataclass
 class MobileCode:
-    """The roaming code: identity, current host, migration band, mother station."""
-    code_id: int
+    """The one roaming code a run localizes: its mother station, its current
+    host and the number of jumps it has made."""
     mother: int
     host: int
-    jump_rate: float
-    band: str
     jumps: int = 0
 
 
@@ -65,10 +63,10 @@ class LocalizationProtocol:
               then: Callable[[], None], request_id: Optional[int] = None) -> bool:
         """Unicast src -> dst at t and run `then` at the arrival; False when
         the message cannot be delivered."""
-        delivery = self.radio.unicast(src, dst, kind, t, request_id=request_id)
-        if delivery is None:
+        arrival = self.radio.unicast(src, dst, kind, t, request_id=request_id)
+        if arrival is None:
             return False
-        self.engine.schedule(delivery.arrival, EventKind.MESSAGE_DELIVERY, then)
+        self.engine.schedule(arrival, EventKind.MESSAGE_DELIVERY, then)
         return True
 
     # -- request outcomes ----------------------------------------------------
@@ -112,7 +110,7 @@ class CodeMigrationProcess:
         self._schedule_next(0.0)
 
     def _schedule_next(self, t: float) -> None:
-        delay = float(self.rng.exponential(1.0 / self.ctx.code.jump_rate))
+        delay = float(self.rng.exponential(1.0 / self.ctx.cfg.jump_rate))
         self.ctx.engine.schedule(t + delay, EventKind.CODE_MIGRATION, self._jump)
 
     def _jump(self) -> None:

@@ -153,17 +153,17 @@ class ForwarderProtocol(LocalizationProtocol):
             # must search for the chain itself
             self._break(record, walk, station, None, t, force_repair=True)
             return
-        hop = self.radio.direct(station, entry.next_hop,
-                                MessageKind.LOCATE_REQUEST, t,
-                                request_id=record.request_id)
-        if hop is None:
+        arrival = self.radio.direct(station, entry.next_hop,
+                                    MessageKind.LOCATE_REQUEST, t,
+                                    request_id=record.request_id)
+        if arrival is None:
             self.engine.schedule(t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
                                  lambda: self._break(record, walk, station, entry,
                                                      self.engine.now))
             return
         walk.seen.add(station)
         nxt = entry.next_hop
-        self.engine.schedule(hop.arrival, EventKind.MESSAGE_DELIVERY,
+        self.engine.schedule(arrival, EventKind.MESSAGE_DELIVERY,
                              lambda: self._advance(record, walk, nxt))
 
     def _complete(self, record: RequestRecord, replier: int, truth: int) -> None:
@@ -212,7 +212,7 @@ class ForwarderProtocol(LocalizationProtocol):
                 # nobody reachable can extend it, so the request is lost
                 self._fail(record, self.engine.now)
 
-        self._start_repair(station, t, record.request_id, resume)
+        self._repair(station, anchor, t, record.request_id, resume)
 
     def _park_timeout(self, record: RequestRecord, station: int) -> None:
         waiting = self._parked.get(station)
@@ -240,24 +240,18 @@ class ForwarderProtocol(LocalizationProtocol):
             probe = self.radio.direct(station, entry.next_hop,
                                       MessageKind.CHAIN_CHECK, t)
             if probe is None:
+                # _repair stands down if the entry is rewired during the ack wait
                 self._repair_active.add(station)
                 self.engine.schedule(
                     t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
-                    lambda s=station, e=entry: self._tick_repair_start(s, e))
+                    lambda s=station, e=entry: self._repair(
+                        s, e, self.engine.now, None,
+                        lambda ok: self._tick_repair_done(s, ok)))
             elif station in self._parked:
                 # the link healed on its own; waiting walks can move again
                 self._release_parked(station)
         self.engine.schedule(t + CHAIN_CHECK_PERIOD,
                              EventKind.CHAIN_CHECK_TICK, self._chain_tick)
-
-    def _tick_repair_start(self, station: int, probed: ForwarderEntry) -> None:
-        entry = self.entries.get(station)
-        if entry is not probed:
-            # rewired while the ack timed out; nothing left to repair here
-            self._repair_active.discard(station)
-            return
-        self._start_repair(station, self.engine.now, None,
-                           lambda ok: self._tick_repair_done(station, ok))
 
     def _tick_repair_done(self, station: int, success: bool) -> None:
         self._repair_active.discard(station)
@@ -268,25 +262,18 @@ class ForwarderProtocol(LocalizationProtocol):
 
     # -- repair ------------------------------------------------------------------
 
-    def _start_repair(self, station: int, t: float, request_id: Optional[int],
-                      on_done: Callable[[bool], None]) -> None:
-        # the searcher's entry object anchors the repair: if it is replaced
-        # or dropped while search messages are in flight, the repair is
-        # acting on a chain that no longer exists and must stand down. A
-        # searcher with no entry is off the chain: every member may answer it
-        anchor = self.entries.get(station)
-        searcher_order = anchor.order if anchor is not None else -1.0
-        self._repair_round(station, searcher_order, anchor, t, request_id,
-                           on_done, REPAIR_TTL)
-
-    def _repair_round(self, station: int, searcher_order: float,
-                      anchor: Optional[ForwarderEntry], t: float,
-                      request_id: Optional[int],
-                      on_done: Callable[[bool], None],
-                      ttl: Optional[int]) -> None:
+    def _repair(self, station: int, anchor: Optional[ForwarderEntry], t: float,
+                request_id: Optional[int], on_done: Callable[[bool], None],
+                ttl: Optional[int] = REPAIR_TTL) -> None:
+        """One search round around `station`. `anchor` is the station's entry
+        when the break was seen; a searcher with no entry is off the chain,
+        and every member may answer it. If the entry is replaced or dropped
+        while search messages are in flight, the repair is acting on a chain
+        that no longer exists and stands down through on_done(False)."""
         if self.entries.get(station) is not anchor:
             on_done(False)
             return
+        searcher_order = anchor.order if anchor is not None else -1.0
         lat = self.radio.latency
         flood = self.radio.flood(station, MessageKind.CHAIN_REPAIR_FLOOD, t,
                                  ttl=ttl, request_id=request_id)
@@ -308,10 +295,10 @@ class ForwarderProtocol(LocalizationProtocol):
         replies: List[Tuple[float, int]] = []
         for x in candidates:
             sent_at = t + flood.depths[x] * lat
-            reply = self.radio.unicast(x, station, MessageKind.CHAIN_REPAIR_REPLY,
-                                       sent_at, request_id=request_id)
-            if reply is not None:
-                replies.append((reply.arrival, x))
+            arrival = self.radio.unicast(x, station, MessageKind.CHAIN_REPAIR_REPLY,
+                                         sent_at, request_id=request_id)
+            if arrival is not None:
+                replies.append((arrival, x))
 
         if sought is not None and flood.depths[sought] >= 0:
             sought_depth = flood.depths[sought]
@@ -326,9 +313,8 @@ class ForwarderProtocol(LocalizationProtocol):
                 retry_at = t + 2 * ttl * lat
                 self.engine.schedule(
                     retry_at, EventKind.TIMER_EXPIRY,
-                    lambda: self._repair_round(station, searcher_order, anchor,
-                                               retry_at, request_id, on_done,
-                                               None))
+                    lambda: self._repair(station, anchor, retry_at, request_id,
+                                         on_done, None))
             else:
                 give_up_at = t + 2 * max(1, self.radio.diameter(t)) * lat
                 self.engine.schedule(give_up_at, EventKind.TIMER_EXPIRY,
@@ -345,12 +331,10 @@ class ForwarderProtocol(LocalizationProtocol):
         resume_at = max(arrival for arrival, _ in replies)
         self.engine.schedule(
             resume_at, EventKind.TIMER_EXPIRY,
-            lambda: self._finish_repair(station, searcher_order, anchor, best,
-                                        path, on_done))
+            lambda: self._finish_repair(station, anchor, best, path, on_done))
 
-    def _finish_repair(self, station: int, searcher_order: float,
-                       anchor: Optional[ForwarderEntry], best: int,
-                       path: Tuple[int, ...],
+    def _finish_repair(self, station: int, anchor: Optional[ForwarderEntry],
+                       best: int, path: Tuple[int, ...],
                        on_done: Callable[[bool], None]) -> None:
         code = self.code
         if path[0] != station or path[-1] != best:
@@ -364,6 +348,7 @@ class ForwarderProtocol(LocalizationProtocol):
             # in flight; grafting onto it would wire in a dead end
             on_done(False)
             return
+        searcher_order = anchor.order if anchor is not None else -1.0
         start_order = 0.0 if station == code.mother else searcher_order
         end_order = e_best.order if e_best is not None else float(code.jumps)
         if start_order < 0.0:

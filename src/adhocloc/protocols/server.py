@@ -49,15 +49,16 @@ class ServerAgent:
 
     `process` enqueues a unit of work arriving at `arrival`, schedules
     `action` at its completion instant and returns that instant.
-    `code_db` maps each code to its reported host; `stations` holds the ids
-    of the stations whose position reports the agent has processed.
+    `code_host` is the code's host as last reported to this agent, None
+    when it holds no code entry; `stations` holds the ids of the stations
+    whose position reports the agent has processed.
     """
 
     def __init__(self, engine: Engine, host: int):
         self.engine = engine
         self.host = host
         self.busy_until = 0.0
-        self.code_db: Dict[int, int] = {}
+        self.code_host: Optional[int] = None
         self.stations: set[int] = set()
         self.processed = 0
 
@@ -70,7 +71,7 @@ class ServerAgent:
         return done
 
     def entry_count(self) -> int:
-        return len(self.code_db) + len(self.stations)
+        return len(self.stations) + (self.code_host is not None)
 
 
 class ServerProtocol(LocalizationProtocol):
@@ -222,11 +223,10 @@ class CentralizedProtocol(ServerProtocol):
 
     def _send_location_update(self, src: int, t: float) -> None:
         claimed = self.code.host
-        code_id = self.code.code_id
 
         def stored(ok: bool) -> None:
             if ok:
-                self.agent.code_db[code_id] = claimed
+                self.agent.code_host = claimed
 
         self._to_agent(src, MessageKind.SERVER_UPDATE, t, None, stored)
 
@@ -284,7 +284,7 @@ class CentralizedProtocol(ServerProtocol):
 
     def _attempt(self, record: RequestRecord, retries_left: int) -> None:
         def served(ok: bool) -> None:
-            claimed = self.agent.code_db.get(self.code.code_id) if ok else None
+            claimed = self.agent.code_host if ok else None
             if claimed is None:
                 self._retry(record, retries_left)
             else:

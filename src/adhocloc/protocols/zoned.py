@@ -95,15 +95,13 @@ class ZonedProtocol(ServerProtocol):
         previous = self.sdb_zone
         self._send_sdb_insert(new_host, zone, t)
         if previous is not None and previous != zone:
-            code_id = self.code.code_id
             self._to_zone(new_host, previous, MessageKind.SERVER_UPDATE, t,
-                          lambda: self.agents[previous].code_db.pop(code_id, None))
+                          lambda: setattr(self.agents[previous], "code_host", None))
 
     def _send_sdb_insert(self, host: int, zone: int, t: float) -> None:
-        code_id = self.code.code_id
         self.sdb_zone = zone
         self._to_zone(host, zone, MessageKind.SERVER_UPDATE, t,
-                      lambda: self.agents[zone].code_db.__setitem__(code_id, host))
+                      lambda: setattr(self.agents[zone], "code_host", host))
 
     # -- elections ---------------------------------------------------------------
 
@@ -136,7 +134,7 @@ class ZonedProtocol(ServerProtocol):
                forwards_left: int) -> None:
         """Runs at a zone agent when it finishes processing the query."""
         agent = self.agents[zone]
-        claimed = agent.code_db.get(self.code.code_id)
+        claimed = agent.code_host
         if claimed is not None:
             self._reply(record, retries_left, agent.host, claimed)
         elif forwards_left <= 0:

@@ -112,13 +112,6 @@ class MessageLedger:
 
 
 @dataclass(slots=True)
-class Delivery:
-    hops: int
-    arrival: float
-    path: tuple[int, ...] = ()
-
-
-@dataclass(slots=True)
 class FloodResult:
     origin: int
     depths: list[int]           # -1 where unreached
@@ -259,14 +252,15 @@ class Radio:
     # -- transmissions ------------------------------------------------------
 
     def unicast(self, src: int, dst: int, kind: MessageKind, t: float,
-                request_id: Optional[int] = None) -> Optional[Delivery]:
-        """Route src -> dst on the snapshot at t, walking hop by hop.
+                request_id: Optional[int] = None) -> Optional[float]:
+        """Route src -> dst on the snapshot at t, walking hop by hop; returns
+        the arrival time, or None when the message is not delivered.
 
         The path is planned once on the send-time snapshot; each hop's link is
         re-validated at that hop's own send instant, so a topology change can
         break delivery mid-path. Charges one unit per hop actually traversed.
-        Returns None when unreachable (nothing delivered); a send to self
-        is delivered at once for zero units.
+        A send to self arrives at t for zero units, so test for None, not for
+        a false value.
         """
         path = self.route(src, dst, t)
         if path is None:
@@ -279,18 +273,19 @@ class Radio:
                 return None
             traversed += 1
         self.ledger.charge(kind, src, dst, traversed, t, request_id)
-        return Delivery(traversed, t + traversed * self.latency, path)
+        return t + traversed * self.latency
 
     def direct(self, src: int, dst: int, kind: MessageKind, t: float,
-               request_id: Optional[int] = None) -> Optional[Delivery]:
-        """Single-hop send; fails (charging nothing) when dst is out of range."""
+               request_id: Optional[int] = None) -> Optional[float]:
+        """Single-hop send; returns the arrival time, or None (charging
+        nothing) when dst is out of range."""
         if src == dst:
             self.ledger.charge(kind, src, dst, 0, t, request_id)
-            return Delivery(0, t, (src,))
+            return t
         if not self.in_range(src, dst, t):
             return None
         self.ledger.charge(kind, src, dst, 1, t, request_id)
-        return Delivery(1, t + self.latency, (src, dst))
+        return t + self.latency
 
     def flood(self, origin: int, kind: MessageKind, t: float,
               ttl: Optional[int] = None, request_id: Optional[int] = None,

@@ -98,8 +98,7 @@ def run_scenario(cfg: ScenarioConfig, trace: bool = False) -> ScenarioResult:
                                 horizon=cfg.duration)
     ledger = MessageLedger()
     radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
-    code = MobileCode(code_id=0, mother=cfg.mother, host=cfg.mother,
-                      jump_rate=cfg.jump_rate, band=cfg.code_band)
+    code = MobileCode(mother=cfg.mother, host=cfg.mother)
     ctx = ScenarioContext(cfg, engine, streams, model, radio, ledger, code)
     protocol = make_protocol(cfg.protocol, ctx)
     mover = CodeMigrationProcess(ctx, protocol)

@@ -38,9 +38,7 @@ def build_ctx(model, mother=0, host=None, trace=False, **overrides):
     streams = RngStreams(cfg.seed)
     ledger = MessageLedger()
     radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
-    code = MobileCode(code_id=0, mother=mother,
-                      host=mother if host is None else host,
-                      jump_rate=cfg.jump_rate, band=cfg.code_band)
+    code = MobileCode(mother=mother, host=mother if host is None else host)
     return ScenarioContext(cfg=cfg, engine=engine, streams=streams, model=model,
                            radio=radio, ledger=ledger, code=code)
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from adhocloc.engine import (Engine, EventKind, RngStreams, STREAM_NAMES,
-                             SimulationError)
+from adhocloc.engine import Engine, EventKind, RngStreams, SimulationError
+
+#: the named streams RngStreams carries as attributes
+STREAMS = ("workload", "code_migration", "protocol")
 
 
 def test_events_fire_in_time_order():
@@ -110,8 +112,9 @@ class TestRngStreams:
     def test_same_seed_replays_identically(self):
         a = RngStreams(42)
         b = RngStreams(42)
-        for name in STREAM_NAMES:
-            assert np.array_equal(a.get(name).random(32), b.get(name).random(32))
+        for name in STREAMS:
+            assert np.array_equal(getattr(a, name).random(32),
+                                  getattr(b, name).random(32))
 
     def test_different_seeds_differ(self):
         a = RngStreams(1)
@@ -123,13 +126,13 @@ class TestRngStreams:
         noisy = RngStreams(7)
         noisy.workload.random(1000)
         noisy.protocol.random(1000)
-        assert np.array_equal(plain.mobility.random(32), noisy.mobility.random(32))
         assert np.array_equal(plain.code_migration.random(32),
                               noisy.code_migration.random(32))
 
     def test_streams_are_mutually_distinct(self):
         streams = RngStreams(3)
-        draws = [streams.get(name).random(16) for name in STREAM_NAMES]
+        draws = [getattr(streams, name).random(16) for name in STREAMS]
+        draws.append(streams.substream("mobility", 0).random(16))
         for i in range(len(draws)):
             for j in range(i + 1, len(draws)):
                 assert not np.array_equal(draws[i], draws[j])
@@ -147,15 +150,8 @@ class TestRngStreams:
         forked = RngStreams(11)
         for key in range(8):
             forked.substream("mobility", key).random(64)
-        assert np.array_equal(plain.mobility.random(16), forked.mobility.random(16))
+        assert np.array_equal(plain.workload.random(16), forked.workload.random(16))
 
     def test_unknown_stream_name_raises(self):
-        with pytest.raises(KeyError):
-            RngStreams(1).get("weather")
-
-    def test_properties_alias_the_named_streams(self):
-        streams = RngStreams(5)
-        assert streams.mobility is streams.get("mobility")
-        assert streams.workload is streams.get("workload")
-        assert streams.code_migration is streams.get("code-migration")
-        assert streams.protocol is streams.get("protocol")
+        with pytest.raises(ValueError):
+            RngStreams(1).substream("weather", 0)

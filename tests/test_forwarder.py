@@ -4,6 +4,7 @@ import pytest
 
 from adhocloc.metrics import RequestRecord
 from adhocloc.protocols.forwarder import ForwarderEntry, ForwarderProtocol
+from adhocloc.radio import MessageKind
 from conftest import build_ctx, jump_code, scripted_model, static_model
 
 LINE4 = [(0, 0), (200, 0), (400, 0), (600, 0)]
@@ -129,6 +130,23 @@ class TestMaintenance:
                                  3: ForwarderEntry(2, 1.0)}
         # maintenance traffic is not billed to any request
         assert proto.ctx.ledger.units_for_request(None) == proto.ctx.ledger.recount()
+
+    def test_tick_repair_stands_down_when_the_entry_goes_during_the_ack_wait(self):
+        # the 1 -> 2 link is out of range, so the 1 s tick's probe fails;
+        # the code lands on station 1 before the ack timeout runs out
+        proto = make_forwarder(static_model([(0, 0), (200, 0), (600, 0)]),
+                               proactive=True)
+        proto.start()
+        jump_code(proto, 1, 0.1)
+        jump_code(proto, 2, 0.2)
+        proto.engine.run_until(1.01)
+        assert proto._repair_active == {1}
+        jump_code(proto, 1, 1.01)     # drops station 1's pointer
+        proto.engine.run_until(1.5)
+        floods = [r for r in proto.ctx.ledger.rows
+                  if r.kind is MessageKind.CHAIN_REPAIR_FLOOD and r.src == 1]
+        assert floods == []
+        assert proto._repair_active == set()
 
 
 class TestWalkRepairs:

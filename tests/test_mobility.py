@@ -205,3 +205,9 @@ def test_trajectory_csv_dump_shape():
     assert len(lines) == 1 + rows
     assert lines[1] == "0,0,0,0"
     assert lines[-1] == "1,5,10,20"
+    # a step that does not divide the run stops at its last sample within it
+    buf = io.StringIO()
+    assert write_trajectory_csv(model, 2.0, 0.3, buf) == 2 * 7
+    times = [float(line.split(",")[1]) for line in buf.getvalue().splitlines()[1:]]
+    assert max(times) <= 2.0
+    assert max(times) == pytest.approx(1.8)

@@ -10,9 +10,10 @@ from adhocloc import kernels
 from adhocloc.config import PROTOCOLS, ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
+from adhocloc.protocols.base import LocalizationProtocol
 from adhocloc.radio import BROADCAST, LinkTimeline, MessageKind, MessageLedger, Radio
 from adhocloc.scenario import run_scenario
-from conftest import scripted_model, static_model
+from conftest import build_ctx, scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
 
 LINE = [(0, 0), (200, 0), (400, 0), (600, 0)]
@@ -92,18 +93,25 @@ class TestLinks:
 class TestUnicast:
     def test_self_send_is_free_and_instant(self):
         radio, ledger = line_radio()
-        out = radio.unicast(2, 2, MessageKind.DATA, 1.0)
-        assert out.hops == 0
-        assert out.arrival == 1.0
-        assert out.path == (2,)
+        assert radio.unicast(2, 2, MessageKind.DATA, 1.0) == 1.0
+        assert ledger.rows[-1].units == 0
+        assert radio.route(2, 2, 1.0) == (2,)
+        # an arrival at t = 0 is a delivery, though 0.0 is a false value
+        assert radio.unicast(2, 2, MessageKind.DATA, 0.0) == 0.0
         assert ledger.recount() == 0
+        proto = LocalizationProtocol(build_ctx(static_model(LINE)))
+        ran = []
+        assert proto._send(2, 2, MessageKind.DATA, 0.0,
+                           lambda: ran.append(proto.engine.now)) is True
+        proto.engine.run_until(0.0)
+        assert ran == [0.0]
 
     def test_multi_hop_delivery_charges_one_unit_per_hop(self):
         radio, ledger = line_radio()
-        out = radio.unicast(0, 3, MessageKind.DATA, 2.0, request_id=9)
-        assert out.hops == 3
-        assert out.path == (0, 1, 2, 3)
-        assert out.arrival == pytest.approx(2.03)
+        arrival = radio.unicast(0, 3, MessageKind.DATA, 2.0, request_id=9)
+        assert arrival == pytest.approx(2.03)
+        assert ledger.rows[-1].units == 3
+        assert radio.route(0, 3, 2.0) == (0, 1, 2, 3)
         assert ledger.units_for_request(9) == 3
 
     def test_unreachable_destination_returns_none_uncharged(self):
@@ -149,8 +157,8 @@ class TestUnicast:
 class TestDirect:
     def test_one_hop_within_range(self):
         radio, ledger = line_radio()
-        out = radio.direct(1, 2, MessageKind.CHAIN_CHECK, 0.5)
-        assert out.hops == 1 and out.arrival == pytest.approx(0.51)
+        assert radio.direct(1, 2, MessageKind.CHAIN_CHECK, 0.5) == pytest.approx(0.51)
+        assert ledger.rows[-1].units == 1
         assert ledger.recount() == 1
 
     def test_out_of_range_is_silent_and_free(self):

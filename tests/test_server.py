@@ -50,7 +50,7 @@ class TestServerAgent:
 
     def test_entry_count_spans_both_tables(self):
         agent = ServerAgent(Engine(), host=0)
-        agent.code_db[7] = 3
+        agent.code_host = 3
         agent.stations.update((0, 4))
         assert agent.entry_count() == 3
 
@@ -63,7 +63,7 @@ class TestElection:
         proto.engine.run_until(0.05)
         # the announcement flood and the host's first location update land
         assert proto.known_server == [2] * 6
-        assert proto.agent.code_db == {0: 3}
+        assert proto.agent.code_host == 3
 
     def test_stations_report_positions_on_a_jittered_cadence(self):
         proto = make_server(static_model(CLUSTER6), host=3,

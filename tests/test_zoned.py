@@ -43,8 +43,8 @@ class TestPartition:
         assert [a.host for a in proto.agents] == [1, 3, 5, 7]
         assert proto.sdb_zone == 1
         proto.engine.run_until(0.1)
-        assert proto.agents[1].code_db == {0: 2}
-        assert [bool(a.code_db) for a in proto.agents] == [False, True, False, False]
+        assert proto.agents[1].code_host == 2
+        assert [a.code_host is not None for a in proto.agents] == [False, True, False, False]
 
 
 class TestRequestPath:
@@ -73,7 +73,7 @@ class TestRequestPath:
         proto = make_zoned(static_model(BOX8), host=2)
         proto.engine.run_until(1.0)
         for agent in proto.agents:
-            agent.code_db.clear()
+            agent.code_host = None
         record = issue(proto)
         proto.engine.run_until(4.0)
         # every attempt rings all four agents and buys a charged not-found
@@ -91,8 +91,8 @@ class TestDatabaseUpkeep:
         jump_code(proto, 4, 1.0)      # zone 1 into zone 2
         assert proto.sdb_zone == 2
         proto.engine.run_until(1.5)
-        assert proto.agents[2].code_db == {0: 4}
-        assert proto.agents[1].code_db == {}
+        assert proto.agents[2].code_host == 4
+        assert proto.agents[1].code_host is None
         proto.engine.run_until(2.0)
         record = issue(proto)
         proto.engine.run_until(4.0)
