@@ -16,7 +16,7 @@ from .config import (ConfigError, ScenarioConfig, _parse_value, load_config_file
                      parse_assignments)
 from .metrics import MetricsError
 from .mobility import write_trajectory_csv
-from .scenario import InvariantViolation, ScenarioResult, run_scenario
+from .scenario import ScenarioResult, run_scenario
 from .sweep import comparison_table, report_to_row, run_sweep, write_csv, _fmt
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantViolation, MetricsError) as err:
+    except MetricsError as err:
         print(f"invariant violated: {err}", file=sys.stderr)
         return EXIT_INVARIANT
 

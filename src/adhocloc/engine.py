@@ -45,7 +45,6 @@ class Engine:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self.scheduled = 0
         self.executed = 0
         self.skipped_cancelled = 0
         self.trace: Optional[list[tuple[float, int, str]]] = [] if trace else None
@@ -56,7 +55,6 @@ class Engine:
         ev = Event(kind, action)
         heapq.heappush(self._heap, (fire_at, self._seq, ev))
         self._seq += 1
-        self.scheduled += 1
         return ev
 
     def run_until(self, t_end: float) -> int:

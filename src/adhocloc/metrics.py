@@ -11,7 +11,7 @@ from .radio import MessageLedger
 
 
 class MetricsError(ValueError):
-    """Undefined metric (no measured requests) or inconsistent accounting."""
+    """Inconsistent accounting: the ledger total disagrees with its recount."""
 
 
 @dataclass(slots=True)
@@ -76,8 +76,9 @@ class MetricsReport:
         return self.total_messages / self.n_requests
 
 
-def compute_rtime(records: Sequence[RequestRecord]) -> float:
-    """Mean request duration in seconds over measured resolved + failed requests.
+def compute_rtime(records: Sequence[RequestRecord]) -> Optional[float]:
+    """Mean request duration in seconds over measured resolved + failed
+    requests; None when no measured request completed.
 
     Failed requests contribute the time until their failure was declared;
     requests still in flight at the end of the run are excluded.
@@ -85,7 +86,7 @@ def compute_rtime(records: Sequence[RequestRecord]) -> float:
     durations = [r.duration for r in records
                  if not r.warmup and r.duration is not None]
     if not durations:
-        raise MetricsError("Rtime undefined: no completed measured requests")
+        return None
     return sum(durations) / len(durations)
 
 
@@ -101,10 +102,6 @@ def build_report(cfg: ScenarioConfig, measured_mob: float,
         raise MetricsError(f"ledger total {total} != raw-log recount {recount}")
     checked = [r for r in measured
                if r.status == "resolved" and r.returned_host is not None]
-    try:
-        rtime = compute_rtime(records)
-    except MetricsError:
-        rtime = None
     return MetricsReport(
         protocol=cfg.protocol,
         lam=cfg.lam,
@@ -119,7 +116,7 @@ def build_report(cfg: ScenarioConfig, measured_mob: float,
         n_warmup=len(records) - len(measured),
         total_messages=total,
         by_kind=dict(sorted(ledger.by_kind.items())),
-        rtime_s=rtime,
+        rtime_s=compute_rtime(records),
         aborted=aborted,
         truth_checked=len(checked),
         truth_matches=sum(1 for r in checked if r.returned_host == r.truth_host),

@@ -40,8 +40,6 @@ class ScenarioContext:
 class LocalizationProtocol:
     """Interface the harness drives: bootstrap, migration side effects, locates."""
 
-    name = "?"
-
     def __init__(self, ctx: ScenarioContext):
         self.ctx = ctx
         self.cfg = ctx.cfg

@@ -91,9 +91,10 @@ class ForwarderProtocol(LocalizationProtocol):
     def __init__(self, ctx: ScenarioContext, proactive: bool):
         super().__init__(ctx)
         self.proactive = proactive
-        self.name = "forwarder_proactive" if proactive else "forwarder_reactive"
         self.entries: Dict[int, ForwarderEntry] = {}
-        # station -> (record, walk, timeout event) per walk waiting for a tick repair
+        # station -> (record, walk, timeout event) per walk waiting for a tick
+        # repair; a walk whose timeout failed it stays listed, and releasing
+        # it is harmless because _advance returns at once on a done record
         self._parked: Dict[int, List[Tuple[RequestRecord, _WalkState, Event]]] = {}
         self._repair_active: set[int] = set()
         self._max_steps = MAX_WALK_FACTOR * ctx.cfg.n_nodes
@@ -146,12 +147,12 @@ class ForwarderProtocol(LocalizationProtocol):
         if station in walk.seen:
             # the chain wrapped back on itself through stale pointers; the
             # walk's own trail proves it, so repair right here
-            self._break(record, walk, station, entry, t, force_repair=True)
+            self._break(record, walk, station, entry, t)
             return
         if entry is None:
             # a station with no pointer has nothing to wait out: the walk
             # must search for the chain itself
-            self._break(record, walk, station, None, t, force_repair=True)
+            self._break(record, walk, station, None, t)
             return
         arrival = self.radio.direct(station, entry.next_hop,
                                     MessageKind.LOCATE_REQUEST, t,
@@ -177,20 +178,19 @@ class ForwarderProtocol(LocalizationProtocol):
     # -- break handling --------------------------------------------------------
 
     def _break(self, record: RequestRecord, walk: _WalkState, station: int,
-               anchor: Optional[ForwarderEntry], t: float,
-               force_repair: bool = False) -> None:
+               anchor: Optional[ForwarderEntry], t: float) -> None:
         if record.done:
             return
         if self.entries.get(station) is not anchor:
             # the chain was rewired while we waited out the ack; walk again
             self._advance(record, walk, station)
             return
-        if self.proactive and not force_repair:
-            # an ordinary link break; the periodic check will notice it too,
-            # so the walk parks and lets maintenance do the repair
+        if self.proactive and anchor is not None and station not in walk.seen:
+            # a broken pointer the walk has not followed before; the periodic
+            # check will notice it too, so the walk parks for that repair
             timeout_at = t + PROACTIVE_WAIT_TICKS * CHAIN_CHECK_PERIOD
             ev = self.engine.schedule(timeout_at, EventKind.TIMER_EXPIRY,
-                                      lambda: self._park_timeout(record, station))
+                                      lambda: self._fail(record, self.engine.now))
             self._parked.setdefault(station, []).append((record, walk, ev))
             return
         walk.repairs += 1
@@ -213,14 +213,6 @@ class ForwarderProtocol(LocalizationProtocol):
                 self._fail(record, self.engine.now)
 
         self._repair(station, anchor, t, record.request_id, resume)
-
-    def _park_timeout(self, record: RequestRecord, station: int) -> None:
-        waiting = self._parked.get(station)
-        if waiting:
-            self._parked[station] = [p for p in waiting if p[0] is not record]
-            if not self._parked[station]:
-                del self._parked[station]
-        self._fail(record, self.engine.now)
 
     def _release_parked(self, station: int) -> None:
         for record, walk, ev in self._parked.pop(station, []):
@@ -290,7 +282,6 @@ class ForwarderProtocol(LocalizationProtocol):
             e = self.entries.get(x)
             if e is not None and e.order > searcher_order:
                 candidates.append(x)
-        candidates.sort()
 
         replies: List[Tuple[float, int]] = []
         for x in candidates:

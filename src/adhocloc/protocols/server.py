@@ -47,8 +47,8 @@ SERVICE_TIME = 0.036
 class ServerAgent:
     """One FIFO worker taking SERVICE_TIME per message.
 
-    `process` enqueues a unit of work arriving at `arrival`, schedules
-    `action` at its completion instant and returns that instant.
+    `process` enqueues a unit of work arriving now and schedules `action`
+    at its completion instant.
     `code_host` is the code's host as last reported to this agent, None
     when it holds no code entry; `stations` holds the ids of the stations
     whose position reports the agent has processed.
@@ -62,13 +62,11 @@ class ServerAgent:
         self.stations: set[int] = set()
         self.processed = 0
 
-    def process(self, arrival: float, action: Callable[[], None]) -> float:
-        start = max(arrival, self.busy_until)
-        done = start + SERVICE_TIME
+    def process(self, action: Callable[[], None]) -> None:
+        done = max(self.engine.now, self.busy_until) + SERVICE_TIME
         self.busy_until = done
         self.processed += 1
         self.engine.schedule(done, EventKind.TIMER_EXPIRY, action)
-        return done
 
     def entry_count(self) -> int:
         return len(self.stations) + (self.code_host is not None)
@@ -79,10 +77,10 @@ class ServerProtocol(LocalizationProtocol):
 
     A request queries an agent (`_attempt`), whose answer names the code's
     host (`_reply`); the requester then contacts that host. Any undeliverable
-    leg or stale answer costs a re-query, up to MAX_RETRIES. Subclasses supply
-    `_attempt(record, retries_left)`, `_report(node, t)` and
-    `_reelect(pos, ref, t)`; `pos` holds every node's position, read from the
-    mobility model.
+    leg or stale answer costs a re-query, up to MAX_RETRIES, counted in
+    `record.retries`. Subclasses supply `_attempt(record)`, `_report(node, t)`
+    and `_reelect(pos, ref, t)`; `pos` holds every node's position, read from
+    the mobility model.
     """
 
     def __init__(self, ctx: ScenarioContext):
@@ -146,48 +144,42 @@ class ServerProtocol(LocalizationProtocol):
     def locate(self, record: RequestRecord) -> None:
         if self._local_hit(record):
             return
-        self._attempt(record, MAX_RETRIES)
+        self._attempt(record)
 
     def _leg(self, src: int, dst: int, kind: MessageKind, record: RequestRecord,
-             retries_left: int, then: Callable[[], None]) -> None:
+             then: Callable[[], None]) -> None:
         """Request-tagged unicast: re-query if undeliverable, else run
         `then` on arrival."""
         if not self._send(src, dst, kind, self.engine.now, then,
                           record.request_id):
-            self._retry(record, retries_left)
+            self._retry(record)
 
-    def _reply(self, record: RequestRecord, retries_left: int, server: int,
-               claimed: int) -> None:
+    def _reply(self, record: RequestRecord, server: int, claimed: int) -> None:
         """The agent at `server` answers the requester that `claimed` hosts
-        the code."""
+        the code; the requester then contacts `claimed`, which resolves the
+        request if it still holds the code."""
         truth = self.code.host
-        self._leg(server, self.code.mother, MessageKind.SERVER_REPLY, record,
-                  retries_left,
-                  lambda: self._reply_received(record, retries_left, claimed, truth))
+        mother = self.code.mother
 
-    def _reply_received(self, record: RequestRecord, retries_left: int,
-                        claimed: int, truth: int) -> None:
-        self._leg(self.code.mother, claimed, MessageKind.DATA, record, retries_left,
-                  lambda: self._contact_arrived(record, retries_left, claimed, truth))
+        def contacted() -> None:
+            if self.code.host == claimed:
+                self._resolve(record, self.engine.now, claimed, truth)
+            else:
+                self._retry(record)
 
-    def _contact_arrived(self, record: RequestRecord, retries_left: int,
-                         claimed: int, truth: int) -> None:
-        if self.code.host == claimed:
-            self._resolve(record, self.engine.now, claimed, truth)
-        else:
-            self._retry(record, retries_left)
+        self._leg(server, mother, MessageKind.SERVER_REPLY, record,
+                  lambda: self._leg(mother, claimed, MessageKind.DATA, record,
+                                    contacted))
 
-    def _retry(self, record: RequestRecord, retries_left: int) -> None:
-        if retries_left > 0:
+    def _retry(self, record: RequestRecord) -> None:
+        if record.retries < MAX_RETRIES:
             record.retries += 1
-            self._attempt(record, retries_left - 1)
+            self._attempt(record)
         else:
             self._fail(record, self.engine.now)
 
 
 class CentralizedProtocol(ServerProtocol):
-    name = "centralized"
-
     def __init__(self, ctx: ScenarioContext):
         super().__init__(ctx)
         self.agent: Optional[ServerAgent] = None
@@ -218,8 +210,7 @@ class CentralizedProtocol(ServerProtocol):
             arrive = t + flood.depths[target] * self.radio.latency
             self.engine.schedule(
                 arrive, EventKind.MESSAGE_DELIVERY,
-                lambda: self.agent.process(
-                    self.engine.now, lambda: self.agent.stations.add(node)))
+                lambda: self.agent.process(lambda: self.agent.stations.add(node)))
 
     def _send_location_update(self, src: int, t: float) -> None:
         claimed = self.code.host
@@ -266,29 +257,28 @@ class CentralizedProtocol(ServerProtocol):
                     request_id: Optional[int],
                     on_processed: Callable[[bool], None], budget: int) -> None:
         def arrived() -> None:
-            now = self.engine.now
             if target == self.agent.host:
-                self.agent.process(now, lambda: on_processed(True))
+                self.agent.process(lambda: on_processed(True))
                 return
             successor = self.forward_map.get(target)
             if successor is None or budget <= 0:
                 on_processed(False)
                 return
-            self._chase_step(target, successor, kind, now, request_id,
-                             on_processed, budget - 1)
+            self._chase_step(target, successor, kind, self.engine.now,
+                             request_id, on_processed, budget - 1)
 
         if not self._send(sender, target, kind, t, arrived, request_id):
             on_processed(False)
 
     # -- localization ---------------------------------------------------------------
 
-    def _attempt(self, record: RequestRecord, retries_left: int) -> None:
+    def _attempt(self, record: RequestRecord) -> None:
         def served(ok: bool) -> None:
             claimed = self.agent.code_host if ok else None
             if claimed is None:
-                self._retry(record, retries_left)
+                self._retry(record)
             else:
-                self._reply(record, retries_left, self.agent.host, claimed)
+                self._reply(record, self.agent.host, claimed)
 
         self._to_agent(self.code.mother, MessageKind.SERVER_QUERY,
                        self.engine.now, record.request_id, served)

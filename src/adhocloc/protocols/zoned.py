@@ -31,8 +31,6 @@ from .server import ServerAgent, ServerProtocol
 
 
 class ZonedProtocol(ServerProtocol):
-    name = "zoned"
-
     def __init__(self, ctx: ScenarioContext):
         super().__init__(ctx)
         self.layout: Optional[ZoneLayout] = None
@@ -45,9 +43,9 @@ class ZonedProtocol(ServerProtocol):
     def start(self) -> None:
         cfg = self.cfg
         pos = self.model.positions(0.0)
-        self.layout = ZoneLayout(cfg.n_zones, centroid(pos))
-        self.last_zone = [self._zone_at(node, 0.0) for node in range(cfg.n_nodes)]
         ref = centroid(pos)
+        self.layout = ZoneLayout(cfg.n_zones, ref)
+        self.last_zone = [self.layout.zone_of(p) for p in pos]
         taken: set[int] = set()
         for zone in range(cfg.n_zones):
             members = [v for v in range(cfg.n_nodes)
@@ -58,8 +56,8 @@ class ZonedProtocol(ServerProtocol):
             taken.add(host)
             self.agents.append(ServerAgent(self.engine, host))
         for zone in range(cfg.n_zones):
-            self._announce(zone, pos, 0.0)
-        self._send_sdb_insert(self.code.host, self._zone_at(self.code.host, 0.0), 0.0)
+            self._announce(zone, self.last_zone, 0.0)
+        self._send_sdb_insert(self.code.host, self.last_zone[self.code.host], 0.0)
         self._start_timers(cfg.report_period)
 
     def _zone_at(self, node: int, t: float) -> int:
@@ -68,7 +66,7 @@ class ZonedProtocol(ServerProtocol):
     def _at_agent(self, zone: int, action: Callable[[], None]) -> Callable[[], None]:
         """On arrival: queue `action` behind the zone agent's service time."""
         agent = self.agents[zone]
-        return lambda: agent.process(self.engine.now, action)
+        return lambda: agent.process(action)
 
     def _to_zone(self, src: int, zone: int, kind: MessageKind, t: float,
                  action: Callable[[], None]) -> bool:
@@ -113,37 +111,34 @@ class ZonedProtocol(ServerProtocol):
                 continue
             best = elect_server(members, pos, ref)
             if self._hand_off(agent, best, pos, ref, t):
-                self._announce(zone, pos, t)
+                self._announce(zone, zones, t)
 
-    def _announce(self, zone: int, pos, t: float) -> None:
-        members = sum(1 << v for v, p in enumerate(pos)
-                      if self.layout.zone_of(p) == zone)
+    def _announce(self, zone: int, zones: List[int], t: float) -> None:
+        members = sum(1 << v for v, z in enumerate(zones) if z == zone)
         self.radio.flood(self.agents[zone].host, MessageKind.SERVER_UPDATE, t,
                          ttl=None, member_mask=members)
 
     # -- localization --------------------------------------------------------------
 
-    def _attempt(self, record: RequestRecord, retries_left: int) -> None:
+    def _attempt(self, record: RequestRecord) -> None:
         zone = self._zone_at(self.code.mother, self.engine.now)
         self._leg(self.code.mother, self.agents[zone].host,
-                  MessageKind.SERVER_QUERY, record, retries_left,
+                  MessageKind.SERVER_QUERY, record,
                   self._at_agent(zone, lambda: self._serve(
-                      record, retries_left, zone, self.cfg.n_zones - 1)))
+                      record, zone, self.cfg.n_zones - 1)))
 
-    def _serve(self, record: RequestRecord, retries_left: int, zone: int,
-               forwards_left: int) -> None:
+    def _serve(self, record: RequestRecord, zone: int, forwards_left: int) -> None:
         """Runs at a zone agent when it finishes processing the query."""
         agent = self.agents[zone]
         claimed = agent.code_host
         if claimed is not None:
-            self._reply(record, retries_left, agent.host, claimed)
+            self._reply(record, agent.host, claimed)
         elif forwards_left <= 0:
             # full circle, nobody holds the code: charged not-found answer
             self._leg(agent.host, self.code.mother, MessageKind.SERVER_REPLY,
-                      record, retries_left, lambda: self._retry(record, retries_left))
+                      record, lambda: self._retry(record))
         else:
             nxt = ring_next(zone, self.cfg.n_zones)
             self._leg(agent.host, self.agents[nxt].host, MessageKind.RING_FORWARD,
-                      record, retries_left,
-                      self._at_agent(nxt, lambda: self._serve(
-                          record, retries_left, nxt, forwards_left - 1)))
+                      record, self._at_agent(nxt, lambda: self._serve(
+                          record, nxt, forwards_left - 1)))

@@ -117,7 +117,7 @@ class FloodResult:
     depths: list[int]           # -1 where unreached
     parents: list[int]
     units: int
-    reached: tuple[int, ...]
+    reached: tuple[int, ...]    # ascending node ids
 
 
 class LinkTimeline:

@@ -17,7 +17,8 @@ from adhocloc import cli
 from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
-from adhocloc.scenario import InvariantViolation, run_scenario
+from adhocloc.metrics import MetricsError
+from adhocloc.scenario import run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
                             comparison_table, report_to_row, run_sweep,
                             write_csv)
@@ -333,7 +334,7 @@ class TestCli:
     def test_an_invariant_violation_exits_with_the_invariant_code(
             self, monkeypatch, capsys):
         def explode(cfg, trace=False):
-            raise InvariantViolation("accounting drifted")
+            raise MetricsError("ledger total 7 != raw-log recount 6")
         monkeypatch.setattr(cli, "run_scenario", explode)
         assert cli.main(["run"]) == cli.EXIT_INVARIANT
         assert "invariant violated" in capsys.readouterr().err
@@ -451,3 +452,25 @@ class TestPublicSurface:
                         if name not in used | allowed
                         and not (name.startswith("__") and name.endswith("__")))
         assert unused == []
+
+    def test_every_attribute_written_is_read(self):
+        # an attribute the package stores but neither the package nor the
+        # benchmark ever loads is state nothing reads; the benchmark reads
+        # some counters through getattr, so a getattr/hasattr name is a load
+        src = Path(adhocloc.__file__).resolve().parent
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        stored, loaded = {}, set()
+        for path in sorted(src.rglob("*.py")) + sorted(bench.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    if not isinstance(node.ctx, ast.Store):
+                        loaded.add(node.attr)
+                    elif src in path.parents:
+                        stored.setdefault(node.attr, path.relative_to(src))
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in ("getattr", "hasattr")
+                      and isinstance(node.args[1], ast.Constant)):
+                    loaded.add(node.args[1].value)
+        unread = sorted(f"{where} {name}" for name, where in stored.items()
+                        if name not in loaded)
+        assert unread == []

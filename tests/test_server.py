@@ -2,7 +2,7 @@
 
 import pytest
 
-from adhocloc.engine import Engine
+from adhocloc.engine import Engine, EventKind
 from adhocloc.metrics import RequestRecord
 from adhocloc.protocols.server import SERVICE_TIME, CentralizedProtocol, ServerAgent
 from adhocloc.radio import MessageKind
@@ -38,12 +38,12 @@ class TestServerAgent:
         agent = ServerAgent(engine, host=0)
         s = SERVICE_TIME
         fired = []
-        assert agent.process(1.0, lambda: fired.append(engine.now)) == 1.0 + s
-        # arriving while the first job runs: queued behind it
-        assert agent.process(1.0 + s / 2,
-                             lambda: fired.append(engine.now)) == 1.0 + s + s
-        # an idle gap resets the queue instead of accumulating
-        assert agent.process(3.0, lambda: fired.append(engine.now)) == 3.0 + s
+        # the second job arrives while the first runs and queues behind it;
+        # the idle gap before the third resets the queue instead of
+        # accumulating
+        for arrival in (1.0, 1.0 + s / 2, 3.0):
+            engine.schedule(arrival, EventKind.MESSAGE_DELIVERY,
+                            lambda: agent.process(lambda: fired.append(engine.now)))
         engine.run_until(5.0)
         assert fired == [1.0 + s, 1.0 + s + s, 3.0 + s]
         assert agent.processed == 3 and agent.busy_until == 3.0 + s
@@ -99,6 +99,18 @@ class TestRequestPath:
         assert record.returned_host == 4 and record.truth_host == 4
         assert record.resolved_at == pytest.approx(2.222)
         assert proto.ctx.ledger.units_for_request(1) == 14
+
+    def test_an_agent_without_the_code_entry_is_requeried_until_failure(self):
+        proto = make_server(static_model(CLUSTER6), host=3)
+        proto.engine.run_until(2.0)
+        proto.agent.code_host = None
+        record = issue(proto)
+        proto.engine.run_until(4.0)
+        # four queries of two hops and one service time each, no reply sent
+        assert record.resolved_at is None
+        assert record.retries == 3
+        assert record.failed_at == pytest.approx(2.224)
+        assert proto.ctx.ledger.units_for_request(1) == 8
 
 
 class TestHandoff:
