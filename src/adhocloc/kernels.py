@@ -1,6 +1,8 @@
 """Hot numeric kernels, vectorised with numpy: each handles all nodes at once,
-with no per-node Python loop. The tests hold loop references that the
-kernels must match bit for bit.
+with no per-node Python loop but one knot search per node for a block of
+sample times. `bfs_tree` builds a whole BFS tree over neighbour bitmasks,
+`shortest_path` only the levels up to its destination. The tests hold loop
+references that the kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -15,13 +17,34 @@ def positions_at(knot_t, knot_x, knot_y, offsets, t):
     offsets, at least one knot per node; before the first knot or past the
     last one the node rests there.
     """
-    starts = offsets[:-1]
-    last = offsets[1:] - 1
     # knots at or before t per node; each node's knot times are sorted, so
     # this equals searchsorted(side="right") within the node's segment. One
     # searchsorted over node-shifted times would not: the shift can round a
     # knot just after t onto t.
-    k = starts + np.add.reduceat((knot_t <= t).astype(np.int64), starts) - 1
+    count = np.add.reduceat((knot_t <= t).astype(np.int64), offsets[:-1])
+    return _interpolate(knot_t, knot_x, knot_y, offsets, count, t)
+
+
+def positions_block(knot_t, knot_x, knot_y, offsets, times):
+    """Positions for every node at each sample time: shape (len(times), n, 2).
+
+    One pass: one searchsorted per node counts its knots at or before every
+    time, and `positions_at`'s expressions run once on (times × nodes)
+    arrays, so each sample equals `positions_at` bit for bit.
+    """
+    count = np.empty((times.size, offsets.size - 1), dtype=np.int64)
+    for i in range(offsets.size - 1):
+        count[:, i] = np.searchsorted(knot_t[offsets[i]:offsets[i + 1]], times,
+                                      side="right")
+    return _interpolate(knot_t, knot_x, knot_y, offsets, count, times[:, None])
+
+
+def _interpolate(knot_t, knot_x, knot_y, offsets, count, t):
+    """Positions from each node's count of knots at or before t; `count`'s
+    last axis runs over the nodes and `t` broadcasts against it."""
+    starts = offsets[:-1]
+    last = offsets[1:] - 1
+    k = starts + count - 1
     before = k < starts
     k = np.clip(k, starts, last)
     k1 = np.minimum(k + 1, last)
@@ -29,18 +52,10 @@ def positions_at(knot_t, knot_x, knot_y, offsets, t):
     t1 = knot_t[k1]
     rest = before | (k == last) | (t1 == t0)
     w = (t - t0) / np.where(rest, 1.0, t1 - t0)
-    out = np.empty((offsets.size - 1, 2), dtype=np.float64)
+    out = np.empty(k.shape + (2,), dtype=np.float64)
     for col, knot_v in ((0, knot_x), (1, knot_y)):
         v0 = knot_v[k]
-        out[:, col] = np.where(rest, v0, v0 + (knot_v[k1] - v0) * w)
-    return out
-
-
-def positions_block(knot_t, knot_x, knot_y, offsets, times):
-    """Positions for every node at each sample time: shape (len(times), n, 2)."""
-    out = np.empty((times.size, offsets.size - 1, 2), dtype=np.float64)
-    for j in range(times.size):
-        out[j] = positions_at(knot_t, knot_x, knot_y, offsets, times[j])
+        out[..., col] = np.where(rest, v0, v0 + (knot_v[k1] - v0) * w)
     return out
 
 
@@ -111,6 +126,34 @@ def bfs_tree(rows, src, mask=-1):
             hops[v] = d
         frontier_bits = new
     return hops, parents
+
+
+def shortest_path(rows, src, dst):
+    """The hop path src -> dst as a tuple, or None when dst is unreachable.
+
+    Keeps one bitmask per BFS level from src and stops at the level holding
+    dst, then walks back: the parent of v is the lowest id in
+    `rows[v] & previous level`, `bfs_tree`'s canonical rule, so the path is
+    the one a parent walk over `bfs_tree(rows, src)` gives.
+    """
+    levels = [1 << src]
+    seen = levels[0]
+    target = 1 << dst
+    while not levels[-1] & target:
+        reach = 0
+        for u in set_bits(levels[-1]):
+            reach |= rows[u]
+        new = reach & ~seen
+        if not new:
+            return None
+        seen |= new
+        levels.append(new)
+    path = [dst]
+    for level in reversed(levels[:-1]):
+        prev = rows[path[-1]] & level
+        path.append((prev & -prev).bit_length() - 1)
+    path.reverse()
+    return tuple(path)
 
 
 #: pair-intervals per block of range_crossings' vectorised pass, so that a

@@ -204,10 +204,10 @@ class CentralizedProtocol(ServerProtocol):
     # -- maintenance traffic ---------------------------------------------------
 
     def _report(self, node: int, t: float) -> None:
-        flood = self.radio.flood(node, MessageKind.POSITION_REPORT, t, ttl=None)
-        target = self.agent.host
-        if flood.depths[target] >= 0:
-            arrive = t + flood.depths[target] * self.radio.latency
+        depth = self.radio.flood_depth(node, self.agent.host,
+                                       MessageKind.POSITION_REPORT, t)
+        if depth is not None:
+            arrive = t + depth * self.radio.latency
             self.engine.schedule(
                 arrive, EventKind.MESSAGE_DELIVERY,
                 lambda: self.agent.process(lambda: self.agent.stations.add(node)))

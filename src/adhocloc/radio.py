@@ -1,8 +1,11 @@
 """Idealized radio substrate: unit-disk connectivity, routed unicast, floods.
 
 Topology is one int per node whose bit v is set when node v is in range;
-every topology query reads those rows, and routes and floods are BFS trees
-walked over them with canonical lowest-id parents (`kernels.bfs_tree`).
+every topology query reads those rows. Routes and floods are BFS walks over
+them with canonical lowest-id parents, each as deep as its caller reads: a
+flood builds the whole tree (`kernels.bfs_tree`), a route stops at its
+destination's level (`kernels.shortest_path`), and floods read for one
+node's depth share one tree per rows object and node (`flood_depth`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per interval between knots.
@@ -179,7 +182,8 @@ class LinkTimeline:
         return i >= 0 and t <= self.guard_hi[i]
 
     def _seek(self, epoch: int) -> list[int]:
-        """Rows after the first `epoch` events; moves the cursor there."""
+        """Rows after the first `epoch` events; moves the cursor there. A rows
+        list, once handed out, is never edited: a move edits a copy."""
         if epoch != self.epoch:
             rows = list(self._epoch_rows)
             lo, hi = sorted((self.epoch, epoch))
@@ -204,6 +208,9 @@ class Radio:
         self.ledger = ledger
         self.timeline = LinkTimeline(model, range_m)
         self._last: tuple = (None, None)    # (t, rows) of the last exact answer
+        # (rows, target, hops, component size) of flood_depth's last tree;
+        # holding the rows keeps their id from being reused
+        self._depth_memo: tuple = (None, None, None, 0)
 
     # -- topology queries ---------------------------------------------------
 
@@ -243,11 +250,7 @@ class Radio:
         callers that bill at a non-unit rate charge the ledger themselves."""
         if src == dst:
             return (src,)
-        rows = self._rows(t)
-        hops, parents = kernels.bfs_tree(rows, src)
-        if hops[dst] < 0:
-            return None
-        return _parent_walk(parents, src, dst)
+        return kernels.shortest_path(self._rows(t), src, dst)
 
     # -- transmissions ------------------------------------------------------
 
@@ -315,17 +318,33 @@ class Radio:
         self.ledger.charge(kind, origin, BROADCAST, units, t, request_id)
         return FloodResult(origin, depths, parents, units, reached)
 
+    def flood_depth(self, origin: int, target: int, kind: MessageKind,
+                    t: float) -> Optional[int]:
+        """An unbounded flood from origin at t of which the caller reads only
+        target's depth: returns that depth, or None when the flood misses
+        target, and charges what `flood(origin, kind, t)` charges. Hop
+        distance is symmetric, so one BFS from target answers every origin in
+        its component while the rows object and the target stay the same; an
+        origin outside that component floods on its own."""
+        rows = self._rows(t)
+        memo_rows, memo_target, hops, size = self._depth_memo
+        if rows is not memo_rows or target != memo_target:
+            hops, _ = kernels.bfs_tree(rows, target)
+            size = len(hops) - hops.count(-1)
+            self._depth_memo = rows, target, hops, size
+        depth = hops[origin]
+        if depth < 0:
+            self.flood(origin, kind, t)
+            return None
+        self.ledger.charge(kind, origin, BROADCAST, size, t)
+        return depth
+
     def flood_path(self, flood: FloodResult, node: int) -> tuple[int, ...]:
         """Relay path origin -> node inside a flood's BFS tree."""
         if flood.depths[node] < 0:
             raise ValueError(f"node {node} was not reached by the flood")
-        return _parent_walk(flood.parents, flood.origin, node)
-
-
-def _parent_walk(parents: list[int], src: int, dst: int) -> tuple[int, ...]:
-    """Path src -> dst read back from a BFS tree's parent list."""
-    path = [dst]
-    while path[-1] != src:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return tuple(path)
+        path = [node]
+        while path[-1] != flood.origin:
+            path.append(flood.parents[path[-1]])
+        path.reverse()
+        return tuple(path)

@@ -140,6 +140,25 @@ class TestPositionKernels:
                 queries += 1
         assert queries > 1000
 
+    def test_positions_block_is_bit_identical_to_stacked_positions_at(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            trajs = []
+            for _ in range(n):
+                k = int(rng.integers(1, 8))          # single-knot nodes included
+                # few decimals, so knot times repeat within and across nodes
+                ts = np.sort(np.round(rng.uniform(0.0, 40.0, k), int(rng.integers(0, 2))))
+                trajs.append((list(ts), list(rng.uniform(0, 1000, k)),
+                              list(rng.uniform(0, 500, k))))
+            flat = flatten_trajectories(trajs)
+            knot_t = flat[0]
+            times = np.concatenate([rng.uniform(-5.0, 45.0, 8), knot_t,
+                                    [knot_t.min() - 1.0, knot_t.max() + 1.0]])
+            block = kernels.positions_block(*flat, times)
+            assert np.array_equal(
+                block, np.stack([kernels.positions_at(*flat, t) for t in times]))
+
     def test_duplicate_knot_times_rest_at_the_later_knot(self):
         # a zero-length segment: at t == 2 the node is at the last knot stamped 2
         flat = flatten_trajectories([([0.0, 2.0, 2.0, 4.0], [0.0, 10.0, 20.0, 40.0],
@@ -258,6 +277,35 @@ class TestBfsTree:
             ref_hops, ref_parents = bfs_tree_frontier(adj & m[None, :] & m[:, None], src)
             assert np.array_equal(hops, ref_hops)
             assert np.array_equal(parents, ref_parents)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2, 25, 63, 70]),
+           seed=st.integers(0, 2**32 - 1),
+           range_m=st.floats(50.0, 600.0))
+    def test_shortest_path_equals_the_parent_walk(self, n, seed, range_m):
+        rng = np.random.default_rng(seed)
+        pos = np.round(rng.uniform(0, 1000, (n, 2)), 1)
+        rows = kernels.neighbour_bits(kernels.adjacency(pos, range_m))
+        for src in range(n):
+            hops, parents = kernels.bfs_tree(rows, src)
+            for dst in range(n):
+                if hops[dst] < 0:
+                    expected = None
+                else:
+                    walk = [dst]
+                    while walk[-1] != src:
+                        walk.append(parents[walk[-1]])
+                    expected = tuple(reversed(walk))
+                assert kernels.shortest_path(rows, src, dst) == expected
+
+    def test_shortest_path_to_itself_and_to_an_unreachable_node(self):
+        pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
+        rows = kernels.neighbour_bits(kernels.adjacency(pos, 150.0))
+        assert kernels.shortest_path(rows, 1, 1) == (1,)
+        assert kernels.shortest_path(rows, 2, 2) == (2,)
+        assert kernels.shortest_path(rows, 0, 2) is None
+        assert kernels.shortest_path(rows, 2, 0) is None
+        assert kernels.shortest_path(rows, 1, 0) == (1, 0)
 
 
 class TestSeparationSeries:

@@ -239,6 +239,74 @@ class TestFlood:
             radio.flood_path(flood, 1)
 
 
+def count_trees(monkeypatch):
+    """The source of every `kernels.bfs_tree` call from now on, in order."""
+    trees = []
+    bfs_tree = kernels.bfs_tree
+    monkeypatch.setattr(kernels, "bfs_tree", lambda rows, src, mask=-1:
+                        trees.append(src) or bfs_tree(rows, src, mask))
+    return trees
+
+
+class TestFloodDepth:
+    #: two components, {0, 1, 2, 3} on a line and {4, 5}
+    SPLIT = LINE + [(900, 400), (1000, 400)]
+
+    def test_depths_and_charges_equal_the_floods(self, monkeypatch):
+        kind = MessageKind.POSITION_REPORT
+        # one rows object throughout, with the target changing twice
+        queries = [(origin, target) for target in (2, 2, 4, 0)
+                   for origin in range(len(self.SPLIT))]
+        ref = Radio(static_model(self.SPLIT), 250.0, 0.01, MessageLedger())
+        expected = []
+        for origin, target in queries:
+            depth = ref.flood(origin, kind, 0.0).depths[target]
+            expected.append(depth if depth >= 0 else None)
+        radio = Radio(static_model(self.SPLIT), 250.0, 0.01, MessageLedger())
+        trees = count_trees(monkeypatch)
+        depths = [radio.flood_depth(origin, target, kind, 0.0)
+                  for origin, target in queries]
+        assert depths == expected
+        assert all(type(d) is int for d in depths if d is not None)
+        assert radio.ledger.rows == ref.ledger.rows
+        # one tree per target change, plus the floods of the origins outside
+        # the target's component
+        assert trees == [2, 4, 5, 4, 5, 4, 0, 1, 2, 3, 0, 4, 5]
+
+    def test_a_new_topology_gets_a_new_tree(self):
+        # node 3 leaves the line between t = 0 and t = 10
+        knots = [[(0.0, x, y)] for x, y in LINE[:3]] + [[(0.0, 600, 0), (10.0, 600, 400)]]
+        radio = Radio(scripted_model(knots), 250.0, 0.01, MessageLedger())
+        ref = Radio(scripted_model(knots), 250.0, 0.01, MessageLedger())
+        kind = MessageKind.POSITION_REPORT
+        for t in (0.0, 10.0, 0.0):
+            for origin in range(4):
+                flood = ref.flood(origin, kind, t)
+                assert radio.flood_depth(origin, 0, kind, t) == (
+                    flood.depths[0] if flood.depths[0] >= 0 else None)
+        assert radio.ledger.rows == ref.ledger.rows
+
+
+class TestBfsWork:
+    """BFS calls are deterministic, so a lost shortcut shows as a count."""
+
+    @staticmethod
+    def counted_run(protocol, monkeypatch):
+        trees = count_trees(monkeypatch)
+        result = run_scenario(ScenarioConfig(protocol=protocol, lam=1.0, seed=3,
+                                             duration=60.0))
+        return len(trees), result.ledger.rows
+
+    def test_centralized_reports_share_one_tree_per_topology(self, monkeypatch):
+        calls, rows = self.counted_run("centralized", monkeypatch)
+        reports = sum(row.kind is MessageKind.POSITION_REPORT for row in rows)
+        assert calls < reports / 2
+
+    def test_zoned_routes_build_no_tree(self, monkeypatch):
+        calls, rows = self.counted_run("zoned", monkeypatch)
+        assert calls < len(rows) / 10
+
+
 class TestLedger:
     def test_recount_sums_the_raw_rows(self):
         ledger = MessageLedger()
