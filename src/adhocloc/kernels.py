@@ -1,8 +1,9 @@
 """Hot numeric kernels, vectorised with numpy: each handles all nodes at once,
 with no per-node Python loop but one knot search per node for a block of
-sample times. `bfs_tree` builds a whole BFS tree over neighbour bitmasks,
-`shortest_path` only the levels up to its destination. The tests hold loop
-references that the kernels must match bit for bit.
+sample times. `bfs_tree` walks neighbour bitmasks level by level, as far
+as its caller asks; `path_back` reads a path back from those levels and
+`depths` a hop list. The tests hold loop references that the kernels must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -94,66 +95,50 @@ def set_bits(bits):
     return ids
 
 
-def bfs_tree(rows, src, mask=-1):
-    """Hop counts and BFS parents from src, as lists; -1 marks unreachable /
-    root.
+def bfs_tree(rows, src, mask=-1, stop=0):
+    """The BFS tree from src as its levels: a list of int bitmasks, where
+    levels[d] holds the nodes d hops from src.
 
     `rows` are symmetric neighbour bitmasks as from `neighbour_bits`. Only
-    nodes whose bit is set in `mask` are entered (src always is). Parents are
-    canonical: the minimum-id neighbour in the previous level, so every
-    caller reconstructs the same shortest paths.
+    nodes whose bit is set in `mask` are entered (src always is). The walk
+    ends after the first level that shares a bit with `stop`, or when no new
+    node is reached.
     """
-    n = len(rows)
-    hops = [-1] * n
-    parents = [-1] * n
-    hops[src] = 0
-    seen = frontier_bits = 1 << src
-    frontier = [src]
-    d = 0
-    while frontier:
+    levels = [1 << src]
+    seen = levels[0]
+    while not levels[-1] & stop:
         reach = 0
-        for u in frontier:
+        for u in set_bits(levels[-1]):
             reach |= rows[u]
         new = reach & mask & ~seen
         if not new:
             break
         seen |= new
-        d += 1
-        frontier = set_bits(new)
-        for v in frontier:
-            from_frontier = rows[v] & frontier_bits
-            parents[v] = (from_frontier & -from_frontier).bit_length() - 1
-            hops[v] = d
-        frontier_bits = new
-    return hops, parents
-
-
-def shortest_path(rows, src, dst):
-    """The hop path src -> dst as a tuple, or None when dst is unreachable.
-
-    Keeps one bitmask per BFS level from src and stops at the level holding
-    dst, then walks back: the parent of v is the lowest id in
-    `rows[v] & previous level`, `bfs_tree`'s canonical rule, so the path is
-    the one a parent walk over `bfs_tree(rows, src)` gives.
-    """
-    levels = [1 << src]
-    seen = levels[0]
-    target = 1 << dst
-    while not levels[-1] & target:
-        reach = 0
-        for u in set_bits(levels[-1]):
-            reach |= rows[u]
-        new = reach & ~seen
-        if not new:
-            return None
-        seen |= new
         levels.append(new)
+    return levels
+
+
+def path_back(rows, levels, dst):
+    """The hop path from levels[0]'s node to dst, a node of the last level,
+    as a tuple. The parent of v is the lowest id in `rows[v] & previous
+    level`: the one canonical rule, so every caller reconstructs the same
+    shortest paths."""
     path = [dst]
     for level in reversed(levels[:-1]):
         prev = rows[path[-1]] & level
         path.append((prev & -prev).bit_length() - 1)
     path.reverse()
     return tuple(path)
+
+
+def depths(levels, n):
+    """Hop counts of n nodes from a walk's levels, as a list; -1 where
+    unreached."""
+    hops = [-1] * n
+    for d, level in enumerate(levels):
+        for v in set_bits(level):
+            hops[v] = d
+    return hops
 
 
 #: pair-intervals per block of range_crossings' vectorised pass, so that a
@@ -280,8 +265,14 @@ def range_crossings(knot_t, knot_x, knot_y, offsets, hi, r2, delta):
 
 
 def separation_series(block):
-    """Average separation A_i(t) per node for a (S, n, 2) position block."""
-    diff = block[:, :, None, :] - block[:, None, :, :]
-    dists = np.sqrt((diff ** 2).sum(axis=3))
+    """Average separation A_i(t) per node for a (S, n, 2) position block,
+    through two (S, n, n) temporaries; dy² added in place to dx² gives the
+    same bits as summing a (S, n, n, 2) array of squares over its last axis."""
+    dists = block[:, :, None, 0] - block[:, None, :, 0]
+    dists *= dists
+    dy = block[:, :, None, 1] - block[:, None, :, 1]
+    dy *= dy
+    dists += dy
+    np.sqrt(dists, out=dists)
     n = block.shape[1]
     return dists.sum(axis=2) / (n - 1)

@@ -1,11 +1,12 @@
 """Idealized radio substrate: unit-disk connectivity, routed unicast, floods.
 
 Topology is one int per node whose bit v is set when node v is in range;
-every topology query reads those rows. Routes and floods are BFS walks over
-them with canonical lowest-id parents, each as deep as its caller reads: a
-flood builds the whole tree (`kernels.bfs_tree`), a route stops at its
-destination's level (`kernels.shortest_path`), and floods read for one
-node's depth share one tree per rows object and node (`flood_depth`).
+every topology query reads those rows. Each is one BFS walk over them
+(`kernels.bfs_tree`) that returns the tree as its levels and goes as deep as
+its caller reads: a flood walks the whole tree, a route stops at its
+destination's level and reads its path back by the lowest-id parent rule
+(`kernels.path_back`), and floods read for one node's depth share one tree
+per rows object and node (`flood_depth`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per interval between knots.
@@ -116,9 +117,9 @@ class MessageLedger:
 
 @dataclass(slots=True)
 class FloodResult:
-    origin: int
+    rows: list[int]             # the topology flooded, for flood_path
+    levels: list[int]           # bitmask of the nodes at each depth
     depths: list[int]           # -1 where unreached
-    parents: list[int]
     units: int
     reached: tuple[int, ...]    # ascending node ids
 
@@ -237,20 +238,21 @@ class Radio:
 
     def connected(self, t: float) -> bool:
         rows = self._rows(t)
-        hops, _ = kernels.bfs_tree(rows, 0)
-        return -1 not in hops
+        return sum(kernels.bfs_tree(rows, 0)) == (1 << len(rows)) - 1
 
     def diameter(self, t: float) -> int:
         """Largest finite hop distance over all pairs at t."""
         rows = self._rows(t)
-        return max(max(kernels.bfs_tree(rows, src)[0]) for src in range(len(rows)))
+        return max(len(kernels.bfs_tree(rows, src)) for src in range(len(rows))) - 1
 
     def route(self, src: int, dst: int, t: float) -> Optional[tuple[int, ...]]:
         """Hop path src -> dst on the snapshot at t, or None. Charges nothing;
         callers that bill at a non-unit rate charge the ledger themselves."""
-        if src == dst:
-            return (src,)
-        return kernels.shortest_path(self._rows(t), src, dst)
+        rows = self._rows(t)
+        levels = kernels.bfs_tree(rows, src, stop=1 << dst)
+        if not levels[-1] >> dst & 1:
+            return None
+        return kernels.path_back(rows, levels, dst)
 
     # -- transmissions ------------------------------------------------------
 
@@ -304,19 +306,15 @@ class Radio:
         if ttl is not None and ttl < 1:
             raise ValueError("flood ttl must be >= 1")
         rows = self._rows(t)
-        depths, parents = kernels.bfs_tree(rows, origin, member_mask)
+        levels = kernels.bfs_tree(rows, origin, member_mask)
         if ttl is not None:
-            for v, d in enumerate(depths):
-                if d > ttl:
-                    depths[v] = parents[v] = -1
-        reached = tuple(v for v, d in enumerate(depths) if d >= 0)
-        if ttl is None:
-            units = len(reached)
-        else:
-            # an isolated origin still transmits once
-            units = max(sum(depths[v] < ttl for v in reached), 1)
+            del levels[ttl + 1:]
+        # the nodes short of the ttl relay; an isolated origin still
+        # transmits once
+        units = max(sum(level.bit_count() for level in levels[:ttl]), 1)
         self.ledger.charge(kind, origin, BROADCAST, units, t, request_id)
-        return FloodResult(origin, depths, parents, units, reached)
+        return FloodResult(rows, levels, kernels.depths(levels, len(rows)), units,
+                           tuple(kernels.set_bits(sum(levels))))
 
     def flood_depth(self, origin: int, target: int, kind: MessageKind,
                     t: float) -> Optional[int]:
@@ -329,7 +327,8 @@ class Radio:
         rows = self._rows(t)
         memo_rows, memo_target, hops, size = self._depth_memo
         if rows is not memo_rows or target != memo_target:
-            hops, _ = kernels.bfs_tree(rows, target)
+            levels = kernels.bfs_tree(rows, target)
+            hops = kernels.depths(levels, len(rows))
             size = len(hops) - hops.count(-1)
             self._depth_memo = rows, target, hops, size
         depth = hops[origin]
@@ -341,10 +340,7 @@ class Radio:
 
     def flood_path(self, flood: FloodResult, node: int) -> tuple[int, ...]:
         """Relay path origin -> node inside a flood's BFS tree."""
-        if flood.depths[node] < 0:
+        depth = flood.depths[node]
+        if depth < 0:
             raise ValueError(f"node {node} was not reached by the flood")
-        path = [node]
-        while path[-1] != flood.origin:
-            path.append(flood.parents[path[-1]])
-        path.reverse()
-        return tuple(path)
+        return kernels.path_back(flood.rows, flood.levels[:depth + 1], node)

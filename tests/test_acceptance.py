@@ -6,6 +6,7 @@ over the comparison setting: 25 nodes on 1000x500 m, 250 m range, medium node
 and code mobility, lambda in {0.1, 0.25, 1}, seeds 1 to 5, 200 s horizon.
 """
 
+import hashlib
 import io
 import math
 import time
@@ -198,6 +199,28 @@ class TestDeterminism:
         for record in result.records:
             times += [record.issued_at, record.resolved_at, record.failed_at]
         assert {type(t) for t in times if t is not None} == {float}
+
+    @pytest.mark.parametrize("protocol, digest", [
+        ("forwarder_proactive",
+         "2a271cee8fe8dc9dde3c2e6083deba636dc72f3bb9f078d3c095703edff15f39"),
+        ("forwarder_reactive",
+         "5a299273d8bdba800b18df2d683a35b0cc3aa3b9b545a0469cacc147e77cd56b"),
+        ("centralized",
+         "3a7a7f6cacee6d304b300bbbf1c2dbda9f2afbec79e51e16821904a974684f53"),
+        ("zoned",
+         "62c9d7f0b10ba89b53f4d609c80edc50102f922e257d15fa8203f61edd0d0eac"),
+    ])
+    def test_ledger_rows_and_records_are_pinned(self, protocol, digest):
+        # sha256 of the repr of every request record, then of every ledger
+        # row: a same-bytes refactor must reproduce each send and each
+        # request, not only the totals per kind pinned above
+        cfg = ScenarioConfig().replace(protocol=protocol, node_mob="high", lam=1.0,
+                                       seed=3, duration=60.0)
+        result = run_scenario(cfg)
+        h = hashlib.sha256()
+        for item in result.records + result.ledger.rows:
+            h.update(repr(item).encode())
+        assert h.hexdigest() == digest
 
 
 class TestNumericOracles:

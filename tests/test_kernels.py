@@ -1,11 +1,15 @@
 """Numeric kernels against brute-force oracles and bit-exact loop references."""
 
+import tracemalloc
+
 import numpy as np
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adhocloc import kernels
+from adhocloc.radio import MessageLedger, Radio
+from conftest import static_model
 
 
 def flatten_trajectories(trajs):
@@ -221,13 +225,22 @@ class TestNeighbourBits:
         assert kernels.set_bits(1 << 129 | 1 << 62) == [62, 129]
 
 
+def tree_lists(rows, levels):
+    """Hop counts and parents, as lists, read from a walk's levels through
+    `depths` and `path_back`; -1 marks unreachable / root."""
+    hops = kernels.depths(levels, len(rows))
+    parents = [kernels.path_back(rows, levels[:d + 1], v)[-2] if d > 0 else -1
+               for v, d in enumerate(hops)]
+    return hops, parents
+
+
 class TestBfsTree:
     def test_depths_match_networkx_on_random_graphs(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pos = rng.uniform(0, 1000, (18, 2))
             adj = kernels.adjacency(pos, 280.0)
-            depths, parents = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
+            depths = kernels.depths(kernels.bfs_tree(kernels.neighbour_bits(adj), 0), 18)
             g = nx.from_numpy_array(adj)
             lengths = nx.single_source_shortest_path_length(g, 0)
             for v in range(18):
@@ -237,7 +250,8 @@ class TestBfsTree:
         rng = np.random.default_rng(4)
         pos = rng.uniform(0, 800, (20, 2))
         adj = kernels.adjacency(pos, 260.0)
-        depths, parents = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
+        rows = kernels.neighbour_bits(adj)
+        depths, parents = tree_lists(rows, kernels.bfs_tree(rows, 0))
         for v in range(20):
             if v == 0 or depths[v] < 0:
                 assert parents[v] == -1
@@ -248,10 +262,10 @@ class TestBfsTree:
 
     def test_unreachable_nodes_get_minus_one(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
-        adj = kernels.adjacency(pos, 150.0)
-        depths, parents = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
-        assert depths == [0, 1, -1]
-        assert parents == [-1, 0, -1]
+        rows = kernels.neighbour_bits(kernels.adjacency(pos, 150.0))
+        levels = kernels.bfs_tree(rows, 0)
+        assert levels == [0b001, 0b010]
+        assert tree_lists(rows, levels) == ([0, 1, -1], [-1, 0, -1])
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2, 25, 63, 70]),
@@ -265,15 +279,20 @@ class TestBfsTree:
         rows = kernels.neighbour_bits(adj)
         member = rng.uniform(size=n) < member_share
         for src in range(n):
-            hops, parents = kernels.bfs_tree(rows, src)
+            levels = kernels.bfs_tree(rows, src)
+            hops, parents = tree_lists(rows, levels)
             ref_hops, ref_parents = bfs_tree_frontier(adj, src)
-            assert all(type(v) is int for v in hops + parents)
+            assert all(type(v) is int for v in levels + hops + parents)
             assert np.array_equal(hops, ref_hops)
             assert np.array_equal(parents, ref_parents)
+            # a walk that stops at dst is the full walk cut at dst's depth
+            for dst in range(n):
+                stopped = kernels.bfs_tree(rows, src, stop=1 << dst)
+                assert stopped == levels[:hops[dst] + 1 if hops[dst] >= 0 else None]
             # a member mask keeps only the members' links, the source's included
             m = member.copy()
             m[src] = True
-            hops, parents = kernels.bfs_tree(rows, src, mask_bits(member))
+            hops, parents = tree_lists(rows, kernels.bfs_tree(rows, src, mask_bits(member)))
             ref_hops, ref_parents = bfs_tree_frontier(adj & m[None, :] & m[:, None], src)
             assert np.array_equal(hops, ref_hops)
             assert np.array_equal(parents, ref_parents)
@@ -285,9 +304,10 @@ class TestBfsTree:
     def test_shortest_path_equals_the_parent_walk(self, n, seed, range_m):
         rng = np.random.default_rng(seed)
         pos = np.round(rng.uniform(0, 1000, (n, 2)), 1)
-        rows = kernels.neighbour_bits(kernels.adjacency(pos, range_m))
+        adj = kernels.adjacency(pos, range_m)
+        radio = Radio(static_model(pos, height=1000.0), range_m, 0.01, MessageLedger())
         for src in range(n):
-            hops, parents = kernels.bfs_tree(rows, src)
+            hops, parents = bfs_tree_frontier(adj, src)
             for dst in range(n):
                 if hops[dst] < 0:
                     expected = None
@@ -296,16 +316,18 @@ class TestBfsTree:
                     while walk[-1] != src:
                         walk.append(parents[walk[-1]])
                     expected = tuple(reversed(walk))
-                assert kernels.shortest_path(rows, src, dst) == expected
+                assert radio.route(src, dst, 0.0) == expected
 
     def test_shortest_path_to_itself_and_to_an_unreachable_node(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
-        rows = kernels.neighbour_bits(kernels.adjacency(pos, 150.0))
-        assert kernels.shortest_path(rows, 1, 1) == (1,)
-        assert kernels.shortest_path(rows, 2, 2) == (2,)
-        assert kernels.shortest_path(rows, 0, 2) is None
-        assert kernels.shortest_path(rows, 2, 0) is None
-        assert kernels.shortest_path(rows, 1, 0) == (1, 0)
+        radio = Radio(static_model(pos), 150.0, 0.01, MessageLedger())
+        assert radio.route(1, 1, 0.0) == (1,)
+        assert radio.route(2, 2, 0.0) == (2,)
+        assert radio.route(0, 2, 0.0) is None
+        assert radio.route(2, 0, 0.0) is None
+        assert radio.route(1, 0, 0.0) == (1, 0)
+        rows = radio.snapshot(0.0)
+        assert kernels.path_back(rows, kernels.bfs_tree(rows, 1), 0) == (1, 0)
 
 
 class TestSeparationSeries:
@@ -319,3 +341,22 @@ class TestSeparationSeries:
                 dists = [np.hypot(*(block[j, i] - block[j, k]))
                          for k in range(6) if k != i]
                 assert series[j, i] == pytest.approx(np.mean(dists), rel=1e-12)
+
+    def test_bit_identical_to_the_four_axis_difference(self):
+        rng = np.random.default_rng(6)
+        for shape in ((1, 2, 2), (50, 25, 2), (13, 70, 2)):
+            block = rng.uniform(0, 1000, shape)
+            diff = block[:, :, None, :] - block[:, None, :, :]
+            ref = np.sqrt((diff ** 2).sum(axis=3)).sum(axis=2) / (shape[1] - 1)
+            assert np.array_equal(kernels.separation_series(block), ref)
+
+    def test_temporaries_stay_under_three_pair_arrays(self):
+        block = np.random.default_rng(7).uniform(0, 1000, (200, 25, 2))
+        pair_array = block.shape[0] * block.shape[1] ** 2 * 8
+        tracemalloc.start()
+        try:
+            kernels.separation_series(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pair_array

@@ -73,6 +73,7 @@ class TestLinks:
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(model, 250.0, 0.01, MessageLedger())
         assert not radio.connected(0.0)
+        assert radio.diameter(0.0) == 0
 
     def test_neighbor_queries_equal_the_matrix(self):
         rng = np.random.default_rng(11)
@@ -213,7 +214,9 @@ class TestFlood:
                     depths, parents, units, reached = flood_on_matrix(
                         adj, origin, ttl, member)
                     assert np.array_equal(flood.depths, depths)
-                    assert np.array_equal(flood.parents, parents)
+                    for v in reached:
+                        if v != origin:
+                            assert radio.flood_path(flood, v)[-2] == parents[v]
                     assert flood.units == units
                     assert flood.reached == reached
 
@@ -240,11 +243,17 @@ class TestFlood:
 
 
 def count_trees(monkeypatch):
-    """The source of every `kernels.bfs_tree` call from now on, in order."""
+    """The source of every whole-tree `kernels.bfs_tree` walk from now on, in
+    order; walks that stop early (routes) are not counted."""
     trees = []
     bfs_tree = kernels.bfs_tree
-    monkeypatch.setattr(kernels, "bfs_tree", lambda rows, src, mask=-1:
-                        trees.append(src) or bfs_tree(rows, src, mask))
+
+    def counted(rows, src, mask=-1, stop=0):
+        if not stop:
+            trees.append(src)
+        return bfs_tree(rows, src, mask, stop)
+
+    monkeypatch.setattr(kernels, "bfs_tree", counted)
     return trees
 
 

@@ -171,6 +171,6 @@ class TestReelection:
         announced = [res for origin, kind, t, res in floods
                      if kind is MessageKind.SERVER_UPDATE and t == 5.0]
         assert len(announced) == 1
-        assert announced[0].origin == 0
+        assert announced[0].levels[0] == 1
         assert set(announced[0].reached) == {0, 1}
         assert announced[0].units == 2
