@@ -108,8 +108,11 @@ def bfs_tree(rows, src, mask=-1, stop=0):
     seen = levels[0]
     while not levels[-1] & stop:
         reach = 0
-        for u in set_bits(levels[-1]):
-            reach |= rows[u]
+        frontier = levels[-1]
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
         new = reach & mask & ~seen
         if not new:
             break

@@ -18,7 +18,9 @@ through the forwarding pointer each ex-host keeps.
 
 The agent serializes everything it ingests through a single FIFO worker with
 a fixed per-message SERVICE_TIME, so its response latency degrades as report
-and query traffic converges on it.
+and query traffic converges on it. A report from a station the agent already
+lists only occupies the worker (`process(None)`): the centralized agent's
+stations only ever gain ids, so its completion would change nothing.
 """
 
 from __future__ import annotations
@@ -42,13 +44,17 @@ REELECTION_PERIOD = 5.0
 HANDOFF_THRESHOLD = 50.0
 #: seconds an agent spends on each message
 SERVICE_TIME = 0.036
+#: report gaps drawn from the protocol stream at once; a block of uniform
+#: draws equals as many one-at-a-time draws, so the size changes no value
+JITTER_BLOCK = 256
 
 
 class ServerAgent:
     """One FIFO worker taking SERVICE_TIME per message.
 
     `process` enqueues a unit of work arriving now and schedules `action`
-    at its completion instant.
+    at its completion instant; with `action` None the job only occupies the
+    worker, advancing `busy_until` and `processed` but scheduling nothing.
     `code_host` is the code's host as last reported to this agent, None
     when it holds no code entry; `stations` holds the ids of the stations
     whose position reports the agent has processed.
@@ -62,11 +68,12 @@ class ServerAgent:
         self.stations: set[int] = set()
         self.processed = 0
 
-    def process(self, action: Callable[[], None]) -> None:
+    def process(self, action: Optional[Callable[[], None]]) -> None:
         done = max(self.engine.now, self.busy_until) + SERVICE_TIME
         self.busy_until = done
         self.processed += 1
-        self.engine.schedule(done, EventKind.TIMER_EXPIRY, action)
+        if action is not None:
+            self.engine.schedule(done, EventKind.TIMER_EXPIRY, action)
 
     def entry_count(self) -> int:
         return len(self.stations) + (self.code_host is not None)
@@ -86,6 +93,7 @@ class ServerProtocol(LocalizationProtocol):
     def __init__(self, ctx: ScenarioContext):
         super().__init__(ctx)
         self.handoffs = 0
+        self._jitter: list[float] = []   # the block's unread gaps, last first
 
     # -- position reports ------------------------------------------------------
 
@@ -105,7 +113,10 @@ class ServerProtocol(LocalizationProtocol):
         self._report(node, t)
         # station clocks drift, so the reporting cadence jitters around the
         # configured period instead of staying phase-locked
-        gap = period * float(self.ctx.streams.protocol.uniform(0.75, 1.25))
+        if not self._jitter:
+            block = self.ctx.streams.protocol.uniform(0.75, 1.25, JITTER_BLOCK)
+            self._jitter = block.tolist()[::-1]
+        gap = period * self._jitter.pop()
         self.engine.schedule(t + gap, EventKind.TIMER_EXPIRY,
                              lambda: self._report_tick(node, period))
 
@@ -208,9 +219,13 @@ class CentralizedProtocol(ServerProtocol):
                                        MessageKind.POSITION_REPORT, t)
         if depth is not None:
             arrive = t + depth * self.radio.latency
-            self.engine.schedule(
-                arrive, EventKind.MESSAGE_DELIVERY,
-                lambda: self.agent.process(lambda: self.agent.stations.add(node)))
+            self.engine.schedule(arrive, EventKind.MESSAGE_DELIVERY,
+                                 lambda: self._report_arrived(node))
+
+    def _report_arrived(self, node: int) -> None:
+        agent = self.agent
+        agent.process(None if node in agent.stations
+                      else lambda: agent.stations.add(node))
 
     def _send_location_update(self, src: int, t: float) -> None:
         claimed = self.code.host

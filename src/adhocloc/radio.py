@@ -209,7 +209,7 @@ class Radio:
         self.ledger = ledger
         self.timeline = LinkTimeline(model, range_m)
         self._last: tuple = (None, None)    # (t, rows) of the last exact answer
-        # (rows, target, hops, component size) of flood_depth's last tree;
+        # (rows, target, levels, component size) of flood_depth's last tree;
         # holding the rows keeps their id from being reused
         self._depth_memo: tuple = (None, None, None, 0)
 
@@ -325,18 +325,17 @@ class Radio:
         its component while the rows object and the target stay the same; an
         origin outside that component floods on its own."""
         rows = self._rows(t)
-        memo_rows, memo_target, hops, size = self._depth_memo
+        memo_rows, memo_target, levels, size = self._depth_memo
         if rows is not memo_rows or target != memo_target:
             levels = kernels.bfs_tree(rows, target)
-            hops = kernels.depths(levels, len(rows))
-            size = len(hops) - hops.count(-1)
-            self._depth_memo = rows, target, hops, size
-        depth = hops[origin]
-        if depth < 0:
-            self.flood(origin, kind, t)
-            return None
-        self.ledger.charge(kind, origin, BROADCAST, size, t)
-        return depth
+            size = sum(levels).bit_count()
+            self._depth_memo = rows, target, levels, size
+        for depth, level in enumerate(levels):
+            if level >> origin & 1:
+                self.ledger.charge(kind, origin, BROADCAST, size, t)
+                return depth
+        self.flood(origin, kind, t)
+        return None
 
     def flood_path(self, flood: FloodResult, node: int) -> tuple[int, ...]:
         """Relay path origin -> node inside a flood's BFS tree."""

@@ -1,11 +1,16 @@
 """Centralized server: election, FIFO queue, query round trips, handoffs."""
 
+import heapq
+
 import pytest
 
-from adhocloc.engine import Engine, EventKind
+from adhocloc.config import ScenarioConfig
+from adhocloc.engine import Engine, EventKind, RngStreams
 from adhocloc.metrics import RequestRecord
-from adhocloc.protocols.server import SERVICE_TIME, CentralizedProtocol, ServerAgent
+from adhocloc.protocols.server import (JITTER_BLOCK, SERVICE_TIME,
+                                       CentralizedProtocol, ServerAgent)
 from adhocloc.radio import MessageKind
+from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
 
 # a connected cluster whose centroid sits nearest node 2
@@ -48,6 +53,23 @@ class TestServerAgent:
         assert fired == [1.0 + s, 1.0 + s + s, 3.0 + s]
         assert agent.processed == 3 and agent.busy_until == 3.0 + s
 
+    def test_a_job_without_an_action_only_occupies_the_worker(self):
+        engine = Engine()
+        agent = ServerAgent(engine, host=0)
+        s = SERVICE_TIME
+        fired = []
+        engine.schedule(1.0, EventKind.MESSAGE_DELIVERY,
+                        lambda: agent.process(None))
+        engine.schedule(1.0 + s / 2, EventKind.MESSAGE_DELIVERY,
+                        lambda: agent.process(lambda: fired.append(engine.now)))
+        engine.run_until(1.0)
+        assert agent.busy_until == 1.0 + s and agent.processed == 1
+        engine.run_until(5.0)
+        # the second job still queues behind the first, and only its
+        # completion is an event: two deliveries and one completion ran
+        assert fired == [1.0 + s + s]
+        assert agent.processed == 2 and engine.executed == 3
+
     def test_entry_count_spans_both_tables(self):
         agent = ServerAgent(Engine(), host=0)
         agent.code_host = 3
@@ -72,6 +94,27 @@ class TestElection:
         assert proto.ctx.ledger.by_kind["PositionReport"] >= 6
         assert sorted(proto.agent.stations) == [0, 1, 2, 3, 4, 5]
         assert proto.agent.entry_count() == 7
+
+    def test_report_ticks_equal_one_draw_at_a_time(self):
+        period = 1.0
+        proto = make_server(static_model(CLUSTER6), host=3,
+                            central_report_period=period)
+        ticks = []
+        report = proto._report
+        proto._report = lambda node, t: (ticks.append((t, node)), report(node, t))
+        proto.engine.run_until(100.0)
+        assert len(ticks) > 2 * JITTER_BLOCK
+        # the same cadence from scalar draws, taken in tick order
+        draws = RngStreams(proto.cfg.seed).protocol
+        n = len(CLUSTER6)
+        pending = [(period * (v + 1) / n, v) for v in range(n)]
+        expected = []
+        while pending[0][0] <= 100.0:
+            t, v = heapq.heappop(pending)
+            expected.append((t, v))
+            gap = period * float(draws.uniform(0.75, 1.25))
+            heapq.heappush(pending, (t + gap, v))
+        assert ticks == expected
 
 
 class TestRequestPath:
@@ -169,3 +212,16 @@ class TestHandoff:
         proto.engine.run_until(12.0)
         assert proto.agent.host == 4 and proto.handoffs == 0
         assert proto.forward_map == {} and migration_rows(proto) == []
+
+
+class TestEventWork:
+    """Executed events are deterministic, so a lost shortcut shows as a count."""
+
+    def test_a_listed_station_s_report_schedules_no_completion(self):
+        result = run_scenario(ScenarioConfig(protocol="centralized", lam=1.0,
+                                             seed=3, duration=60.0))
+        reports = sum(row.kind is MessageKind.POSITION_REPORT
+                      for row in result.ledger.rows)
+        # a tick and a delivery per report, not also a completion
+        assert result.engine.executed < 2.75 * reports
+        assert result.protocol.agent.processed == 1613
