@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -23,66 +22,61 @@ class EventKind(Enum):
     TIMER_EXPIRY = "TimerExpiry"
 
 
-@dataclass(slots=True)
-class Event:
-    """A pending action; its time and sequence live in the queue's heap entry."""
-    kind: EventKind
-    action: Optional[Callable[[], None]]
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Engine:
     """Virtual-time event loop.
 
-    Events fire in (fire_at, sequence) order, so same-instant events run in
-    scheduling order and runs with the same seed replay identically.
+    An event is its heap entry, (fire_at, seq, kind, action): events fire in
+    (fire_at, seq) order, so same-instant events run in scheduling order and
+    runs with the same seed replay identically. `schedule` returns the seq
+    as the event's handle for `cancel`.
     """
 
     def __init__(self, trace: bool = False):
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, EventKind, Callable[[], None]]] = []
         self._seq = 0
+        self._cancelled: set[int] = set()
         self.executed = 0
         self.skipped_cancelled = 0
         self.trace: Optional[list[tuple[float, int, str]]] = [] if trace else None
 
-    def schedule(self, fire_at: float, kind: EventKind, action: Callable[[], None]) -> Event:
+    def schedule(self, fire_at: float, kind: EventKind, action: Callable[[], None]) -> int:
         if fire_at < self.now:
             raise SimulationError(f"cannot schedule at {fire_at:.6f}, clock is at {self.now:.6f}")
-        ev = Event(kind, action)
-        heapq.heappush(self._heap, (fire_at, self._seq, ev))
-        self._seq += 1
-        return ev
+        seq = self._seq
+        heapq.heappush(self._heap, (fire_at, seq, kind, action))
+        self._seq = seq + 1
+        return seq
 
-    def run_until(self, t_end: float) -> int:
-        """Execute every pending event with fire_at <= t_end; returns the count run."""
+    def cancel(self, handle: int) -> None:
+        """Skip the event `handle` when it comes up; an event that already
+        ran is past skipping, so its handle changes nothing."""
+        self._cancelled.add(handle)
+
+    def run_until(self, t_end: float) -> None:
+        """Execute every pending event with fire_at <= t_end."""
         if t_end < self.now:
             raise SimulationError(f"cannot run backwards to {t_end:.6f} from {self.now:.6f}")
-        ran = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, seq, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
+        heap, cancelled = self._heap, self._cancelled
+        while heap and heap[0][0] <= t_end:
+            fire_at, seq, kind, action = heapq.heappop(heap)
+            if seq in cancelled:
+                cancelled.discard(seq)
                 self.skipped_cancelled += 1
                 continue
             self.now = fire_at
             if self.trace is not None:
-                self.trace.append((fire_at, seq, ev.kind.value))
+                self.trace.append((fire_at, seq, kind.value))
             self.executed += 1
-            ran += 1
-            ev.action()
+            action()
         self.now = t_end
-        return ran
 
     def discard_pending(self) -> None:
-        """Drop every pending event and its action. Actions are closures over
-        their owners, so a finished run's queue would otherwise keep the run
-        alive in a reference cycle until the cyclic collector finds it."""
-        for _, _, ev in self._heap:
-            ev.action = None
+        """Drop every pending event. Actions are closures over their owners
+        and only the heap holds them, so clearing it frees a finished run
+        without waiting for the cyclic collector."""
         self._heap.clear()
+        self._cancelled.clear()
 
 
 STREAM_NAMES = ("mobility", "workload", "code-migration", "protocol")

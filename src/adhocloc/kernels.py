@@ -69,20 +69,13 @@ def adjacency(pos, range_m):
     return adj
 
 
-#: columns packed per matmul in neighbour_bits, so a block's row sum fits int64
-_BITS_PER_WORD = 62
-_WORD_WEIGHTS = np.left_shift(1, np.arange(_BITS_PER_WORD, dtype=np.int64))
-
-
 def neighbour_bits(adj):
     """Pack a bool adjacency matrix into one int per row: bit v of row u is
-    adj[u, v]. Any number of columns; each 62-column block is one matmul."""
-    rows = [0] * adj.shape[0]
-    for base in range(0, adj.shape[1], _BITS_PER_WORD):
-        block = adj[:, base:base + _BITS_PER_WORD]
-        words = (block @ _WORD_WEIGHTS[:block.shape[1]]).tolist()
-        rows = [r | w << base for r, w in zip(rows, words)] if base else words
-    return rows
+    adj[u, v]. One column or more; each row packs to little-endian bytes."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
 
 
 def set_bits(bits):

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..engine import Event, EventKind
+from ..engine import EventKind
 from ..metrics import RequestRecord
 from ..radio import MessageKind
 from .base import LocalizationProtocol, ProtocolError, ScenarioContext
@@ -92,10 +92,11 @@ class ForwarderProtocol(LocalizationProtocol):
         super().__init__(ctx)
         self.proactive = proactive
         self.entries: Dict[int, ForwarderEntry] = {}
-        # station -> (record, walk, timeout event) per walk waiting for a tick
-        # repair; a walk whose timeout failed it stays listed, and releasing
-        # it is harmless because _advance returns at once on a done record
-        self._parked: Dict[int, List[Tuple[RequestRecord, _WalkState, Event]]] = {}
+        # station -> (record, walk, timeout handle) per walk waiting for a
+        # tick repair; a walk whose timeout failed it stays listed, and
+        # releasing it is harmless: cancelling a handle whose event ran is a
+        # no-op, and _advance returns at once on a done record
+        self._parked: Dict[int, List[Tuple[RequestRecord, _WalkState, int]]] = {}
         self._repair_active: set[int] = set()
         self._max_steps = MAX_WALK_FACTOR * ctx.cfg.n_nodes
 
@@ -189,9 +190,9 @@ class ForwarderProtocol(LocalizationProtocol):
             # a broken pointer the walk has not followed before; the periodic
             # check will notice it too, so the walk parks for that repair
             timeout_at = t + PROACTIVE_WAIT_TICKS * CHAIN_CHECK_PERIOD
-            ev = self.engine.schedule(timeout_at, EventKind.TIMER_EXPIRY,
-                                      lambda: self._fail(record, self.engine.now))
-            self._parked.setdefault(station, []).append((record, walk, ev))
+            timeout = self.engine.schedule(timeout_at, EventKind.TIMER_EXPIRY,
+                                           lambda: self._fail(record, self.engine.now))
+            self._parked.setdefault(station, []).append((record, walk, timeout))
             return
         walk.repairs += 1
         if walk.repairs > MAX_REPAIRS_PER_REQUEST:
@@ -215,19 +216,16 @@ class ForwarderProtocol(LocalizationProtocol):
         self._repair(station, anchor, t, record.request_id, resume)
 
     def _release_parked(self, station: int) -> None:
-        for record, walk, ev in self._parked.pop(station, []):
-            ev.cancel()
+        for record, walk, timeout in self._parked.pop(station, []):
+            self.engine.cancel(timeout)
             self._advance(record, walk, station)
 
     # -- proactive maintenance ---------------------------------------------------
 
     def _chain_tick(self) -> None:
         t = self.engine.now
-        for station in sorted(self.entries):
+        for station, entry in sorted(self.entries.items()):
             if station in self._repair_active:
-                continue
-            entry = self.entries.get(station)
-            if entry is None:
                 continue
             probe = self.radio.direct(station, entry.next_hop,
                                       MessageKind.CHAIN_CHECK, t)

@@ -13,14 +13,17 @@ database's host entry back, then contact that host; a stale entry costs a
 re-query, up to MAX_RETRIES. A re-election every REELECTION_PERIOD moves the
 agent (and its database, charged per hop at one unit per ten entries) to a
 better-centered node when the gain clears HANDOFF_THRESHOLD, followed by a
-network-wide announcement. Queries addressed to an ex-host chase the agent
-through the forwarding pointer each ex-host keeps.
+network-wide announcement. Queries and location updates addressed to an
+ex-host chase the agent through the forwarding pointer each ex-host keeps; a
+chase that reaches a node with no pointer is lost, which costs a query a
+re-query and drops an update.
 
 The agent serializes everything it ingests through a single FIFO worker with
 a fixed per-message SERVICE_TIME, so its response latency degrades as report
 and query traffic converges on it. A report from a station the agent already
 lists only occupies the worker (`process(None)`): the centralized agent's
-stations only ever gain ids, so its completion would change nothing.
+stations only ever gain ids, so its completion would change nothing. Every
+message to an agent carries its work as a bare action, queued on arrival.
 """
 
 from __future__ import annotations
@@ -229,12 +232,9 @@ class CentralizedProtocol(ServerProtocol):
 
     def _send_location_update(self, src: int, t: float) -> None:
         claimed = self.code.host
-
-        def stored(ok: bool) -> None:
-            if ok:
-                self.agent.code_host = claimed
-
-        self._to_agent(src, MessageKind.SERVER_UPDATE, t, None, stored)
+        self._chase(src, self.known_server[src], MessageKind.SERVER_UPDATE, t,
+                    None, lambda: setattr(self.agent, "code_host", claimed),
+                    lambda: None)
 
     def _reelect(self, pos, ref: tuple[float, float], t: float) -> None:
         best = elect_server(range(self.cfg.n_nodes), pos, ref)
@@ -258,42 +258,37 @@ class CentralizedProtocol(ServerProtocol):
 
     # -- agent addressing --------------------------------------------------------
 
-    def _to_agent(self, sender: int, kind: MessageKind, t: float,
-                  request_id: Optional[int],
-                  on_processed: Callable[[bool], None],
-                  budget: int = CHASE_BUDGET) -> None:
-        """Route a message to wherever the sender believes the agent sits,
-        chasing forwarding pointers past stale addresses; on_processed fires
-        with True at service completion, False when delivery dies."""
-        self._chase_step(sender, self.known_server[sender], kind, t,
-                         request_id, on_processed, budget)
-
-    def _chase_step(self, sender: int, target: int, kind: MessageKind, t: float,
-                    request_id: Optional[int],
-                    on_processed: Callable[[bool], None], budget: int) -> None:
+    def _chase(self, sender: int, target: int, kind: MessageKind, t: float,
+               request_id: Optional[int], action: Callable[[], None],
+               lost: Callable[[], None], budget: int = CHASE_BUDGET) -> None:
+        """Send to `target`, where the sender believes the agent sits,
+        chasing forwarding pointers past stale addresses. The agent queues
+        `action` on arrival; `lost` runs when delivery dies instead."""
         def arrived() -> None:
             if target == self.agent.host:
-                self.agent.process(lambda: on_processed(True))
+                self.agent.process(action)
                 return
             successor = self.forward_map.get(target)
             if successor is None or budget <= 0:
-                on_processed(False)
+                lost()
                 return
-            self._chase_step(target, successor, kind, self.engine.now,
-                             request_id, on_processed, budget - 1)
+            self._chase(target, successor, kind, self.engine.now,
+                        request_id, action, lost, budget - 1)
 
         if not self._send(sender, target, kind, t, arrived, request_id):
-            on_processed(False)
+            lost()
 
     # -- localization ---------------------------------------------------------------
 
     def _attempt(self, record: RequestRecord) -> None:
-        def served(ok: bool) -> None:
-            claimed = self.agent.code_host if ok else None
+        def served() -> None:
+            claimed = self.agent.code_host
             if claimed is None:
                 self._retry(record)
             else:
                 self._reply(record, self.agent.host, claimed)
 
-        self._to_agent(self.code.mother, MessageKind.SERVER_QUERY,
-                       self.engine.now, record.request_id, served)
+        mother = self.code.mother
+        self._chase(mother, self.known_server[mother], MessageKind.SERVER_QUERY,
+                    self.engine.now, record.request_id, served,
+                    lambda: self._retry(record))

@@ -63,17 +63,12 @@ class ZonedProtocol(ServerProtocol):
     def _zone_at(self, node: int, t: float) -> int:
         return self.layout.zone_of(self.model.position(node, t))
 
-    def _at_agent(self, zone: int, action: Callable[[], None]) -> Callable[[], None]:
-        """On arrival: queue `action` behind the zone agent's service time."""
-        agent = self.agents[zone]
-        return lambda: agent.process(action)
-
     def _to_zone(self, src: int, zone: int, kind: MessageKind, t: float,
                  action: Callable[[], None]) -> bool:
         """Unicast to the zone's agent, which runs `action` once it has
         processed the message; False when the message is undeliverable."""
-        return self._send(src, self.agents[zone].host, kind, t,
-                          self._at_agent(zone, action))
+        agent = self.agents[zone]
+        return self._send(src, agent.host, kind, t, lambda: agent.process(action))
 
     # -- station table and database upkeep --------------------------------------
 
@@ -122,9 +117,9 @@ class ZonedProtocol(ServerProtocol):
 
     def _attempt(self, record: RequestRecord) -> None:
         zone = self._zone_at(self.code.mother, self.engine.now)
-        self._leg(self.code.mother, self.agents[zone].host,
-                  MessageKind.SERVER_QUERY, record,
-                  self._at_agent(zone, lambda: self._serve(
+        agent = self.agents[zone]
+        self._leg(self.code.mother, agent.host, MessageKind.SERVER_QUERY, record,
+                  lambda: agent.process(lambda: self._serve(
                       record, zone, self.cfg.n_zones - 1)))
 
     def _serve(self, record: RequestRecord, zone: int, forwards_left: int) -> None:
@@ -139,6 +134,7 @@ class ZonedProtocol(ServerProtocol):
                       record, lambda: self._retry(record))
         else:
             nxt = ring_next(zone, self.cfg.n_zones)
-            self._leg(agent.host, self.agents[nxt].host, MessageKind.RING_FORWARD,
-                      record, self._at_agent(nxt, lambda: self._serve(
+            ahead = self.agents[nxt]
+            self._leg(agent.host, ahead.host, MessageKind.RING_FORWARD, record,
+                      lambda: ahead.process(lambda: self._serve(
                           record, nxt, forwards_left - 1)))

@@ -15,9 +15,9 @@ def test_events_fire_in_time_order():
     engine.schedule(2.0, EventKind.TIMER_EXPIRY, lambda: seen.append("late"))
     engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("early"))
     engine.schedule(1.5, EventKind.TIMER_EXPIRY, lambda: seen.append("mid"))
-    ran = engine.run_until(10.0)
+    engine.run_until(10.0)
     assert seen == ["early", "mid", "late"]
-    assert ran == 3
+    assert engine.executed == 3
     assert engine.now == 10.0
 
 
@@ -74,14 +74,26 @@ def test_running_backwards_raises():
 def test_cancelled_events_are_skipped_and_counted():
     engine = Engine()
     seen = []
-    keep = engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("keep"))
+    engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("keep"))
     drop = engine.schedule(2.0, EventKind.TIMER_EXPIRY, lambda: seen.append("drop"))
-    drop.cancel()
-    ran = engine.run_until(3.0)
+    engine.cancel(drop)
+    engine.run_until(3.0)
     assert seen == ["keep"]
-    assert ran == 1
+    assert engine.executed == 1
     assert engine.skipped_cancelled == 1
-    assert not keep.cancelled
+
+
+def test_cancelling_an_event_that_already_ran_changes_nothing():
+    engine = Engine()
+    seen = []
+    done = engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("done"))
+    engine.run_until(1.5)
+    engine.cancel(done)
+    engine.schedule(2.0, EventKind.TIMER_EXPIRY, lambda: seen.append("later"))
+    engine.run_until(3.0)
+    assert seen == ["done", "later"]
+    assert engine.executed == 2
+    assert engine.skipped_cancelled == 0
 
 
 def test_executed_counts_only_the_events_that_ran():

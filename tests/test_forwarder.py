@@ -2,9 +2,11 @@
 
 import pytest
 
+from adhocloc.config import ScenarioConfig
 from adhocloc.metrics import RequestRecord
 from adhocloc.protocols.forwarder import ForwarderEntry, ForwarderProtocol
 from adhocloc.radio import MessageKind
+from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
 
 LINE4 = [(0, 0), (200, 0), (400, 0), (600, 0)]
@@ -301,3 +303,12 @@ class TestParking:
         proto.engine.run_until(3.0)
         assert record.resolved_at is not None
         assert record.returned_host == 0
+
+    def test_released_walks_cancel_their_timeouts(self):
+        # executed events are deterministic, so a timeout left to fire, or
+        # a cancel that drops the wrong event, shows as a count
+        result = run_scenario(ScenarioConfig(
+            protocol="forwarder_proactive", lam=1.0, code_band="high",
+            node_mob="high", seed=3, duration=60.0))
+        assert result.engine.executed == 693
+        assert result.engine.skipped_cancelled == 11

@@ -173,7 +173,7 @@ class TestScenario:
         try:
             result = run_scenario(short_cfg(**overrides))
             if parked:
-                # a parked walk's timeout event is held by the protocol too
+                # the protocol holds its parked walks' timeout handles
                 assert any(result.protocol._parked.values())
             protocol = weakref.ref(result.protocol)
             del result

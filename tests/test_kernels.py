@@ -81,6 +81,18 @@ def bfs_tree_frontier(adj, src):
     return hops, parents
 
 
+def neighbour_bits_matmul(adj):
+    """One int64 matmul per 62-column block, so no row sum overflows: the
+    reference neighbour_bits must match."""
+    weights = np.left_shift(1, np.arange(62, dtype=np.int64))
+    rows = [0] * adj.shape[0]
+    for base in range(0, adj.shape[1], 62):
+        block = adj[:, base:base + 62]
+        words = (block @ weights[:block.shape[1]]).tolist()
+        rows = [r | w << base for r, w in zip(rows, words)]
+    return rows
+
+
 def mask_bits(member):
     """Bitmask with bit v set where member[v] is true."""
     return sum(1 << int(v) for v in np.nonzero(member)[0])
@@ -218,6 +230,13 @@ class TestNeighbourBits:
         assert len(rows) == n and all(type(r) is int for r in rows)
         back = np.array([[r >> v & 1 for v in range(n)] for r in rows], dtype=bool)
         assert np.array_equal(back, adj)
+
+    def test_equals_the_blockwise_matmul_for_every_width(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 301):
+            adj = rng.uniform(size=(min(n, 7), n)) < 0.5
+            adj[:, -1] = True
+            assert kernels.neighbour_bits(adj) == neighbour_bits_matmul(adj), n
 
     def test_set_bits_lists_ids_ascending(self):
         assert kernels.set_bits(0) == []

@@ -197,6 +197,31 @@ class TestHandoff:
         assert record.returned_host == 3
         assert proto.ctx.ledger.units_for_request(1) == 5
 
+    def test_a_query_chased_into_a_dead_end_requeries_until_failure(self):
+        proto = make_server(static_model(CLUSTER6), host=3)
+        proto.engine.run_until(2.0)
+        assert proto.agent.host == 2
+        # node 5 never hosted the agent, so it holds no forwarding pointer
+        proto.known_server[0] = 5
+        record = issue(proto)
+        proto.engine.run_until(4.0)
+        # four queries of two hops each, none of them reaching the agent
+        assert record.resolved_at is None
+        assert record.retries == 3
+        assert record.failed_at == pytest.approx(2.08)
+        assert proto.ctx.ledger.units_for_request(1) == 8
+        assert proto.agent.processed == 1    # the initial location update
+
+    def test_a_location_update_chased_into_a_dead_end_is_dropped(self):
+        proto = make_server(static_model(CLUSTER6), host=3)
+        proto.engine.run_until(2.0)
+        proto.known_server[4] = 5
+        jump_code(proto, 4, 2.0)
+        proto.engine.run_until(4.0)
+        # the one-hop update to node 5 is charged, then goes nowhere
+        assert proto.ctx.ledger.by_kind["ServerUpdate"] == 8
+        assert proto.agent.code_host == 3 and proto.agent.processed == 1
+
     def test_a_small_centering_gain_does_not_move_the_agent(self):
         # the incumbent drifts just far enough that node 1 looks better,
         # but the gain stays under the handoff threshold
