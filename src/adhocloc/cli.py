@@ -76,7 +76,7 @@ def _write_rows(rows: list[dict], path: Optional[str]) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.set or [])
-    result = run_scenario(cfg, trace=False)
+    result = run_scenario(cfg)
     _print_report(result, sys.stdout)
     _write_rows([report_to_row(result.report)], args.csv)
     if args.dump_trace:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -13,38 +12,29 @@ class SimulationError(RuntimeError):
     """Engine misuse: scheduling into the past or running backwards."""
 
 
-class EventKind(Enum):
-    CODE_MIGRATION = "CodeMigration"
-    REQUEST_ARRIVAL = "RequestArrival"
-    CHAIN_CHECK_TICK = "ChainCheckTick"
-    SERVER_REELECTION_TICK = "ServerReelectionTick"
-    MESSAGE_DELIVERY = "MessageDelivery"
-    TIMER_EXPIRY = "TimerExpiry"
-
-
 class Engine:
     """Virtual-time event loop.
 
-    An event is its heap entry, (fire_at, seq, kind, action): events fire in
+    An event is its heap entry, (fire_at, seq, action): events fire in
     (fire_at, seq) order, so same-instant events run in scheduling order and
     runs with the same seed replay identically. `schedule` returns the seq
-    as the event's handle for `cancel`.
+    as the event's handle for `cancel`. The action is the event's only
+    label: its `__qualname__` names the site that scheduled it.
     """
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.now = 0.0
-        self._heap: list[tuple[float, int, EventKind, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._cancelled: set[int] = set()
         self.executed = 0
         self.skipped_cancelled = 0
-        self.trace: Optional[list[tuple[float, int, str]]] = [] if trace else None
 
-    def schedule(self, fire_at: float, kind: EventKind, action: Callable[[], None]) -> int:
+    def schedule(self, fire_at: float, action: Callable[[], None]) -> int:
         if fire_at < self.now:
             raise SimulationError(f"cannot schedule at {fire_at:.6f}, clock is at {self.now:.6f}")
         seq = self._seq
-        heapq.heappush(self._heap, (fire_at, seq, kind, action))
+        heapq.heappush(self._heap, (fire_at, seq, action))
         self._seq = seq + 1
         return seq
 
@@ -59,14 +49,12 @@ class Engine:
             raise SimulationError(f"cannot run backwards to {t_end:.6f} from {self.now:.6f}")
         heap, cancelled = self._heap, self._cancelled
         while heap and heap[0][0] <= t_end:
-            fire_at, seq, kind, action = heapq.heappop(heap)
+            fire_at, seq, action = heapq.heappop(heap)
             if seq in cancelled:
                 cancelled.discard(seq)
                 self.skipped_cancelled += 1
                 continue
             self.now = fire_at
-            if self.trace is not None:
-                self.trace.append((fire_at, seq, kind.value))
             self.executed += 1
             action()
         self.now = t_end

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..config import ScenarioConfig
-from ..engine import Engine, EventKind, RngStreams
+from ..engine import Engine, RngStreams
 from ..metrics import RequestRecord
 from ..mobility import RandomWaypointModel
 from ..radio import MessageKind, MessageLedger, Radio
@@ -64,7 +64,7 @@ class LocalizationProtocol:
         arrival = self.radio.unicast(src, dst, kind, t, request_id=request_id)
         if arrival is None:
             return False
-        self.engine.schedule(arrival, EventKind.MESSAGE_DELIVERY, then)
+        self.engine.schedule(arrival, then)
         return True
 
     # -- request outcomes ----------------------------------------------------
@@ -109,7 +109,7 @@ class CodeMigrationProcess:
 
     def _schedule_next(self, t: float) -> None:
         delay = float(self.rng.exponential(1.0 / self.ctx.cfg.jump_rate))
-        self.ctx.engine.schedule(t + delay, EventKind.CODE_MIGRATION, self._jump)
+        self.ctx.engine.schedule(t + delay, self._jump)
 
     def _jump(self) -> None:
         t = self.ctx.engine.now

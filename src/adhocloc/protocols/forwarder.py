@@ -50,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..engine import EventKind
 from ..metrics import RequestRecord
 from ..radio import MessageKind
 from .base import LocalizationProtocol, ProtocolError, ScenarioContext
@@ -104,8 +103,7 @@ class ForwarderProtocol(LocalizationProtocol):
 
     def start(self) -> None:
         if self.proactive:
-            self.engine.schedule(CHAIN_CHECK_PERIOD,
-                                 EventKind.CHAIN_CHECK_TICK, self._chain_tick)
+            self.engine.schedule(CHAIN_CHECK_PERIOD, self._chain_tick)
 
     def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
         code = self.code
@@ -159,14 +157,12 @@ class ForwarderProtocol(LocalizationProtocol):
                                     MessageKind.LOCATE_REQUEST, t,
                                     request_id=record.request_id)
         if arrival is None:
-            self.engine.schedule(t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
-                                 lambda: self._break(record, walk, station, entry,
-                                                     self.engine.now))
+            self.engine.schedule(t + ACK_TIMEOUT, lambda: self._break(
+                record, walk, station, entry, self.engine.now))
             return
         walk.seen.add(station)
         nxt = entry.next_hop
-        self.engine.schedule(arrival, EventKind.MESSAGE_DELIVERY,
-                             lambda: self._advance(record, walk, nxt))
+        self.engine.schedule(arrival, lambda: self._advance(record, walk, nxt))
 
     def _complete(self, record: RequestRecord, replier: int, truth: int) -> None:
         self._resolve(record, self.engine.now, replier, truth)
@@ -190,7 +186,7 @@ class ForwarderProtocol(LocalizationProtocol):
             # a broken pointer the walk has not followed before; the periodic
             # check will notice it too, so the walk parks for that repair
             timeout_at = t + PROACTIVE_WAIT_TICKS * CHAIN_CHECK_PERIOD
-            timeout = self.engine.schedule(timeout_at, EventKind.TIMER_EXPIRY,
+            timeout = self.engine.schedule(timeout_at,
                                            lambda: self._fail(record, self.engine.now))
             self._parked.setdefault(station, []).append((record, walk, timeout))
             return
@@ -233,15 +229,13 @@ class ForwarderProtocol(LocalizationProtocol):
                 # _repair stands down if the entry is rewired during the ack wait
                 self._repair_active.add(station)
                 self.engine.schedule(
-                    t + ACK_TIMEOUT, EventKind.TIMER_EXPIRY,
-                    lambda s=station, e=entry: self._repair(
+                    t + ACK_TIMEOUT, lambda s=station, e=entry: self._repair(
                         s, e, self.engine.now, None,
                         lambda ok: self._tick_repair_done(s, ok)))
             elif station in self._parked:
                 # the link healed on its own; waiting walks can move again
                 self._release_parked(station)
-        self.engine.schedule(t + CHAIN_CHECK_PERIOD,
-                             EventKind.CHAIN_CHECK_TICK, self._chain_tick)
+        self.engine.schedule(t + CHAIN_CHECK_PERIOD, self._chain_tick)
 
     def _tick_repair_done(self, station: int, success: bool) -> None:
         self._repair_active.discard(station)
@@ -300,14 +294,11 @@ class ForwarderProtocol(LocalizationProtocol):
             if ttl is not None:
                 # widen the search after a round-trip worth of silence
                 retry_at = t + 2 * ttl * lat
-                self.engine.schedule(
-                    retry_at, EventKind.TIMER_EXPIRY,
-                    lambda: self._repair(station, anchor, retry_at, request_id,
-                                         on_done, None))
+                self.engine.schedule(retry_at, lambda: self._repair(
+                    station, anchor, retry_at, request_id, on_done, None))
             else:
                 give_up_at = t + 2 * max(1, self.radio.diameter(t)) * lat
-                self.engine.schedule(give_up_at, EventKind.TIMER_EXPIRY,
-                                     lambda: on_done(False))
+                self.engine.schedule(give_up_at, lambda: on_done(False))
             return
 
         def preference(x: int) -> Tuple[float, int, int]:
@@ -318,9 +309,8 @@ class ForwarderProtocol(LocalizationProtocol):
         best = min(pool, key=preference)
         path = self.radio.flood_path(flood, best)
         resume_at = max(arrival for arrival, _ in replies)
-        self.engine.schedule(
-            resume_at, EventKind.TIMER_EXPIRY,
-            lambda: self._finish_repair(station, anchor, best, path, on_done))
+        self.engine.schedule(resume_at, lambda: self._finish_repair(
+            station, anchor, best, path, on_done))
 
     def _finish_repair(self, station: int, anchor: Optional[ForwarderEntry],
                        best: int, path: Tuple[int, ...],

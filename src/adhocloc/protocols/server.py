@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional
 
-from ..engine import Engine, EventKind
+from ..engine import Engine
 from ..geometry import centroid, dist, elect_server
 from ..metrics import RequestRecord
 from ..radio import MessageKind
@@ -76,7 +76,7 @@ class ServerAgent:
         self.busy_until = done
         self.processed += 1
         if action is not None:
-            self.engine.schedule(done, EventKind.TIMER_EXPIRY, action)
+            self.engine.schedule(done, action)
 
     def entry_count(self) -> int:
         return len(self.stations) + (self.code_host is not None)
@@ -105,11 +105,8 @@ class ServerProtocol(LocalizationProtocol):
         n = self.cfg.n_nodes
         for node in range(n):
             self.engine.schedule(report_period * (node + 1) / n,
-                                 EventKind.TIMER_EXPIRY,
                                  lambda v=node: self._report_tick(v, report_period))
-        self.engine.schedule(REELECTION_PERIOD,
-                             EventKind.SERVER_REELECTION_TICK,
-                             self._reelection_tick)
+        self.engine.schedule(REELECTION_PERIOD, self._reelection_tick)
 
     def _report_tick(self, node: int, period: float) -> None:
         t = self.engine.now
@@ -120,8 +117,7 @@ class ServerProtocol(LocalizationProtocol):
             block = self.ctx.streams.protocol.uniform(0.75, 1.25, JITTER_BLOCK)
             self._jitter = block.tolist()[::-1]
         gap = period * self._jitter.pop()
-        self.engine.schedule(t + gap, EventKind.TIMER_EXPIRY,
-                             lambda: self._report_tick(node, period))
+        self.engine.schedule(t + gap, lambda: self._report_tick(node, period))
 
     # -- elections ---------------------------------------------------------------
 
@@ -129,9 +125,7 @@ class ServerProtocol(LocalizationProtocol):
         t = self.engine.now
         pos = self.model.positions(t)
         self._reelect(pos, centroid(pos), t)
-        self.engine.schedule(t + REELECTION_PERIOD,
-                             EventKind.SERVER_REELECTION_TICK,
-                             self._reelection_tick)
+        self.engine.schedule(t + REELECTION_PERIOD, self._reelection_tick)
 
     def _hand_off(self, agent: ServerAgent, best: int, pos,
                   ref: tuple[float, float], t: float) -> bool:
@@ -222,8 +216,7 @@ class CentralizedProtocol(ServerProtocol):
                                        MessageKind.POSITION_REPORT, t)
         if depth is not None:
             arrive = t + depth * self.radio.latency
-            self.engine.schedule(arrive, EventKind.MESSAGE_DELIVERY,
-                                 lambda: self._report_arrived(node))
+            self.engine.schedule(arrive, lambda: self._report_arrived(node))
 
     def _report_arrived(self, node: int) -> None:
         agent = self.agent
@@ -252,9 +245,8 @@ class CentralizedProtocol(ServerProtocol):
             if depth == 0:
                 self.known_server[v] = holder
             else:
-                self.engine.schedule(
-                    t + depth * lat, EventKind.MESSAGE_DELIVERY,
-                    lambda v=v: self.known_server.__setitem__(v, holder))
+                self.engine.schedule(t + depth * lat,
+                                     lambda v=v: self.known_server.__setitem__(v, holder))
 
     # -- agent addressing --------------------------------------------------------
 

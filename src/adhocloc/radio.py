@@ -282,11 +282,8 @@ class Radio:
 
     def direct(self, src: int, dst: int, kind: MessageKind, t: float,
                request_id: Optional[int] = None) -> Optional[float]:
-        """Single-hop send; returns the arrival time, or None (charging
-        nothing) when dst is out of range."""
-        if src == dst:
-            self.ledger.charge(kind, src, dst, 0, t, request_id)
-            return t
+        """Single-hop send to another station; returns the arrival time, or
+        None (charging nothing) when dst is out of range."""
         if not self.in_range(src, dst, t):
             return None
         self.ledger.charge(kind, src, dst, 1, t, request_id)

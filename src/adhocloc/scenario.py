@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import ScenarioConfig
-from .engine import Engine, EventKind, RngStreams
+from .engine import Engine, RngStreams
 from .metrics import MetricsReport, RequestRecord, build_report
 from .mobility import RandomWaypointModel, network_mobility
 from .protocols import (CodeMigrationProcess, LocalizationProtocol, MobileCode,
@@ -55,7 +55,7 @@ class _PartitionWatchdog:
 
     def start(self) -> None:
         if self.duration >= 1.0:
-            self.engine.schedule(1.0, EventKind.TIMER_EXPIRY, self._check)
+            self.engine.schedule(1.0, self._check)
 
     def _check(self) -> None:
         t = self.engine.now
@@ -67,7 +67,7 @@ class _PartitionWatchdog:
             raise ScenarioAborted(t, self.split_since)
         nxt = t + 1.0
         if nxt <= self.duration:
-            self.engine.schedule(nxt, EventKind.TIMER_EXPIRY, self._check)
+            self.engine.schedule(nxt, self._check)
 
 
 def _draw_arrivals(streams: RngStreams, lam: float, duration: float) -> list[float]:
@@ -81,9 +81,9 @@ def _draw_arrivals(streams: RngStreams, lam: float, duration: float) -> list[flo
         arrivals.append(t)
 
 
-def run_scenario(cfg: ScenarioConfig, trace: bool = False) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     cfg = cfg.replace()  # validate a private copy
-    engine = Engine(trace=trace)
+    engine = Engine()
     streams = RngStreams(cfg.seed)
     smin, smax = cfg.node_speed
     model = RandomWaypointModel(cfg.n_nodes, cfg.area[0], cfg.area[1],
@@ -102,8 +102,7 @@ def run_scenario(cfg: ScenarioConfig, trace: bool = False) -> ScenarioResult:
         record = RequestRecord(request_id=i, issued_at=at,
                                warmup=(at < cfg.warmup))
         records.append(record)
-        engine.schedule(at, EventKind.REQUEST_ARRIVAL,
-                        lambda r=record: protocol.locate(r))
+        engine.schedule(at, lambda r=record: protocol.locate(r))
 
     watchdog = _PartitionWatchdog(radio, engine, cfg.partition_grace, cfg.duration)
     protocol.start()

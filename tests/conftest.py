@@ -27,14 +27,15 @@ def scripted_model(knot_lists, width=1000.0, height=500.0):
     return RandomWaypointModel.from_trajectories(trajs, width, height)
 
 
-def build_ctx(model, mother=0, host=None, trace=False, **overrides):
+def build_ctx(model, mother=0, host=None, **overrides):
     """Assemble a ScenarioContext around a prebuilt model.
 
     Config overrides are passed straight to ScenarioConfig; the context is
-    ready for driving a protocol by hand through its engine.
+    ready for driving a protocol by hand through its engine, whose clock
+    starts at 0 and moves only by `engine.run_until`.
     """
     cfg = ScenarioConfig(n_nodes=model.n_nodes, mother=mother, **overrides)
-    engine = Engine(trace=trace)
+    engine = Engine()
     streams = RngStreams(cfg.seed)
     ledger = MessageLedger()
     radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
@@ -43,13 +44,14 @@ def build_ctx(model, mother=0, host=None, trace=False, **overrides):
                            radio=radio, ledger=ledger, code=code)
 
 
-def jump_code(protocol, new_host, t):
-    """Migrate the code by hand: host switch first, protocol hook right after."""
+def jump_code(protocol, new_host):
+    """Migrate the code by hand at the engine's instant: host switch first,
+    protocol hook right after."""
     code = protocol.code
     old_host = code.host
     code.jumps += 1
     code.host = new_host
-    protocol.on_code_jump(old_host, new_host, t)
+    protocol.on_code_jump(old_host, new_host, protocol.engine.now)
 
 
 class MobilityBand(Enum):

@@ -18,6 +18,7 @@ from adhocloc.config import NODE_SPEED_PRESETS, PROTOCOLS, ScenarioConfig
 from adhocloc.engine import RngStreams
 from adhocloc.geometry import ZoneLayout, centroid, dist, elect_server
 from adhocloc.mobility import RandomWaypointModel, Trajectory, network_mobility
+from adhocloc.protocols.base import CodeMigrationProcess
 from adhocloc.scenario import run_scenario
 from adhocloc.sweep import report_to_row, write_csv
 from conftest import MobilityBand, classify_mobility
@@ -34,17 +35,29 @@ def verdict(label, ok, detail):
 
 @pytest.fixture(scope="module")
 def paper_grid():
-    """Full-length runs for A1-A5: (protocol, lambda, seed) -> (result, wall)."""
+    """Full-length runs for A1-A5: (protocol, lambda, seed) -> (result, wall,
+    the instants of the run's migration attempts)."""
     base = ScenarioConfig().validated()
     cells = [(protocol, lam) for protocol in RANKED for lam in GRID_LAMBDAS]
     cells.append(("forwarder_proactive", 0.25))
+    attempts = {}
+    jump = CodeMigrationProcess._jump
+
+    def recording_jump(mover):
+        attempts.setdefault(mover, []).append(mover.ctx.engine.now)
+        jump(mover)
+
     runs = {}
-    for protocol, lam in cells:
-        for seed in SEEDS:
-            cfg = base.replace(protocol=protocol, lam=lam, seed=seed)
-            started = time.perf_counter()
-            result = run_scenario(cfg, trace=True)
-            runs[(protocol, lam, seed)] = (result, time.perf_counter() - started)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CodeMigrationProcess, "_jump", recording_jump)
+        for protocol, lam in cells:
+            for seed in SEEDS:
+                cfg = base.replace(protocol=protocol, lam=lam, seed=seed)
+                started = time.perf_counter()
+                result = run_scenario(cfg)
+                wall = time.perf_counter() - started
+                runs[(protocol, lam, seed)] = (result, wall,
+                                               attempts.pop(result.mover, []))
     return runs
 
 
@@ -64,7 +77,7 @@ class TestComparativeClaims:
             ok = ok and re_ < zo < ce and ce >= 5 * re_
             details.append(f"lam={lam:g} nb_msg re/zo/ce="
                            f"{re_:.1f}/{zo:.1f}/{ce:.1f} (x{ce / re_:.1f})")
-        slowest = max(wall for _, wall in paper_grid.values())
+        slowest = max(wall for _, wall, _ in paper_grid.values())
         ok = ok and slowest < 10.0
         details.append(f"slowest cell {slowest:.2f}s")
         verdict("A1", ok, "; ".join(details))
@@ -101,12 +114,10 @@ class TestComparativeClaims:
     def test_a5_resolved_requests_name_the_true_host(self, paper_grid):
         checked = matches = 0
         quiet_runs = quiet_clean = 0
-        for (_, _, _), (result, _) in paper_grid.items():
+        for result, _, jumps in paper_grid.values():
             report = result.report
             checked += report.truth_checked
             matches += report.truth_matches
-            jumps = [t for t, _, kind in result.engine.trace
-                     if kind == "CodeMigration"]
             windows = [(r.issued_at, r.resolved_at) for r in result.records
                        if not r.warmup and r.status == "resolved"]
             overlap = any(lo <= t <= hi for t in jumps for lo, hi in windows)
@@ -311,7 +322,7 @@ class TestNumericOracles:
 class TestAccountingClosure:
     def test_a10_reported_totals_match_the_raw_message_log(self, paper_grid):
         drift = []
-        for key, (result, _) in paper_grid.items():
+        for key, (result, _, _) in paper_grid.items():
             recount = sum(row.units for row in result.ledger.rows)
             if result.report.total_messages != recount:
                 drift.append(key)

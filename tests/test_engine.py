@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adhocloc.engine import Engine, EventKind, RngStreams, SimulationError
+from adhocloc.engine import Engine, RngStreams, SimulationError
 
 #: the named streams RngStreams carries as attributes
 STREAMS = ("workload", "code_migration", "protocol")
@@ -12,9 +12,9 @@ STREAMS = ("workload", "code_migration", "protocol")
 def test_events_fire_in_time_order():
     engine = Engine()
     seen = []
-    engine.schedule(2.0, EventKind.TIMER_EXPIRY, lambda: seen.append("late"))
-    engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("early"))
-    engine.schedule(1.5, EventKind.TIMER_EXPIRY, lambda: seen.append("mid"))
+    engine.schedule(2.0, lambda: seen.append("late"))
+    engine.schedule(1.0, lambda: seen.append("early"))
+    engine.schedule(1.5, lambda: seen.append("mid"))
     engine.run_until(10.0)
     assert seen == ["early", "mid", "late"]
     assert engine.executed == 3
@@ -25,8 +25,7 @@ def test_same_instant_events_run_in_schedule_order():
     engine = Engine()
     seen = []
     for tag in ("a", "b", "c", "d"):
-        engine.schedule(3.0, EventKind.TIMER_EXPIRY,
-                        lambda tag=tag: seen.append(tag))
+        engine.schedule(3.0, lambda tag=tag: seen.append(tag))
     engine.run_until(3.0)
     assert seen == ["a", "b", "c", "d"]
 
@@ -34,8 +33,8 @@ def test_same_instant_events_run_in_schedule_order():
 def test_run_until_includes_the_boundary_instant():
     engine = Engine()
     seen = []
-    engine.schedule(5.0, EventKind.TIMER_EXPIRY, lambda: seen.append("edge"))
-    engine.schedule(5.0000001, EventKind.TIMER_EXPIRY, lambda: seen.append("past"))
+    engine.schedule(5.0, lambda: seen.append("edge"))
+    engine.schedule(5.0000001, lambda: seen.append("past"))
     engine.run_until(5.0)
     assert seen == ["edge"]
     assert engine.now == 5.0
@@ -49,10 +48,9 @@ def test_actions_may_schedule_followups_inside_the_run():
 
     def first():
         seen.append("first")
-        engine.schedule(engine.now + 1.0, EventKind.TIMER_EXPIRY,
-                        lambda: seen.append("second"))
+        engine.schedule(engine.now + 1.0, lambda: seen.append("second"))
 
-    engine.schedule(1.0, EventKind.TIMER_EXPIRY, first)
+    engine.schedule(1.0, first)
     engine.run_until(10.0)
     assert seen == ["first", "second"]
 
@@ -61,7 +59,7 @@ def test_scheduling_in_the_past_raises():
     engine = Engine()
     engine.run_until(5.0)
     with pytest.raises(SimulationError):
-        engine.schedule(4.0, EventKind.TIMER_EXPIRY, lambda: None)
+        engine.schedule(4.0, lambda: None)
 
 
 def test_running_backwards_raises():
@@ -74,8 +72,8 @@ def test_running_backwards_raises():
 def test_cancelled_events_are_skipped_and_counted():
     engine = Engine()
     seen = []
-    engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("keep"))
-    drop = engine.schedule(2.0, EventKind.TIMER_EXPIRY, lambda: seen.append("drop"))
+    engine.schedule(1.0, lambda: seen.append("keep"))
+    drop = engine.schedule(2.0, lambda: seen.append("drop"))
     engine.cancel(drop)
     engine.run_until(3.0)
     assert seen == ["keep"]
@@ -86,10 +84,10 @@ def test_cancelled_events_are_skipped_and_counted():
 def test_cancelling_an_event_that_already_ran_changes_nothing():
     engine = Engine()
     seen = []
-    done = engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: seen.append("done"))
+    done = engine.schedule(1.0, lambda: seen.append("done"))
     engine.run_until(1.5)
     engine.cancel(done)
-    engine.schedule(2.0, EventKind.TIMER_EXPIRY, lambda: seen.append("later"))
+    engine.schedule(2.0, lambda: seen.append("later"))
     engine.run_until(3.0)
     assert seen == ["done", "later"]
     assert engine.executed == 2
@@ -99,24 +97,9 @@ def test_cancelling_an_event_that_already_ran_changes_nothing():
 def test_executed_counts_only_the_events_that_ran():
     engine = Engine()
     for k in range(5):
-        engine.schedule(float(k), EventKind.REQUEST_ARRIVAL, lambda: None)
+        engine.schedule(float(k), lambda: None)
     engine.run_until(2.5)
     assert engine.executed == 3
-
-
-def test_trace_records_time_sequence_and_kind():
-    engine = Engine(trace=True)
-    engine.schedule(1.0, EventKind.CODE_MIGRATION, lambda: None)
-    engine.schedule(0.5, EventKind.MESSAGE_DELIVERY, lambda: None)
-    engine.run_until(2.0)
-    assert engine.trace == [(0.5, 1, "MessageDelivery"), (1.0, 0, "CodeMigration")]
-
-
-def test_trace_disabled_by_default():
-    engine = Engine()
-    engine.schedule(1.0, EventKind.TIMER_EXPIRY, lambda: None)
-    engine.run_until(2.0)
-    assert engine.trace is None
 
 
 class TestRngStreams:

@@ -27,26 +27,26 @@ class TestChainBookkeeping:
     def test_each_departure_leaves_an_ordered_entry(self):
         proto = make_forwarder(static_model(LINE4))
         proto.start()
-        jump_code(proto, 1, 0.0)
-        jump_code(proto, 2, 0.0)
-        jump_code(proto, 3, 0.0)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
+        jump_code(proto, 3)
         assert proto.entries == {0: ForwarderEntry(1, 0.0),
                                  1: ForwarderEntry(2, 1.0),
                                  2: ForwarderEntry(3, 2.0)}
 
     def test_the_mother_is_pinned_at_order_zero(self):
         proto = make_forwarder(static_model(LINE4))
-        jump_code(proto, 1, 0.0)
-        jump_code(proto, 0, 0.0)      # back onto the mother
-        jump_code(proto, 1, 0.0)      # and away again
+        jump_code(proto, 1)
+        jump_code(proto, 0)      # back onto the mother
+        jump_code(proto, 1)      # and away again
         assert proto.entries[0].order == 0.0
 
     def test_landing_on_a_member_clears_its_pointer_but_keeps_the_rest(self):
         proto = make_forwarder(static_model(LINE4))
-        jump_code(proto, 1, 0.0)
-        jump_code(proto, 2, 0.0)
-        jump_code(proto, 3, 0.0)
-        jump_code(proto, 1, 0.0)      # host lands on a chain member
+        jump_code(proto, 1)
+        jump_code(proto, 2)
+        jump_code(proto, 3)
+        jump_code(proto, 1)      # host lands on a chain member
         assert 1 not in proto.entries
         assert proto.entries[3] == ForwarderEntry(1, 3.0)
         # the stretch beyond the new host is orphaned, not erased: its
@@ -65,7 +65,7 @@ class TestWalk:
     def test_walk_along_an_intact_chain(self):
         proto = make_forwarder(static_model(LINE4))
         for host in (1, 2, 3):
-            jump_code(proto, host, 0.0)
+            jump_code(proto, host)
         record = issue(proto, 0.0)
         proto.engine.run_until(1.0)
         # three forwards at one hop each, then a three-hop reply
@@ -76,7 +76,7 @@ class TestWalk:
     def test_reactive_resolution_collapses_the_chain(self):
         proto = make_forwarder(static_model(LINE4))
         for host in (1, 2, 3):
-            jump_code(proto, host, 0.0)
+            jump_code(proto, host)
         issue(proto, 0.0)
         proto.engine.run_until(1.0)
         assert proto.entries == {0: ForwarderEntry(3, 0.0)}
@@ -85,7 +85,7 @@ class TestWalk:
         proto = make_forwarder(static_model(LINE4), proactive=True)
         proto.start()
         for host in (1, 2, 3):
-            jump_code(proto, host, 0.0)
+            jump_code(proto, host)
         record = issue(proto, 0.0)
         proto.engine.run_until(0.5)    # resolve before the first tick
         assert record.resolved_at is not None
@@ -98,8 +98,8 @@ class TestMaintenance:
     def test_reactive_charges_nothing_while_idle(self):
         proto = make_forwarder(static_model(LINE4))
         proto.start()
-        jump_code(proto, 1, 0.0)
-        jump_code(proto, 2, 0.0)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(10.0)
         assert proto.ctx.ledger.recount() == 0
 
@@ -107,7 +107,7 @@ class TestMaintenance:
         proto = make_forwarder(static_model(LINE4), proactive=True)
         proto.start()
         for host in (1, 2, 3):
-            jump_code(proto, host, 0.0)
+            jump_code(proto, host)
         proto.engine.run_until(5.5)
         # ticks at 1..5 s probe the three standing links
         assert proto.ctx.ledger.by_kind == {"ChainCheck": 15}
@@ -124,8 +124,8 @@ class TestMaintenance:
         ])
         proto = make_forwarder(model, proactive=True)
         proto.start()
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(4.0)
         assert 1 not in proto.entries
         assert proto.entries == {0: ForwarderEntry(3, 0.0),
@@ -139,11 +139,11 @@ class TestMaintenance:
         proto = make_forwarder(static_model([(0, 0), (200, 0), (600, 0)]),
                                proactive=True)
         proto.start()
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(1.01)
         assert proto._repair_active == {1}
-        jump_code(proto, 1, 1.01)     # drops station 1's pointer
+        jump_code(proto, 1)     # drops station 1's pointer
         proto.engine.run_until(1.5)
         floods = [r for r in proto.ctx.ledger.rows
                   if r.kind is MessageKind.CHAIN_REPAIR_FLOOD and r.src == 1]
@@ -165,8 +165,8 @@ class TestWalkRepairs:
 
     def test_reactive_walk_repairs_a_break_in_band(self):
         proto = make_forwarder(self.repair_model())
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(2.0)
         record = issue(proto, 2.0)
         proto.engine.run_until(2.08)
@@ -182,8 +182,8 @@ class TestWalkRepairs:
 
     def test_repair_cost_is_charged_to_the_request(self):
         proto = make_forwarder(self.repair_model())
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(2.0)
         record = issue(proto, 2.0, request_id=7)
         proto.engine.run_until(4.0)
@@ -195,8 +195,8 @@ class TestWalkRepairs:
 
     def test_bypassed_station_is_dropped_from_the_chain(self):
         proto = make_forwarder(self.repair_model())
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(2.0)
         issue(proto, 2.0)
         proto.engine.run_until(2.08)   # after the rewire, before resolution
@@ -259,8 +259,8 @@ class TestParking:
     def test_proactive_walk_parks_and_resumes_when_the_link_heals(self):
         proto = make_forwarder(self.parking_model(), proactive=True)
         proto.start()
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(2.0)
         record = issue(proto, 2.0, request_id=5)
         proto.engine.run_until(6.0)
@@ -280,8 +280,8 @@ class TestParking:
         ])
         proto = make_forwarder(model, proactive=True)
         proto.start()
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(2.0)
         record = issue(proto, 2.0)
         proto.engine.run_until(8.0)
@@ -292,14 +292,14 @@ class TestParking:
     def test_a_jump_at_the_broken_station_releases_the_walk(self):
         proto = make_forwarder(self.parking_model(), proactive=True)
         proto.start()
-        jump_code(proto, 1, 0.1)
-        jump_code(proto, 2, 0.2)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
         proto.engine.run_until(2.0)
         record = issue(proto, 2.0)
         proto.engine.run_until(2.5)
         assert 0 in proto._parked
         # the code hops back onto the broken station: the walk is already there
-        jump_code(proto, 0, 2.5)
+        jump_code(proto, 0)
         proto.engine.run_until(3.0)
         assert record.resolved_at is not None
         assert record.returned_host == 0

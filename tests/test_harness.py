@@ -333,7 +333,7 @@ class TestCli:
 
     def test_an_invariant_violation_exits_with_the_invariant_code(
             self, monkeypatch, capsys):
-        def explode(cfg, trace=False):
+        def explode(cfg):
             raise MetricsError("ledger total 7 != raw-log recount 6")
         monkeypatch.setattr(cli, "run_scenario", explode)
         assert cli.main(["run"]) == cli.EXIT_INVARIANT

@@ -5,7 +5,7 @@ import heapq
 import pytest
 
 from adhocloc.config import ScenarioConfig
-from adhocloc.engine import Engine, EventKind, RngStreams
+from adhocloc.engine import Engine, RngStreams
 from adhocloc.metrics import RequestRecord
 from adhocloc.protocols.server import (JITTER_BLOCK, SERVICE_TIME,
                                        CentralizedProtocol, ServerAgent)
@@ -47,7 +47,7 @@ class TestServerAgent:
         # the idle gap before the third resets the queue instead of
         # accumulating
         for arrival in (1.0, 1.0 + s / 2, 3.0):
-            engine.schedule(arrival, EventKind.MESSAGE_DELIVERY,
+            engine.schedule(arrival,
                             lambda: agent.process(lambda: fired.append(engine.now)))
         engine.run_until(5.0)
         assert fired == [1.0 + s, 1.0 + s + s, 3.0 + s]
@@ -58,9 +58,8 @@ class TestServerAgent:
         agent = ServerAgent(engine, host=0)
         s = SERVICE_TIME
         fired = []
-        engine.schedule(1.0, EventKind.MESSAGE_DELIVERY,
-                        lambda: agent.process(None))
-        engine.schedule(1.0 + s / 2, EventKind.MESSAGE_DELIVERY,
+        engine.schedule(1.0, lambda: agent.process(None))
+        engine.schedule(1.0 + s / 2,
                         lambda: agent.process(lambda: fired.append(engine.now)))
         engine.run_until(1.0)
         assert agent.busy_until == 1.0 + s and agent.processed == 1
@@ -134,9 +133,9 @@ class TestRequestPath:
         proto = make_server(static_model(CLUSTER6), host=3)
         proto.engine.run_until(2.0)
         record = issue(proto)
-        proto.engine.run_until(2.08)
+        proto.engine.run_until(2.09)
         # the reply naming host 3 is already in flight when the code leaves
-        jump_code(proto, 4, 2.09)
+        jump_code(proto, 4)
         proto.engine.run_until(4.0)
         assert record.retries == 1
         assert record.returned_host == 4 and record.truth_host == 4
@@ -216,7 +215,7 @@ class TestHandoff:
         proto = make_server(static_model(CLUSTER6), host=3)
         proto.engine.run_until(2.0)
         proto.known_server[4] = 5
-        jump_code(proto, 4, 2.0)
+        jump_code(proto, 4)
         proto.engine.run_until(4.0)
         # the one-hop update to node 5 is charged, then goes nowhere
         assert proto.ctx.ledger.by_kind["ServerUpdate"] == 8

@@ -88,7 +88,7 @@ class TestDatabaseUpkeep:
     def test_the_code_entry_follows_jumps_across_zones(self):
         proto = make_zoned(static_model(BOX8), host=2)
         proto.engine.run_until(1.0)
-        jump_code(proto, 4, 1.0)      # zone 1 into zone 2
+        jump_code(proto, 4)      # zone 1 into zone 2
         assert proto.sdb_zone == 2
         proto.engine.run_until(1.5)
         assert proto.agents[2].code_host == 4

@@ -1,0 +1,63 @@
+"""Same-bytes check: one digest over every simulated value of 120 runs.
+
+A change that claims to move no simulated value must print the same line
+before and after it. Run it from the repository root against each tree:
+
+    PYTHONPATH=src python tools/same_bytes.py
+    PYTHONPATH=/path/to/other/checkout/src python tools/same_bytes.py
+
+It prints `<runs> <sha256>`. The runs cover both forwarders, centralized
+and zoned with 2 and 4 zones, at lambda 0.25, 1 and 4, medium and high node
+speed, medium and high code band and seeds 1 and 2, 200 s each. The digest
+takes in every request record, every ledger row, the engine's executed and
+cancelled-skip counts, the mover's jump counters, the measured Mob and the
+abort reason. Only `run_scenario(cfg)` is called, so any tree whose results
+carry these fields can be checked.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+
+from adhocloc.config import ScenarioConfig
+from adhocloc.scenario import run_scenario
+
+VARIANTS = (("forwarder_proactive", 2), ("forwarder_reactive", 2),
+            ("centralized", 2), ("zoned", 2), ("zoned", 4))
+LAMBDAS = (0.25, 1.0, 4.0)
+NODE_MOBS = ("medium", "high")
+CODE_BANDS = ("medium", "high")
+SEEDS = (1, 2)
+DURATION = 200.0
+
+
+def run_key(result) -> tuple:
+    """Every simulated value of one run, in a form whose repr is exact."""
+    return (
+        [(r.request_id, r.issued_at, r.warmup, r.resolved_at, r.failed_at,
+          r.units, r.retries, r.returned_host, r.truth_host)
+         for r in result.records],
+        [(row.request_id, row.kind.name, row.src, row.dst, row.units, row.t)
+         for row in result.ledger.rows],
+        result.engine.executed, result.engine.skipped_cancelled,
+        result.mover.jumps_attempted, result.mover.jumps_made,
+        result.report.measured_mob, result.abort_reason,
+    )
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    runs = 0
+    for (protocol, n_zones), lam, node_mob, code_band, seed in itertools.product(
+            VARIANTS, LAMBDAS, NODE_MOBS, CODE_BANDS, SEEDS):
+        cfg = ScenarioConfig(protocol=protocol, n_zones=n_zones, lam=lam,
+                             node_mob=node_mob, code_band=code_band, seed=seed,
+                             duration=DURATION)
+        digest.update(repr(run_key(run_scenario(cfg))).encode())
+        runs += 1
+    print(runs, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
