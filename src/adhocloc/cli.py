@@ -33,7 +33,7 @@ def _load_config(path: Optional[str], overrides: Sequence[str]) -> ScenarioConfi
 def _dump_messages(result: ScenarioResult, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["request_id", "kind", "src", "dst", "hops", "t"])
+        writer.writerow(["request_id", "kind", "src", "dst", "units", "t"])
         for row in result.ledger.rows:
             writer.writerow([
                 "" if row.request_id is None else row.request_id,
@@ -87,17 +87,20 @@ def cmd_run(args) -> int:
 
 
 def _axes_from_args(cfg: ScenarioConfig, args) -> dict:
-    def axis(raw: Optional[str], key: str, default) -> list:
-        if not raw:
+    def axis(raw: Optional[str], flag: str, key: str, default) -> list:
+        if raw is None:
             return [default]
-        return [_parse_value(key, part) for part in raw.split(",") if part.strip()]
+        values = [_parse_value(key, part) for part in raw.split(",") if part.strip()]
+        if not values:
+            raise ConfigError(f"{flag} {raw!r} names no value")
+        return values
 
     return {
-        "protocols": axis(args.protocols, "protocol", cfg.protocol),
-        "lambdas": axis(args.lambdas, "lambda", cfg.lam),
-        "node_mobs": axis(args.node_mobs, "node_mob", cfg.node_mob),
-        "code_bands": axis(args.code_bands, "code_band", cfg.code_band),
-        "seeds": axis(args.seeds, "seed", cfg.seed),
+        "protocols": axis(args.protocols, "--protocols", "protocol", cfg.protocol),
+        "lambdas": axis(args.lambdas, "--lambda", "lambda", cfg.lam),
+        "node_mobs": axis(args.node_mobs, "--node-mobs", "node_mob", cfg.node_mob),
+        "code_bands": axis(args.code_bands, "--code-bands", "code_band", cfg.code_band),
+        "seeds": axis(args.seeds, "--seeds", "seed", cfg.seed),
     }
 
 
@@ -133,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write sampled node trajectories (node_id,t,x,y)")
     p_run.add_argument("--dump-messages", metavar="PATH",
                        help="write the raw message log "
-                            "(request_id,kind,src,dst,hops,t)")
+                            "(request_id,kind,src,dst,units,t)")
     p_run.set_defaults(fn=cmd_run)
 
     def axes(p: argparse.ArgumentParser) -> None:

@@ -2,8 +2,8 @@
 with no per-node Python loop but one knot search per node for a block of
 sample times. `bfs_tree` walks neighbour bitmasks level by level, as far
 as its caller asks; `path_back` reads a path back from those levels and
-`depths` a hop list. The tests hold loop references that the kernels must
-match bit for bit.
+`depths` each reached node's hop count. The tests hold loop references that
+the kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -127,14 +127,11 @@ def path_back(rows, levels, dst):
     return tuple(path)
 
 
-def depths(levels, n):
-    """Hop counts of n nodes from a walk's levels, as a list; -1 where
-    unreached."""
-    hops = [-1] * n
-    for d, level in enumerate(levels):
-        for v in set_bits(level):
-            hops[v] = d
-    return hops
+def depths(levels):
+    """Hop count of every node a walk's levels reach, as a {node: depth}
+    dict in ascending node id."""
+    hops = {v: d for d, level in enumerate(levels) for v in set_bits(level)}
+    return dict(sorted(hops.items()))
 
 
 #: pair-intervals per block of range_crossings' vectorised pass, so that a

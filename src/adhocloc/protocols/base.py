@@ -38,7 +38,12 @@ class ScenarioContext:
 
 
 class LocalizationProtocol:
-    """Interface the harness drives: bootstrap, migration side effects, locates."""
+    """Interface the harness drives: bootstrap, migration side effects, locates.
+
+    Every hook runs inside an event, at the engine's instant, and reads the
+    clock (`engine.now`) and the code's placement (`code`) from the run
+    itself; a subclass supplies `start`, `on_code_jump` and `_attempt`.
+    """
 
     def __init__(self, ctx: ScenarioContext):
         self.ctx = ctx
@@ -49,19 +54,31 @@ class LocalizationProtocol:
         self.code = ctx.code
 
     def start(self) -> None:
+        """Set up the protocol's state and timers at t = 0."""
         raise NotImplementedError
 
-    def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
+    def on_code_jump(self, old_host: int) -> None:
+        """Runs right after the code left `old_host` for `code.host`."""
         raise NotImplementedError
 
     def locate(self, record: RequestRecord) -> None:
+        """A request for a code sitting at its mother resolves on the spot;
+        any other goes to `_attempt`."""
+        if self.code.host == self.code.mother:
+            self._resolve(record, self.code.host, self.code.host)
+        else:
+            self._attempt(record)
+
+    def _attempt(self, record: RequestRecord) -> None:
+        """Start the protocol's search for the code on behalf of `record`."""
         raise NotImplementedError
 
-    def _send(self, src: int, dst: int, kind: MessageKind, t: float,
+    def _send(self, src: int, dst: int, kind: MessageKind,
               then: Callable[[], None], request_id: Optional[int] = None) -> bool:
-        """Unicast src -> dst at t and run `then` at the arrival; False when
+        """Unicast src -> dst now and run `then` at the arrival; False when
         the message cannot be delivered."""
-        arrival = self.radio.unicast(src, dst, kind, t, request_id=request_id)
+        arrival = self.radio.unicast(src, dst, kind, self.engine.now,
+                                     request_id=request_id)
         if arrival is None:
             return False
         self.engine.schedule(arrival, then)
@@ -69,24 +86,17 @@ class LocalizationProtocol:
 
     # -- request outcomes ----------------------------------------------------
 
-    def _resolve(self, record: RequestRecord, t: float,
-                 returned_host: int, truth_host: int) -> None:
+    def _resolve(self, record: RequestRecord, returned_host: int,
+                 truth_host: int) -> None:
         if record.done:
             return
-        record.resolved_at = t
+        record.resolved_at = self.engine.now
         record.returned_host = returned_host
         record.truth_host = truth_host
 
-    def _fail(self, record: RequestRecord, t: float) -> None:
+    def _fail(self, record: RequestRecord) -> None:
         if not record.done:
-            record.failed_at = t
-
-    def _local_hit(self, record: RequestRecord) -> bool:
-        """Requests for a code sitting at its mother resolve on the spot."""
-        if self.code.host == self.code.mother:
-            self._resolve(record, self.engine.now, self.code.host, self.code.host)
-            return True
-        return False
+            record.failed_at = self.engine.now
 
 
 class CodeMigrationProcess:
@@ -105,22 +115,20 @@ class CodeMigrationProcess:
         self.jumps_made = 0
 
     def start(self) -> None:
-        self._schedule_next(0.0)
+        self._schedule_next()
 
-    def _schedule_next(self, t: float) -> None:
+    def _schedule_next(self) -> None:
         delay = float(self.rng.exponential(1.0 / self.ctx.cfg.jump_rate))
-        self.ctx.engine.schedule(t + delay, self._jump)
+        self.ctx.engine.schedule(self.ctx.engine.now + delay, self._jump)
 
     def _jump(self) -> None:
-        t = self.ctx.engine.now
         code = self.ctx.code
         self.jumps_attempted += 1
-        nbrs = self.ctx.radio.neighbors(code.host, t)
+        nbrs = self.ctx.radio.neighbors(code.host, self.ctx.engine.now)
         if nbrs:
-            new_host = nbrs[int(self.rng.integers(len(nbrs)))]
             old_host = code.host
             code.jumps += 1
-            code.host = new_host
+            code.host = nbrs[int(self.rng.integers(len(nbrs)))]
             self.jumps_made += 1
-            self.protocol.on_code_jump(old_host, new_host, t)
-        self._schedule_next(t)
+            self.protocol.on_code_jump(old_host)
+        self._schedule_next()

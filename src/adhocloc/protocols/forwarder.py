@@ -105,8 +105,9 @@ class ForwarderProtocol(LocalizationProtocol):
         if self.proactive:
             self.engine.schedule(CHAIN_CHECK_PERIOD, self._chain_tick)
 
-    def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
+    def on_code_jump(self, old_host: int) -> None:
         code = self.code
+        new_host = code.host
         order = 0.0 if old_host == code.mother else float(code.jumps - 1)
         self.entries[old_host] = ForwarderEntry(new_host, order)
         # a station hosting the code holds no pointer; if the code landed on
@@ -120,62 +121,56 @@ class ForwarderProtocol(LocalizationProtocol):
 
     # -- request walk ----------------------------------------------------------
 
-    def locate(self, record: RequestRecord) -> None:
-        if self._local_hit(record):
-            return
+    def _attempt(self, record: RequestRecord) -> None:
         self._advance(record, _WalkState(), self.code.mother)
 
     def _advance(self, record: RequestRecord, walk: _WalkState,
                  station: int) -> None:
         if record.done:
             return
-        t = self.engine.now
         walk.steps += 1
         if walk.steps > self._max_steps:
-            self._fail(record, t)
+            self._fail(record)
             return
         code = self.code
         if station == code.host:
-            truth = code.host
-            if not self._send(station, code.mother, MessageKind.LOCATE_REPLY, t,
-                              lambda: self._complete(record, station, truth),
+            if not self._send(station, code.mother, MessageKind.LOCATE_REPLY,
+                              lambda: self._complete(record, station),
                               record.request_id):
-                self._fail(record, t)
+                self._fail(record)
             return
         entry = self.entries.get(station)
-        if station in walk.seen:
-            # the chain wrapped back on itself through stale pointers; the
-            # walk's own trail proves it, so repair right here
-            self._break(record, walk, station, entry, t)
+        if entry is None or station in walk.seen:
+            # a station with no pointer has nothing to wait out, and a walk
+            # back at a station it has left proves the chain wrapped back on
+            # itself through stale pointers: either way, repair right here
+            self._break(record, walk, station, entry)
             return
-        if entry is None:
-            # a station with no pointer has nothing to wait out: the walk
-            # must search for the chain itself
-            self._break(record, walk, station, None, t)
-            return
+        t = self.engine.now
         arrival = self.radio.direct(station, entry.next_hop,
                                     MessageKind.LOCATE_REQUEST, t,
                                     request_id=record.request_id)
         if arrival is None:
             self.engine.schedule(t + ACK_TIMEOUT, lambda: self._break(
-                record, walk, station, entry, self.engine.now))
+                record, walk, station, entry))
             return
         walk.seen.add(station)
         nxt = entry.next_hop
         self.engine.schedule(arrival, lambda: self._advance(record, walk, nxt))
 
-    def _complete(self, record: RequestRecord, replier: int, truth: int) -> None:
-        self._resolve(record, self.engine.now, replier, truth)
+    def _complete(self, record: RequestRecord, host: int) -> None:
+        """`host`'s reply reaches the mother; it held the code when it answered."""
+        self._resolve(record, host, host)
         if not self.proactive:
             # the answered request re-anchors the chain: one link, no history
             self.entries.clear()
-            if replier != self.code.mother:
-                self.entries[self.code.mother] = ForwarderEntry(replier, 0.0)
+            if host != self.code.mother:
+                self.entries[self.code.mother] = ForwarderEntry(host, 0.0)
 
     # -- break handling --------------------------------------------------------
 
     def _break(self, record: RequestRecord, walk: _WalkState, station: int,
-               anchor: Optional[ForwarderEntry], t: float) -> None:
+               anchor: Optional[ForwarderEntry]) -> None:
         if record.done:
             return
         if self.entries.get(station) is not anchor:
@@ -185,14 +180,13 @@ class ForwarderProtocol(LocalizationProtocol):
         if self.proactive and anchor is not None and station not in walk.seen:
             # a broken pointer the walk has not followed before; the periodic
             # check will notice it too, so the walk parks for that repair
-            timeout_at = t + PROACTIVE_WAIT_TICKS * CHAIN_CHECK_PERIOD
-            timeout = self.engine.schedule(timeout_at,
-                                           lambda: self._fail(record, self.engine.now))
+            timeout_at = self.engine.now + PROACTIVE_WAIT_TICKS * CHAIN_CHECK_PERIOD
+            timeout = self.engine.schedule(timeout_at, lambda: self._fail(record))
             self._parked.setdefault(station, []).append((record, walk, timeout))
             return
         walk.repairs += 1
         if walk.repairs > MAX_REPAIRS_PER_REQUEST:
-            self._fail(record, t)
+            self._fail(record)
             return
 
         def resume(success: bool) -> None:
@@ -207,9 +201,9 @@ class ForwarderProtocol(LocalizationProtocol):
             else:
                 # the widened search drew silence from an unchanged chain:
                 # nobody reachable can extend it, so the request is lost
-                self._fail(record, self.engine.now)
+                self._fail(record)
 
-        self._repair(station, anchor, t, record.request_id, resume)
+        self._repair(station, anchor, record.request_id, resume)
 
     def _release_parked(self, station: int) -> None:
         for record, walk, timeout in self._parked.pop(station, []):
@@ -230,8 +224,7 @@ class ForwarderProtocol(LocalizationProtocol):
                 self._repair_active.add(station)
                 self.engine.schedule(
                     t + ACK_TIMEOUT, lambda s=station, e=entry: self._repair(
-                        s, e, self.engine.now, None,
-                        lambda ok: self._tick_repair_done(s, ok)))
+                        s, e, None, lambda ok: self._tick_repair_done(s, ok)))
             elif station in self._parked:
                 # the link healed on its own; waiting walks can move again
                 self._release_parked(station)
@@ -246,7 +239,7 @@ class ForwarderProtocol(LocalizationProtocol):
 
     # -- repair ------------------------------------------------------------------
 
-    def _repair(self, station: int, anchor: Optional[ForwarderEntry], t: float,
+    def _repair(self, station: int, anchor: Optional[ForwarderEntry],
                 request_id: Optional[int], on_done: Callable[[bool], None],
                 ttl: Optional[int] = REPAIR_TTL) -> None:
         """One search round around `station`. `anchor` is the station's entry
@@ -258,6 +251,7 @@ class ForwarderProtocol(LocalizationProtocol):
             on_done(False)
             return
         searcher_order = anchor.order if anchor is not None else -1.0
+        t = self.engine.now
         lat = self.radio.latency
         flood = self.radio.flood(station, MessageKind.CHAIN_REPAIR_FLOOD, t,
                                  ttl=ttl, request_id=request_id)
@@ -265,7 +259,7 @@ class ForwarderProtocol(LocalizationProtocol):
         sought = anchor.next_hop if anchor is not None else None
 
         candidates = []
-        for x in flood.reached:
+        for x in flood.depths:
             if x == station:
                 continue
             if x == code.host:
@@ -283,19 +277,16 @@ class ForwarderProtocol(LocalizationProtocol):
             if arrival is not None:
                 replies.append((arrival, x))
 
-        if sought is not None and flood.depths[sought] >= 0:
-            sought_depth = flood.depths[sought]
-        else:
-            sought_depth = self.cfg.n_nodes + 1  # effectively unreachable
+        # an unreached sought station lies beyond every answerer
+        sought_depth = flood.depths.get(sought, self.cfg.n_nodes + 1)
         pool = [x for _, x in replies
                 if x == sought or flood.depths[x] < sought_depth]
 
         if not pool:
             if ttl is not None:
                 # widen the search after a round-trip worth of silence
-                retry_at = t + 2 * ttl * lat
-                self.engine.schedule(retry_at, lambda: self._repair(
-                    station, anchor, retry_at, request_id, on_done, None))
+                self.engine.schedule(t + 2 * ttl * lat, lambda: self._repair(
+                    station, anchor, request_id, on_done, None))
             else:
                 give_up_at = t + 2 * max(1, self.radio.diameter(t)) * lat
                 self.engine.schedule(give_up_at, lambda: on_done(False))

@@ -88,9 +88,10 @@ class ServerProtocol(LocalizationProtocol):
     A request queries an agent (`_attempt`), whose answer names the code's
     host (`_reply`); the requester then contacts that host. Any undeliverable
     leg or stale answer costs a re-query, up to MAX_RETRIES, counted in
-    `record.retries`. Subclasses supply `_attempt(record)`, `_report(node, t)`
-    and `_reelect(pos, ref, t)`; `pos` holds every node's position, read from
-    the mobility model.
+    `record.retries`. Subclasses supply `_attempt(record)`, `_report(node)`
+    and `_reelect(pos, ref)`; `pos` holds every node's position at the
+    re-election instant, read from the mobility model, and `ref` their
+    centroid.
     """
 
     def __init__(self, ctx: ScenarioContext):
@@ -109,26 +110,26 @@ class ServerProtocol(LocalizationProtocol):
         self.engine.schedule(REELECTION_PERIOD, self._reelection_tick)
 
     def _report_tick(self, node: int, period: float) -> None:
-        t = self.engine.now
-        self._report(node, t)
+        self._report(node)
         # station clocks drift, so the reporting cadence jitters around the
         # configured period instead of staying phase-locked
         if not self._jitter:
             block = self.ctx.streams.protocol.uniform(0.75, 1.25, JITTER_BLOCK)
             self._jitter = block.tolist()[::-1]
         gap = period * self._jitter.pop()
-        self.engine.schedule(t + gap, lambda: self._report_tick(node, period))
+        self.engine.schedule(self.engine.now + gap,
+                             lambda: self._report_tick(node, period))
 
     # -- elections ---------------------------------------------------------------
 
     def _reelection_tick(self) -> None:
         t = self.engine.now
         pos = self.model.positions(t)
-        self._reelect(pos, centroid(pos), t)
+        self._reelect(pos, centroid(pos))
         self.engine.schedule(t + REELECTION_PERIOD, self._reelection_tick)
 
     def _hand_off(self, agent: ServerAgent, best: int, pos,
-                  ref: tuple[float, float], t: float) -> bool:
+                  ref: tuple[float, float]) -> bool:
         """Move `agent` to `best` if that gains more than HANDOFF_THRESHOLD
         in distance to `ref` and a route exists; the agent's database costs
         one unit per ten entries per hop. True when the agent moved."""
@@ -138,6 +139,7 @@ class ServerProtocol(LocalizationProtocol):
         gain = dist(pos[incumbent], ref) - dist(pos[best], ref)
         if gain <= HANDOFF_THRESHOLD:
             return False
+        t = self.engine.now
         path = self.radio.route(incumbent, best, t)
         if path is None:
             return False
@@ -149,17 +151,11 @@ class ServerProtocol(LocalizationProtocol):
 
     # -- localization ---------------------------------------------------------------
 
-    def locate(self, record: RequestRecord) -> None:
-        if self._local_hit(record):
-            return
-        self._attempt(record)
-
     def _leg(self, src: int, dst: int, kind: MessageKind, record: RequestRecord,
              then: Callable[[], None]) -> None:
         """Request-tagged unicast: re-query if undeliverable, else run
         `then` on arrival."""
-        if not self._send(src, dst, kind, self.engine.now, then,
-                          record.request_id):
+        if not self._send(src, dst, kind, then, record.request_id):
             self._retry(record)
 
     def _reply(self, record: RequestRecord, server: int, claimed: int) -> None:
@@ -171,7 +167,7 @@ class ServerProtocol(LocalizationProtocol):
 
         def contacted() -> None:
             if self.code.host == claimed:
-                self._resolve(record, self.engine.now, claimed, truth)
+                self._resolve(record, claimed, truth)
             else:
                 self._retry(record)
 
@@ -184,34 +180,34 @@ class ServerProtocol(LocalizationProtocol):
             record.retries += 1
             self._attempt(record)
         else:
-            self._fail(record, self.engine.now)
+            self._fail(record)
 
 
 class CentralizedProtocol(ServerProtocol):
     def __init__(self, ctx: ScenarioContext):
         super().__init__(ctx)
         self.agent: Optional[ServerAgent] = None
-        self.known_server: List[int] = [0] * self.cfg.n_nodes
+        self.known_server: List[int] = []   # filled by start
         self.forward_map: Dict[int, int] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
         pos = self.model.positions(0.0)
-        ref = centroid(pos)
-        host = elect_server(range(self.cfg.n_nodes), pos, ref)
+        host = elect_server(range(self.cfg.n_nodes), pos, centroid(pos))
         self.agent = ServerAgent(self.engine, host)
         self.known_server = [host] * self.cfg.n_nodes
-        self._announce(0.0)
-        self._send_location_update(self.code.host, 0.0)
+        self._announce()
+        self._send_location_update()
         self._start_timers(self.cfg.central_report_period)
 
-    def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
-        self._send_location_update(new_host, t)
+    def on_code_jump(self, old_host: int) -> None:
+        self._send_location_update()
 
     # -- maintenance traffic ---------------------------------------------------
 
-    def _report(self, node: int, t: float) -> None:
+    def _report(self, node: int) -> None:
+        t = self.engine.now
         depth = self.radio.flood_depth(node, self.agent.host,
                                        MessageKind.POSITION_REPORT, t)
         if depth is not None:
@@ -223,25 +219,25 @@ class CentralizedProtocol(ServerProtocol):
         agent.process(None if node in agent.stations
                       else lambda: agent.stations.add(node))
 
-    def _send_location_update(self, src: int, t: float) -> None:
-        claimed = self.code.host
-        self._chase(src, self.known_server[src], MessageKind.SERVER_UPDATE, t,
-                    None, lambda: setattr(self.agent, "code_host", claimed),
+    def _send_location_update(self) -> None:
+        host = self.code.host
+        self._chase(host, self.known_server[host], MessageKind.SERVER_UPDATE,
+                    None, lambda: setattr(self.agent, "code_host", host),
                     lambda: None)
 
-    def _reelect(self, pos, ref: tuple[float, float], t: float) -> None:
+    def _reelect(self, pos, ref: tuple[float, float]) -> None:
         best = elect_server(range(self.cfg.n_nodes), pos, ref)
         incumbent = self.agent.host
-        if self._hand_off(self.agent, best, pos, ref, t):
+        if self._hand_off(self.agent, best, pos, ref):
             self.forward_map[incumbent] = best
-            self._announce(t)
+            self._announce()
 
-    def _announce(self, t: float) -> None:
+    def _announce(self) -> None:
         holder = self.agent.host
+        t = self.engine.now
         flood = self.radio.flood(holder, MessageKind.SERVER_UPDATE, t, ttl=None)
         lat = self.radio.latency
-        for v in flood.reached:
-            depth = flood.depths[v]
+        for v, depth in flood.depths.items():
             if depth == 0:
                 self.known_server[v] = holder
             else:
@@ -250,7 +246,7 @@ class CentralizedProtocol(ServerProtocol):
 
     # -- agent addressing --------------------------------------------------------
 
-    def _chase(self, sender: int, target: int, kind: MessageKind, t: float,
+    def _chase(self, sender: int, target: int, kind: MessageKind,
                request_id: Optional[int], action: Callable[[], None],
                lost: Callable[[], None], budget: int = CHASE_BUDGET) -> None:
         """Send to `target`, where the sender believes the agent sits,
@@ -264,10 +260,10 @@ class CentralizedProtocol(ServerProtocol):
             if successor is None or budget <= 0:
                 lost()
                 return
-            self._chase(target, successor, kind, self.engine.now,
-                        request_id, action, lost, budget - 1)
+            self._chase(target, successor, kind, request_id, action, lost,
+                        budget - 1)
 
-        if not self._send(sender, target, kind, t, arrived, request_id):
+        if not self._send(sender, target, kind, arrived, request_id):
             lost()
 
     # -- localization ---------------------------------------------------------------
@@ -282,5 +278,4 @@ class CentralizedProtocol(ServerProtocol):
 
         mother = self.code.mother
         self._chase(mother, self.known_server[mother], MessageKind.SERVER_QUERY,
-                    self.engine.now, record.request_id, served,
-                    lambda: self._retry(record))
+                    record.request_id, served, lambda: self._retry(record))

@@ -56,67 +56,70 @@ class ZonedProtocol(ServerProtocol):
             taken.add(host)
             self.agents.append(ServerAgent(self.engine, host))
         for zone in range(cfg.n_zones):
-            self._announce(zone, self.last_zone, 0.0)
-        self._send_sdb_insert(self.code.host, self.last_zone[self.code.host], 0.0)
+            self._announce(zone, self.last_zone)
+        self._send_sdb_insert(self.last_zone[self.code.host])
         self._start_timers(cfg.report_period)
 
-    def _zone_at(self, node: int, t: float) -> int:
-        return self.layout.zone_of(self.model.position(node, t))
+    def _zone_at(self, node: int) -> int:
+        return self.layout.zone_of(self.model.position(node, self.engine.now))
 
-    def _to_zone(self, src: int, zone: int, kind: MessageKind, t: float,
+    def _to_zone(self, src: int, zone: int, kind: MessageKind,
                  action: Callable[[], None]) -> bool:
         """Unicast to the zone's agent, which runs `action` once it has
         processed the message; False when the message is undeliverable."""
         agent = self.agents[zone]
-        return self._send(src, agent.host, kind, t, lambda: agent.process(action))
+        return self._send(src, agent.host, kind, lambda: agent.process(action))
 
     # -- station table and database upkeep --------------------------------------
 
-    def _report(self, node: int, t: float) -> None:
-        zone = self._zone_at(node, t)
+    def _report(self, node: int) -> None:
+        zone = self._zone_at(node)
         previous = self.last_zone[node]
-        if (self._to_zone(node, zone, MessageKind.POSITION_REPORT, t,
+        if (self._to_zone(node, zone, MessageKind.POSITION_REPORT,
                           lambda: self.agents[zone].stations.add(node))
                 and zone != previous):
             # the old zone's agent drops the node once told about the move
             self.last_zone[node] = zone
-            self._to_zone(node, previous, MessageKind.POSITION_REPORT, t,
+            self._to_zone(node, previous, MessageKind.POSITION_REPORT,
                           lambda: self.agents[previous].stations.discard(node))
 
-    def on_code_jump(self, old_host: int, new_host: int, t: float) -> None:
-        zone = self._zone_at(new_host, t)
+    def on_code_jump(self, old_host: int) -> None:
+        host = self.code.host
+        zone = self._zone_at(host)
         previous = self.sdb_zone
-        self._send_sdb_insert(new_host, zone, t)
+        self._send_sdb_insert(zone)
         if previous is not None and previous != zone:
-            self._to_zone(new_host, previous, MessageKind.SERVER_UPDATE, t,
+            self._to_zone(host, previous, MessageKind.SERVER_UPDATE,
                           lambda: setattr(self.agents[previous], "code_host", None))
 
-    def _send_sdb_insert(self, host: int, zone: int, t: float) -> None:
+    def _send_sdb_insert(self, zone: int) -> None:
+        """The code's host enters itself in `zone`'s database."""
+        host = self.code.host
         self.sdb_zone = zone
-        self._to_zone(host, zone, MessageKind.SERVER_UPDATE, t,
+        self._to_zone(host, zone, MessageKind.SERVER_UPDATE,
                       lambda: setattr(self.agents[zone], "code_host", host))
 
     # -- elections ---------------------------------------------------------------
 
-    def _reelect(self, pos, ref: tuple[float, float], t: float) -> None:
+    def _reelect(self, pos, ref: tuple[float, float]) -> None:
         zones = [self.layout.zone_of(p) for p in pos]
         for zone, agent in enumerate(self.agents):
             members = [v for v in range(self.cfg.n_nodes) if zones[v] == zone]
             if not members:
                 continue
             best = elect_server(members, pos, ref)
-            if self._hand_off(agent, best, pos, ref, t):
-                self._announce(zone, zones, t)
+            if self._hand_off(agent, best, pos, ref):
+                self._announce(zone, zones)
 
-    def _announce(self, zone: int, zones: List[int], t: float) -> None:
+    def _announce(self, zone: int, zones: List[int]) -> None:
         members = sum(1 << v for v, z in enumerate(zones) if z == zone)
-        self.radio.flood(self.agents[zone].host, MessageKind.SERVER_UPDATE, t,
-                         ttl=None, member_mask=members)
+        self.radio.flood(self.agents[zone].host, MessageKind.SERVER_UPDATE,
+                         self.engine.now, ttl=None, member_mask=members)
 
     # -- localization --------------------------------------------------------------
 
     def _attempt(self, record: RequestRecord) -> None:
-        zone = self._zone_at(self.code.mother, self.engine.now)
+        zone = self._zone_at(self.code.mother)
         agent = self.agents[zone]
         self._leg(self.code.mother, agent.host, MessageKind.SERVER_QUERY, record,
                   lambda: agent.process(lambda: self._serve(

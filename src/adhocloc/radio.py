@@ -119,9 +119,7 @@ class MessageLedger:
 class FloodResult:
     rows: list[int]             # the topology flooded, for flood_path
     levels: list[int]           # bitmask of the nodes at each depth
-    depths: list[int]           # -1 where unreached
-    units: int
-    reached: tuple[int, ...]    # ascending node ids
+    depths: dict[int, int]      # reached node -> depth, ascending node ids
 
 
 class LinkTimeline:
@@ -310,8 +308,7 @@ class Radio:
         # transmits once
         units = max(sum(level.bit_count() for level in levels[:ttl]), 1)
         self.ledger.charge(kind, origin, BROADCAST, units, t, request_id)
-        return FloodResult(rows, levels, kernels.depths(levels, len(rows)), units,
-                           tuple(kernels.set_bits(sum(levels))))
+        return FloodResult(rows, levels, kernels.depths(levels))
 
     def flood_depth(self, origin: int, target: int, kind: MessageKind,
                     t: float) -> Optional[int]:
@@ -336,7 +333,7 @@ class Radio:
 
     def flood_path(self, flood: FloodResult, node: int) -> tuple[int, ...]:
         """Relay path origin -> node inside a flood's BFS tree."""
-        depth = flood.depths[node]
-        if depth < 0:
+        depth = flood.depths.get(node)
+        if depth is None:
             raise ValueError(f"node {node} was not reached by the flood")
         return kernels.path_back(flood.rows, flood.levels[:depth + 1], node)

@@ -51,7 +51,7 @@ def jump_code(protocol, new_host):
     old_host = code.host
     code.jumps += 1
     code.host = new_host
-    protocol.on_code_jump(old_host, new_host, protocol.engine.now)
+    protocol.on_code_jump(old_host)
 
 
 class MobilityBand(Enum):

@@ -7,10 +7,12 @@ import importlib
 import io
 import re
 import weakref
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adhocloc
 from adhocloc import cli
@@ -18,6 +20,7 @@ from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
 from adhocloc.metrics import MetricsError
+from adhocloc.protocols.base import CodeMigrationProcess
 from adhocloc.scenario import run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
                             comparison_table, report_to_row, run_sweep,
@@ -29,6 +32,26 @@ def short_cfg(**overrides):
     base = dict(duration=15.0, lam=0.5, warmup=2.0, seed=1)
     base.update(overrides)
     return ScenarioConfig(**base).validated()
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Small random scenarios, valid or not: the whole range of sizes,
+    geometries, loads and speeds a run must survive."""
+    n_nodes = draw(st.integers(2, 12))
+    speeds = sorted(draw(st.floats(0.1, 30.0)) for _ in range(2))
+    return ScenarioConfig(
+        n_nodes=n_nodes,
+        area=(draw(st.floats(10.0, 2000.0)), draw(st.floats(10.0, 2000.0))),
+        range=draw(st.floats(10.0, 600.0)),
+        lam=draw(st.sampled_from([0.05, 0.5, 2.0, 8.0])),
+        node_mob="custom", node_speed=tuple(speeds),
+        code_band=draw(st.sampled_from(CODE_BANDS)),
+        n_zones=draw(st.integers(2, 6)),
+        duration=draw(st.floats(5.0, 40.0)),
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        mother=draw(st.integers(0, n_nodes - 1)),
+        seed=draw(st.integers(0, 2**16)))
 
 
 class TestConfig:
@@ -156,6 +179,49 @@ class TestScenario:
         assert re.fullmatch(
             r"network partitioned since t=1\.000, still split at t=3\.000",
             result.abort_reason)
+
+    @pytest.mark.parametrize("seed, mob", [(3, "medium"), (3, "high"),
+                                           (7001, "medium"), (7001, "high")])
+    def test_every_protocol_sees_the_same_requests_and_jumps(self, seed, mob):
+        # common random numbers: a paired comparison of the protocols rests on
+        # each of them facing the same request arrivals and code jumps
+        jumps = {}
+        jump = CodeMigrationProcess._jump
+
+        def recording_jump(mover):
+            made, old_host = mover.jumps_made, mover.ctx.code.host
+            jump(mover)
+            if mover.jumps_made > made:
+                jumps.setdefault(mover, []).append(
+                    (mover.ctx.engine.now, old_host, mover.ctx.code.host))
+
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CodeMigrationProcess, "_jump", recording_jump)
+            for protocol in PROTOCOLS:
+                result = run_scenario(ScenarioConfig(
+                    protocol=protocol, lam=1.0, node_mob=mob, code_band=mob,
+                    seed=seed, duration=200.0))
+                assert not result.aborted
+                seen.append(([r.issued_at for r in result.records],
+                             jumps.pop(result.mover)))
+        arrivals, moves = seen[0]
+        assert len(arrivals) > 100 and len(moves) > 50
+        assert all(other == seen[0] for other in seen[1:])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(cfg=fuzz_configs())
+    def test_random_configs_finish_or_are_rejected(self, cfg):
+        # a run ends, aborted or not, or its config is refused; no other
+        # exception, and every request's units recount from the raw log
+        try:
+            result = run_scenario(cfg)
+        except ConfigError:
+            return
+        units = Counter()
+        for row in result.ledger.rows:
+            units[row.request_id] += row.units
+        assert all(r.units == units[r.request_id] for r in result.records)
 
     @pytest.mark.parametrize("overrides, parked", [
         *(pytest.param({"protocol": p}, False, id=p) for p in PROTOCOLS),
@@ -287,7 +353,7 @@ class TestCli:
         capsys.readouterr()
         assert trace.read_text().splitlines()[0] == "node_id,t,x,y"
         assert (messages.read_text().splitlines()[0]
-                == "request_id,kind,src,dst,hops,t")
+                == "request_id,kind,src,dst,units,t")
 
     def test_bad_overrides_exit_with_the_config_code(self, capsys):
         assert cli.main(["run", "--set", "latency=3"]) == cli.EXIT_CONFIG
@@ -319,6 +385,12 @@ class TestCli:
         assert cli.main(["compare", "--seeds", "1.5"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
+        # a flag that names no value is an error, not an empty grid
+        for flag, raw in (("--seeds", ","), ("--lambda", " , "), ("--protocols", "")):
+            assert cli.main(["sweep", flag, raw]) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and flag in captured.err
 
     def test_a_missing_config_file_exits_with_the_config_code(self, capsys):
         assert cli.main(["run", "/nonexistent/scenario.cfg"]) == cli.EXIT_CONFIG

@@ -247,7 +247,8 @@ class TestNeighbourBits:
 def tree_lists(rows, levels):
     """Hop counts and parents, as lists, read from a walk's levels through
     `depths` and `path_back`; -1 marks unreachable / root."""
-    hops = kernels.depths(levels, len(rows))
+    reached = kernels.depths(levels)
+    hops = [reached.get(v, -1) for v in range(len(rows))]
     parents = [kernels.path_back(rows, levels[:d + 1], v)[-2] if d > 0 else -1
                for v, d in enumerate(hops)]
     return hops, parents
@@ -259,11 +260,12 @@ class TestBfsTree:
         for _ in range(20):
             pos = rng.uniform(0, 1000, (18, 2))
             adj = kernels.adjacency(pos, 280.0)
-            depths = kernels.depths(kernels.bfs_tree(kernels.neighbour_bits(adj), 0), 18)
+            depths = kernels.depths(kernels.bfs_tree(kernels.neighbour_bits(adj), 0))
             g = nx.from_numpy_array(adj)
             lengths = nx.single_source_shortest_path_length(g, 0)
+            assert list(depths) == sorted(depths)
             for v in range(18):
-                assert depths[v] == lengths.get(v, -1)
+                assert depths.get(v, -1) == lengths.get(v, -1)
 
     def test_parents_are_canonical_lowest_id_at_previous_depth(self):
         rng = np.random.default_rng(4)
@@ -279,11 +281,12 @@ class TestBfsTree:
                           if adj[u, v] and depths[u] == depths[v] - 1]
             assert parents[v] == min(candidates)
 
-    def test_unreachable_nodes_get_minus_one(self):
+    def test_unreached_nodes_are_absent(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
         rows = kernels.neighbour_bits(kernels.adjacency(pos, 150.0))
         levels = kernels.bfs_tree(rows, 0)
         assert levels == [0b001, 0b010]
+        assert kernels.depths(levels) == {0: 0, 1: 1}
         assert tree_lists(rows, levels) == ([0, 1, -1], [-1, 0, -1])
 
     @settings(max_examples=60, deadline=None)

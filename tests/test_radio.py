@@ -102,7 +102,7 @@ class TestUnicast:
         assert ledger.recount() == 0
         proto = LocalizationProtocol(build_ctx(static_model(LINE)))
         ran = []
-        assert proto._send(2, 2, MessageKind.DATA, 0.0,
+        assert proto._send(2, 2, MessageKind.DATA,
                            lambda: ran.append(proto.engine.now)) is True
         proto.engine.run_until(0.0)
         assert ran == [0.0]
@@ -170,35 +170,34 @@ class TestDirect:
 
 class TestFlood:
     def test_unlimited_flood_reaches_all_and_counts_transmitters(self):
-        radio, _ = line_radio()
+        radio, ledger = line_radio()
         flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
-        assert sorted(flood.reached) == [0, 1, 2, 3]
-        assert flood.units == 4
-        assert flood.depths == [0, 1, 2, 3]
+        assert flood.depths == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert ledger.rows[-1].units == 4
 
     def test_ttl_limits_depth_and_frontier_nodes_do_not_relay(self):
-        radio, _ = line_radio()
+        radio, ledger = line_radio()
         f1 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0, ttl=1)
-        assert sorted(f1.reached) == [0, 1] and f1.units == 1
+        assert list(f1.depths) == [0, 1] and ledger.rows[-1].units == 1
         f2 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.1, ttl=2)
-        assert sorted(f2.reached) == [0, 1, 2] and f2.units == 2
+        assert list(f2.depths) == [0, 1, 2] and ledger.rows[-1].units == 2
 
     def test_isolated_origin_still_pays_its_own_broadcast(self):
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(model, 250.0, 0.01, MessageLedger())
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0)
-        assert sorted(flood.reached) == [0]
-        assert flood.units == 1
+        assert list(flood.depths) == [0]
+        assert radio.ledger.rows[-1].units == 1
 
     def test_member_mask_blocks_excluded_relays(self):
         radio, _ = line_radio()
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1101)
-        assert sorted(flood.reached) == [0]
+        assert list(flood.depths) == [0]
 
     def test_origin_is_always_a_member_of_its_own_flood(self):
         radio, _ = line_radio()
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1110)
-        assert sorted(flood.reached) == [0, 1, 2, 3]
+        assert list(flood.depths) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("ttl", [None, 1, 2, 4])
     def test_masked_flood_equals_the_masked_matrix(self, ttl):
@@ -213,12 +212,12 @@ class TestFlood:
                                         ttl=ttl, member_mask=bits)
                     depths, parents, units, reached = flood_on_matrix(
                         adj, origin, ttl, member)
-                    assert np.array_equal(flood.depths, depths)
+                    assert tuple(flood.depths) == reached
+                    assert list(flood.depths.values()) == [depths[v] for v in reached]
                     for v in reached:
                         if v != origin:
                             assert radio.flood_path(flood, v)[-2] == parents[v]
-                    assert flood.units == units
-                    assert flood.reached == reached
+                    assert radio.ledger.rows[-1].units == units
 
     def test_flood_is_charged_as_a_broadcast_row(self):
         radio, ledger = line_radio()
@@ -269,8 +268,7 @@ class TestFloodDepth:
         ref = Radio(static_model(self.SPLIT), 250.0, 0.01, MessageLedger())
         expected = []
         for origin, target in queries:
-            depth = ref.flood(origin, kind, 0.0).depths[target]
-            expected.append(depth if depth >= 0 else None)
+            expected.append(ref.flood(origin, kind, 0.0).depths.get(target))
         radio = Radio(static_model(self.SPLIT), 250.0, 0.01, MessageLedger())
         trees = count_trees(monkeypatch)
         depths = [radio.flood_depth(origin, target, kind, 0.0)
@@ -291,8 +289,7 @@ class TestFloodDepth:
         for t in (0.0, 10.0, 0.0):
             for origin in range(4):
                 flood = ref.flood(origin, kind, t)
-                assert radio.flood_depth(origin, 0, kind, t) == (
-                    flood.depths[0] if flood.depths[0] >= 0 else None)
+                assert radio.flood_depth(origin, 0, kind, t) == flood.depths.get(0)
         assert radio.ledger.rows == ref.ledger.rows
 
 

@@ -100,7 +100,8 @@ class TestElection:
                             central_report_period=period)
         ticks = []
         report = proto._report
-        proto._report = lambda node, t: (ticks.append((t, node)), report(node, t))
+        proto._report = lambda node: (ticks.append((proto.engine.now, node)),
+                                      report(node))
         proto.engine.run_until(100.0)
         assert len(ticks) > 2 * JITTER_BLOCK
         # the same cadence from scalar draws, taken in tick order

@@ -152,7 +152,7 @@ class TestReelection:
 
         def recording_flood(origin, kind, t, **kwargs):
             result = flood(origin, kind, t, **kwargs)
-            floods.append((origin, kind, t, result))
+            floods.append((origin, kind, t, result, proto.ctx.ledger.rows[-1].units))
             return result
 
         proto.radio.flood = recording_flood
@@ -168,9 +168,10 @@ class TestReelection:
         assert len(rows) == 1
         assert (rows[0].src, rows[0].dst, rows[0].t) == (1, 0, 5.0)
         assert rows[0].units == hops * math.ceil(entries / 10)
-        announced = [res for origin, kind, t, res in floods
+        announced = [(res, units) for origin, kind, t, res, units in floods
                      if kind is MessageKind.SERVER_UPDATE and t == 5.0]
         assert len(announced) == 1
-        assert announced[0].levels[0] == 1
-        assert set(announced[0].reached) == {0, 1}
-        assert announced[0].units == 2
+        (res, units), = announced
+        assert res.levels[0] == 1
+        assert list(res.depths) == [0, 1]
+        assert units == 2

@@ -6,13 +6,17 @@ before and after it. Run it from the repository root against each tree:
     PYTHONPATH=src python tools/same_bytes.py
     PYTHONPATH=/path/to/other/checkout/src python tools/same_bytes.py
 
-It prints `<runs> <sha256>`. The runs cover both forwarders, centralized
-and zoned with 2 and 4 zones, at lambda 0.25, 1 and 4, medium and high node
-speed, medium and high code band and seeds 1 and 2, 200 s each. The digest
-takes in every request record, every ledger row, the engine's executed and
-cancelled-skip counts, the mover's jump counters, the measured Mob and the
-abort reason. Only `run_scenario(cfg)` is called, so any tree whose results
-carry these fields can be checked.
+It prints `<runs> <sha256> events=<executed> cancelled=<skipped>`. The runs
+cover both forwarders, centralized and zoned with 2 and 4 zones, at lambda
+0.25, 1 and 4, medium and high node speed, medium and high code band and
+seeds 1 and 2, 200 s each. The digest takes in every request record, every
+ledger row (in order), the mover's jump counters, the measured Mob and the
+abort reason: simulated values only. The engine's executed and
+cancelled-skip event counts are host work, not results, so they are summed
+over the runs and printed after the digest, outside it; a change that removes
+events keeps the first two fields and shows its saving in the last two. Only
+`run_scenario(cfg)` is called, so any tree whose results carry these fields
+can be checked.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ def run_key(result) -> tuple:
          for r in result.records],
         [(row.request_id, row.kind.name, row.src, row.dst, row.units, row.t)
          for row in result.ledger.rows],
-        result.engine.executed, result.engine.skipped_cancelled,
         result.mover.jumps_attempted, result.mover.jumps_made,
         result.report.measured_mob, result.abort_reason,
     )
@@ -48,15 +51,18 @@ def run_key(result) -> tuple:
 
 def main() -> None:
     digest = hashlib.sha256()
-    runs = 0
+    runs = executed = skipped = 0
     for (protocol, n_zones), lam, node_mob, code_band, seed in itertools.product(
             VARIANTS, LAMBDAS, NODE_MOBS, CODE_BANDS, SEEDS):
         cfg = ScenarioConfig(protocol=protocol, n_zones=n_zones, lam=lam,
                              node_mob=node_mob, code_band=code_band, seed=seed,
                              duration=DURATION)
-        digest.update(repr(run_key(run_scenario(cfg))).encode())
+        result = run_scenario(cfg)
+        digest.update(repr(run_key(result)).encode())
+        executed += result.engine.executed
+        skipped += result.engine.skipped_cancelled
         runs += 1
-    print(runs, digest.hexdigest())
+    print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}")
 
 
 if __name__ == "__main__":
