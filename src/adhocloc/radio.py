@@ -18,9 +18,9 @@ and `neighbour_bits`) answers instead wherever float error could matter, in
 guard bands around each crossing sized from the root's conditioning, over
 grazing and co-moving pairs near range, and at the instants a link flips
 across a knot (a jump), as well as at or past the horizon the span was
-solved to and before the span is built. The span is built only after the
-timeline has served BUILD_AFTER_MISSES exact answers, so start-up never pays
-for it. The radio answers topology only: readers of coordinates ask the
+solved to. `run_scenario` builds the span at the run's first event, so the
+exact path also answers start-up, and a timeline never built is an empty
+span. The radio answers topology only: readers of coordinates ask the
 mobility model, `RandomWaypointModel.positions` for every node or
 `position` for one.
 
@@ -50,13 +50,6 @@ from .mobility import RandomWaypointModel
 BROADCAST = -1
 #: seconds per radio hop
 PER_HOP_LATENCY = 0.01
-#: exact answers, at distinct times, the timeline serves before it is built.
-#: Building the span of a 200 s run costs as much as 70-110 exact answers
-#: (3-5 ms against about 44 µs for positions, matrix and packing), but such a
-#: run asks thousands of topology queries (1,800-6,600 at λ=1), so one that
-#: has asked 16 will almost surely ask many more. Start-up, which needs at
-#: most 3, stays on the exact path.
-BUILD_AFTER_MISSES = 16
 #: slack on d² − r², relative to the squared extent of the knots. Either
 #: path computes d² − r² to a few ulps of that square (about 1e-15 of it), so
 #: 1e-12 leaves a thousandfold margin; the guard bands it implies have a
@@ -126,37 +119,26 @@ class LinkTimeline:
     """Neighbour bitmasks answered from precomputed range crossings.
 
     One span of crossings, from 0 to the model's horizon, is solved by
-    `kernels.range_crossings` once the timeline has served BUILD_AFTER_MISSES
-    exact answers. A query's rows are the start rows with every crossing at
-    or before it applied; the rows of one epoch (count of crossings applied)
-    are reused by every query that falls in it. `rows` returns None where the
-    exact path must answer: in a guard band, at or past the horizon the span
-    was solved to, or before the span is built. Events and guards sit in flat
-    arrays, about 40 bytes per crossing.
+    `kernels.range_crossings` when `build` is called, which `run_scenario`
+    does at the run's first event. A query's rows are the start rows with
+    every crossing at or before it applied; the rows of one epoch (count of
+    crossings applied) are reused by every query that falls in it. `rows`
+    returns None where the exact path must answer: in a guard band, or at or
+    past the horizon the span was solved to, which is 0 until the build.
+    Events and guards sit in flat arrays, about 40 bytes per crossing.
     """
 
     def __init__(self, model: RandomWaypointModel, range_m: float):
         self.model = model
         self.range_m = range_m
-        self.solved_to: Optional[float] = None    # None until the span is built
-        self.misses = 0
-        self._last_miss: Optional[float] = None
+        self.solved_to = 0.0    # an empty span until the build
 
     def rows(self, t: float) -> Optional[list[int]]:
-        if self.solved_to is None:
-            if not 0.0 <= t < self.model.horizon:
-                return None
-            if t != self._last_miss:    # a repeat is the exact path's memo hit
-                self._last_miss = t
-                self.misses += 1
-            if self.misses < BUILD_AFTER_MISSES:
-                return None
-            self._build()
         if not 0.0 <= t < self.solved_to or self._guarded(t):
             return None
         return self._seek(bisect_right(self.times, t))
 
-    def _build(self) -> None:
+    def build(self) -> None:
         knot_t, knot_x, knot_y, offsets = self.model.knot_arrays()
         hi = self.model.horizon
         extent = max(self.range_m, float(np.abs(knot_x).max()),

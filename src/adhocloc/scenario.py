@@ -108,6 +108,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     protocol.start()
     mover.start()
     watchdog.start()
+    # start-up above read the exact path; the event loop reads the span
+    engine.schedule(0.0, radio.timeline.build)
 
     aborted = False
     abort_reason = None

@@ -73,6 +73,20 @@ class TestWalk:
         assert record.returned_host == 3 and record.truth_host == 3
         assert proto.ctx.ledger.units_for_request(1) == 6
 
+    def test_a_walk_past_its_step_budget_fails(self):
+        proto = make_forwarder(static_model(LINE4))
+        proto._max_steps = 2
+        for host in (1, 2, 3):
+            jump_code(proto, host)
+        proto.engine.run_until(1.0)
+        record = issue(proto, 1.0)
+        proto.engine.run_until(2.0)
+        # stations 0 and 1 forward; arriving at station 2 is the third step
+        assert record.status == "failed"
+        assert record.failed_at == pytest.approx(1.02)
+        assert all(r.kind is not MessageKind.LOCATE_REPLY
+                   for r in proto.ctx.ledger.rows)
+
     def test_reactive_resolution_collapses_the_chain(self):
         proto = make_forwarder(static_model(LINE4))
         for host in (1, 2, 3):
@@ -149,6 +163,34 @@ class TestMaintenance:
                   if r.kind is MessageKind.CHAIN_REPAIR_FLOOD and r.src == 1]
         assert floods == []
         assert proto._repair_active == set()
+
+    def test_a_tick_skips_a_station_whose_repair_is_in_flight(self):
+        # a 50-station line 200 m apart and a code host out of everyone's
+        # reach: station 1's link to it fails the 1 s tick, and its repair
+        # gives up only after 2 x diameter (49 hops) x latency of silence,
+        # at 2.07 s, past the next tick
+        line = [(200 * k, 0) for k in range(50)]
+        proto = make_forwarder(static_model(line + [(9900, 400)], width=10000.0),
+                               proactive=True)
+        sent = []
+        direct = proto.radio.direct
+
+        def spied(src, dst, kind, t, request_id=None):
+            sent.append((src, kind, t))
+            return direct(src, dst, kind, t, request_id)
+
+        proto.radio.direct = spied
+        proto.start()
+        jump_code(proto, 1)
+        jump_code(proto, 50)
+        proto.engine.run_until(2.05)
+        assert proto._repair_active == {1}
+        # the 2 s tick probes station 0's healthy link and leaves station 1 be
+        assert [(src, t) for src, kind, t in sent
+                if kind is MessageKind.CHAIN_CHECK] == [(0, 1.0), (1, 1.0), (0, 2.0)]
+        floods = [round(r.t, 6) for r in proto.ctx.ledger.rows
+                  if r.kind is MessageKind.CHAIN_REPAIR_FLOOD]
+        assert floods == [1.03, 1.09]
 
 
 class TestWalkRepairs:
@@ -310,5 +352,5 @@ class TestParking:
         result = run_scenario(ScenarioConfig(
             protocol="forwarder_proactive", lam=1.0, code_band="high",
             node_mob="high", seed=3, duration=60.0))
-        assert result.engine.executed == 693
+        assert result.engine.executed == 694
         assert result.engine.skipped_cancelled == 11

@@ -115,6 +115,21 @@ class TestConfig:
             ScenarioConfig(duration=1.0, metric_dt=1.0).validated()
         with pytest.raises(ConfigError, match="node_speed"):
             ScenarioConfig(node_mob="custom").validated()
+        for bad, word in [({"code_band": "fast"}, "code_band"),
+                          ({"node_mob": "brisk"}, "node_mob"),
+                          ({"node_mob": "custom", "node_speed": (6.0, 3.0)}, "min <= max"),
+                          ({"node_mob": "custom", "node_speed": (0.0, 3.0)}, "0 < min"),
+                          ({"area": (1000.0, 0.0)}, "area"),
+                          ({"n_nodes": 1}, "two nodes"),
+                          ({"range": 0.0}, "range"),
+                          ({"n_zones": 0}, "n_zones must be >= 1"),
+                          ({"metric_dt": 0.0}, "metric_dt must be positive"),
+                          ({"report_period": 0.0}, "periods"),
+                          ({"central_report_period": -1.0}, "periods"),
+                          ({"warmup": -1.0}, "warmup"),
+                          ({"partition_grace": 0.0}, "partition_grace")]:
+            with pytest.raises(ConfigError, match=word):
+                ScenarioConfig(**bad).validated()
 
     def test_a_mobility_label_brings_its_preset_speed(self):
         cfg = ScenarioConfig().validated()
@@ -423,6 +438,15 @@ class TestCli:
         assert len(lines) == 1 + 6
         assert lines[3].split(",")[5] == "avg"
         assert lines[6].split(",")[5] == "avg"
+        # a run no longer than the warm-up measures no request, so its
+        # seed average leaves the per-request cells blank
+        code = cli.main(["sweep", "--set", "duration=5", "--seeds", "1,2",
+                         "--csv", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        avg = dict(zip(CSV_COLUMNS, out.read_text().splitlines()[3].split(",")))
+        assert avg["seed"] == "avg" and avg["n_requests"] == "0"
+        assert avg["nb_msg"] == avg["rtime_s"] == ""
 
     def test_sweep_can_omit_average_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -121,9 +121,10 @@ class TestUnicast:
         assert radio.unicast(0, 1, MessageKind.DATA, 0.0) is None
         assert radio.ledger.recount() == 0
 
-    def test_midpath_break_charges_the_hops_attempted(self):
+    def test_midpath_break_charges_the_hops_completed(self):
         # node 2 sits on the planned 0-1-2-3 route but has left its slot by
-        # the time the message tries to cross the 1-2 link
+        # the time the message tries to cross the 2-3 link; the two hops
+        # completed are charged, the failed one is not
         runner = Trajectory()
         runner.append(0.0, 400.0, 0.0)
         runner.append(0.012, 400.0, 0.0)
@@ -353,10 +354,10 @@ def exact_rows(model, range_m, t):
 
 def built_radio(model, range_m=250.0):
     """A radio whose timeline is solved up to the horizon; a zero horizon
-    leaves it unbuilt, as `rows` would."""
+    leaves it unbuilt."""
     radio = Radio(model, range_m, 0.01, MessageLedger())
     if model.horizon > 0:
-        radio.timeline._build()
+        radio.timeline.build()
     return radio
 
 
@@ -443,6 +444,7 @@ class TestLinkTimeline:
                                     lambda node: streams.substream("mobility", node),
                                     horizon=60.0)
         radio = Radio(model, 250.0, 0.01, MessageLedger())
+        radio.timeline.build()
         rng = np.random.default_rng(4)
         # the span is solved to the horizon first, then the model is
         # extended lazily by a query past it
@@ -463,8 +465,9 @@ class TestLinkTimeline:
             assert timed.radio.timeline.solved_to == cfg.duration
             with monkeypatch.context() as patch:
                 patch.setattr(LinkTimeline, "rows", lambda self, t: None)
+                patch.setattr(LinkTimeline, "build", lambda self: None)
                 exact = run_scenario(cfg)
-            assert exact.radio.timeline.solved_to is None
+            assert exact.radio.timeline.solved_to == 0.0
             assert timed.ledger.rows == exact.ledger.rows
             assert timed.records == exact.records
 
@@ -477,7 +480,7 @@ class TestLinkTimeline:
 
         built = []
         monkeypatch.setattr(Engine, "run_until", run_until)
-        monkeypatch.setattr(LinkTimeline, "_build", lambda self: built.append(self))
+        monkeypatch.setattr(LinkTimeline, "build", lambda self: built.append(self))
         for protocol in PROTOCOLS:
             for n_zones in (2, 25):
                 with pytest.raises(Started):
@@ -487,13 +490,13 @@ class TestLinkTimeline:
 
     def test_a_run_builds_the_timeline_once(self, monkeypatch):
         builds = []
-        build = LinkTimeline._build
+        build = LinkTimeline.build
 
         def counted(timeline):
             builds.append(timeline)
             build(timeline)
 
-        monkeypatch.setattr(LinkTimeline, "_build", counted)
+        monkeypatch.setattr(LinkTimeline, "build", counted)
         for protocol in PROTOCOLS:
             builds.clear()
             run_scenario(ScenarioConfig(protocol=protocol, duration=200.0, seed=4))
