@@ -1,8 +1,8 @@
 """Command-line interface: single runs, sweeps and protocol comparisons.
 
 Exit codes: 0 success, 1 configuration problem, 2 scenario aborted
-(network partition outlasted the grace period), 3 simulation invariant
-violated (results discarded).
+(network partition outlasted the grace period), 3 the simulator failed
+(traceback on stderr, results discarded).
 """
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .config import (ConfigError, ScenarioConfig, _parse_value, load_config_file,
                      parse_assignments)
-from .metrics import MetricsError
 from .mobility import write_trajectory_csv
 from .scenario import ScenarioResult, run_scenario
 from .sweep import comparison_table, report_to_row, run_sweep, write_csv, _fmt
@@ -169,8 +169,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except MetricsError as err:
-        print(f"invariant violated: {err}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
         return EXIT_INVARIANT
 
 

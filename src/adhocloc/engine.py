@@ -8,10 +8,6 @@ from typing import Callable
 import numpy as np
 
 
-class SimulationError(RuntimeError):
-    """Engine misuse: scheduling into the past or running backwards."""
-
-
 class Engine:
     """Virtual-time event loop.
 
@@ -32,7 +28,7 @@ class Engine:
 
     def schedule(self, fire_at: float, action: Callable[[], None]) -> int:
         if fire_at < self.now:
-            raise SimulationError(f"cannot schedule at {fire_at:.6f}, clock is at {self.now:.6f}")
+            raise RuntimeError(f"cannot schedule at {fire_at:.6f}, clock is at {self.now:.6f}")
         seq = self._seq
         heapq.heappush(self._heap, (fire_at, seq, action))
         self._seq = seq + 1
@@ -46,7 +42,7 @@ class Engine:
     def run_until(self, t_end: float) -> None:
         """Execute every pending event with fire_at <= t_end."""
         if t_end < self.now:
-            raise SimulationError(f"cannot run backwards to {t_end:.6f} from {self.now:.6f}")
+            raise RuntimeError(f"cannot run backwards to {t_end:.6f} from {self.now:.6f}")
         heap, cancelled = self._heap, self._cancelled
         while heap and heap[0][0] <= t_end:
             fire_at, seq, action = heapq.heappop(heap)

@@ -11,15 +11,11 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-class GeometryError(ValueError):
-    pass
-
-
 def centroid(points: Sequence) -> tuple[float, float]:
     """Centre of gravity of a point set: the coordinate-wise mean."""
     arr = np.asarray(points, dtype=np.float64)
     if arr.size == 0:
-        raise GeometryError("centroid of an empty point set")
+        raise ValueError("centroid of an empty point set")
     arr = arr.reshape(-1, 2)
     return float(arr[:, 0].mean()), float(arr[:, 1].mean())
 
@@ -41,7 +37,7 @@ def elect_server(candidates: Iterable[int], positions, reference) -> int:
             best_d = d
             best_id = node
     if best_id < 0:
-        raise GeometryError("cannot elect a server from an empty candidate set")
+        raise ValueError("cannot elect a server from an empty candidate set")
     return best_id
 
 
@@ -64,7 +60,7 @@ class ZoneLayout:
 
     def __post_init__(self):
         if self.n_zones < 2:
-            raise GeometryError("need at least two zones")
+            raise ValueError("need at least two zones")
 
     @property
     def alpha(self) -> float:

@@ -10,10 +10,6 @@ from .config import ScenarioConfig
 from .radio import MessageLedger
 
 
-class MetricsError(ValueError):
-    """Inconsistent accounting: the ledger total disagrees with its recount."""
-
-
 @dataclass(slots=True)
 class RequestRecord:
     request_id: int
@@ -99,7 +95,7 @@ def build_report(cfg: ScenarioConfig, measured_mob: float,
     total = ledger.total_units
     recount = ledger.recount()
     if recount != total:
-        raise MetricsError(f"ledger total {total} != raw-log recount {recount}")
+        raise ValueError(f"ledger total {total} != raw-log recount {recount}")
     checked = [r for r in measured
                if r.status == "resolved" and r.returned_host is not None]
     return MetricsReport(

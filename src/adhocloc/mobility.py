@@ -19,10 +19,6 @@ import numpy as np
 from . import kernels
 
 
-class MobilityError(ValueError):
-    """Bad metric parameters (too few nodes, bad window, non-positive mobility)."""
-
-
 @dataclass
 class Trajectory:
     """Knot times with matching coordinates; linear between knots, clamped outside."""
@@ -48,18 +44,19 @@ class RandomWaypointModel:
 
     Each node draws a uniform start, then repeats: pick a uniform destination,
     travel there at a uniform speed from [speed_min, speed_max], leave again
-    at once (no pause). Legs are generated lazily per node from that node's
-    own RNG substream, so extension order never changes the draw sequence.
+    at once (no pause). Legs are drawn to the horizon at construction, and
+    lazily only for queries past it, each node from its own RNG substream,
+    so extension order never changes the draw sequence.
     """
 
     def __init__(self, n_nodes: int, width: float, height: float,
                  speed_min: float, speed_max: float, rng_for_node, horizon: float):
         if n_nodes < 1:
-            raise MobilityError("need at least one node")
+            raise ValueError("need at least one node")
         if not (0 < speed_min <= speed_max):
-            raise MobilityError("speeds must satisfy 0 < speed_min <= speed_max")
+            raise ValueError("speeds must satisfy 0 < speed_min <= speed_max")
         if width <= 0 or height <= 0:
-            raise MobilityError("area dimensions must be positive")
+            raise ValueError("area dimensions must be positive")
         self.n_nodes = n_nodes
         self.width = width
         self.height = height
@@ -79,15 +76,10 @@ class RandomWaypointModel:
         self._flat: Optional[tuple] = None
 
     @classmethod
-    def from_trajectories(cls, trajectories: list[Trajectory], width: float = 0.0,
-                          height: float = 0.0) -> "RandomWaypointModel":
+    def from_trajectories(cls, trajectories: list[Trajectory]) -> "RandomWaypointModel":
         """Build a model around externally supplied trajectories (tests, replays)."""
         model = cls.__new__(cls)
         model.n_nodes = len(trajectories)
-        model.width = width
-        model.height = height
-        model.speed_min = 0.0
-        model.speed_max = 0.0
         model.horizon = max(t.end_time for t in trajectories)
         model._rngs = []
         model.trajectories = trajectories
@@ -136,7 +128,7 @@ class RandomWaypointModel:
     def positions(self, t: float) -> np.ndarray:
         """All node positions at time t as an (n, 2) array."""
         if t < 0:
-            raise MobilityError(f"negative query time {t}")
+            raise ValueError(f"negative query time {t}")
         self.ensure_horizon(t)
         knot_t, knot_x, knot_y, offsets = self.knot_arrays()
         return kernels.positions_at(knot_t, knot_x, knot_y, offsets, t)
@@ -146,7 +138,7 @@ class RandomWaypointModel:
         a bisection of that node's knots and `kernels.positions_at`'s
         expression on Python floats."""
         if t < 0:
-            raise MobilityError(f"negative query time {t}")
+            raise ValueError(f"negative query time {t}")
         self.ensure_horizon(t)
         traj = self.trajectories[node]
         times = traj.times
@@ -168,7 +160,7 @@ class RandomWaypointModel:
 
 def _sample_times(duration: float, dt: float) -> np.ndarray:
     if dt <= 0 or dt >= duration:
-        raise MobilityError(f"need 0 < dt < duration, got dt={dt} duration={duration}")
+        raise ValueError(f"need 0 < dt < duration, got dt={dt} duration={duration}")
     steps = int(math.floor((duration - dt) / dt + 1e-9)) + 1
     return np.arange(steps + 1, dtype=np.float64) * dt
 
@@ -176,7 +168,7 @@ def _sample_times(duration: float, dt: float) -> np.ndarray:
 def separation_matrix(model: RandomWaypointModel, duration: float, dt: float) -> np.ndarray:
     """A_i(t) sampled on the metric grid: shape (samples, n_nodes)."""
     if model.n_nodes < 2:
-        raise MobilityError("separation series needs at least two nodes")
+        raise ValueError("separation series needs at least two nodes")
     times = _sample_times(duration, dt)
     block = model.positions_block(times)
     return kernels.separation_series(block)

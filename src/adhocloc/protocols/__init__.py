@@ -1,14 +1,13 @@
 """The four localization protocols and their shared scaffolding."""
 
-from .base import (CodeMigrationProcess, LocalizationProtocol, MobileCode,
-                   ProtocolError, ScenarioContext)
+from .base import CodeMigrationProcess, LocalizationProtocol, MobileCode, ScenarioContext
 from .forwarder import ForwarderEntry, ForwarderProtocol
 from .server import CentralizedProtocol, ServerAgent
 from .zoned import ZonedProtocol
 
 __all__ = [
     "CodeMigrationProcess", "LocalizationProtocol", "MobileCode",
-    "ProtocolError", "ScenarioContext", "ForwarderEntry", "ForwarderProtocol",
+    "ScenarioContext", "ForwarderEntry", "ForwarderProtocol",
     "CentralizedProtocol", "ServerAgent", "ZonedProtocol", "make_protocol",
 ]
 

@@ -13,10 +13,6 @@ from ..mobility import RandomWaypointModel
 from ..radio import MessageKind, MessageLedger, Radio
 
 
-class ProtocolError(RuntimeError):
-    """A protocol reached a state its own invariants forbid."""
-
-
 @dataclass
 class MobileCode:
     """The one roaming code a run localizes: its mother station, its current

@@ -52,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..metrics import RequestRecord
 from ..radio import MessageKind
-from .base import LocalizationProtocol, ProtocolError, ScenarioContext
+from .base import LocalizationProtocol, ScenarioContext
 
 # A walk that exceeds this many chain steps, or a request that needs more than
 # this many in-band repairs, is declared failed instead of looping.
@@ -308,7 +308,7 @@ class ForwarderProtocol(LocalizationProtocol):
                        on_done: Callable[[bool], None]) -> None:
         code = self.code
         if path[0] != station or path[-1] != best:
-            raise ProtocolError("repair path endpoints do not match")
+            raise RuntimeError("repair path endpoints do not match")
         if self.entries.get(station) is not anchor:
             on_done(False)
             return

@@ -5,18 +5,18 @@ from enum import Enum
 
 from adhocloc.config import ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
-from adhocloc.mobility import MobilityError, RandomWaypointModel, Trajectory
+from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols.base import MobileCode, ScenarioContext
 from adhocloc.radio import PER_HOP_LATENCY, MessageLedger, Radio
 
 
-def static_model(points, width=1000.0, height=500.0):
+def static_model(points):
     """A model whose nodes sit still at the given (x, y) points."""
     trajs = [Trajectory([0.0], [float(x)], [float(y)]) for x, y in points]
-    return RandomWaypointModel.from_trajectories(trajs, width, height)
+    return RandomWaypointModel.from_trajectories(trajs)
 
 
-def scripted_model(knot_lists, width=1000.0, height=500.0):
+def scripted_model(knot_lists):
     """A model from explicit per-node knot lists of (t, x, y) tuples."""
     trajs = []
     for knots in knot_lists:
@@ -24,7 +24,7 @@ def scripted_model(knot_lists, width=1000.0, height=500.0):
         for t, x, y in knots:
             traj.append(float(t), float(x), float(y))
         trajs.append(traj)
-    return RandomWaypointModel.from_trajectories(trajs, width, height)
+    return RandomWaypointModel.from_trajectories(trajs)
 
 
 def build_ctx(model, mother=0, host=None, **overrides):
@@ -69,7 +69,7 @@ def classify_mobility(mob: float) -> MobilityBand:
     """The band a measured Mob falls in: the calibration oracle for the
     node-speed presets."""
     if mob <= 0:
-        raise MobilityError(f"mobility must be positive to classify, got {mob}")
+        raise ValueError(f"mobility must be positive to classify, got {mob}")
     if mob <= BAND_LOW_MAX:
         return MobilityBand.LOW
     if mob <= BAND_MEDIUM_MAX:

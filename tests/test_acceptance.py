@@ -271,7 +271,7 @@ class TestNumericOracles:
 
     def test_a8_mobility_metric_and_speed_calibration(self):
         still = [Trajectory([0.0], [float(50 * k)], [0.0]) for k in range(6)]
-        static = RandomWaypointModel.from_trajectories(still, 1000.0, 500.0)
+        static = RandomWaypointModel.from_trajectories(still)
         static_mob = network_mobility(static, 20.0, 1.0)
 
         speed, duration, dt = 3.0, 20.0, 1.0
@@ -279,7 +279,7 @@ class TestNumericOracles:
             Trajectory([0.0, duration], [0.0, 0.0], [0.0, 0.0]),
             Trajectory([0.0, duration], [50.0, 50.0 + speed * duration],
                        [0.0, 0.0]),
-        ], 1000.0, 500.0)
+        ])
         samples = len(np.arange(0.0, duration + dt / 2, dt))
         want = speed * dt * (samples - 1) / (duration - dt)
         got = network_mobility(pair, duration, dt)

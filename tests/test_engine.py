@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adhocloc.engine import Engine, RngStreams, SimulationError
+from adhocloc.engine import Engine, RngStreams
 
 #: the named streams RngStreams carries as attributes
 STREAMS = ("workload", "code_migration", "protocol")
@@ -58,14 +58,14 @@ def test_actions_may_schedule_followups_inside_the_run():
 def test_scheduling_in_the_past_raises():
     engine = Engine()
     engine.run_until(5.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(RuntimeError, match="cannot schedule"):
         engine.schedule(4.0, lambda: None)
 
 
 def test_running_backwards_raises():
     engine = Engine()
     engine.run_until(5.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(RuntimeError, match="backwards"):
         engine.run_until(4.0)
 
 

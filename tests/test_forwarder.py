@@ -170,8 +170,7 @@ class TestMaintenance:
         # gives up only after 2 x diameter (49 hops) x latency of silence,
         # at 2.07 s, past the next tick
         line = [(200 * k, 0) for k in range(50)]
-        proto = make_forwarder(static_model(line + [(9900, 400)], width=10000.0),
-                               proactive=True)
+        proto = make_forwarder(static_model(line + [(9900, 400)]), proactive=True)
         sent = []
         direct = proto.radio.direct
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from adhocloc.geometry import (GeometryError, TWO_PI, ZoneLayout, centroid,
-                               dist, elect_server, ring_next)
+from adhocloc.geometry import (TWO_PI, ZoneLayout, centroid, dist, elect_server,
+                               ring_next)
 
 
 class TestScalarHelpers:
@@ -18,7 +18,7 @@ class TestScalarHelpers:
         assert centroid(pts) == pytest.approx((1.0, 1.0))
 
     def test_centroid_of_empty_set_raises(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="empty"):
             centroid([])
 
     def test_centroid_matches_numpy_mean_on_random_sets(self):
@@ -43,7 +43,7 @@ class TestElection:
         assert elect_server([0, 1], pos, (6.0, 0.0)) == 1
 
     def test_empty_candidate_set_raises(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="empty candidate"):
             elect_server([], {}, (0.0, 0.0))
 
 
@@ -60,10 +60,10 @@ class TestZoneLayout:
         assert ZoneLayout(2, (0.0, 0.0)).alpha == pytest.approx(math.pi)
 
     def test_more_than_two_pi_aperture_is_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="two zones"):
             ZoneLayout(0, (0.0, 0.0))
         # one zone (the whole plane) is no partition either
-        with pytest.raises(GeometryError, match="two zones"):
+        with pytest.raises(ValueError, match="two zones"):
             ZoneLayout(1, (0.0, 0.0))
 
     def test_quadrant_interiors(self):
@@ -79,6 +79,13 @@ class TestZoneLayout:
         assert layout.zone_of((0.0, 1.0)) == 0    # pi/2 ray: zone 0, not 1
         assert layout.zone_of((-1.0, 0.0)) == 1   # pi ray: zone 1, not 2
         assert layout.zone_of((0.0, -1.0)) == 2   # 3*pi/2 ray: zone 2, not 3
+
+    def test_an_angle_that_rounds_onto_two_pi_stays_in_the_last_zone(self):
+        # at 61 zones TWO_PI / alpha rounds above 61, and the angle of a
+        # point a hair below the 0 ray rounds onto 2*pi
+        layout = ZoneLayout(61, (0.0, 0.0))
+        assert TWO_PI / layout.alpha > 61
+        assert layout.zone_of((1.0, -1e-300)) == 60
 
     def test_the_centre_belongs_to_zone_zero(self):
         assert ZoneLayout(8, (3.0, 4.0)).zone_of((3.0, 4.0)) == 0

@@ -15,11 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adhocloc
-from adhocloc import cli
+from adhocloc import cli, sweep
 from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
-from adhocloc.metrics import MetricsError
 from adhocloc.protocols.base import CodeMigrationProcess
 from adhocloc.scenario import run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
@@ -265,11 +264,17 @@ class TestScenario:
 
 class TestSweep:
     def test_grid_rows_come_per_seed_then_averaged(self):
+        results = []
         rows = run_sweep(short_cfg(),
                          protocols=["forwarder_reactive", "centralized"],
                          lambdas=[0.5], node_mobs=["medium"],
-                         code_bands=["medium"], seeds=[1, 2])
+                         code_bands=["medium"], seeds=[1, 2],
+                         on_result=results.append)
         assert len(rows) == 6
+        # the hook sees each run's result as its per-seed row is made
+        assert [(r.cfg.protocol, r.cfg.seed) for r in results] == [
+            (row["protocol"], row["seed"]) for row in rows
+            if row["seed"] != AVERAGE_SEED]
         for base in (0, 3):
             seeds = [rows[base + k]["seed"] for k in range(3)]
             assert seeds == [1, 2, AVERAGE_SEED]
@@ -418,13 +423,20 @@ class TestCli:
         assert code == cli.EXIT_ABORTED
         assert "aborted:         yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("fault", [
+        RuntimeError("repair path endpoints do not match"),
+        ValueError("ledger total 7 != raw-log recount 6"),
+    ], ids=lambda fault: type(fault).__name__)
     def test_an_invariant_violation_exits_with_the_invariant_code(
-            self, monkeypatch, capsys):
+            self, monkeypatch, capsys, command, fault):
         def explode(cfg):
-            raise MetricsError("ledger total 7 != raw-log recount 6")
+            raise fault
         monkeypatch.setattr(cli, "run_scenario", explode)
-        assert cli.main(["run"]) == cli.EXIT_INVARIANT
-        assert "invariant violated" in capsys.readouterr().err
+        monkeypatch.setattr(sweep, "run_scenario", explode)
+        assert cli.main([command]) == cli.EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "Traceback" in err and str(fault) in err
 
     def test_sweep_writes_per_seed_and_average_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

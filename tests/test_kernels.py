@@ -327,7 +327,7 @@ class TestBfsTree:
         rng = np.random.default_rng(seed)
         pos = np.round(rng.uniform(0, 1000, (n, 2)), 1)
         adj = kernels.adjacency(pos, range_m)
-        radio = Radio(static_model(pos, height=1000.0), range_m, 0.01, MessageLedger())
+        radio = Radio(static_model(pos), range_m, 0.01, MessageLedger())
         for src in range(n):
             hops, parents = bfs_tree_frontier(adj, src)
             for dst in range(n):

@@ -3,8 +3,7 @@
 import pytest
 
 from adhocloc.config import ScenarioConfig
-from adhocloc.metrics import (MetricsError, RequestRecord, build_report,
-                              compute_rtime)
+from adhocloc.metrics import RequestRecord, build_report, compute_rtime
 from adhocloc.radio import MessageKind, MessageLedger
 
 
@@ -105,5 +104,5 @@ class TestBuildReport:
         ledger = MessageLedger()
         ledger.charge(MessageKind.DATA, 0, 1, 3, 0.1, 0)
         ledger.total_units += 1
-        with pytest.raises(MetricsError, match="recount"):
+        with pytest.raises(ValueError, match="recount"):
             make_report([rec(0, 0.0, resolved_at=0.1)], ledger)

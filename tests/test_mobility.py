@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from adhocloc.engine import RngStreams
-from adhocloc.mobility import (MobilityError, RandomWaypointModel, Trajectory,
-                               network_mobility, separation_matrix,
-                               write_trajectory_csv)
+from adhocloc.mobility import (RandomWaypointModel, Trajectory, network_mobility,
+                               separation_matrix, write_trajectory_csv)
 from conftest import (BAND_LOW_MAX, BAND_MEDIUM_MAX, MobilityBand,
                       classify_mobility, scripted_model, static_model)
 
@@ -63,6 +62,22 @@ class TestRandomWaypointModel:
         assert np.array_equal(a.positions(80.0), b.positions(80.0))
         assert np.array_equal(a.positions(120.0)[3], b.positions(120.0)[3])
 
+    def test_a_destination_equal_to_the_position_is_redrawn(self):
+        class ScriptedRng:
+            """Hands out start x, y, then (dest x, dest y, speed) per leg."""
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def uniform(self, low, high):
+                return next(self.draws)
+
+        rng = ScriptedRng([100.0, 100.0, 100.0, 100.0, 5.0, 400.0, 100.0, 10.0])
+        model = RandomWaypointModel(1, 1000, 500, 1, 20, lambda node: rng, 20.0)
+        traj = model.trajectories[0]
+        # the zero-length leg leaves no knot; the 300 m leg at 10 m/s does
+        assert traj.times == [0.0, 30.0]
+        assert (traj.xs, traj.ys) == ([100.0, 400.0], [100.0, 100.0])
+
     def test_one_node_position_is_bit_identical_to_all_positions(self):
         rng = np.random.default_rng(17)
         models = [self.make(seed=6)]        # queried past its horizon below
@@ -89,21 +104,21 @@ class TestRandomWaypointModel:
         assert checks > 5000
 
     def test_negative_query_time_raises(self):
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="negative"):
             self.make().positions(-0.1)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="negative"):
             self.make().position(0, -0.1)
 
     def test_constructor_validation(self):
         streams = RngStreams(1)
         factory = lambda node: streams.substream("mobility", node)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="one node"):
             RandomWaypointModel(0, 1000, 500, 1, 2, factory, 10)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="speeds"):
             RandomWaypointModel(3, 1000, 500, 0.0, 2, factory, 10)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="speeds"):
             RandomWaypointModel(3, 1000, 500, 5, 2, factory, 10)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="area"):
             RandomWaypointModel(3, -5, 500, 1, 2, factory, 10)
 
 
@@ -163,16 +178,16 @@ class TestSeparationMetrics:
 
     def test_window_validation(self):
         model = static_model([(0, 0), (10, 0)])
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="dt < duration"):
             network_mobility(model, 5.0, 5.0)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="dt < duration"):
             network_mobility(model, 5.0, 0.0)
 
     def test_single_node_network_has_no_separation(self):
         model = static_model([(0, 0)])
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="two nodes"):
             separation_matrix(model, 10.0, 1.0)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="two nodes"):
             network_mobility(model, 10.0, 1.0)
 
 
@@ -189,9 +204,9 @@ class TestBands:
         assert classify_mobility(BAND_MEDIUM_MAX + 1e-9) is MobilityBand.HIGH
 
     def test_non_positive_mobility_cannot_be_classified(self):
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="positive"):
             classify_mobility(0.0)
-        with pytest.raises(MobilityError):
+        with pytest.raises(ValueError, match="positive"):
             classify_mobility(-1.0)
 
 

@@ -10,6 +10,7 @@ from adhocloc import kernels
 from adhocloc.config import PROTOCOLS, ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
+from adhocloc.protocols import make_protocol
 from adhocloc.protocols.base import LocalizationProtocol
 from adhocloc.radio import BROADCAST, LinkTimeline, MessageKind, MessageLedger, Radio
 from adhocloc.scenario import run_scenario
@@ -133,7 +134,7 @@ class TestUnicast:
                  Trajectory([0.0], [200.0], [0.0]),
                  runner,
                  Trajectory([0.0], [600.0], [0.0])]
-        model = RandomWaypointModel.from_trajectories(trajs, 10000, 500)
+        model = RandomWaypointModel.from_trajectories(trajs)
         ledger = MessageLedger()
         radio = Radio(model, 250.0, 0.01, ledger)
         assert radio.unicast(0, 3, MessageKind.DATA, 0.0, request_id=5) is None
@@ -148,12 +149,25 @@ class TestUnicast:
                  Trajectory([0.0], [200.0], [0.0]),
                  runner,
                  Trajectory([0.0], [600.0], [0.0])]
-        model = RandomWaypointModel.from_trajectories(trajs, 10000, 500)
+        model = RandomWaypointModel.from_trajectories(trajs)
         ledger = MessageLedger()
         Radio(model, 250.0, 0.01, ledger).unicast(0, 3, MessageKind.DATA, 0.0)
         (row,) = ledger.rows
         assert row.kind is MessageKind.DATA
         assert (row.src, row.dst, row.units) == (0, 3, 2)
+
+
+def test_bad_arguments_are_refused():
+    model = static_model(LINE)
+    with pytest.raises(ValueError, match="range"):
+        Radio(model, 0.0, 0.01, MessageLedger())
+    with pytest.raises(ValueError, match="latency"):
+        Radio(model, 250.0, -0.01, MessageLedger())
+    radio, _ = line_radio()
+    with pytest.raises(ValueError, match="ttl"):
+        radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0, ttl=0)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        make_protocol("nope", build_ctx(model))
 
 
 class TestDirect:
