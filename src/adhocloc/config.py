@@ -75,11 +75,11 @@ class ScenarioConfig:
             raise ConfigError("mother must name a node id")
         if self.range <= 0:
             raise ConfigError("radio range must be positive")
-        if self.protocol == "zoned" and not 2 <= self.n_zones <= self.n_nodes:
-            raise ConfigError(f"zoned protocol needs 2 <= n_zones <= n_nodes, got "
-                              f"n_zones={self.n_zones} for {self.n_nodes} nodes")
         if self.n_zones < 1:
             raise ConfigError("n_zones must be >= 1")
+        if self.protocol == "zoned" and self.n_zones > self.n_nodes:
+            raise ConfigError(f"zoned protocol needs n_zones <= n_nodes, got "
+                              f"n_zones={self.n_zones} for {self.n_nodes} nodes")
         if self.lam <= 0:
             raise ConfigError("lambda must be positive")
         if self.duration <= 0:

@@ -52,15 +52,15 @@ class ZoneLayout:
 
     Zone k spans polar angles (k*alpha, (k+1)*alpha) with alpha = 2*pi/n.
     Boundary rays belong to the lower-indexed adjacent zone, the 0/2pi ray and
-    the centre itself to zone 0. At least two zones, so alpha <= pi.
+    the centre itself to zone 0. One zone is the whole plane.
     """
 
     n_zones: int
     center: tuple[float, float]
 
     def __post_init__(self):
-        if self.n_zones < 2:
-            raise ValueError("need at least two zones")
+        if self.n_zones < 1:
+            raise ValueError("need at least one zone")
 
     @property
     def alpha(self) -> float:

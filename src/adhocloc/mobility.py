@@ -12,7 +12,8 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from functools import cached_property
+from typing import IO
 
 import numpy as np
 
@@ -44,9 +45,11 @@ class RandomWaypointModel:
 
     Each node draws a uniform start, then repeats: pick a uniform destination,
     travel there at a uniform speed from [speed_min, speed_max], leave again
-    at once (no pause). Legs are drawn to the horizon at construction, and
-    lazily only for queries past it, each node from its own RNG substream,
-    so extension order never changes the draw sequence.
+    at once (no pause). Every node's legs are drawn at construction, from its
+    own RNG substream, until its last knot is at or past the horizon; the
+    model never changes afterwards. A longer horizon only appends legs, so
+    the knots up to a shorter horizon's last ones are the same. Past a node's
+    last knot it rests there.
     """
 
     def __init__(self, n_nodes: int, width: float, height: float,
@@ -58,22 +61,22 @@ class RandomWaypointModel:
         if width <= 0 or height <= 0:
             raise ValueError("area dimensions must be positive")
         self.n_nodes = n_nodes
-        self.width = width
-        self.height = height
-        self.speed_min = speed_min
-        self.speed_max = speed_max
         self.horizon = float(horizon)
-        self._rngs = [rng_for_node(i) for i in range(n_nodes)]
         self.trajectories: list[Trajectory] = []
         for i in range(n_nodes):
+            rng = rng_for_node(i)
             traj = Trajectory()
-            rng = self._rngs[i]
-            x = rng.uniform(0.0, width)
-            y = rng.uniform(0.0, height)
-            traj.append(0.0, x, y)
+            traj.append(0.0, rng.uniform(0.0, width), rng.uniform(0.0, height))
+            while traj.end_time < self.horizon:
+                x0, y0 = traj.xs[-1], traj.ys[-1]
+                dest_x = rng.uniform(0.0, width)
+                dest_y = rng.uniform(0.0, height)
+                speed = rng.uniform(speed_min, speed_max)
+                leg = math.hypot(dest_x - x0, dest_y - y0)
+                if leg == 0.0:
+                    continue
+                traj.append(traj.end_time + leg / speed, dest_x, dest_y)
             self.trajectories.append(traj)
-            self._extend_node(i, self.horizon)
-        self._flat: Optional[tuple] = None
 
     @classmethod
     def from_trajectories(cls, trajectories: list[Trajectory]) -> "RandomWaypointModel":
@@ -81,56 +84,30 @@ class RandomWaypointModel:
         model = cls.__new__(cls)
         model.n_nodes = len(trajectories)
         model.horizon = max(t.end_time for t in trajectories)
-        model._rngs = []
         model.trajectories = trajectories
-        model._flat = None
         return model
 
-    def _extend_node(self, node: int, until: float) -> None:
-        traj = self.trajectories[node]
-        rng = self._rngs[node]
-        while traj.end_time < until:
-            x0, y0 = traj.xs[-1], traj.ys[-1]
-            dest_x = rng.uniform(0.0, self.width)
-            dest_y = rng.uniform(0.0, self.height)
-            speed = rng.uniform(self.speed_min, self.speed_max)
-            leg = math.hypot(dest_x - x0, dest_y - y0)
-            if leg == 0.0:
-                continue
-            traj.append(traj.end_time + leg / speed, dest_x, dest_y)
-
-    def ensure_horizon(self, t: float) -> None:
-        if t <= self.horizon:
-            return
-        for i in range(self.n_nodes):
-            if self._rngs:
-                self._extend_node(i, t)
-        self.horizon = t
-        self._flat = None
-
-    def knot_arrays(self):
+    @cached_property
+    def knot_arrays(self) -> tuple:
         """Every node's knots stored flat: (times, xs, ys, per-node offsets)."""
-        if self._flat is None:
-            offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            for i, traj in enumerate(self.trajectories):
-                offsets[i + 1] = offsets[i] + len(traj.times)
-            knot_t = np.empty(offsets[-1], dtype=np.float64)
-            knot_x = np.empty(offsets[-1], dtype=np.float64)
-            knot_y = np.empty(offsets[-1], dtype=np.float64)
-            for i, traj in enumerate(self.trajectories):
-                s, e = offsets[i], offsets[i + 1]
-                knot_t[s:e] = traj.times
-                knot_x[s:e] = traj.xs
-                knot_y[s:e] = traj.ys
-            self._flat = (knot_t, knot_x, knot_y, offsets)
-        return self._flat
+        offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        for i, traj in enumerate(self.trajectories):
+            offsets[i + 1] = offsets[i] + len(traj.times)
+        knot_t = np.empty(offsets[-1], dtype=np.float64)
+        knot_x = np.empty(offsets[-1], dtype=np.float64)
+        knot_y = np.empty(offsets[-1], dtype=np.float64)
+        for i, traj in enumerate(self.trajectories):
+            s, e = offsets[i], offsets[i + 1]
+            knot_t[s:e] = traj.times
+            knot_x[s:e] = traj.xs
+            knot_y[s:e] = traj.ys
+        return knot_t, knot_x, knot_y, offsets
 
     def positions(self, t: float) -> np.ndarray:
         """All node positions at time t as an (n, 2) array."""
         if t < 0:
             raise ValueError(f"negative query time {t}")
-        self.ensure_horizon(t)
-        knot_t, knot_x, knot_y, offsets = self.knot_arrays()
+        knot_t, knot_x, knot_y, offsets = self.knot_arrays
         return kernels.positions_at(knot_t, knot_x, knot_y, offsets, t)
 
     def position(self, node: int, t: float) -> tuple[float, float]:
@@ -139,7 +116,6 @@ class RandomWaypointModel:
         expression on Python floats."""
         if t < 0:
             raise ValueError(f"negative query time {t}")
-        self.ensure_horizon(t)
         traj = self.trajectories[node]
         times = traj.times
         k = bisect_right(times, t) - 1
@@ -152,8 +128,7 @@ class RandomWaypointModel:
         return x0 + (traj.xs[k + 1] - x0) * w, y0 + (traj.ys[k + 1] - y0) * w
 
     def positions_block(self, times: np.ndarray) -> np.ndarray:
-        self.ensure_horizon(float(times[-1]) if len(times) else 0.0)
-        knot_t, knot_x, knot_y, offsets = self.knot_arrays()
+        knot_t, knot_x, knot_y, offsets = self.knot_arrays
         return kernels.positions_block(knot_t, knot_x, knot_y, offsets,
                                        np.asarray(times, dtype=np.float64))
 

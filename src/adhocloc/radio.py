@@ -18,11 +18,12 @@ and `neighbour_bits`) answers instead wherever float error could matter, in
 guard bands around each crossing sized from the root's conditioning, over
 grazing and co-moving pairs near range, and at the instants a link flips
 across a knot (a jump), as well as at or past the horizon the span was
-solved to. `run_scenario` builds the span at the run's first event, so the
-exact path also answers start-up, and a timeline never built is an empty
-span. The radio answers topology only: readers of coordinates ask the
-mobility model, `RandomWaypointModel.positions` for every node or
-`position` for one.
+solved to. `run_scenario` draws the model to a horizon past every read of
+its run, hop checks still in flight at its end included, and builds the
+span at the run's first event, so the exact path also answers start-up, and
+a timeline never built is an empty span. The radio answers topology only:
+readers of coordinates ask the mobility model,
+`RandomWaypointModel.positions` for every node or `position` for one.
 
 The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
@@ -139,7 +140,7 @@ class LinkTimeline:
         return self._seek(bisect_right(self.times, t))
 
     def build(self) -> None:
-        knot_t, knot_x, knot_y, offsets = self.model.knot_arrays()
+        knot_t, knot_x, knot_y, offsets = self.model.knot_arrays
         hi = self.model.horizon
         extent = max(self.range_m, float(np.abs(knot_x).max()),
                      float(np.abs(knot_y).max()))

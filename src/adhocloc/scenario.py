@@ -86,10 +86,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     engine = Engine()
     streams = RngStreams(cfg.seed)
     smin, smax = cfg.node_speed
+    # the latest read follows an event at `duration`: a forwarder repair
+    # reply leaves up to n - 1 flood hops later and has its hops checked up
+    # to n - 2 hops after that, so (2n - 3) hops past the end bound them all
     model = RandomWaypointModel(cfg.n_nodes, cfg.area[0], cfg.area[1],
                                 smin, smax,
                                 lambda node: streams.substream("mobility", node),
-                                horizon=cfg.duration)
+                                horizon=cfg.duration + 2 * cfg.n_nodes * PER_HOP_LATENCY)
     ledger = MessageLedger()
     radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
     code = MobileCode(mother=cfg.mother, host=cfg.mother)

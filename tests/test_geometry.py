@@ -60,11 +60,13 @@ class TestZoneLayout:
         assert ZoneLayout(2, (0.0, 0.0)).alpha == pytest.approx(math.pi)
 
     def test_more_than_two_pi_aperture_is_rejected(self):
-        with pytest.raises(ValueError, match="two zones"):
+        with pytest.raises(ValueError, match="one zone"):
             ZoneLayout(0, (0.0, 0.0))
-        # one zone (the whole plane) is no partition either
-        with pytest.raises(ValueError, match="two zones"):
-            ZoneLayout(1, (0.0, 0.0))
+        # one zone is the whole plane, every ray included
+        whole = ZoneLayout(1, (0.0, 0.0))
+        assert whole.alpha == TWO_PI
+        assert {whole.zone_of(p) for p in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
+                                           (-1.0, 0.0), (1.0, -1e-300)]} == {0}
 
     def test_quadrant_interiors(self):
         layout = ZoneLayout(4, (0.0, 0.0))

@@ -19,7 +19,9 @@ from adhocloc import cli, sweep
 from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
+from adhocloc.mobility import RandomWaypointModel
 from adhocloc.protocols.base import CodeMigrationProcess
+from adhocloc.radio import Radio
 from adhocloc.scenario import run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
                             comparison_table, report_to_row, run_sweep,
@@ -31,6 +33,28 @@ def short_cfg(**overrides):
     base = dict(duration=15.0, lam=0.5, warmup=2.0, seed=1)
     base.update(overrides)
     return ScenarioConfig(**base).validated()
+
+
+def reads_within_horizon(patch) -> list[float]:
+    """Make every topology read (`Radio._rows`, which the link timeline
+    answers) and every position read assert that it falls at or before the
+    mobility model's horizon; returns a list whose one item is the latest
+    time read so far."""
+    latest = [0.0]
+
+    def checked(read, model_of):
+        def wrapper(owner, *args):
+            t = args[-1]
+            assert t <= model_of(owner).horizon, t
+            latest[0] = max(latest[0], t)
+            return read(owner, *args)
+        return wrapper
+
+    patch.setattr(Radio, "_rows", checked(Radio._rows, lambda radio: radio.model))
+    for name in ("positions", "position"):
+        patch.setattr(RandomWaypointModel, name,
+                      checked(getattr(RandomWaypointModel, name), lambda model: model))
+    return latest
 
 
 @st.composite
@@ -46,7 +70,7 @@ def fuzz_configs(draw):
         lam=draw(st.sampled_from([0.05, 0.5, 2.0, 8.0])),
         node_mob="custom", node_speed=tuple(speeds),
         code_band=draw(st.sampled_from(CODE_BANDS)),
-        n_zones=draw(st.integers(2, 6)),
+        n_zones=draw(st.integers(1, 6)),
         duration=draw(st.floats(5.0, 40.0)),
         protocol=draw(st.sampled_from(PROTOCOLS)),
         mother=draw(st.integers(0, n_nodes - 1)),
@@ -106,8 +130,9 @@ class TestConfig:
     def test_validation_guards_the_interesting_edges(self):
         with pytest.raises(ConfigError, match="protocol"):
             ScenarioConfig(protocol="flooding").validated()
-        with pytest.raises(ConfigError, match="n_zones"):
-            ScenarioConfig(protocol="zoned", n_zones=1).validated()
+        with pytest.raises(ConfigError, match="n_zones <= n_nodes"):
+            ScenarioConfig(protocol="zoned", n_zones=26).validated()
+        assert ScenarioConfig(protocol="zoned", n_zones=1).validated().n_zones == 1
         with pytest.raises(ConfigError, match="mother"):
             ScenarioConfig(n_nodes=5, mother=5).validated()
         with pytest.raises(ConfigError, match="metric_dt"):
@@ -227,15 +252,33 @@ class TestScenario:
     @given(cfg=fuzz_configs())
     def test_random_configs_finish_or_are_rejected(self, cfg):
         # a run ends, aborted or not, or its config is refused; no other
-        # exception, and every request's units recount from the raw log
+        # exception, no read past the model's horizon, and every request's
+        # units recount from the raw log
         try:
-            result = run_scenario(cfg)
+            with pytest.MonkeyPatch.context() as patch:
+                reads_within_horizon(patch)
+                result = run_scenario(cfg)
         except ConfigError:
             return
         units = Counter()
         for row in result.ledger.rows:
             units[row.request_id] += row.units
         assert all(r.units == units[r.request_id] for r in result.records)
+
+    def test_the_model_horizon_covers_the_reads_after_the_last_event(self):
+        # messages in flight when the run ends still have hops checked, so
+        # some runs read past their duration, but never past the horizon
+        past_end = []
+        with pytest.MonkeyPatch.context() as patch:
+            latest = reads_within_horizon(patch)
+            for protocol in PROTOCOLS:
+                for seed in (1, 2):
+                    latest[0] = 0.0
+                    cfg = ScenarioConfig(protocol=protocol, lam=4.0, node_mob="high",
+                                         code_band="high", duration=100.0, seed=seed)
+                    run_scenario(cfg)
+                    past_end.append(latest[0] - cfg.duration)
+        assert max(past_end) > 0.0
 
     @pytest.mark.parametrize("overrides, parked", [
         *(pytest.param({"protocol": p}, False, id=p) for p in PROTOCOLS),

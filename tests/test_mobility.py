@@ -53,14 +53,15 @@ class TestRandomWaypointModel:
         a, b = self.make(seed=9), self.make(seed=9)
         assert np.array_equal(a.positions(33.3), b.positions(33.3))
 
-    def test_lazy_extension_is_query_order_independent(self):
-        a, b = self.make(seed=5), self.make(seed=5)
-        # extend a by poking far ahead first, b wholesale
-        a.positions(120.0)
-        a.positions(80.0)
-        b.ensure_horizon(150.0)
-        assert np.array_equal(a.positions(80.0), b.positions(80.0))
-        assert np.array_equal(a.positions(120.0)[3], b.positions(120.0)[3])
+    def test_a_longer_horizon_only_appends_knots(self):
+        # each node draws from its own substream until its last knot reaches
+        # the horizon, so a longer horizon draws the same legs and then more
+        short, long = self.make(seed=5, horizon=40.0), self.make(seed=5, horizon=150.0)
+        for s, l in zip(short.trajectories, long.trajectories):
+            k = len(s.times)
+            assert s.times[-2] < 40.0 <= s.end_time and l.end_time >= 150.0
+            assert (l.times[:k], l.xs[:k], l.ys[:k]) == (s.times, s.xs, s.ys)
+        assert np.array_equal(short.positions(33.3), long.positions(33.3))
 
     def test_a_destination_equal_to_the_position_is_redrawn(self):
         class ScriptedRng:
@@ -80,7 +81,7 @@ class TestRandomWaypointModel:
 
     def test_one_node_position_is_bit_identical_to_all_positions(self):
         rng = np.random.default_rng(17)
-        models = [self.make(seed=6)]        # queried past its horizon below
+        models = [self.make(seed=6)]        # read past its horizon below
         for _ in range(30):
             trajs = []
             for _ in range(int(rng.integers(1, 6))):

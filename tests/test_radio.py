@@ -12,7 +12,8 @@ from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols import make_protocol
 from adhocloc.protocols.base import LocalizationProtocol
-from adhocloc.radio import BROADCAST, LinkTimeline, MessageKind, MessageLedger, Radio
+from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LinkTimeline, MessageKind,
+                           MessageLedger, Radio)
 from adhocloc.scenario import run_scenario
 from conftest import build_ctx, scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
@@ -139,6 +140,23 @@ class TestUnicast:
         radio = Radio(model, 250.0, 0.01, ledger)
         assert radio.unicast(0, 3, MessageKind.DATA, 0.0, request_id=5) is None
         assert ledger.units_for_request(5) == 2
+
+    def test_the_second_hop_is_checked_at_its_own_send_instant(self):
+        # on the 0-1-2 line, node 2 is in range of node 1 at the send time
+        # but gone when the second hop leaves, one latency later: the first
+        # hop is charged and the message is lost
+        runner = Trajectory()
+        runner.append(0.0, 400.0, 0.0)
+        runner.append(0.005, 400.0, 0.0)
+        runner.append(0.010, 5000.0, 0.0)
+        trajs = [Trajectory([0.0], [0.0], [0.0]),
+                 Trajectory([0.0], [200.0], [0.0]),
+                 runner]
+        ledger = MessageLedger()
+        radio = Radio(RandomWaypointModel.from_trajectories(trajs), 250.0, 0.01, ledger)
+        assert radio.route(0, 2, 0.0) == (0, 1, 2)
+        assert radio.unicast(0, 2, MessageKind.DATA, 0.0, request_id=4) is None
+        assert ledger.units_for_request(4) == 1
 
     def test_break_charge_is_visible_in_the_raw_log(self):
         runner = Trajectory()
@@ -460,13 +478,13 @@ class TestLinkTimeline:
         radio = Radio(model, 250.0, 0.01, MessageLedger())
         radio.timeline.build()
         rng = np.random.default_rng(4)
-        # the span is solved to the horizon first, then the model is
-        # extended lazily by a query past it
+        # the span is solved to the horizon; past it the exact path answers
+        # and the model draws no further legs
         early = assert_rows_are_exact(radio, rng.uniform(0.0, 60.0, 400))
         assert_rows_are_exact(radio, rng.uniform(60.0, 130.0, 200))
         assert_rows_are_exact(radio, rng.uniform(0.0, 130.0, 400))
         assert early > 300
-        assert radio.timeline.solved_to == 60.0 and model.horizon > 120.0
+        assert radio.timeline.solved_to == 60.0 and model.horizon == 60.0
         assert all(radio.timeline.rows(t) is None
                    for t in [60.0, *rng.uniform(60.0, 130.0, 50)])
 
@@ -476,7 +494,8 @@ class TestLinkTimeline:
             cfg = ScenarioConfig(protocol=protocol, node_mob=node_mob, lam=1.0,
                                  duration=60.0, seed=4)
             timed = run_scenario(cfg)
-            assert timed.radio.timeline.solved_to == cfg.duration
+            assert (timed.radio.timeline.solved_to
+                    == cfg.duration + 2 * cfg.n_nodes * PER_HOP_LATENCY)
             with monkeypatch.context() as patch:
                 patch.setattr(LinkTimeline, "rows", lambda self, t: None)
                 patch.setattr(LinkTimeline, "build", lambda self: None)

@@ -1,13 +1,14 @@
 """Centralized server: election, FIFO queue, query round trips, handoffs."""
 
 import heapq
+import math
 
 import pytest
 
 from adhocloc.config import ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
 from adhocloc.metrics import RequestRecord
-from adhocloc.protocols.server import (JITTER_BLOCK, SERVICE_TIME,
+from adhocloc.protocols.server import (CHASE_BUDGET, JITTER_BLOCK, SERVICE_TIME,
                                        CentralizedProtocol, ServerAgent)
 from adhocloc.radio import MessageKind
 from adhocloc.scenario import run_scenario
@@ -211,6 +212,23 @@ class TestHandoff:
         assert record.failed_at == pytest.approx(2.08)
         assert proto.ctx.ledger.units_for_request(1) == 8
         assert proto.agent.processed == 1    # the initial location update
+
+    @pytest.mark.parametrize("pointers", [CHASE_BUDGET, CHASE_BUDGET + 1])
+    def test_a_chase_follows_at_most_chase_budget_pointers(self, pointers):
+        # every station on a ring of radius 100 m is in range of every
+        # other, so only the budget can stop a query chased along the chain
+        ring = [(100.0 * math.cos(math.tau * k / 12), 100.0 * math.sin(math.tau * k / 12))
+                for k in range(12)]
+        proto = make_server(static_model(ring), host=11)
+        proto.engine.run_until(1.0)
+        chain = list(range(1, pointers + 2))    # off the mother and the code
+        proto.agent.host = chain[-1]
+        proto.known_server[proto.code.mother] = chain[0]
+        proto.forward_map = dict(zip(chain, chain[1:]))
+        before = proto.agent.processed
+        issue(proto)
+        proto.engine.run_until(2.0)
+        assert (proto.agent.processed > before) == (pointers == CHASE_BUDGET)
 
     def test_a_location_update_chased_into_a_dead_end_is_dropped(self):
         proto = make_server(static_model(CLUSTER6), host=3)

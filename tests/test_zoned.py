@@ -4,9 +4,12 @@ import math
 
 import pytest
 
+from adhocloc.config import ScenarioConfig
 from adhocloc.metrics import RequestRecord
+from adhocloc.protocols.server import SERVICE_TIME
 from adhocloc.protocols.zoned import ZonedProtocol
 from adhocloc.radio import MessageKind
+from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
 
 # two nodes per quadrant around a centroid at the origin; the inner node of
@@ -175,3 +178,19 @@ class TestReelection:
         assert res.levels[0] == 1
         assert list(res.depths) == [0, 1]
         assert units == 2
+
+
+class TestOneZone:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_zone_loads_its_agent_like_the_centralized_server(self, seed):
+        # at the same report period, one zone's agent ingests what the
+        # central agent does: every station's reports, the updates and the
+        # queries; only the report transport differs
+        base = ScenarioConfig(lam=0.25, duration=200.0, seed=seed)
+        central = run_scenario(base.replace(protocol="centralized"))
+        zoned = run_scenario(base.replace(protocol="zoned", n_zones=1,
+                                          report_period=1.0))
+        (agent,) = zoned.protocol.agents
+        loads = [a.processed * SERVICE_TIME / base.duration
+                 for a in (central.protocol.agent, agent)]
+        assert loads[0] == pytest.approx(loads[1], abs=0.01)
