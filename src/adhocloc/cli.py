@@ -26,7 +26,7 @@ EXIT_INVARIANT = 3
 
 
 def _load_config(path: Optional[str], overrides: Sequence[str]) -> ScenarioConfig:
-    cfg = load_config_file(path) if path else ScenarioConfig().validated()
+    cfg = load_config_file(path) if path else ScenarioConfig()
     return parse_assignments(((f"--set {item}", item) for item in overrides), cfg)
 
 

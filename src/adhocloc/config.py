@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
@@ -28,7 +29,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     area: tuple[float, float] = (1000.0, 500.0)
     n_nodes: int = 25
@@ -48,7 +49,7 @@ class ScenarioConfig:
     warmup: float = 10.0
     partition_grace: float = 30.0
 
-    def validated(self) -> "ScenarioConfig":
+    def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}, expected one of {PROTOCOLS}")
         if self.code_band not in CODE_BANDS:
@@ -58,7 +59,7 @@ class ScenarioConfig:
         if self.node_speed is None:
             if self.node_mob == "custom":
                 raise ConfigError("node_mob=custom requires an explicit node_speed")
-            self.node_speed = NODE_SPEED_PRESETS[self.node_mob]
+            object.__setattr__(self, "node_speed", NODE_SPEED_PRESETS[self.node_mob])
         preset = NODE_SPEED_PRESETS.get(self.node_mob)
         if preset is not None and tuple(self.node_speed) != preset:
             raise ConfigError(f"node_mob={self.node_mob} runs at {preset} m/s, got "
@@ -92,7 +93,6 @@ class ScenarioConfig:
             raise ConfigError("periods must be positive")
         if self.warmup < 0 or self.partition_grace <= 0:
             raise ConfigError("warmup must be >= 0 and partition_grace > 0")
-        return self
 
     @property
     def jump_rate(self) -> float:
@@ -103,16 +103,14 @@ class ScenarioConfig:
         return MOB_TARGETS.get(self.node_mob)
 
     def replace(self, **updates) -> "ScenarioConfig":
-        """A validated copy with `updates` applied. A preset node_mob label
+        """A checked copy with `updates` applied. A preset node_mob label
         given without a node_speed brings its preset speed; a node_speed
         given without a label makes the band custom."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(updates)
         if "node_speed" not in updates and updates.get("node_mob") in NODE_SPEED_PRESETS:
-            data["node_speed"] = NODE_SPEED_PRESETS[updates["node_mob"]]
+            updates["node_speed"] = NODE_SPEED_PRESETS[updates["node_mob"]]
         elif "node_speed" in updates and "node_mob" not in updates:
-            data["node_mob"] = "custom"
-        return ScenarioConfig(**data).validated()
+            updates["node_mob"] = "custom"
+        return dataclasses.replace(self, **updates)
 
 
 #: file key -> dataclass field, where they differ

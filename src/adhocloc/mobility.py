@@ -163,7 +163,7 @@ def write_trajectory_csv(model: RandomWaypointModel, duration: float, dt: float,
     run, as (node_id, t, x, y) rows; returns the row count."""
     times = _sample_times(duration, dt)
     block = model.positions_block(times)
-    writer = csv.writer(fh)
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["node_id", "t", "x", "y"])
     rows = 0
     for node in range(model.n_nodes):

@@ -34,11 +34,12 @@ class ScenarioContext:
 
 
 class LocalizationProtocol:
-    """Interface the harness drives: bootstrap, migration side effects, locates.
+    """Interface the harness drives: migration side effects and locates.
 
-    Every hook runs inside an event, at the engine's instant, and reads the
-    clock (`engine.now`) and the code's placement (`code`) from the run
-    itself; a subclass supplies `start`, `on_code_jump` and `_attempt`.
+    A subclass's constructor sets up its state and timers at t = 0. Every
+    hook runs inside an event, at the engine's instant, and reads the clock
+    (`engine.now`) and the code's placement (`code`) from the run itself; a
+    subclass supplies `on_code_jump` and `_attempt`.
     """
 
     def __init__(self, ctx: ScenarioContext):
@@ -48,10 +49,6 @@ class LocalizationProtocol:
         self.radio = ctx.radio
         self.model = ctx.model
         self.code = ctx.code
-
-    def start(self) -> None:
-        """Set up the protocol's state and timers at t = 0."""
-        raise NotImplementedError
 
     def on_code_jump(self, old_host: int) -> None:
         """Runs right after the code left `old_host` for `code.host`."""
@@ -109,8 +106,6 @@ class CodeMigrationProcess:
         self.rng = ctx.streams.code_migration
         self.jumps_attempted = 0
         self.jumps_made = 0
-
-    def start(self) -> None:
         self._schedule_next()
 
     def _schedule_next(self) -> None:

@@ -98,12 +98,10 @@ class ForwarderProtocol(LocalizationProtocol):
         self._parked: Dict[int, List[Tuple[RequestRecord, _WalkState, int]]] = {}
         self._repair_active: set[int] = set()
         self._max_steps = MAX_WALK_FACTOR * ctx.cfg.n_nodes
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        if self.proactive:
+        if proactive:
             self.engine.schedule(CHAIN_CHECK_PERIOD, self._chain_tick)
+
+    # -- code migration --------------------------------------------------------
 
     def on_code_jump(self, old_host: int) -> None:
         code = self.code

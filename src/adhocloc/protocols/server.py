@@ -29,7 +29,7 @@ message to an agent carries its work as a bare action, queued on arrival.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..engine import Engine
 from ..geometry import centroid, dist, elect_server
@@ -186,13 +186,7 @@ class ServerProtocol(LocalizationProtocol):
 class CentralizedProtocol(ServerProtocol):
     def __init__(self, ctx: ScenarioContext):
         super().__init__(ctx)
-        self.agent: Optional[ServerAgent] = None
-        self.known_server: List[int] = []   # filled by start
         self.forward_map: Dict[int, int] = {}
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
         pos = self.model.positions(0.0)
         host = elect_server(range(self.cfg.n_nodes), pos, centroid(pos))
         self.agent = ServerAgent(self.engine, host)

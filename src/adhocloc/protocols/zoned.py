@@ -21,7 +21,7 @@ are addressed to its current host at send time (anycast within the zone).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..geometry import ZoneLayout, centroid, elect_server, ring_next
 from ..metrics import RequestRecord
@@ -33,19 +33,12 @@ from .server import ServerAgent, ServerProtocol
 class ZonedProtocol(ServerProtocol):
     def __init__(self, ctx: ScenarioContext):
         super().__init__(ctx)
-        self.layout: Optional[ZoneLayout] = None
-        self.agents: List[ServerAgent] = []
-        self.last_zone: List[int] = []
-        self.sdb_zone: Optional[int] = None  # zone database holding the code entry
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
         cfg = self.cfg
         pos = self.model.positions(0.0)
         ref = centroid(pos)
         self.layout = ZoneLayout(cfg.n_zones, ref)
         self.last_zone = [self.layout.zone_of(p) for p in pos]
+        self.agents: List[ServerAgent] = []
         taken: set[int] = set()
         for zone in range(cfg.n_zones):
             members = [v for v in range(cfg.n_nodes)
@@ -88,14 +81,14 @@ class ZonedProtocol(ServerProtocol):
         zone = self._zone_at(host)
         previous = self.sdb_zone
         self._send_sdb_insert(zone)
-        if previous is not None and previous != zone:
+        if previous != zone:
             self._to_zone(host, previous, MessageKind.SERVER_UPDATE,
                           lambda: setattr(self.agents[previous], "code_host", None))
 
     def _send_sdb_insert(self, zone: int) -> None:
         """The code's host enters itself in `zone`'s database."""
         host = self.code.host
-        self.sdb_zone = zone
+        self.sdb_zone = zone  # zone database holding the code entry
         self._to_zone(host, zone, MessageKind.SERVER_UPDATE,
                       lambda: setattr(self.agents[zone], "code_host", host))
 

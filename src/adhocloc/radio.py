@@ -189,7 +189,10 @@ class Radio:
         self.latency = per_hop_latency
         self.ledger = ledger
         self.timeline = LinkTimeline(model, range_m)
-        self._last: tuple = (None, None)    # (t, rows) of the last exact answer
+        # (t, rows) of the last exact answer; kept not for speed but because
+        # flood_depth's memo keys on the rows object, so the exact path must
+        # hand out one rows object per instant
+        self._last: tuple = (None, None)
         # (rows, target, levels, component size) of flood_depth's last tree;
         # holding the rows keeps their id from being reused
         self._depth_memo: tuple = (None, None, None, 0)

@@ -52,10 +52,8 @@ class _PartitionWatchdog:
         self.grace = grace
         self.duration = duration
         self.split_since: Optional[float] = None
-
-    def start(self) -> None:
-        if self.duration >= 1.0:
-            self.engine.schedule(1.0, self._check)
+        if duration >= 1.0:
+            engine.schedule(1.0, self._check)
 
     def _check(self) -> None:
         t = self.engine.now
@@ -82,7 +80,6 @@ def _draw_arrivals(streams: RngStreams, lam: float, duration: float) -> list[flo
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    cfg = cfg.replace()  # validate a private copy
     engine = Engine()
     streams = RngStreams(cfg.seed)
     smin, smax = cfg.node_speed
@@ -97,8 +94,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
     code = MobileCode(mother=cfg.mother, host=cfg.mother)
     ctx = ScenarioContext(cfg, engine, streams, model, radio, ledger, code)
-    protocol = make_protocol(cfg.protocol, ctx)
-    mover = CodeMigrationProcess(ctx, protocol)
 
     records: list[RequestRecord] = []
     for i, at in enumerate(_draw_arrivals(streams, cfg.lam, cfg.duration)):
@@ -107,10 +102,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         records.append(record)
         engine.schedule(at, lambda r=record: protocol.locate(r))
 
-    watchdog = _PartitionWatchdog(radio, engine, cfg.partition_grace, cfg.duration)
-    protocol.start()
-    mover.start()
-    watchdog.start()
+    # built after the arrivals, which read `protocol` when they fire, so the
+    # timers these constructors schedule keep their seqs
+    protocol = make_protocol(cfg.protocol, ctx)
+    mover = CodeMigrationProcess(ctx, protocol)
+    _PartitionWatchdog(radio, engine, cfg.partition_grace, cfg.duration)
     # start-up above read the exact path; the event loop reads the span
     engine.schedule(0.0, radio.timeline.build)
 

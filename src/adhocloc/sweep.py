@@ -96,7 +96,7 @@ def run_sweep(base: ScenarioConfig,
               average: bool = True,
               on_result=None) -> list[dict]:
     """Run the full grid; per-seed rows first, then the cell's averaged row.
-    Every cell's config is built and validated before the first one runs."""
+    Every cell's config is built, and so checked, before the first one runs."""
     cells = [[base.replace(protocol=protocol, lam=lam, node_mob=node_mob,
                            code_band=code_band, seed=seed) for seed in seeds]
              for protocol in protocols for lam in lambdas

@@ -37,7 +37,7 @@ def verdict(label, ok, detail):
 def paper_grid():
     """Full-length runs for A1-A5: (protocol, lambda, seed) -> (result, wall,
     the instants of the run's migration attempts)."""
-    base = ScenarioConfig().validated()
+    base = ScenarioConfig()
     cells = [(protocol, lam) for protocol in RANKED for lam in GRID_LAMBDAS]
     cells.append(("forwarder_proactive", 0.25))
     attempts = {}

@@ -26,7 +26,6 @@ def issue(proto, t, request_id=1):
 class TestChainBookkeeping:
     def test_each_departure_leaves_an_ordered_entry(self):
         proto = make_forwarder(static_model(LINE4))
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 2)
         jump_code(proto, 3)
@@ -97,7 +96,6 @@ class TestWalk:
 
     def test_proactive_resolution_keeps_the_chain_standing(self):
         proto = make_forwarder(static_model(LINE4), proactive=True)
-        proto.start()
         for host in (1, 2, 3):
             jump_code(proto, host)
         record = issue(proto, 0.0)
@@ -111,7 +109,6 @@ class TestWalk:
 class TestMaintenance:
     def test_reactive_charges_nothing_while_idle(self):
         proto = make_forwarder(static_model(LINE4))
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 2)
         proto.engine.run_until(10.0)
@@ -119,7 +116,6 @@ class TestMaintenance:
 
     def test_proactive_ticks_probe_every_link_every_period(self):
         proto = make_forwarder(static_model(LINE4), proactive=True)
-        proto.start()
         for host in (1, 2, 3):
             jump_code(proto, host)
         proto.engine.run_until(5.5)
@@ -137,7 +133,6 @@ class TestMaintenance:
             [(0.0, 200.0, 60.0), (10.0, 200.0, 60.0)],
         ])
         proto = make_forwarder(model, proactive=True)
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 2)
         proto.engine.run_until(4.0)
@@ -152,7 +147,6 @@ class TestMaintenance:
         # the code lands on station 1 before the ack timeout runs out
         proto = make_forwarder(static_model([(0, 0), (200, 0), (600, 0)]),
                                proactive=True)
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 2)
         proto.engine.run_until(1.01)
@@ -179,7 +173,6 @@ class TestMaintenance:
             return direct(src, dst, kind, t, request_id)
 
         proto.radio.direct = spied
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 50)
         proto.engine.run_until(2.05)
@@ -299,7 +292,6 @@ class TestParking:
 
     def test_proactive_walk_parks_and_resumes_when_the_link_heals(self):
         proto = make_forwarder(self.parking_model(), proactive=True)
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 2)
         proto.engine.run_until(2.0)
@@ -320,7 +312,6 @@ class TestParking:
             [(0.0, 400.0, 0.0), (10.0, 400.0, 0.0)],
         ])
         proto = make_forwarder(model, proactive=True)
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 2)
         proto.engine.run_until(2.0)
@@ -332,7 +323,6 @@ class TestParking:
 
     def test_a_jump_at_the_broken_station_releases_the_walk(self):
         proto = make_forwarder(self.parking_model(), proactive=True)
-        proto.start()
         jump_code(proto, 1)
         jump_code(proto, 2)
         proto.engine.run_until(2.0)

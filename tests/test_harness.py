@@ -8,11 +8,11 @@ import io
 import re
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import adhocloc
 from adhocloc import cli, sweep
@@ -26,13 +26,13 @@ from adhocloc.scenario import run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
                             comparison_table, report_to_row, run_sweep,
                             write_csv)
-from conftest import classify_mobility
+from conftest import build_ctx, classify_mobility, static_model
 
 
 def short_cfg(**overrides):
     base = dict(duration=15.0, lam=0.5, warmup=2.0, seed=1)
     base.update(overrides)
-    return ScenarioConfig(**base).validated()
+    return ScenarioConfig(**base)
 
 
 def reads_within_horizon(patch) -> list[float]:
@@ -58,12 +58,12 @@ def reads_within_horizon(patch) -> list[float]:
 
 
 @st.composite
-def fuzz_configs(draw):
-    """Small random scenarios, valid or not: the whole range of sizes,
-    geometries, loads and speeds a run must survive."""
+def fuzz_config_keys(draw):
+    """Config keywords of small random scenarios, valid or not: the whole
+    range of sizes, geometries, loads and speeds a run must survive."""
     n_nodes = draw(st.integers(2, 12))
     speeds = sorted(draw(st.floats(0.1, 30.0)) for _ in range(2))
-    return ScenarioConfig(
+    return dict(
         n_nodes=n_nodes,
         area=(draw(st.floats(10.0, 2000.0)), draw(st.floats(10.0, 2000.0))),
         range=draw(st.floats(10.0, 600.0)),
@@ -77,9 +77,15 @@ def fuzz_configs(draw):
         seed=draw(st.integers(0, 2**16)))
 
 
+#: the keys the fuzz property's horizon examples share
+HORIZON_PROBE = dict(lam=8.0, range=300.0, area=(600.0, 600.0), node_mob="custom",
+                     node_speed=(10.0, 30.0), code_band="high", n_zones=2,
+                     mother=0, duration=10.0)
+
+
 class TestConfig:
     def test_defaults_validate_and_fill_the_speed_preset(self):
-        cfg = ScenarioConfig().validated()
+        cfg = ScenarioConfig()
         assert cfg.node_speed == NODE_SPEED_PRESETS["medium"]
         assert cfg.jump_rate == 0.5
         assert cfg.mob_target == 5.0
@@ -129,16 +135,16 @@ class TestConfig:
 
     def test_validation_guards_the_interesting_edges(self):
         with pytest.raises(ConfigError, match="protocol"):
-            ScenarioConfig(protocol="flooding").validated()
+            ScenarioConfig(protocol="flooding")
         with pytest.raises(ConfigError, match="n_zones <= n_nodes"):
-            ScenarioConfig(protocol="zoned", n_zones=26).validated()
-        assert ScenarioConfig(protocol="zoned", n_zones=1).validated().n_zones == 1
+            ScenarioConfig(protocol="zoned", n_zones=26)
+        assert ScenarioConfig(protocol="zoned", n_zones=1).n_zones == 1
         with pytest.raises(ConfigError, match="mother"):
-            ScenarioConfig(n_nodes=5, mother=5).validated()
+            ScenarioConfig(n_nodes=5, mother=5)
         with pytest.raises(ConfigError, match="metric_dt"):
-            ScenarioConfig(duration=1.0, metric_dt=1.0).validated()
+            ScenarioConfig(duration=1.0, metric_dt=1.0)
         with pytest.raises(ConfigError, match="node_speed"):
-            ScenarioConfig(node_mob="custom").validated()
+            ScenarioConfig(node_mob="custom")
         for bad, word in [({"code_band": "fast"}, "code_band"),
                           ({"node_mob": "brisk"}, "node_mob"),
                           ({"node_mob": "custom", "node_speed": (6.0, 3.0)}, "min <= max"),
@@ -153,10 +159,10 @@ class TestConfig:
                           ({"warmup": -1.0}, "warmup"),
                           ({"partition_grace": 0.0}, "partition_grace")]:
             with pytest.raises(ConfigError, match=word):
-                ScenarioConfig(**bad).validated()
+                ScenarioConfig(**bad)
 
     def test_a_mobility_label_brings_its_preset_speed(self):
-        cfg = ScenarioConfig().validated()
+        cfg = ScenarioConfig()
         assert cfg.replace(node_mob="high").node_speed == NODE_SPEED_PRESETS["high"]
         custom = cfg.replace(node_speed=(3.0, 6.0))
         assert custom.node_mob == "custom" and custom.node_speed == (3.0, 6.0)
@@ -167,14 +173,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="node_mob=low"):
             cfg.replace(node_mob="low", node_speed=(3.0, 6.0))
         with pytest.raises(ConfigError, match="node_mob=high"):
-            ScenarioConfig(node_mob="high", node_speed=(3.0, 6.0)).validated()
+            ScenarioConfig(node_mob="high", node_speed=(3.0, 6.0))
 
     def test_replace_validates_a_copy_and_leaves_the_original_alone(self):
-        cfg = ScenarioConfig().validated()
+        cfg = ScenarioConfig()
         other = cfg.replace(lam=1.0, protocol="zoned", n_zones=4)
         assert other.lam == 1.0 and cfg.lam == 0.25
         with pytest.raises(ConfigError):
             cfg.replace(lam=-1.0)
+
+    def test_a_config_is_checked_when_built_and_cannot_change(self):
+        with pytest.raises(ConfigError, match="lambda"):
+            ScenarioConfig(lam=-1.0)
+        cfg = short_cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.lam = 1.0
+        # a hand-wired context gets the filled preset too
+        assert (build_ctx(static_model([(0, 0), (100, 0)])).cfg.node_speed
+                == NODE_SPEED_PRESETS["medium"])
+        assert run_scenario(cfg).cfg is cfg
 
     def test_the_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -249,15 +266,19 @@ class TestScenario:
         assert all(other == seen[0] for other in seen[1:])
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(cfg=fuzz_configs())
-    def test_random_configs_finish_or_are_rejected(self, cfg):
+    @given(keys=fuzz_config_keys())
+    # two runs whose reads go past their duration, though not past the
+    # horizon: a horizon at the duration fails both
+    @example(keys=dict(HORIZON_PROBE, protocol="forwarder_reactive", n_nodes=12, seed=1))
+    @example(keys=dict(HORIZON_PROBE, protocol="zoned", n_nodes=6, seed=0))
+    def test_random_configs_finish_or_are_rejected(self, keys):
         # a run ends, aborted or not, or its config is refused; no other
         # exception, no read past the model's horizon, and every request's
         # units recount from the raw log
         try:
             with pytest.MonkeyPatch.context() as patch:
                 reads_within_horizon(patch)
-                result = run_scenario(cfg)
+                result = run_scenario(ScenarioConfig(**keys))
         except ConfigError:
             return
         units = Counter()
@@ -407,16 +428,19 @@ class TestCli:
         assert "protocol:        zoned" in capsys.readouterr().out
 
     def test_dump_files_carry_their_headers(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
         trace = tmp_path / "trace.csv"
         messages = tmp_path / "messages.csv"
         code = cli.main(["run", "--set", "duration=12", "--set", "warmup=2",
-                         "--dump-trace", str(trace),
+                         "--csv", str(rows), "--dump-trace", str(trace),
                          "--dump-messages", str(messages)])
         assert code == 0
         capsys.readouterr()
         assert trace.read_text().splitlines()[0] == "node_id,t,x,y"
         assert (messages.read_text().splitlines()[0]
                 == "request_id,kind,src,dst,units,t")
+        # every CSV the CLI writes ends its lines with a bare LF
+        assert not any(b"\r" in path.read_bytes() for path in (rows, trace, messages))
 
     def test_bad_overrides_exit_with_the_config_code(self, capsys):
         assert cli.main(["run", "--set", "latency=3"]) == cli.EXIT_CONFIG

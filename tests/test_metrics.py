@@ -19,7 +19,7 @@ def make_report(records, ledger=None):
     if ledger is None:
         ledger = MessageLedger()
     cfg = ScenarioConfig(protocol="forwarder_reactive", lam=0.25,
-                         code_band="medium", seed=1).validated()
+                         code_band="medium", seed=1)
     return build_report(cfg, 4.8, records, ledger)
 
 
@@ -66,7 +66,7 @@ class TestBuildReport:
     def test_labels_come_from_the_config_that_ran(self):
         records = [rec(0, 0.0, resolved_at=0.1)]
         cfg = ScenarioConfig(protocol="zoned", lam=1.0, node_mob="high",
-                             code_band="low", seed=9).validated()
+                             code_band="low", seed=9)
         report = build_report(cfg, 10.3, records, MessageLedger())
         assert (report.protocol, report.lam, report.node_mob_target,
                 report.measured_mob, report.code_band, report.seed) == (

@@ -22,7 +22,6 @@ def make_server(model, host=None, **overrides):
     overrides.setdefault("central_report_period", 1000.0)
     ctx = build_ctx(model, host=host, **overrides)
     proto = CentralizedProtocol(ctx)
-    proto.start()
     return proto
 
 

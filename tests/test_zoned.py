@@ -23,7 +23,6 @@ def make_zoned(model, host=None, **overrides):
     overrides.setdefault("report_period", 1000.0)
     ctx = build_ctx(model, host=host, **overrides)
     proto = ZonedProtocol(ctx)
-    proto.start()
     return proto
 
 
