@@ -60,10 +60,14 @@ class ScenarioConfig:
             if self.node_mob == "custom":
                 raise ConfigError("node_mob=custom requires an explicit node_speed")
             object.__setattr__(self, "node_speed", NODE_SPEED_PRESETS[self.node_mob])
+        # pairs given as lists are kept as tuples, so a config and its world
+        # key hash
+        for name in ("area", "node_speed"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         preset = NODE_SPEED_PRESETS.get(self.node_mob)
-        if preset is not None and tuple(self.node_speed) != preset:
+        if preset is not None and self.node_speed != preset:
             raise ConfigError(f"node_mob={self.node_mob} runs at {preset} m/s, got "
-                              f"node_speed {tuple(self.node_speed)}; use node_mob=custom")
+                              f"node_speed {self.node_speed}; use node_mob=custom")
         smin, smax = self.node_speed
         if not (0 < smin <= smax):
             raise ConfigError("node_speed must satisfy 0 < min <= max")

@@ -10,20 +10,22 @@ per rows object and node (`flood_depth`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per interval between knots.
-A `LinkTimeline` precomputes those crossings in one span from 0 to the
-model's horizon (`kernels.range_crossings`) and answers rows by moving a
-cursor over them, two bits per crossing. Its answers equal the exact path's
-bit for bit: the exact path (`snapshot`: `positions_at`, then `adjacency`
-and `neighbour_bits`) answers instead wherever float error could matter, in
+A `LinkSpan` holds those crossings, solved once from 0 to the model's
+horizon (`kernels.range_crossings`) and shared by every run of one world;
+each run's `LinkTimeline` answers rows by moving its own cursor over them,
+two bits per crossing. Its answers equal the exact path's bit for bit: the
+exact path (`snapshot`: `positions_at`, then `adjacency` and
+`neighbour_bits`) answers instead wherever float error could matter, in
 guard bands around each crossing sized from the root's conditioning, over
 grazing and co-moving pairs near range, and at the instants a link flips
 across a knot (a jump), as well as at or past the horizon the span was
 solved to. `run_scenario` draws the model to a horizon past every read of
 its run, hop checks still in flight at its end included, and builds the
-span at the run's first event, so the exact path also answers start-up, and
-a timeline never built is an empty span. The radio answers topology only:
-readers of coordinates ask the mobility model,
-`RandomWaypointModel.positions` for every node or `position` for one.
+timeline at the run's first event, solving the span if no earlier run of
+its world has, so the exact path also answers start-up, and a timeline
+never built is an empty span. The radio answers topology only: readers of
+coordinates ask the mobility model, `RandomWaypointModel.positions` for
+every node or `position` for one.
 
 The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
@@ -40,6 +42,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -116,30 +119,21 @@ class FloodResult:
     depths: dict[int, int]      # reached node -> depth, ascending node ids
 
 
-class LinkTimeline:
-    """Neighbour bitmasks answered from precomputed range crossings.
-
-    One span of crossings, from 0 to the model's horizon, is solved by
-    `kernels.range_crossings` when `build` is called, which `run_scenario`
-    does at the run's first event. A query's rows are the start rows with
-    every crossing at or before it applied; the rows of one epoch (count of
-    crossings applied) are reused by every query that falls in it. `rows`
-    returns None where the exact path must answer: in a guard band, or at or
-    past the horizon the span was solved to, which is 0 until the build.
-    Events and guards sit in flat arrays, about 40 bytes per crossing.
+class LinkSpan:
+    """The range crossings of one model at one range, from 0 to the model's
+    horizon: solved by `kernels.range_crossings` when a timeline first
+    builds on it, then kept, so every run of one world adopts the same
+    arrays. It holds the model and nothing of a run.
     """
 
     def __init__(self, model: RandomWaypointModel, range_m: float):
         self.model = model
         self.range_m = range_m
-        self.solved_to = 0.0    # an empty span until the build
 
-    def rows(self, t: float) -> Optional[list[int]]:
-        if not 0.0 <= t < self.solved_to or self._guarded(t):
-            return None
-        return self._seek(bisect_right(self.times, t))
-
-    def build(self) -> None:
+    @cached_property
+    def solved(self) -> tuple:
+        """(times, a, b, guard_lo, guard_hi, start rows, horizon), the
+        arrays flat, about 40 bytes per crossing."""
         knot_t, knot_x, knot_y, offsets = self.model.knot_arrays
         hi = self.model.horizon
         extent = max(self.range_m, float(np.abs(knot_x).max()),
@@ -148,16 +142,43 @@ class LinkTimeline:
             knot_t, knot_x, knot_y, offsets, hi,
             self.range_m * self.range_m, SLACK * extent * extent)
         order = np.argsort(lows, kind="stable")
-        self.times = array("d", times.tobytes())
-        self.a = array("q", a.astype(np.int64).tobytes())
-        self.b = array("q", b.astype(np.int64).tobytes())
-        self.guard_lo = array("d", lows[order].tobytes())
-        # running maximum: a query is guarded when it lies at or below the
-        # highest end among the guards starting at or before it
-        self.guard_hi = array("d", np.maximum.accumulate(highs[order]).tobytes())
+        # running maximum of the guards' ends: a query is guarded when it
+        # lies at or below the highest end among the guards starting at or
+        # before it
+        return (array("d", times.tobytes()),
+                array("q", a.astype(np.int64).tobytes()),
+                array("q", b.astype(np.int64).tobytes()),
+                array("d", lows[order].tobytes()),
+                array("d", np.maximum.accumulate(highs[order]).tobytes()),
+                kernels.neighbour_bits(start), hi)
+
+
+class LinkTimeline:
+    """Neighbour bitmasks answered from a span of precomputed range crossings.
+
+    `build`, which `run_scenario` calls at the run's first event, adopts the
+    span's arrays, solving them if no timeline has yet. A query's rows are
+    the start rows with every crossing at or before it applied; the rows of
+    one epoch (count of crossings applied) are reused by every query that
+    falls in it. The cursor (epoch and its rows) is the timeline's own, so
+    timelines sharing a span never see each other's moves. `rows` returns
+    None where the exact path must answer: in a guard band, or at or past
+    the horizon the span was solved to, which is 0 until the build.
+    """
+
+    def __init__(self, span: LinkSpan):
+        self.span = span
+        self.solved_to = 0.0    # an empty span until the build
+
+    def rows(self, t: float) -> Optional[list[int]]:
+        if not 0.0 <= t < self.solved_to or self._guarded(t):
+            return None
+        return self._seek(bisect_right(self.times, t))
+
+    def build(self) -> None:
+        (self.times, self.a, self.b, self.guard_lo, self.guard_hi,
+         self._epoch_rows, self.solved_to) = self.span.solved
         self.epoch = 0
-        self._epoch_rows = kernels.neighbour_bits(start)
-        self.solved_to = hi
 
     def _guarded(self, t: float) -> bool:
         i = bisect_right(self.guard_lo, t) - 1
@@ -179,7 +200,10 @@ class LinkTimeline:
 
 class Radio:
     def __init__(self, model: RandomWaypointModel, range_m: float,
-                 per_hop_latency: float, ledger: MessageLedger):
+                 per_hop_latency: float, ledger: MessageLedger,
+                 span: Optional[LinkSpan] = None):
+        """`span`, when given, must be of this model at this range; without
+        one the radio solves its own."""
         if range_m <= 0:
             raise ValueError("radio range must be positive")
         if per_hop_latency < 0:
@@ -188,7 +212,7 @@ class Radio:
         self.range_m = range_m
         self.latency = per_hop_latency
         self.ledger = ledger
-        self.timeline = LinkTimeline(model, range_m)
+        self.timeline = LinkTimeline(span or LinkSpan(model, range_m))
         # (t, rows) of the last exact answer; kept not for speed but because
         # flood_depth's memo keys on the rows object, so the exact path must
         # hand out one rows object per instant

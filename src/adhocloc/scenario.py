@@ -5,13 +5,16 @@ radio substrate, one roaming code with its migration process, the chosen
 localization protocol and a Poisson stream of localization requests from the
 mother station. Requests issued before the warm-up cutoff run normally but
 stay out of the metrics. A watchdog aborts the run when the network stays
-partitioned longer than partition_grace.
+partitioned longer than partition_grace. What depends only on the seed and
+the geometry (trajectories, link span, Mob) is the run's `World`, which
+runs of one sweep share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
 from .engine import Engine, RngStreams
@@ -19,7 +22,7 @@ from .metrics import MetricsReport, RequestRecord, build_report
 from .mobility import RandomWaypointModel, network_mobility
 from .protocols import (CodeMigrationProcess, LocalizationProtocol, MobileCode,
                         ScenarioContext, make_protocol)
-from .radio import PER_HOP_LATENCY, MessageLedger, Radio
+from .radio import PER_HOP_LATENCY, LinkSpan, MessageLedger, Radio
 
 
 class ScenarioAborted(RuntimeError):
@@ -79,19 +82,71 @@ def _draw_arrivals(streams: RngStreams, lam: float, duration: float) -> list[flo
         arrivals.append(t)
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+class WorldKey(NamedTuple):
+    """The config fields a world is drawn from."""
+    seed: int
+    n_nodes: int
+    area: tuple[float, float]
+    node_speed: tuple[float, float]
+    range: float
+    duration: float
+    metric_dt: float
+
+    @classmethod
+    def of(cls, cfg: ScenarioConfig) -> "WorldKey":
+        return cls._make(getattr(cfg, name) for name in cls._fields)
+
+
+class World:
+    """The part of a run that depends only on its seed and geometry: the node
+    trajectories, their link span at the radio range and the measured Mob.
+
+    Runs whose configs share a `WorldKey` can share one world, and their
+    results do not change: each mobility substream depends only on the seed
+    and the node, and a world holds nothing of a run. Each part is built
+    where a run of its own would build it, by the first run that reads it:
+    the model in its set-up, the span at its first event, Mob at its end.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.key = WorldKey.of(cfg)
+
+    @cached_property
+    def model(self) -> RandomWaypointModel:
+        streams = RngStreams(self.key.seed)
+        (width, height), (smin, smax) = self.key.area, self.key.node_speed
+        # the latest read follows an event at `duration`: a forwarder repair
+        # reply leaves up to n - 1 flood hops later and has its hops checked
+        # up to n - 2 hops after that, so (2n - 3) hops past the end bound
+        # them all
+        n = self.key.n_nodes
+        return RandomWaypointModel(n, width, height, smin, smax,
+                                   lambda node: streams.substream("mobility", node),
+                                   horizon=self.key.duration + 2 * n * PER_HOP_LATENCY)
+
+    @cached_property
+    def span(self) -> LinkSpan:
+        return LinkSpan(self.model, self.key.range)
+
+    @cached_property
+    def measured_mob(self) -> float:
+        return network_mobility(self.model, self.key.duration, self.key.metric_dt)
+
+
+def run_scenario(cfg: ScenarioConfig, world: Optional[World] = None) -> ScenarioResult:
+    """Run one scenario in `world`, or in a world of its own when None. A
+    world drawn for another key is refused with ValueError."""
+    if world is None:
+        world = World(cfg)
+    differ = [name for name, mine, theirs
+              in zip(WorldKey._fields, world.key, WorldKey.of(cfg)) if mine != theirs]
+    if differ:
+        raise ValueError(f"world drawn for another {', '.join(differ)} than the run's")
     engine = Engine()
     streams = RngStreams(cfg.seed)
-    smin, smax = cfg.node_speed
-    # the latest read follows an event at `duration`: a forwarder repair
-    # reply leaves up to n - 1 flood hops later and has its hops checked up
-    # to n - 2 hops after that, so (2n - 3) hops past the end bound them all
-    model = RandomWaypointModel(cfg.n_nodes, cfg.area[0], cfg.area[1],
-                                smin, smax,
-                                lambda node: streams.substream("mobility", node),
-                                horizon=cfg.duration + 2 * cfg.n_nodes * PER_HOP_LATENCY)
+    model = world.model
     ledger = MessageLedger()
-    radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
+    radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger, world.span)
     code = MobileCode(mother=cfg.mother, host=cfg.mother)
     ctx = ScenarioContext(cfg, engine, streams, model, radio, ledger, code)
 
@@ -123,7 +178,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     for record in records:
         record.units = ledger.units_for_request(record.request_id)
 
-    measured_mob = network_mobility(model, cfg.duration, cfg.metric_dt)
-    report = build_report(cfg, measured_mob, records, ledger, aborted=aborted)
+    report = build_report(cfg, world.measured_mob, records, ledger, aborted=aborted)
     return ScenarioResult(cfg, report, records, ledger, engine, model, radio,
                           protocol, mover, aborted, abort_reason)

@@ -2,17 +2,21 @@
 
 Cells run sequentially in deterministic (axis, seed) order and every float is
 serialized with one fixed format, so a sweep CSV is byte-stable: rerunning any
-cell with the same config and seed reproduces its row exactly.
+cell with the same config and seed reproduces its row exactly. Runs at one
+seed and geometry share a `scenario.World`, so at each seed the trajectories
+are drawn, their link span solved and Mob measured once for every protocol,
+load and code band; each run still gets the values it would get alone.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from typing import IO, Iterable, Optional, Sequence
 
 from .config import ScenarioConfig
 from .metrics import MetricsReport
-from .scenario import run_scenario
+from .scenario import World, WorldKey, run_scenario
 
 #: seed column value for rows averaged across seeds
 AVERAGE_SEED = "avg"
@@ -96,16 +100,28 @@ def run_sweep(base: ScenarioConfig,
               average: bool = True,
               on_result=None) -> list[dict]:
     """Run the full grid; per-seed rows first, then the cell's averaged row.
-    Every cell's config is built, and so checked, before the first one runs."""
+    Every cell's config is built, and so checked, before the first one runs.
+    Runs that share a `WorldKey` (the seed and the geometry) share one
+    `World`: the trajectories are drawn, their link span solved and Mob
+    measured once, by the first of them, and the world is released after
+    the last."""
     cells = [[base.replace(protocol=protocol, lam=lam, node_mob=node_mob,
                            code_band=code_band, seed=seed) for seed in seeds]
              for protocol in protocols for lam in lambdas
              for node_mob in node_mobs for code_band in code_bands]
+    uses = Counter(WorldKey.of(cfg) for cfgs in cells for cfg in cfgs)
+    worlds: dict[WorldKey, World] = {}
     rows: list[dict] = []
     for cfgs in cells:
         cell_rows = []
         for cfg in cfgs:
-            result = run_scenario(cfg)
+            key = WorldKey.of(cfg)
+            if key not in worlds:
+                worlds[key] = World(cfg)
+            uses[key] -= 1
+            # released with the last run that reads it
+            world = worlds[key] if uses[key] else worlds.pop(key)
+            result = run_scenario(cfg, world)
             row = report_to_row(result.report)
             cell_rows.append(row)
             rows.append(row)

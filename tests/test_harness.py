@@ -15,14 +15,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import adhocloc
-from adhocloc import cli, sweep
+from adhocloc import cli, kernels, scenario, sweep
 from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
 from adhocloc.mobility import RandomWaypointModel
 from adhocloc.protocols.base import CodeMigrationProcess
 from adhocloc.radio import Radio
-from adhocloc.scenario import run_scenario
+from adhocloc.scenario import World, WorldKey, run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
                             comparison_table, report_to_row, run_sweep,
                             write_csv)
@@ -359,6 +359,73 @@ class TestSweep:
                       seeds=[1, 2, 3], on_result=ran.append)
         assert len(ran) == 0
 
+    @pytest.mark.parametrize("protocols, overrides", [
+        *(pytest.param([p], {}, id=p) for p in PROTOCOLS),
+        pytest.param(["zoned"], {"n_zones": 4}, id="zoned-4"),
+        pytest.param(list(PROTOCOLS), {"range": 1.0, "partition_grace": 2.0,
+                                       "duration": 10.0}, id="aborted"),
+    ])
+    def test_a_shared_world_changes_no_value(self, protocols, overrides):
+        results = []
+        run_sweep(short_cfg(**overrides), protocols=protocols, lambdas=[0.5, 2.0],
+                  node_mobs=["medium"], code_bands=["medium"], seeds=[1, 2],
+                  on_result=results.append)
+        # runs at one seed read one model: the second λ's seed-1 run reuses
+        # the first one's
+        assert results[0].model is results[2].model
+        assert results[0].model is not results[1].model
+        for shared in results:
+            alone = run_scenario(shared.cfg)
+            assert shared.records == alone.records
+            assert shared.ledger.rows == alone.ledger.rows
+            assert ((shared.mover.jumps_attempted, shared.mover.jumps_made)
+                    == (alone.mover.jumps_attempted, alone.mover.jumps_made))
+            assert shared.report.measured_mob == alone.report.measured_mob
+            assert shared.abort_reason == alone.abort_reason
+        assert all(r.aborted for r in results) == ("range" in overrides)
+
+    def test_each_world_is_built_once_and_then_freed(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RandomWaypointModel, "__init__",
+                            counted("model", RandomWaypointModel.__init__))
+        monkeypatch.setattr(kernels, "range_crossings",
+                            counted("span", kernels.range_crossings))
+        monkeypatch.setattr(scenario, "network_mobility",
+                            counted("mob", scenario.network_mobility))
+        models = []
+        gc.disable()
+        try:
+            rows = run_sweep(short_cfg(), protocols=list(PROTOCOLS), lambdas=[0.5, 2.0],
+                             node_mobs=["medium"], code_bands=["medium"], seeds=[1, 2],
+                             on_result=lambda result: models.append(weakref.ref(result.model)))
+            assert len(rows) == 4 * 2 * 3
+            del rows
+            # one world per seed, and nothing holds it once the sweep is done
+            assert calls == {"model": 2, "span": 2, "mob": 2}
+            assert len(models) == 16 and all(ref() is None for ref in models)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("field, value", [("seed", 2), ("range", 200.0)])
+    def test_a_world_of_another_key_is_refused(self, field, value):
+        world = World(ScenarioConfig(**{field: value}))
+        with pytest.raises(ValueError, match=rf"another {field} than"):
+            run_scenario(ScenarioConfig(), world)
+
+    def test_pairs_given_as_lists_key_a_world(self):
+        # a sweep keeps its worlds in a dict, so the key must hash
+        cfg = ScenarioConfig(area=[800.0, 400.0], node_mob="custom",
+                             node_speed=[2.0, 4.0])
+        assert (cfg.area, cfg.node_speed) == ((800.0, 400.0), (2.0, 4.0))
+        hash(WorldKey.of(cfg))
+
     def test_average_row_means_numbers_and_ors_aborts(self):
         rows = [
             {"protocol": "zoned", "lambda": 0.25, "node_mob_target": 5.0,
@@ -497,7 +564,7 @@ class TestCli:
     ], ids=lambda fault: type(fault).__name__)
     def test_an_invariant_violation_exits_with_the_invariant_code(
             self, monkeypatch, capsys, command, fault):
-        def explode(cfg):
+        def explode(cfg, *args, **kwargs):
             raise fault
         monkeypatch.setattr(cli, "run_scenario", explode)
         monkeypatch.setattr(sweep, "run_scenario", explode)

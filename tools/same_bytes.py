@@ -14,18 +14,19 @@ ledger row (in order), the mover's jump counters, the measured Mob and the
 abort reason: simulated values only. The engine's executed and
 cancelled-skip event counts are host work, not results, so they are summed
 over the runs and printed after the digest, outside it; a change that removes
-events keeps the first two fields and shows its saving in the last two. Only
-`run_scenario(cfg)` is called, so any tree whose results carry these fields
-can be checked.
+events keeps the first two fields and shows its saving in the last two. The
+runs go through one `run_sweep` per protocol variant, axes in the order
+listed and seeds innermost, so runs at one seed and node speed share their
+world as in any sweep; any tree whose `run_sweep` takes these axes and hands
+each result to `on_result` can be checked.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 from adhocloc.config import ScenarioConfig
-from adhocloc.scenario import run_scenario
+from adhocloc.sweep import run_sweep
 
 VARIANTS = (("forwarder_proactive", 2), ("forwarder_reactive", 2),
             ("centralized", 2), ("zoned", 2), ("zoned", 4))
@@ -52,16 +53,17 @@ def run_key(result) -> tuple:
 def main() -> None:
     digest = hashlib.sha256()
     runs = executed = skipped = 0
-    for (protocol, n_zones), lam, node_mob, code_band, seed in itertools.product(
-            VARIANTS, LAMBDAS, NODE_MOBS, CODE_BANDS, SEEDS):
-        cfg = ScenarioConfig(protocol=protocol, n_zones=n_zones, lam=lam,
-                             node_mob=node_mob, code_band=code_band, seed=seed,
-                             duration=DURATION)
-        result = run_scenario(cfg)
+
+    def on_result(result) -> None:
+        nonlocal runs, executed, skipped
         digest.update(repr(run_key(result)).encode())
         executed += result.engine.executed
         skipped += result.engine.skipped_cancelled
         runs += 1
+
+    for protocol, n_zones in VARIANTS:
+        run_sweep(ScenarioConfig(n_zones=n_zones, duration=DURATION), [protocol],
+                  LAMBDAS, NODE_MOBS, CODE_BANDS, SEEDS, on_result=on_result)
     print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}")
 
 
