@@ -61,6 +61,11 @@ def _print_report(result: ScenarioResult, out) -> None:
     print(f"total messages:  {report.total_messages}", file=out)
     print(f"Nb_msg:          {_fmt(report.nb_msg)}", file=out)
     print(f"Rtime:           {_fmt(report.rtime_s)} s", file=out)
+    protocol = result.protocol
+    agents = getattr(protocol, "agents", [getattr(protocol, "agent", None)])
+    if agents[0] is not None:
+        jobs = " ".join(str(agent.processed) for agent in agents)
+        print(f"agent jobs:      {jobs}", file=out)
     if report.aborted:
         print(f"aborted:         yes ({result.abort_reason})", file=out)
 

@@ -16,12 +16,20 @@ class Engine:
     runs with the same seed replay identically. `schedule` returns the seq
     as the event's handle for `cancel`. The action is the event's only
     label: its `__qualname__` names the site that scheduled it.
+
+    `reserve` takes a seq without scheduling anything, for work whose only
+    effect its owner can apply later in the same order (see `ServerAgent`);
+    no other event's seq moves. `running` is the seq of the event being run;
+    after `run_until` ends normally it is the next seq to be handed out, so
+    (now, running) orders after every event that has run and before every
+    event still to come.
     """
 
     def __init__(self):
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
+        self.running = 0
         self._cancelled: set[int] = set()
         self.executed = 0
         self.skipped_cancelled = 0
@@ -31,6 +39,11 @@ class Engine:
             raise RuntimeError(f"cannot schedule at {fire_at:.6f}, clock is at {self.now:.6f}")
         seq = self._seq
         heapq.heappush(self._heap, (fire_at, seq, action))
+        self._seq = seq + 1
+        return seq
+
+    def reserve(self) -> int:
+        seq = self._seq
         self._seq = seq + 1
         return seq
 
@@ -51,9 +64,11 @@ class Engine:
                 self.skipped_cancelled += 1
                 continue
             self.now = fire_at
+            self.running = seq
             self.executed += 1
             action()
         self.now = t_end
+        self.running = self._seq
 
     def discard_pending(self) -> None:
         """Drop every pending event. Actions are closures over their owners

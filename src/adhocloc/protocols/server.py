@@ -20,14 +20,17 @@ re-query and drops an update.
 
 The agent serializes everything it ingests through a single FIFO worker with
 a fixed per-message SERVICE_TIME, so its response latency degrades as report
-and query traffic converges on it. A report from a station the agent already
-lists only occupies the worker (`process(None)`): the centralized agent's
-stations only ever gain ids, so its completion would change nothing. Every
-message to an agent carries its work as a bare action, queued on arrival.
+and query traffic converges on it. Every message to an agent carries its work
+as a bare action, queued on arrival. The centralized agent's stations only
+ever gain ids, so a report from a station it already lists when the report
+leaves only occupies the worker: it is no event at all, but a job the agent
+takes in its turn (`ServerAgent.occupy`). A report from a station not listed
+yet keeps its arrival event, which decides at the arrival.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Dict, Optional
 
@@ -61,22 +64,55 @@ class ServerAgent:
     `code_host` is the code's host as last reported to this agent, None
     when it holds no code entry; `stations` holds the ids of the stations
     whose position reports the agent has processed.
+
+    `occupy(arrival)` enqueues, ahead of time, a job that only occupies the
+    worker: instead of an arrival event it takes a seq from the engine, and
+    the worker takes the job once the engine's position (now, running seq)
+    has passed (arrival, seq), where the event would have run. `process`
+    and every read of `busy_until` or `processed` first take the jobs that
+    have arrived, in that order, so every value equals what the arrival
+    events would have made of it, between runs and after an abort too.
     """
 
     def __init__(self, engine: Engine, host: int):
         self.engine = engine
         self.host = host
-        self.busy_until = 0.0
         self.code_host: Optional[int] = None
         self.stations: set[int] = set()
-        self.processed = 0
+        self._busy_until = 0.0
+        self._processed = 0
+        self._occupancy: list[tuple[float, int]] = []   # (arrival, seq) heap
+
+    @property
+    def busy_until(self) -> float:
+        if self._occupancy:
+            self._take_arrived()
+        return self._busy_until
+
+    @property
+    def processed(self) -> int:
+        if self._occupancy:
+            self._take_arrived()
+        return self._processed
+
+    def occupy(self, arrival: float) -> None:
+        heapq.heappush(self._occupancy, (arrival, self.engine.reserve()))
 
     def process(self, action: Optional[Callable[[], None]]) -> None:
         done = max(self.engine.now, self.busy_until) + SERVICE_TIME
-        self.busy_until = done
-        self.processed += 1
+        self._busy_until = done
+        self._processed += 1
         if action is not None:
             self.engine.schedule(done, action)
+
+    def _take_arrived(self) -> None:
+        engine, pending = self.engine, self._occupancy
+        position = (engine.now, engine.running)
+        busy = self._busy_until
+        while pending and pending[0] < position:
+            busy = max(heapq.heappop(pending)[0], busy) + SERVICE_TIME
+            self._processed += 1
+        self._busy_until = busy
 
     def entry_count(self) -> int:
         return len(self.stations) + (self.code_host is not None)
@@ -204,8 +240,12 @@ class CentralizedProtocol(ServerProtocol):
         t = self.engine.now
         depth = self.radio.flood_depth(node, self.agent.host,
                                        MessageKind.POSITION_REPORT, t)
-        if depth is not None:
-            arrive = t + depth * self.radio.latency
+        if depth is None:
+            return
+        arrive = t + depth * self.radio.latency
+        if node in self.agent.stations:
+            self.agent.occupy(arrive)
+        else:
             self.engine.schedule(arrive, lambda: self._report_arrived(node))
 
     def _report_arrived(self, node: int) -> None:

@@ -164,25 +164,42 @@ class LinkTimeline:
     timelines sharing a span never see each other's moves. `rows` returns
     None where the exact path must answer: in a guard band, or at or past
     the horizon the span was solved to, which is 0 until the build.
+
+    Most queries fall in the epoch of the query before. The cursor keeps its
+    epoch's open window: the interval around the last answer that lies
+    strictly between the last crossing or guard end and the next crossing
+    or guard start, inside [0, horizon). A query strictly inside it gets the
+    cursor's rows without a search.
     """
 
     def __init__(self, span: LinkSpan):
         self.span = span
         self.solved_to = 0.0    # an empty span until the build
+        self._after = self._before = 0.0    # the window, open and empty
 
     def rows(self, t: float) -> Optional[list[int]]:
-        if not 0.0 <= t < self.solved_to or self._guarded(t):
+        if self._after < t < self._before:
+            return self._epoch_rows
+        solved_to = self.solved_to
+        if not 0.0 <= t < solved_to:
             return None
-        return self._seek(bisect_right(self.times, t))
+        times, guard_lo, guard_hi = self.times, self.guard_lo, self.guard_hi
+        guards = bisect_right(guard_lo, t)      # guards starting by t
+        if guards and t <= guard_hi[guards - 1]:
+            return None
+        epoch = bisect_right(times, t)
+        self._after = max(0.0, times[epoch - 1] if epoch else 0.0,
+                          guard_hi[guards - 1] if guards else 0.0)
+        self._before = min(solved_to,
+                           times[epoch] if epoch < len(times) else solved_to,
+                           guard_lo[guards] if guards < len(guard_lo) else solved_to)
+        return self._seek(epoch)
 
     def build(self) -> None:
         (self.times, self.a, self.b, self.guard_lo, self.guard_hi,
          self._epoch_rows, self.solved_to) = self.span.solved
         self.epoch = 0
-
-    def _guarded(self, t: float) -> bool:
-        i = bisect_right(self.guard_lo, t) - 1
-        return i >= 0 and t <= self.guard_hi[i]
+        self._after = self._before = 0.0
 
     def _seek(self, epoch: int) -> list[int]:
         """Rows after the first `epoch` events; moves the cursor there. A rows

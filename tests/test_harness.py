@@ -486,6 +486,20 @@ class TestCli:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
 
+    def test_run_prints_each_server_agent_s_jobs(self, capsys):
+        for protocol in ("centralized", "zoned", "forwarder_reactive"):
+            cfg = ScenarioConfig(protocol=protocol, duration=12.0, warmup=2.0)
+            result = run_scenario(cfg)
+            agents = getattr(result.protocol, "agents", None)
+            if protocol == "centralized":
+                agents = [result.protocol.agent]
+            assert cli.main(["run", "--set", f"protocol={protocol}",
+                             "--set", "duration=12", "--set", "warmup=2"]) == 0
+            printed = [line.split()[2:] for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("agent jobs:")]
+            assert printed == ([[str(agent.processed) for agent in agents]]
+                               if agents else [])
+
     def test_run_reads_a_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "scenario.cfg"
         cfg_file.write_text("protocol = zoned\nn_zones = 4\n"

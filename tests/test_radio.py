@@ -453,6 +453,42 @@ class TestLinkTimeline:
         assert_rows_are_exact(radio, around(knots + crossing_times(radio) + past
                                             + extra))
 
+    @settings(max_examples=120, deadline=None)
+    @given(nodes=knot_lists(), data=st.data())
+    def test_a_long_lived_timeline_answers_like_a_fresh_one(self, nodes, data):
+        # whatever a timeline keeps from earlier queries changes no answer:
+        # queries in any order, at crossings, guard ends and the domain's
+        # edges, get what a timeline built for that one query returns
+        timeline = built_radio(scripted_model(nodes)).timeline
+        solved_to = timeline.solved_to
+        marks = [0.0, solved_to, solved_to + 1.0]
+        if solved_to:
+            marks += [*timeline.times, *timeline.guard_lo, *timeline.guard_hi]
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+        pool = around(marks).tolist() + [f * solved_to for f in fractions]
+        queries = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+        handed_out = []
+        for t in queries + sorted(queries) + sorted(queries, reverse=True):
+            fresh = LinkTimeline(timeline.span)
+            if solved_to:
+                fresh.build()
+            rows, expected = timeline.rows(t), fresh.rows(t)
+            assert (rows is None) == (expected is None), t
+            if rows is not None:
+                assert rows == expected, t
+                handed_out.append((rows, list(rows)))
+        # a rows list, once handed out, is never edited
+        assert all(rows == copy for rows, copy in handed_out)
+
+    def test_a_rebuild_forgets_the_window(self):
+        # node 1 leaves node 0's range at t = 3; t = 8 lies in a quiet epoch
+        radio = built_radio(scripted_model([[(0.0, 0.0, 0.0)],
+                                            [(0.0, 100.0, 0.0), (10.0, 600.0, 0.0)]]))
+        timeline = radio.timeline
+        moved = timeline.rows(8.0)
+        timeline.build()
+        assert timeline.rows(8.0) == moved == exact_rows(radio.model, 250.0, 8.0)
+
     @pytest.mark.parametrize("nodes", [
         # closest approach exactly at range, and a hair inside and outside it
         *([[(0.0, 0.0, 0.0)], [(0.0, -300.0, y), (60.0, 300.0, y)]]

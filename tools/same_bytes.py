@@ -6,7 +6,8 @@ before and after it. Run it from the repository root against each tree:
     PYTHONPATH=src python tools/same_bytes.py
     PYTHONPATH=/path/to/other/checkout/src python tools/same_bytes.py
 
-It prints `<runs> <sha256> events=<executed> cancelled=<skipped>`. The runs
+It prints `<runs> <sha256> events=<executed> cancelled=<skipped>
+processed=<jobs>`. The runs
 cover both forwarders, centralized and zoned with 2 and 4 zones, at lambda
 0.25, 1 and 4, medium and high node speed, medium and high code band and
 seeds 1 and 2, 200 s each. The digest takes in every request record, every
@@ -14,7 +15,10 @@ ledger row (in order), the mover's jump counters, the measured Mob and the
 abort reason: simulated values only. The engine's executed and
 cancelled-skip event counts are host work, not results, so they are summed
 over the runs and printed after the digest, outside it; a change that removes
-events keeps the first two fields and shows its saving in the last two. The
+events keeps the first two fields and shows its saving in the next two. The
+last field sums the jobs every server agent took. No simulated value reads
+that count, so the digest cannot see it, yet a worker that takes some jobs
+without an event must keep it exact: both trees must print the same total. The
 runs go through one `run_sweep` per protocol variant, axes in the order
 listed and seeds innermost, so runs at one seed and node speed share their
 world as in any sweep; any tree whose `run_sweep` takes these axes and hands
@@ -50,21 +54,31 @@ def run_key(result) -> tuple:
     )
 
 
+def agent_jobs(protocol) -> int:
+    """Jobs taken by the run's server agents; 0 for the forwarders."""
+    agents = list(getattr(protocol, "agents", []))
+    if hasattr(protocol, "agent"):
+        agents.append(protocol.agent)
+    return sum(agent.processed for agent in agents)
+
+
 def main() -> None:
     digest = hashlib.sha256()
-    runs = executed = skipped = 0
+    runs = executed = skipped = jobs = 0
 
     def on_result(result) -> None:
-        nonlocal runs, executed, skipped
+        nonlocal runs, executed, skipped, jobs
         digest.update(repr(run_key(result)).encode())
         executed += result.engine.executed
         skipped += result.engine.skipped_cancelled
+        jobs += agent_jobs(result.protocol)
         runs += 1
 
     for protocol, n_zones in VARIANTS:
         run_sweep(ScenarioConfig(n_zones=n_zones, duration=DURATION), [protocol],
                   LAMBDAS, NODE_MOBS, CODE_BANDS, SEEDS, on_result=on_result)
-    print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}")
+    print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}",
+          f"processed={jobs}")
 
 
 if __name__ == "__main__":
