@@ -25,7 +25,8 @@ as a bare action, queued on arrival. The centralized agent's stations only
 ever gain ids, so a report from a station it already lists when the report
 leaves only occupies the worker: it is no event at all, but a job the agent
 takes in its turn (`ServerAgent.occupy`). A report from a station not listed
-yet keeps its arrival event, which decides at the arrival.
+yet keeps its arrival event, where the agent enlists the station
+(`ServerAgent.enlist`).
 """
 
 from __future__ import annotations
@@ -97,6 +98,18 @@ class ServerAgent:
 
     def occupy(self, arrival: float) -> None:
         heapq.heappush(self._occupancy, (arrival, self.engine.reserve()))
+
+    def enlist(self, station: int) -> None:
+        """Queue a station's position report arriving now. When the station
+        is listed and the worker is strictly idle, its entry would change
+        nothing: every job queued before completed at an earlier instant,
+        and any queued after completes after this one. At `busy_until ==
+        now` a queued drop of the same station may still complete at this
+        instant, later in order, so that entry keeps its completion."""
+        if station in self.stations and self.busy_until < self.engine.now:
+            self.process(None)
+        else:
+            self.process(lambda: self.stations.add(station))
 
     def process(self, action: Optional[Callable[[], None]]) -> None:
         done = max(self.engine.now, self.busy_until) + SERVICE_TIME
@@ -246,12 +259,7 @@ class CentralizedProtocol(ServerProtocol):
         if node in self.agent.stations:
             self.agent.occupy(arrive)
         else:
-            self.engine.schedule(arrive, lambda: self._report_arrived(node))
-
-    def _report_arrived(self, node: int) -> None:
-        agent = self.agent
-        agent.process(None if node in agent.stations
-                      else lambda: agent.stations.add(node))
+            self.engine.schedule(arrive, lambda: self.agent.enlist(node))
 
     def _send_location_update(self) -> None:
         host = self.code.host

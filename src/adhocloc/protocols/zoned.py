@@ -8,7 +8,7 @@ which enters the member in its station table. A report that detects a
 crossing also tells the old zone's agent to drop the node; tables learn only
 by these messages, so an undeliverable drop leaves the old entry in place.
 A report that reaches an idle agent already listing its member only occupies
-the worker: it schedules no completion (see `_report_arrived`).
+the worker: it schedules no completion (see `ServerAgent.enlist`).
 The code's host keeps the zone database current the same way after each jump.
 
 A requester queries its own zone's agent. On a database hit the agent answers
@@ -72,24 +72,12 @@ class ZonedProtocol(ServerProtocol):
         previous = self.last_zone[node]
         agent = self.agents[zone]
         if (self._send(node, agent.host, MessageKind.POSITION_REPORT,
-                       lambda: self._report_arrived(agent, node))
+                       lambda: agent.enlist(node))
                 and zone != previous):
             # the old zone's agent drops the node once told about the move
             self.last_zone[node] = zone
             self._to_zone(node, previous, MessageKind.POSITION_REPORT,
                           lambda: self.agents[previous].stations.discard(node))
-
-    def _report_arrived(self, agent: ServerAgent, node: int) -> None:
-        """The agent queues the member's entry. When the member is listed and
-        the worker is strictly idle, the entry would change nothing: every
-        job queued before completed at an earlier instant, and any queued
-        after completes after this one. At `busy_until == now` a queued drop
-        of the same member may still complete at this instant, later in
-        order, so that entry keeps its completion."""
-        if node in agent.stations and agent.busy_until < self.engine.now:
-            agent.process(None)
-        else:
-            agent.process(lambda: agent.stations.add(node))
 
     def on_code_jump(self, old_host: int) -> None:
         host = self.code.host

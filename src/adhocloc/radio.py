@@ -6,26 +6,27 @@ every topology query reads those rows. Each is one BFS walk over them
 its caller reads: a flood walks the whole tree, a route stops at its
 destination's level and reads its path back by the lowest-id parent rule
 (`kernels.path_back`), and floods read for one node's depth share one tree
-per rows object and node (`flood_depth`).
+while the rows and the node stay the same (`flood_depth`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per interval between knots.
-A `LinkSpan` holds those crossings, solved once from 0 to the model's
-horizon (`kernels.range_crossings`) and shared by every run of one world;
-each run's `LinkTimeline` answers rows by moving its own cursor over them,
-two bits per crossing. Its answers equal the exact path's bit for bit: the
-exact path (`snapshot`: `positions_at`, then `adjacency` and
-`neighbour_bits`) answers instead wherever float error could matter, in
+A `LinkSpan` solves those crossings once from 0 to the model's horizon
+(`kernels.range_crossings`) and keeps the quiet windows between them, shared
+by every run of one world; each run's `LinkTimeline` answers a query inside
+a window by moving its own cursor to the window's epoch, two bits per
+crossing. Its answers equal the exact path's bit for bit: the exact path
+(`snapshot`: `positions_at`, then `adjacency` and `neighbour_bits`) answers
+every query outside the windows, wherever float error could matter: in
 guard bands around each crossing sized from the root's conditioning, over
-grazing and co-moving pairs near range, and at the instants a link flips
-across a knot (a jump), as well as at or past the horizon the span was
-solved to. `run_scenario` draws the model to a horizon past every read of
-its run, hop checks still in flight at its end included, and builds the
-timeline at the run's first event, solving the span if no earlier run of
-its world has, so the exact path also answers start-up, and a timeline
-never built is an empty span. The radio answers topology only: readers of
-coordinates ask the mobility model, `RandomWaypointModel.positions` for
-every node or `position` for one.
+grazing and co-moving pairs near range, at the instants a link flips across
+a knot (a jump), and at the crossings, at 0 and from the horizon on.
+`run_scenario` draws the model to a horizon past every read of its run, hop
+checks still in flight at its end included, and builds the timeline at the
+run's first event, solving the span if no earlier run of its world has, so
+the exact path also answers start-up, and a timeline never built has no
+window. The radio answers topology only: readers of coordinates ask the
+mobility model, `RandomWaypointModel.positions` for every node or
+`position` for one.
 
 The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
@@ -38,7 +39,7 @@ log is the ground truth any total must recount to.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -120,10 +121,12 @@ class FloodResult:
 
 
 class LinkSpan:
-    """The range crossings of one model at one range, from 0 to the model's
-    horizon: solved by `kernels.range_crossings` when a timeline first
-    builds on it, then kept, so every run of one world adopts the same
-    arrays. It holds the model and nothing of a run.
+    """The quiet windows of one model at one range up to the model's horizon:
+    open intervals inside (0, horizon) that hold no guard-band point and no
+    crossing instant of `kernels.range_crossings`, so their links are those
+    of their epoch (the crossings at or before the open end) throughout.
+    Solved when a timeline first builds on the span, then kept, so every
+    run of one world adopts the same arrays; it holds nothing of a run.
     """
 
     def __init__(self, model: RandomWaypointModel, range_m: float):
@@ -132,8 +135,8 @@ class LinkSpan:
 
     @cached_property
     def solved(self) -> tuple:
-        """(times, a, b, guard_lo, guard_hi, start rows, horizon), the
-        arrays flat, about 40 bytes per crossing."""
+        """(opens, closes, epochs, a, b, start rows): the windows in time
+        order and each crossing's pair, flat, about 40 bytes per crossing."""
         knot_t, knot_x, knot_y, offsets = self.model.knot_arrays
         hi = self.model.horizon
         extent = max(self.range_m, float(np.abs(knot_x).max()),
@@ -141,70 +144,52 @@ class LinkSpan:
         start, (times, a, b), (lows, highs) = kernels.range_crossings(
             knot_t, knot_x, knot_y, offsets, hi,
             self.range_m * self.range_m, SLACK * extent * extent)
-        order = np.argsort(lows, kind="stable")
-        # running maximum of the guards' ends: a query is guarded when it
-        # lies at or below the highest end among the guards starting at or
-        # before it
-        return (array("d", times.tobytes()),
-                array("q", a.astype(np.int64).tobytes()),
-                array("q", b.astype(np.int64).tobytes()),
-                array("d", lows[order].tobytes()),
-                array("d", np.maximum.accumulate(highs[order]).tobytes()),
-                kernels.neighbour_bits(start), hi)
+        # a crossing instant is a zero-width guard and the horizon a guard
+        # running to infinity; the windows are the gaps between guards, each
+        # from the running maximum of the ends before it (0 at first) to the
+        # next start
+        lows = np.concatenate((lows, times, [hi]))
+        order = np.argsort(lows)
+        closes = lows[order]
+        ends = np.concatenate((highs, times, [np.inf]))[order]
+        opens = np.maximum.accumulate(np.concatenate(([0.0], ends[:-1])))
+        quiet = opens < closes
+        opens, closes = opens[quiet], closes[quiet]
+        epochs = np.searchsorted(times, opens, side="right")
+        return (array("d", opens.tobytes()), array("d", closes.tobytes()),
+                *(array("q", v.astype(np.int64).tobytes()) for v in (epochs, a, b)),
+                kernels.neighbour_bits(start))
 
 
 class LinkTimeline:
-    """Neighbour bitmasks answered from a span of precomputed range crossings.
+    """Neighbour bitmasks answered from a span's quiet windows.
 
     `build`, which `run_scenario` calls at the run's first event, adopts the
-    span's arrays, solving them if no timeline has yet. A query's rows are
-    the start rows with every crossing at or before it applied; the rows of
-    one epoch (count of crossings applied) are reused by every query that
-    falls in it. The cursor (epoch and its rows) is the timeline's own, so
-    timelines sharing a span never see each other's moves. `rows` returns
-    None where the exact path must answer: in a guard band, or at or past
-    the horizon the span was solved to, which is 0 until the build.
-
-    Most queries fall in the epoch of the query before. The cursor keeps its
-    epoch's open window: the interval around the last answer that lies
-    strictly between the last crossing or guard end and the next crossing
-    or guard start, inside [0, horizon). A query strictly inside it gets the
-    cursor's rows without a search.
+    span's arrays, solving them if no timeline has yet. A query inside a
+    window gets the rows of the window's epoch, the start rows with every
+    crossing of the epoch applied; `rows` returns None, leaving the query to
+    the exact path, anywhere else, and everywhere until the build. The
+    cursor (an epoch, its rows and its window) is the timeline's own, so
+    timelines sharing a span never see each other's moves. Most queries fall
+    in the window of the query before and get the cursor's rows without a
+    search; any other takes one bisect over the windows' opens.
     """
 
     def __init__(self, span: LinkSpan):
         self.span = span
-        self.solved_to = 0.0    # an empty span until the build
-        self._after = self._before = 0.0    # the window, open and empty
+        self.opens = self.closes = array("d")   # no window until the build
+        self._open = self._close = 0.0          # the cursor's, open and empty
 
     def rows(self, t: float) -> Optional[list[int]]:
-        if self._after < t < self._before:
+        if self._open < t < self._close:
             return self._epoch_rows
-        solved_to = self.solved_to
-        if not 0.0 <= t < solved_to:
+        window = bisect_left(self.opens, t) - 1     # the last opening before t
+        if window < 0 or t >= self.closes[window]:
             return None
-        times, guard_lo, guard_hi = self.times, self.guard_lo, self.guard_hi
-        guards = bisect_right(guard_lo, t)      # guards starting by t
-        if guards and t <= guard_hi[guards - 1]:
-            return None
-        epoch = bisect_right(times, t)
-        self._after = max(0.0, times[epoch - 1] if epoch else 0.0,
-                          guard_hi[guards - 1] if guards else 0.0)
-        self._before = min(solved_to,
-                           times[epoch] if epoch < len(times) else solved_to,
-                           guard_lo[guards] if guards < len(guard_lo) else solved_to)
-        return self._seek(epoch)
-
-    def build(self) -> None:
-        (self.times, self.a, self.b, self.guard_lo, self.guard_hi,
-         self._epoch_rows, self.solved_to) = self.span.solved
-        self.epoch = 0
-        self._after = self._before = 0.0
-
-    def _seek(self, epoch: int) -> list[int]:
-        """Rows after the first `epoch` events; moves the cursor there. A rows
-        list, once handed out, is never edited: a move edits a copy."""
+        self._open, self._close = self.opens[window], self.closes[window]
+        epoch = self.epochs[window]
         if epoch != self.epoch:
+            # a rows list, once handed out, is never edited: a move edits a copy
             rows = list(self._epoch_rows)
             lo, hi = sorted((self.epoch, epoch))
             for a, b in zip(self.a[lo:hi], self.b[lo:hi]):
@@ -213,6 +198,12 @@ class LinkTimeline:
             self.epoch = epoch
             self._epoch_rows = rows
         return self._epoch_rows
+
+    def build(self) -> None:
+        (self.opens, self.closes, self.epochs, self.a, self.b,
+         self._epoch_rows) = self.span.solved
+        self.epoch = 0
+        self._open = self._close = 0.0
 
 
 class Radio:
@@ -230,12 +221,7 @@ class Radio:
         self.latency = per_hop_latency
         self.ledger = ledger
         self.timeline = LinkTimeline(span or LinkSpan(model, range_m))
-        # (t, rows) of the last exact answer; kept not for speed but because
-        # flood_depth's memo keys on the rows object, so the exact path must
-        # hand out one rows object per instant
-        self._last: tuple = (None, None)
-        # (rows, target, levels, component size) of flood_depth's last tree;
-        # holding the rows keeps their id from being reused
+        # (rows, target, levels, component size) of flood_depth's last tree
         self._depth_memo: tuple = (None, None, None, 0)
 
     # -- topology queries ---------------------------------------------------
@@ -243,12 +229,8 @@ class Radio:
     def snapshot(self, t: float) -> list[int]:
         """Neighbour bitmasks at time t, computed exactly from the positions:
         the topology queries the timeline leaves to the exact path."""
-        last_t, rows = self._last
-        if t != last_t:
-            pos = self.model.positions(t)
-            rows = kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
-            self._last = t, rows
-        return rows
+        pos = self.model.positions(t)
+        return kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
 
     def _rows(self, t: float) -> list[int]:
         rows = self.timeline.rows(t)
@@ -343,11 +325,11 @@ class Radio:
         target's depth: returns that depth, or None when the flood misses
         target, and charges what `flood(origin, kind, t)` charges. Hop
         distance is symmetric, so one BFS from target answers every origin in
-        its component while the rows object and the target stay the same; an
-        origin outside that component floods on its own."""
+        its component while the rows and the target stay the same; an origin
+        outside that component floods on its own."""
         rows = self._rows(t)
         memo_rows, memo_target, levels, size = self._depth_memo
-        if rows is not memo_rows or target != memo_target:
+        if (rows is not memo_rows and rows != memo_rows) or target != memo_target:
             levels = kernels.bfs_tree(rows, target)
             size = sum(levels).bit_count()
             self._depth_memo = rows, target, levels, size

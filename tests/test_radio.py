@@ -3,7 +3,7 @@ revalidation, floods."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adhocloc import kernels
@@ -12,8 +12,8 @@ from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols import make_protocol
 from adhocloc.protocols.base import LocalizationProtocol
-from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LinkTimeline, MessageKind,
-                           MessageLedger, Radio)
+from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LinkSpan, LinkTimeline,
+                            MessageKind, MessageLedger, Radio)
 from adhocloc.scenario import run_scenario
 from conftest import build_ctx, scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
@@ -400,8 +400,10 @@ def around(times):
                            np.nextafter(times, np.inf)])
 
 
-def crossing_times(radio):
-    return list(radio.timeline.times) if radio.timeline.solved_to else []
+def window_ends(radio):
+    """Where the timeline's windows open and close: its crossings and guard
+    ends, and none before the build."""
+    return [*radio.timeline.opens, *radio.timeline.closes]
 
 
 def assert_rows_are_exact(radio, times):
@@ -450,27 +452,25 @@ class TestLinkTimeline:
         knots = [t for knots in nodes for t, _, _ in knots]
         past = [model.horizon, model.horizon + 1.0]
         extra = [f * model.horizon for f in extra]
-        assert_rows_are_exact(radio, around(knots + crossing_times(radio) + past
+        assert_rows_are_exact(radio, around(knots + window_ends(radio) + past
                                             + extra))
 
     @settings(max_examples=120, deadline=None)
     @given(nodes=knot_lists(), data=st.data())
     def test_a_long_lived_timeline_answers_like_a_fresh_one(self, nodes, data):
         # whatever a timeline keeps from earlier queries changes no answer:
-        # queries in any order, at crossings, guard ends and the domain's
-        # edges, get what a timeline built for that one query returns
-        timeline = built_radio(scripted_model(nodes)).timeline
-        solved_to = timeline.solved_to
-        marks = [0.0, solved_to, solved_to + 1.0]
-        if solved_to:
-            marks += [*timeline.times, *timeline.guard_lo, *timeline.guard_hi]
+        # queries in any order, at window ends and the domain's edges, get
+        # what a timeline built for that one query returns
+        radio = built_radio(scripted_model(nodes))
+        timeline, horizon = radio.timeline, radio.model.horizon
+        marks = [0.0, horizon, horizon + 1.0, *window_ends(radio)]
         fractions = data.draw(st.lists(st.floats(0.0, 1.0), max_size=10))
-        pool = around(marks).tolist() + [f * solved_to for f in fractions]
+        pool = around(marks).tolist() + [f * horizon for f in fractions]
         queries = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
         handed_out = []
         for t in queries + sorted(queries) + sorted(queries, reverse=True):
             fresh = LinkTimeline(timeline.span)
-            if solved_to:
+            if horizon:
                 fresh.build()
             rows, expected = timeline.rows(t), fresh.rows(t)
             assert (rows is None) == (expected is None), t
@@ -479,6 +479,37 @@ class TestLinkTimeline:
                 handed_out.append((rows, list(rows)))
         # a rows list, once handed out, is never edited
         assert all(rows == copy for rows, copy in handed_out)
+
+    @settings(max_examples=120, deadline=None)
+    @given(nodes=knot_lists(), fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_the_windows_are_the_complement_of_the_guards(self, nodes, fractions):
+        model = scripted_model(nodes)
+        assume(model.horizon > 0)
+        solve, solved = kernels.range_crossings, []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "range_crossings",
+                          lambda *args: solved.append(solve(*args)) or solved[-1])
+            opens, closes = LinkSpan(model, 250.0).solved[:2]
+        [(_, (times, _, _), (lows, highs))] = solved
+        opens, closes, horizon = np.array(opens), np.array(closes), model.horizon
+        # sorted, disjoint and inside (0, horizon)
+        assert np.all(opens < closes)
+        assert np.all(closes[:-1] <= opens[1:])
+        assert opens.size == 0 or (opens[0] >= 0.0 and closes[-1] <= horizon)
+        # no crossing instant and no guard point inside a window
+        for o, c in zip(opens, closes):
+            assert not np.any((o < times) & (times < c))
+            assert not np.any((lows < c) & (o < highs))
+        # every other instant of (0, horizon) lies in a window: probe each
+        # gap between consecutive guard ends and crossings, and next to them
+        marks = np.unique(np.concatenate((times, lows, highs, [0.0, horizon])))
+        probes = np.concatenate((around(marks), (marks[:-1] + marks[1:]) / 2,
+                                 np.array(fractions) * horizon))
+        guarded = ((lows <= probes[:, None]) & (probes[:, None] <= highs)).any(axis=1)
+        quiet = ((0.0 < probes) & (probes < horizon) & ~guarded
+                 & ~np.isin(probes, times))
+        inside = ((opens < probes[:, None]) & (probes[:, None] < closes)).any(axis=1)
+        assert np.array_equal(inside, quiet)
 
     def test_a_rebuild_forgets_the_window(self):
         # node 1 leaves node 0's range at t = 3; t = 8 lies in a quiet epoch
@@ -502,7 +533,7 @@ class TestLinkTimeline:
     def test_edge_cases_equal_the_exact_rows(self, nodes):
         radio = built_radio(scripted_model(nodes))
         times = np.linspace(0.0, 80.0, 801).tolist() + [30.0, 50.0, 20.0]
-        assert_rows_are_exact(radio, around(times + crossing_times(radio)))
+        assert_rows_are_exact(radio, around(times + window_ends(radio)))
 
     def test_waypoint_runs_past_the_horizon_stay_exact(self, monkeypatch):
         # blocks of a few intervals, so a build takes many blocks
@@ -520,7 +551,7 @@ class TestLinkTimeline:
         assert_rows_are_exact(radio, rng.uniform(60.0, 130.0, 200))
         assert_rows_are_exact(radio, rng.uniform(0.0, 130.0, 400))
         assert early > 300
-        assert radio.timeline.solved_to == 60.0 and model.horizon == 60.0
+        assert radio.timeline.closes[-1] <= model.horizon == 60.0
         assert all(radio.timeline.rows(t) is None
                    for t in [60.0, *rng.uniform(60.0, 130.0, 50)])
 
@@ -530,13 +561,13 @@ class TestLinkTimeline:
             cfg = ScenarioConfig(protocol=protocol, node_mob=node_mob, lam=1.0,
                                  duration=60.0, seed=4)
             timed = run_scenario(cfg)
-            assert (timed.radio.timeline.solved_to
+            assert (timed.radio.timeline.closes[-1] <= timed.model.horizon
                     == cfg.duration + 2 * cfg.n_nodes * PER_HOP_LATENCY)
             with monkeypatch.context() as patch:
                 patch.setattr(LinkTimeline, "rows", lambda self, t: None)
                 patch.setattr(LinkTimeline, "build", lambda self: None)
                 exact = run_scenario(cfg)
-            assert exact.radio.timeline.solved_to == 0.0
+            assert len(exact.radio.timeline.opens) == 0
             assert timed.ledger.rows == exact.ledger.rows
             assert timed.records == exact.records
 

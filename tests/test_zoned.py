@@ -149,7 +149,7 @@ class TestDatabaseUpkeep:
         dropped_at = 1.0 + SERVICE_TIME
         # the report left first, so it arrives ahead of the drop's completion
         # at the same instant, while the worker is busy up to that instant
-        engine.schedule(dropped_at, lambda: proto._report_arrived(agent, 0))
+        engine.schedule(dropped_at, lambda: agent.enlist(0))
         engine.schedule(1.0, lambda: agent.process(lambda: agent.stations.discard(0)))
         engine.run_until(dropped_at)
         assert 0 not in agent.stations and agent.processed == 2

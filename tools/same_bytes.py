@@ -7,7 +7,7 @@ before and after it. Run it from the repository root against each tree:
     PYTHONPATH=/path/to/other/checkout/src python tools/same_bytes.py
 
 It prints `<runs> <sha256> events=<executed> cancelled=<skipped>
-processed=<jobs>`. The runs
+processed=<jobs> exact=<snapshots>`. The runs
 cover both forwarders, centralized and zoned with 2 and 4 zones, at lambda
 0.25, 1 and 4, medium and high node speed, medium and high code band and
 seeds 1 and 2, 200 s each. The digest takes in every request record, every
@@ -16,9 +16,12 @@ abort reason: simulated values only. The engine's executed and
 cancelled-skip event counts are host work, not results, so they are summed
 over the runs and printed after the digest, outside it; a change that removes
 events keeps the first two fields and shows its saving in the next two. The
-last field sums the jobs every server agent took. No simulated value reads
+fifth field sums the jobs every server agent took. No simulated value reads
 that count, so the digest cannot see it, yet a worker that takes some jobs
-without an event must keep it exact: both trees must print the same total. The
+without an event must keep it exact: both trees must print the same total.
+The sixth counts the calls to `Radio.snapshot`, the exact path of topology
+queries, wrapped from here so that any tree can be measured; a change to
+the link timeline that leaves its reach alone prints the same count. The
 runs go through one `run_sweep` per protocol variant, axes in the order
 listed and seeds innermost, so runs at one seed and node speed share their
 world as in any sweep; any tree whose `run_sweep` takes these axes and hands
@@ -30,6 +33,7 @@ from __future__ import annotations
 import hashlib
 
 from adhocloc.config import ScenarioConfig
+from adhocloc.radio import Radio
 from adhocloc.sweep import run_sweep
 
 VARIANTS = (("forwarder_proactive", 2), ("forwarder_reactive", 2),
@@ -64,7 +68,15 @@ def agent_jobs(protocol) -> int:
 
 def main() -> None:
     digest = hashlib.sha256()
-    runs = executed = skipped = jobs = 0
+    runs = executed = skipped = jobs = exact = 0
+    snapshot = Radio.snapshot
+
+    def counted_snapshot(radio, t):
+        nonlocal exact
+        exact += 1
+        return snapshot(radio, t)
+
+    Radio.snapshot = counted_snapshot
 
     def on_result(result) -> None:
         nonlocal runs, executed, skipped, jobs
@@ -78,7 +90,7 @@ def main() -> None:
         run_sweep(ScenarioConfig(n_zones=n_zones, duration=DURATION), [protocol],
                   LAMBDAS, NODE_MOBS, CODE_BANDS, SEEDS, on_result=on_result)
     print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}",
-          f"processed={jobs}")
+          f"processed={jobs}", f"exact={exact}")
 
 
 if __name__ == "__main__":
