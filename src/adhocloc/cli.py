@@ -11,13 +11,14 @@ import argparse
 import csv
 import sys
 import traceback
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .config import (ConfigError, ScenarioConfig, _parse_value, load_config_file,
                      parse_assignments)
 from .mobility import write_trajectory_csv
 from .scenario import ScenarioResult, run_scenario
-from .sweep import comparison_table, report_to_row, run_sweep, write_csv, _fmt
+from .sweep import comparison_table, run_sweep, write_csv, _fmt
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,13 +49,13 @@ def _dump_trace(result: ScenarioResult, path: str) -> None:
 
 
 def _print_report(result: ScenarioResult, out) -> None:
-    report = result.report
-    print(f"protocol:        {report.protocol}", file=out)
-    print(f"lambda:          {_fmt(report.lam)} req/s", file=out)
-    print(f"node mobility:   target {_fmt(report.node_mob_target)}, "
+    cfg, report = result.cfg, result.report
+    print(f"protocol:        {cfg.protocol}", file=out)
+    print(f"lambda:          {_fmt(cfg.lam)} req/s", file=out)
+    print(f"node mobility:   target {_fmt(cfg.mob_target)}, "
           f"measured {_fmt(report.measured_mob)}", file=out)
-    print(f"code band:       {report.code_band}", file=out)
-    print(f"seed:            {report.seed}", file=out)
+    print(f"code band:       {cfg.code_band}", file=out)
+    print(f"seed:            {cfg.seed}", file=out)
     print(f"requests:        {report.n_requests} measured "
           f"({report.n_resolved} resolved, {report.n_failed} failed, "
           f"{report.n_in_flight} in flight, {report.n_warmup} warm-up)", file=out)
@@ -70,20 +71,17 @@ def _print_report(result: ScenarioResult, out) -> None:
         print(f"aborted:         yes ({result.abort_reason})", file=out)
 
 
-def _write_rows(rows: list[dict], path: Optional[str]) -> None:
-    """Result rows as CSV to `path`, or to stdout without one."""
-    if not path:
-        write_csv(rows, sys.stdout)
-        return
-    with open(path, "w", newline="") as fh:
-        write_csv(rows, fh)
+def _write_rows(cells: list, path: Optional[str], average: bool = True) -> None:
+    """The cells' result rows as CSV to `path`, or to stdout without one."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        write_csv(cells, fh, average)
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.set or [])
     result = run_scenario(cfg)
     _print_report(result, sys.stdout)
-    _write_rows([report_to_row(result.report)], args.csv)
+    _write_rows([[result.report]], args.csv)
     if args.dump_trace:
         _dump_trace(result, args.dump_trace)
     if args.dump_messages:
@@ -110,15 +108,16 @@ def _axes_from_args(cfg: ScenarioConfig, args) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    """`sweep` writes every row; `compare` always averages, prints the
-    ranking table and writes rows only with --csv."""
+    """`sweep` writes every row, seed averages unless --no-average;
+    `compare` prints the ranking table and writes rows only with --csv."""
     cfg = _load_config(args.config, args.set or [])
-    rows = run_sweep(cfg, average=not args.no_average, **_axes_from_args(cfg, args))
+    cells = run_sweep(cfg, **_axes_from_args(cfg, args))
     if args.command == "compare":
-        print(comparison_table(rows))
+        print(comparison_table(cells))
     if args.csv or args.command == "sweep":
-        _write_rows(rows, args.csv)
-    return EXIT_ABORTED if any(row["aborted"] for row in rows) else EXIT_OK
+        _write_rows(cells, args.csv, average=not args.no_average)
+    aborted = any(report.aborted for reports in cells for report in reports)
+    return EXIT_ABORTED if aborted else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,12 +45,9 @@ class RequestRecord:
 
 @dataclass
 class MetricsReport:
-    protocol: str
-    lam: float
-    node_mob_target: Optional[float]
+    """One run's results, labelled by `cfg`, the config that ran it."""
+    cfg: ScenarioConfig
     measured_mob: float
-    code_band: str
-    seed: int
     n_requests: int            # measured (non-warm-up) requests
     n_resolved: int
     n_failed: int
@@ -99,12 +96,8 @@ def build_report(cfg: ScenarioConfig, measured_mob: float,
     checked = [r for r in measured
                if r.status == "resolved" and r.returned_host is not None]
     return MetricsReport(
-        protocol=cfg.protocol,
-        lam=cfg.lam,
-        node_mob_target=cfg.mob_target,
+        cfg=cfg,
         measured_mob=measured_mob,
-        code_band=cfg.code_band,
-        seed=cfg.seed,
         n_requests=len(measured),
         n_resolved=statuses["resolved"],
         n_failed=statuses["failed"],

@@ -223,14 +223,18 @@ class Radio:
         self.timeline = LinkTimeline(span or LinkSpan(model, range_m))
         # (rows, target, levels, component size) of flood_depth's last tree
         self._depth_memo: tuple = (None, None, None, 0)
+        # (instant, rows) of snapshot's last answer
+        self._exact: tuple = (None, None)
 
     # -- topology queries ---------------------------------------------------
 
     def snapshot(self, t: float) -> list[int]:
-        """Neighbour bitmasks at time t, computed exactly from the positions:
-        the topology queries the timeline leaves to the exact path."""
-        pos = self.model.positions(t)
-        return kernels.neighbour_bits(kernels.adjacency(pos, self.range_m))
+        """Neighbour bitmasks at time t, computed exactly from the positions and
+        kept for the next read at an equal t: the exact path of topology queries."""
+        if t != self._exact[0]:
+            adjacency = kernels.adjacency(self.model.positions(t), self.range_m)
+            self._exact = t, kernels.neighbour_bits(adjacency)
+        return self._exact[1]
 
     def _rows(self, t: float) -> list[int]:
         rows = self.timeline.rows(t)

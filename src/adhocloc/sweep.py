@@ -1,6 +1,9 @@
 """Sweeps over load, mobility, code band and protocol; CSV rows; comparisons.
 
-Cells run sequentially in deterministic (axis, seed) order and every float is
+A sweep returns each cell's `MetricsReport`s in seed order, each labelled by
+the config that ran it; rows are views of them, built only where they are
+written (`cell_rows`, so `write_csv` and `comparison_table`). Cells run
+sequentially in deterministic (axis, seed) order and every float is
 serialized with one fixed format, so a sweep CSV is byte-stable: rerunning any
 cell with the same config and seed reproduces its row exactly. Runs at one
 seed and geometry share a `scenario.World`, so at each seed the trajectories
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from operator import attrgetter
 from typing import IO, Iterable, Optional, Sequence
 
 from .config import ScenarioConfig
@@ -38,22 +42,22 @@ def _seed_marker(values: list) -> str:
     return AVERAGE_SEED
 
 
-#: one result row: (CSV column, MetricsReport attribute, how a seed-averaged
-#: row combines the cell's per-seed values, in seed order)
-COLUMNS = (
-    ("protocol", "protocol", _first),
-    ("lambda", "lam", _first),
-    ("node_mob_target", "node_mob_target", _first),
+#: one result row: (CSV column, what reads it off a MetricsReport, how a
+#: seed-averaged row combines the cell's per-seed values, in seed order)
+COLUMNS = tuple((column, attrgetter(attr), combine) for column, attr, combine in (
+    ("protocol", "cfg.protocol", _first),
+    ("lambda", "cfg.lam", _first),
+    ("node_mob_target", "cfg.mob_target", _first),
     ("measured_mob", "measured_mob", _mean),
-    ("code_band", "code_band", _first),
-    ("seed", "seed", _seed_marker),
+    ("code_band", "cfg.code_band", _first),
+    ("seed", "cfg.seed", _seed_marker),
     ("n_requests", "n_requests", _mean),
     ("n_failed", "n_failed", _mean),
     ("total_messages", "total_messages", _mean),
     ("nb_msg", "nb_msg", _mean),
     ("rtime_s", "rtime_s", _mean),
     ("aborted", "aborted", any),
-)
+))
 
 CSV_COLUMNS = tuple(column for column, _, _ in COLUMNS)
 
@@ -68,11 +72,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_to_row(report: MetricsReport) -> dict:
-    """One result row, keyed by CSV_COLUMNS, values still typed."""
-    return {column: getattr(report, attr) for column, attr, _ in COLUMNS}
-
-
 def average_row(rows: Sequence[dict]) -> dict:
     """Seed-averaged row over same-cell results; seed becomes "avg"."""
     if not rows:
@@ -81,14 +80,23 @@ def average_row(rows: Sequence[dict]) -> dict:
             for column, _, combine in COLUMNS}
 
 
-def write_csv(rows: Iterable[dict], fh: IO[str]) -> int:
+def cell_rows(reports: Sequence[MetricsReport], average: bool = True) -> list[dict]:
+    """A cell's rows, keyed by CSV_COLUMNS with values still typed: one per
+    seed, then their average when `average` and there is more than one."""
+    rows = [{column: read(report) for column, read, _ in COLUMNS} for report in reports]
+    if average and len(rows) > 1:
+        rows.append(average_row(rows))
+    return rows
+
+
+def write_csv(cells: Iterable[Sequence[MetricsReport]], fh: IO[str],
+              average: bool = True) -> int:
+    """Every cell's `cell_rows` under a header; returns the rows written."""
+    rows = [row for reports in cells for row in cell_rows(reports, average)]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    count = 0
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
-        count += 1
-    return count
+    writer.writerows([_fmt(row[col]) for col in CSV_COLUMNS] for row in rows)
+    return len(rows)
 
 
 def run_sweep(base: ScenarioConfig,
@@ -97,9 +105,9 @@ def run_sweep(base: ScenarioConfig,
               node_mobs: Sequence[str],
               code_bands: Sequence[str],
               seeds: Sequence[int],
-              average: bool = True,
-              on_result=None) -> list[dict]:
-    """Run the full grid; per-seed rows first, then the cell's averaged row.
+              on_result=None) -> list[list[MetricsReport]]:
+    """Run the full grid; returns each cell's reports in seed order, cells
+    in axis order (protocol, then lambda, node mobility and code band).
     Every cell's config is built, and so checked, before the first one runs.
     Runs that share a `WorldKey` (the seed and the geometry) share one
     `World`: the trajectories are drawn, their link span solved and Mob
@@ -111,42 +119,38 @@ def run_sweep(base: ScenarioConfig,
              for node_mob in node_mobs for code_band in code_bands]
     uses = Counter(WorldKey.of(cfg) for cfgs in cells for cfg in cfgs)
     worlds: dict[WorldKey, World] = {}
-    rows: list[dict] = []
-    for cfgs in cells:
-        cell_rows = []
-        for cfg in cfgs:
-            key = WorldKey.of(cfg)
-            if key not in worlds:
-                worlds[key] = World(cfg)
-            uses[key] -= 1
-            # released with the last run that reads it
-            world = worlds[key] if uses[key] else worlds.pop(key)
-            result = run_scenario(cfg, world)
-            row = report_to_row(result.report)
-            cell_rows.append(row)
-            rows.append(row)
-            if on_result is not None:
-                on_result(result)
-        if average and len(seeds) > 1:
-            rows.append(average_row(cell_rows))
-    return rows
+
+    def run(cfg: ScenarioConfig) -> MetricsReport:
+        key = WorldKey.of(cfg)
+        if key not in worlds:
+            worlds[key] = World(cfg)
+        uses[key] -= 1
+        # released with the last run that reads it
+        world = worlds[key] if uses[key] else worlds.pop(key)
+        result = run_scenario(cfg, world)
+        if on_result is not None:
+            on_result(result)
+        return result.report
+
+    return [[run(cfg) for cfg in cfgs] for cfgs in cells]
 
 
-def comparison_table(rows: Sequence[dict]) -> str:
-    """Protocol ordering per lambda from seed-averaged (or single-seed) rows.
-
-    Lists Nb_msg and Rtime per protocol, cheapest first, one block per lambda.
-    """
-    averaged = [r for r in rows if r["seed"] == AVERAGE_SEED] or list(rows)
-    lams = sorted({r["lambda"] for r in averaged})
+def comparison_table(cells: Sequence[Sequence[MetricsReport]]) -> str:
+    """Nb_msg and Rtime per protocol, cheapest first: one block per lambda,
+    node mobility and code band, in lambda order, ranking each cell by its
+    last row (its seed average, or its one row with one seed); a cell run
+    at no seed has no row and is left out."""
+    blocks: dict[tuple, list[dict]] = {}
+    for reports in sorted(filter(None, cells), key=lambda cell: cell[0].cfg.lam):
+        cfg = reports[0].cfg
+        key = (cfg.lam, cfg.node_mob, cfg.node_speed, cfg.code_band)
+        blocks.setdefault(key, []).append(cell_rows(reports)[-1])
     lines = []
-    for lam in lams:
-        block = sorted((r for r in averaged if r["lambda"] == lam),
-                       key=lambda r: (r["nb_msg"] is None,
-                                      r["nb_msg"] if r["nb_msg"] is not None else 0.0))
-        lines.append(f"lambda = {_fmt(lam)}")
+    for (lam, node_mob, _, code_band), rows in blocks.items():
+        rows.sort(key=lambda r: (r["nb_msg"] is None, r["nb_msg"] or 0.0))
+        lines.append(f"lambda = {_fmt(lam)}, node_mob = {node_mob}, code_band = {code_band}")
         lines.append(f"  {'protocol':<20} {'nb_msg':>12} {'rtime_s':>10} {'aborted':>8}")
-        for row in block:
+        for row in rows:
             lines.append(f"  {row['protocol']:<20} {_fmt(row['nb_msg']):>12} "
                          f"{_fmt(row['rtime_s']):>10} {_fmt(row['aborted']):>8}")
     return "\n".join(lines)

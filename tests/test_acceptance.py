@@ -20,7 +20,7 @@ from adhocloc.geometry import ZoneLayout, centroid, dist, elect_server
 from adhocloc.mobility import RandomWaypointModel, Trajectory, network_mobility
 from adhocloc.protocols.base import CodeMigrationProcess
 from adhocloc.scenario import run_scenario
-from adhocloc.sweep import report_to_row, write_csv
+from adhocloc.sweep import write_csv
 from conftest import MobilityBand, classify_mobility
 
 GRID_LAMBDAS = (0.1, 0.25, 1.0)
@@ -138,7 +138,7 @@ class TestDeterminism:
         rows = []
         for _ in range(2):
             buf = io.StringIO()
-            write_csv([report_to_row(run_scenario(cfg).report)], buf)
+            write_csv([[run_scenario(cfg).report]], buf)
             rows.append(buf.getvalue())
         verdict("A6", rows[0] == rows[1],
                 f"rerun row identical ({len(rows[0])} bytes)")

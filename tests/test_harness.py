@@ -19,13 +19,13 @@ from adhocloc import cli, kernels, scenario, sweep
 from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
+from adhocloc.metrics import MetricsReport
 from adhocloc.mobility import RandomWaypointModel
 from adhocloc.protocols.base import CodeMigrationProcess
 from adhocloc.radio import Radio
 from adhocloc.scenario import World, WorldKey, run_scenario
-from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row,
-                            comparison_table, report_to_row, run_sweep,
-                            write_csv)
+from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row, cell_rows,
+                            comparison_table, run_sweep, write_csv)
 from conftest import build_ctx, classify_mobility, static_model
 
 
@@ -33,6 +33,15 @@ def short_cfg(**overrides):
     base = dict(duration=15.0, lam=0.5, warmup=2.0, seed=1)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def made_report(cfg: ScenarioConfig, **values) -> MetricsReport:
+    """A report of the given results for `cfg`, without running it."""
+    results = dict(measured_mob=5.0, n_requests=10, n_resolved=10, n_failed=0,
+                   n_in_flight=0, n_warmup=0, total_messages=100, by_kind={},
+                   rtime_s=0.5)
+    results.update(values)
+    return MetricsReport(cfg=cfg, **results)
 
 
 def reads_within_horizon(patch) -> list[float]:
@@ -206,11 +215,11 @@ class TestScenario:
         cfg = short_cfg()
         first = run_scenario(cfg)
         second = run_scenario(cfg)
-        assert report_to_row(first.report) == report_to_row(second.report)
+        assert cell_rows([first.report]) == cell_rows([second.report])
         bufs = []
         for result in (first, second):
             buf = io.StringIO()
-            write_csv([report_to_row(result.report)], buf)
+            write_csv([[result.report]], buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
@@ -329,16 +338,24 @@ class TestScenario:
 class TestSweep:
     def test_grid_rows_come_per_seed_then_averaged(self):
         results = []
-        rows = run_sweep(short_cfg(),
-                         protocols=["forwarder_reactive", "centralized"],
-                         lambdas=[0.5], node_mobs=["medium"],
-                         code_bands=["medium"], seeds=[1, 2],
-                         on_result=results.append)
-        assert len(rows) == 6
-        # the hook sees each run's result as its per-seed row is made
-        assert [(r.cfg.protocol, r.cfg.seed) for r in results] == [
-            (row["protocol"], row["seed"]) for row in rows
-            if row["seed"] != AVERAGE_SEED]
+        cells = run_sweep(short_cfg(),
+                          protocols=["forwarder_reactive", "centralized"],
+                          lambdas=[0.5], node_mobs=["medium"],
+                          code_bands=["medium"], seeds=[1, 2],
+                          on_result=results.append)
+        # one cell per protocol, its reports in seed order, each labelled by
+        # the config that ran it
+        labels = [[(r.cfg.protocol, r.cfg.seed) for r in cell] for cell in cells]
+        assert labels == [[("forwarder_reactive", 1), ("forwarder_reactive", 2)],
+                          [("centralized", 1), ("centralized", 2)]]
+        # the hook sees each run's result, in the order the reports come back
+        reports = [report for cell in cells for report in cell]
+        assert len(results) == len(reports)
+        assert all(result.report is report for result, report in zip(results, reports))
+        rows = [row for cell in cells for row in cell_rows(cell)]
+        assert len(rows) == 6 and write_csv(cells, io.StringIO()) == 6
+        assert [(row["protocol"], row["seed"]) for row in rows
+                if row["seed"] != AVERAGE_SEED] == labels[0] + labels[1]
         for base in (0, 3):
             seeds = [rows[base + k]["seed"] for k in range(3)]
             assert seeds == [1, 2, AVERAGE_SEED]
@@ -346,10 +363,16 @@ class TestSweep:
             assert rows[base + 2]["nb_msg"] == pytest.approx(expected)
 
     def test_single_seed_grids_skip_the_average_row(self):
-        rows = run_sweep(short_cfg(), protocols=["forwarder_reactive"],
-                         lambdas=[0.5], node_mobs=["medium"],
-                         code_bands=["medium"], seeds=[3])
+        cells = run_sweep(short_cfg(), protocols=["forwarder_reactive"],
+                          lambdas=[0.5], node_mobs=["medium"],
+                          code_bands=["medium"], seeds=[3])
+        assert len(cells) == 1 and len(cells[0]) == 1
+        rows = cell_rows(cells[0])
         assert len(rows) == 1 and rows[0]["seed"] == 3
+        assert write_csv(cells, io.StringIO()) == 1
+        # without averaging, a cell of many seeds gives its per-seed rows only
+        twice = [cells[0][0], cells[0][0]]
+        assert [row["seed"] for row in cell_rows(twice, average=False)] == [3, 3]
 
     def test_a_bad_axis_value_stops_the_grid_before_any_cell_runs(self):
         ran = []
@@ -402,12 +425,12 @@ class TestSweep:
         models = []
         gc.disable()
         try:
-            rows = run_sweep(short_cfg(), protocols=list(PROTOCOLS), lambdas=[0.5, 2.0],
-                             node_mobs=["medium"], code_bands=["medium"], seeds=[1, 2],
-                             on_result=lambda result: models.append(weakref.ref(result.model)))
-            assert len(rows) == 4 * 2 * 3
-            del rows
-            # one world per seed, and nothing holds it once the sweep is done
+            cells = run_sweep(short_cfg(), protocols=list(PROTOCOLS), lambdas=[0.5, 2.0],
+                              node_mobs=["medium"], code_bands=["medium"], seeds=[1, 2],
+                              on_result=lambda result: models.append(weakref.ref(result.model)))
+            assert [len(reports) for reports in cells] == [2] * (4 * 2)
+            # one world per seed, and nothing holds it once the sweep is
+            # done: not even the reports it returns
             assert calls == {"model": 2, "span": 2, "mob": 2}
             assert len(models) == 16 and all(ref() is None for ref in models)
         finally:
@@ -445,32 +468,43 @@ class TestSweep:
             average_row([])
 
     def test_csv_formatting_is_fixed_width_ascii(self):
-        row = {"protocol": "zoned", "lambda": 0.25, "node_mob_target": None,
-               "measured_mob": 4.25, "code_band": "medium", "seed": "avg",
-               "n_requests": 10, "n_failed": 0, "total_messages": 123,
-               "nb_msg": 12.3000004, "rtime_s": 0.0625, "aborted": False}
+        # a custom node speed has no mobility target: its cell is blank
+        cfg = ScenarioConfig(protocol="zoned", lam=0.25, node_mob="custom",
+                             node_speed=(3.0, 6.0), code_band="medium")
+        cell = [made_report(cfg.replace(seed=1), measured_mob=4.0, n_requests=3,
+                            total_messages=37, rtime_s=0.0625),
+                made_report(cfg.replace(seed=2), measured_mob=4.5, n_requests=3,
+                            n_failed=1, total_messages=37, rtime_s=0.0625)]
         buf = io.StringIO()
-        assert write_csv([row], buf) == 1
-        header, line, tail = buf.getvalue().split("\n")
+        assert write_csv([cell], buf) == 3
+        header, *lines, tail = buf.getvalue().split("\n")
         assert header == ",".join(CSV_COLUMNS)
-        assert line == "zoned,0.25,,4.25,medium,avg,10,0,123,12.3000004,0.0625,0"
+        assert lines == ["zoned,0.25,,4,medium,1,3,0,37,12.3333333,0.0625,0",
+                         "zoned,0.25,,4.5,medium,2,3,1,37,12.3333333,0.0625,0",
+                         "zoned,0.25,,4.25,medium,avg,3,0.5,37,12.3333333,0.0625,0"]
         assert tail == ""
 
     def test_comparison_table_ranks_cheapest_first(self):
-        rows = [
-            {"protocol": "centralized", "lambda": 0.25, "node_mob_target": 5.0,
-             "measured_mob": 5.0, "code_band": "medium", "seed": AVERAGE_SEED,
-             "n_requests": 10, "n_failed": 0, "total_messages": 900,
-             "nb_msg": 90.0, "rtime_s": 0.9, "aborted": False},
-            {"protocol": "forwarder_reactive", "lambda": 0.25,
-             "node_mob_target": 5.0, "measured_mob": 5.0,
-             "code_band": "medium", "seed": AVERAGE_SEED, "n_requests": 10,
-             "n_failed": 0, "total_messages": 200, "nb_msg": 20.0,
-             "rtime_s": 0.2, "aborted": False},
-        ]
-        table = comparison_table(rows)
-        assert table.index("forwarder_reactive") < table.index("centralized")
-        assert table.startswith("lambda = 0.25")
+        def cell(protocol, totals, rtime_s):
+            cfg = ScenarioConfig(protocol=protocol, lam=0.25)
+            return [made_report(cfg.replace(seed=seed), total_messages=total,
+                                rtime_s=rtime_s)
+                    for seed, total in enumerate(totals, start=1)]
+
+        # each cell is ranked by its seed average: Nb_msg 90 against 20
+        table = comparison_table([cell("centralized", (800, 1000), 0.9),
+                                  cell("forwarder_reactive", (150, 250), 0.25)])
+        lines = table.splitlines()
+        assert lines[0] == "lambda = 0.25, node_mob = medium, code_band = medium"
+        assert [line.split() for line in lines[1:]] == [
+            ["protocol", "nb_msg", "rtime_s", "aborted"],
+            ["forwarder_reactive", "20", "0.25", "0"],
+            ["centralized", "90", "0.9", "0"]]
+        # a single-seed cell is ranked by its one row
+        single = comparison_table([cell("zoned", (70,), 0.5)])
+        assert single.splitlines()[2].split() == ["zoned", "7", "0.5", "0"]
+        # a grid without seeds has nothing to rank
+        assert comparison_table([cell("zoned", (), 0.5)]) == ""
 
 
 class TestCli:
@@ -637,14 +671,43 @@ class TestCli:
         assert stdout.startswith("lambda = 0.25")
         assert "forwarder_reactive" in stdout and "centralized" in stdout
 
+    def test_compare_keeps_cells_apart(self, tmp_path, capsys):
+        out = tmp_path / "compare.csv"
+        code = cli.main(["compare", "--set", "duration=12", "--set", "warmup=2",
+                         "--protocols", "forwarder_reactive,centralized",
+                         "--lambda", "0.5,0.25", "--node-mobs", "low,high",
+                         "--seeds", "1,2", "--csv", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        # one labelled block per lambda and node mobility, in lambda order
+        starts = [i for i, line in enumerate(lines) if line.startswith("lambda")]
+        assert [lines[i] for i in starts] == [
+            f"lambda = {lam}, node_mob = {mob}, code_band = medium"
+            for lam in ("0.25", "0.5") for mob in ("low", "high")]
+        # each protocol once per block, with its own cell's seed average
+        averages = {}
+        for line in out.read_text().splitlines()[1:]:
+            row = dict(zip(CSV_COLUMNS, line.split(",")))
+            if row["seed"] == AVERAGE_SEED:
+                key = (row["protocol"], row["lambda"], float(row["node_mob_target"]))
+                averages[key] = row["nb_msg"]
+        header = re.compile(r"lambda = (\S+), node_mob = (\w+), code_band = medium")
+        for start, end in zip(starts, starts[1:] + [len(lines)]):
+            lam, mob = header.fullmatch(lines[start]).groups()
+            target = ScenarioConfig(node_mob=mob).mob_target
+            block = {line.split()[0]: line.split()[1] for line in lines[start + 2:end]}
+            assert block == {protocol: averages[(protocol, lam, target)]
+                             for protocol in ("forwarder_reactive", "centralized")}
+
     def test_sweep_and_compare_bytes_are_pinned(self, tmp_path, capsys):
-        # sha256 of the outputs, recorded before the result rows were built
-        # from one column table; a changed byte means a changed result
+        # sha256 of the outputs; a changed byte means a changed result. The
+        # rows' hash was recorded before the result rows were built from one
+        # column table, the table's when its blocks became one per cell
         grid = ["--set", "duration=12", "--set", "warmup=2",
                 "--protocols", "forwarder_reactive,centralized",
                 "--lambda", "0.5", "--seeds", "1,2"]
         rows_sha = "c3bfc66b36ac01ed2395d52ed34dafbe46dbf5a59d1ec37b40936fa97609456f"
-        table_sha = "066ad2f218d369a6ec31bc27b2e64eda35a6a63cc5b027dbebab6585ee37a41b"
+        table_sha = "b6c8e9dfa6cf26c4d100c31542f3c9ee039a71587676df1deb2008c5816dda81"
         sweep_csv, compare_csv = tmp_path / "sweep.csv", tmp_path / "compare.csv"
 
         def sha(data: bytes) -> str:

@@ -5,6 +5,7 @@ import pytest
 from adhocloc.config import ScenarioConfig
 from adhocloc.metrics import RequestRecord, build_report, compute_rtime
 from adhocloc.radio import MessageKind, MessageLedger
+from adhocloc.sweep import cell_rows
 
 
 def rec(request_id, issued_at, resolved_at=None, failed_at=None,
@@ -68,12 +69,15 @@ class TestBuildReport:
         cfg = ScenarioConfig(protocol="zoned", lam=1.0, node_mob="high",
                              code_band="low", seed=9)
         report = build_report(cfg, 10.3, records, MessageLedger())
-        assert (report.protocol, report.lam, report.node_mob_target,
-                report.measured_mob, report.code_band, report.seed) == (
+        assert report.cfg is cfg
+        labels = ("protocol", "lambda", "node_mob_target", "measured_mob",
+                  "code_band", "seed")
+        row = cell_rows([report])[0]
+        assert tuple(row[label] for label in labels) == (
             "zoned", 1.0, 10.0, 10.3, "low", 9)
         custom = cfg.replace(node_speed=(3.0, 6.0))
         report = build_report(custom, 2.0, records, MessageLedger())
-        assert report.node_mob_target is None
+        assert cell_rows([report])[0]["node_mob_target"] is None
 
     def test_counts_partition_measured_requests_by_status(self):
         records = [

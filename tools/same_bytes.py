@@ -1,18 +1,21 @@
-"""Same-bytes check: one digest over every simulated value of 120 runs.
+"""Same-bytes check: digests over every simulated value of two sets of runs.
 
-A change that claims to move no simulated value must print the same line
+A change that claims to move no simulated value must print the same lines
 before and after it. Run it from the repository root against each tree:
 
     PYTHONPATH=src python tools/same_bytes.py
     PYTHONPATH=/path/to/other/checkout/src python tools/same_bytes.py
 
-It prints `<runs> <sha256> events=<executed> cancelled=<skipped>
-processed=<jobs> exact=<snapshots>`. The runs
-cover both forwarders, centralized and zoned with 2 and 4 zones, at lambda
-0.25, 1 and 4, medium and high node speed, medium and high code band and
-seeds 1 and 2, 200 s each. The digest takes in every request record, every
-ledger row (in order), the mover's jump counters, the measured Mob and the
-abort reason: simulated values only. The engine's executed and
+It prints one line per set of runs, `<runs> <sha256> events=<executed>
+cancelled=<skipped> processed=<jobs> exact=<snapshots>`. Each set runs both
+forwarders, centralized and zoned with 2 and 4 zones, 200 s each. The first
+set covers lambda 0.25, 1 and 4, medium and high node speed, medium and high
+code band and seeds 1 and 2: 120 runs, none of which aborts. The second is
+the aborting set: lambda 0.25, low node speed, medium code band and seeds 4
+and 12, 10 runs that each end in a partition abort, so a change to what an
+aborted run reports shows in its digest. The digest takes in every request
+record, every ledger row (in order), the mover's jump counters, the measured
+Mob and the abort reason: simulated values only. The engine's executed and
 cancelled-skip event counts are host work, not results, so they are summed
 over the runs and printed after the digest, outside it; a change that removes
 events keeps the first two fields and shows its saving in the next two. The
@@ -22,10 +25,10 @@ without an event must keep it exact: both trees must print the same total.
 The sixth counts the calls to `Radio.snapshot`, the exact path of topology
 queries, wrapped from here so that any tree can be measured; a change to
 the link timeline that leaves its reach alone prints the same count. The
-runs go through one `run_sweep` per protocol variant, axes in the order
-listed and seeds innermost, so runs at one seed and node speed share their
-world as in any sweep; any tree whose `run_sweep` takes these axes and hands
-each result to `on_result` can be checked.
+runs go through one `run_sweep` per protocol variant and set, axes in the
+order listed and seeds innermost, so runs at one seed and node speed share
+their world as in any sweep; any tree whose `run_sweep` takes these axes and
+hands each result to `on_result` can be checked.
 """
 
 from __future__ import annotations
@@ -38,10 +41,13 @@ from adhocloc.sweep import run_sweep
 
 VARIANTS = (("forwarder_proactive", 2), ("forwarder_reactive", 2),
             ("centralized", 2), ("zoned", 2), ("zoned", 4))
-LAMBDAS = (0.25, 1.0, 4.0)
-NODE_MOBS = ("medium", "high")
-CODE_BANDS = ("medium", "high")
-SEEDS = (1, 2)
+#: each line's runs, every variant over these axes: (lambdas, node mobility
+#: labels, code bands, seeds)
+RUN_SETS = (
+    ((0.25, 1.0, 4.0), ("medium", "high"), ("medium", "high"), (1, 2)),
+    # low node speed: each of these runs ends in a partition abort
+    ((0.25,), ("low",), ("medium",), (4, 12)),
+)
 DURATION = 200.0
 
 
@@ -67,8 +73,6 @@ def agent_jobs(protocol) -> int:
 
 
 def main() -> None:
-    digest = hashlib.sha256()
-    runs = executed = skipped = jobs = exact = 0
     snapshot = Radio.snapshot
 
     def counted_snapshot(radio, t):
@@ -77,20 +81,23 @@ def main() -> None:
         return snapshot(radio, t)
 
     Radio.snapshot = counted_snapshot
+    for axes in RUN_SETS:
+        digest = hashlib.sha256()
+        runs = executed = skipped = jobs = exact = 0
 
-    def on_result(result) -> None:
-        nonlocal runs, executed, skipped, jobs
-        digest.update(repr(run_key(result)).encode())
-        executed += result.engine.executed
-        skipped += result.engine.skipped_cancelled
-        jobs += agent_jobs(result.protocol)
-        runs += 1
+        def on_result(result) -> None:
+            nonlocal runs, executed, skipped, jobs
+            digest.update(repr(run_key(result)).encode())
+            executed += result.engine.executed
+            skipped += result.engine.skipped_cancelled
+            jobs += agent_jobs(result.protocol)
+            runs += 1
 
-    for protocol, n_zones in VARIANTS:
-        run_sweep(ScenarioConfig(n_zones=n_zones, duration=DURATION), [protocol],
-                  LAMBDAS, NODE_MOBS, CODE_BANDS, SEEDS, on_result=on_result)
-    print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}",
-          f"processed={jobs}", f"exact={exact}")
+        for protocol, n_zones in VARIANTS:
+            run_sweep(ScenarioConfig(n_zones=n_zones, duration=DURATION), [protocol],
+                      *axes, on_result=on_result)
+        print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}",
+              f"processed={jobs}", f"exact={exact}")
 
 
 if __name__ == "__main__":
