@@ -167,13 +167,13 @@ def parse_assignments(assignments: Iterable[tuple[str, str]],
     return cfg.replace(**updates)
 
 
-def parse_config_text(text: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
+def parse_config_text(text: str) -> ScenarioConfig:
     """Parse the flat `key = value` format, one assignment per line."""
     lines = ((f"line {n}", line.split("#", 1)[0].strip())
              for n, line in enumerate(text.splitlines(), start=1))
-    return parse_assignments(((where, line) for where, line in lines if line), base)
+    return parse_assignments((where, line) for where, line in lines if line)
 
 
-def load_config_file(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
+def load_config_file(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())

@@ -9,8 +9,7 @@ from typing import Callable, Optional
 from ..config import ScenarioConfig
 from ..engine import Engine, RngStreams
 from ..metrics import RequestRecord
-from ..mobility import RandomWaypointModel
-from ..radio import MessageKind, MessageLedger, Radio
+from ..radio import MessageKind, Radio
 
 
 @dataclass
@@ -27,9 +26,7 @@ class ScenarioContext:
     cfg: ScenarioConfig
     engine: Engine
     streams: RngStreams
-    model: RandomWaypointModel
     radio: Radio
-    ledger: MessageLedger
     code: MobileCode
 
 
@@ -38,8 +35,10 @@ class LocalizationProtocol:
 
     A subclass's constructor sets up its state and timers at t = 0. Every
     hook runs inside an event, at the engine's instant, and reads the clock
-    (`engine.now`) and the code's placement (`code`) from the run itself; a
-    subclass supplies `on_code_jump` and `_attempt`.
+    (`engine.now`) and the code's placement (`code`) from the run itself. A
+    subclass supplies `on_code_jump(old_host)`, run right after the code left
+    `old_host` for `code.host`, and `_attempt(record)`, which starts the
+    search for `record`; a request ends once, by `_resolve` or `_fail`.
     """
 
     def __init__(self, ctx: ScenarioContext):
@@ -47,12 +46,8 @@ class LocalizationProtocol:
         self.cfg = ctx.cfg
         self.engine = ctx.engine
         self.radio = ctx.radio
-        self.model = ctx.model
+        self.model = ctx.radio.model
         self.code = ctx.code
-
-    def on_code_jump(self, old_host: int) -> None:
-        """Runs right after the code left `old_host` for `code.host`."""
-        raise NotImplementedError
 
     def locate(self, record: RequestRecord) -> None:
         """A request for a code sitting at its mother resolves on the spot;
@@ -61,10 +56,6 @@ class LocalizationProtocol:
             self._resolve(record, self.code.host, self.code.host)
         else:
             self._attempt(record)
-
-    def _attempt(self, record: RequestRecord) -> None:
-        """Start the protocol's search for the code on behalf of `record`."""
-        raise NotImplementedError
 
     def _send(self, src: int, dst: int, kind: MessageKind,
               then: Callable[[], None], request_id: Optional[int] = None) -> bool:
@@ -81,41 +72,37 @@ class LocalizationProtocol:
 
     def _resolve(self, record: RequestRecord, returned_host: int,
                  truth_host: int) -> None:
-        if record.done:
-            return
         record.resolved_at = self.engine.now
         record.returned_host = returned_host
         record.truth_host = truth_host
 
     def _fail(self, record: RequestRecord) -> None:
-        if not record.done:
-            record.failed_at = self.engine.now
+        record.failed_at = self.engine.now
 
 
 class CodeMigrationProcess:
     """Drives the code across radio neighbours with exponential inter-jump delays.
 
     A jump instant with no neighbour in range is skipped (the code stays put).
-    Migration is atomic within its event; the protocol hook runs right after
-    the host switch so forwarders/updates see the new placement.
+    Migration is atomic within its event, and `protocol`, its view of the run,
+    hears of it right after the host switch, so it sees the new placement.
     """
 
-    def __init__(self, ctx: ScenarioContext, protocol: LocalizationProtocol):
-        self.ctx = ctx
+    def __init__(self, protocol: LocalizationProtocol):
         self.protocol = protocol
-        self.rng = ctx.streams.code_migration
+        self.rng = protocol.ctx.streams.code_migration
         self.jumps_attempted = 0
         self.jumps_made = 0
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        delay = float(self.rng.exponential(1.0 / self.ctx.cfg.jump_rate))
-        self.ctx.engine.schedule(self.ctx.engine.now + delay, self._jump)
+        delay = float(self.rng.exponential(1.0 / self.protocol.cfg.jump_rate))
+        self.protocol.engine.schedule(self.protocol.engine.now + delay, self._jump)
 
     def _jump(self) -> None:
-        code = self.ctx.code
+        code = self.protocol.code
         self.jumps_attempted += 1
-        nbrs = self.ctx.radio.neighbors(code.host, self.ctx.engine.now)
+        nbrs = self.protocol.radio.neighbors(code.host, self.protocol.engine.now)
         if nbrs:
             old_host = code.host
             code.jumps += 1

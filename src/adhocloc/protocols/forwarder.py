@@ -169,8 +169,6 @@ class ForwarderProtocol(LocalizationProtocol):
 
     def _break(self, record: RequestRecord, walk: _WalkState, station: int,
                anchor: Optional[ForwarderEntry]) -> None:
-        if record.done:
-            return
         if self.entries.get(station) is not anchor:
             # the chain was rewired while we waited out the ack; walk again
             self._advance(record, walk, station)

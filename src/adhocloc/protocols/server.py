@@ -193,7 +193,7 @@ class ServerProtocol(LocalizationProtocol):
         if path is None:
             return False
         units = (len(path) - 1) * math.ceil(agent.entry_count() / 10)
-        self.ctx.ledger.charge(MessageKind.AGENT_MIGRATION, incumbent, best, units, t)
+        self.radio.ledger.charge(MessageKind.AGENT_MIGRATION, incumbent, best, units, t)
         agent.host = best
         self.handoffs += 1
         return True

@@ -130,6 +130,8 @@ class LinkSpan:
     """
 
     def __init__(self, model: RandomWaypointModel, range_m: float):
+        if range_m <= 0:
+            raise ValueError("radio range must be positive")
         self.model = model
         self.range_m = range_m
 
@@ -207,20 +209,14 @@ class LinkTimeline:
 
 
 class Radio:
-    def __init__(self, model: RandomWaypointModel, range_m: float,
-                 per_hop_latency: float, ledger: MessageLedger,
-                 span: Optional[LinkSpan] = None):
-        """`span`, when given, must be of this model at this range; without
-        one the radio solves its own."""
-        if range_m <= 0:
-            raise ValueError("radio range must be positive")
-        if per_hop_latency < 0:
-            raise ValueError("per-hop latency must be >= 0")
-        self.model = model
-        self.range_m = range_m
-        self.latency = per_hop_latency
+    def __init__(self, span: LinkSpan, ledger: MessageLedger):
+        """A run's radio over `span`'s model and range, charging `ledger`;
+        each hop takes PER_HOP_LATENCY, the latency `World` sizes the horizon by."""
+        self.model = span.model
+        self.range_m = span.range_m
+        self.latency = PER_HOP_LATENCY
         self.ledger = ledger
-        self.timeline = LinkTimeline(span or LinkSpan(model, range_m))
+        self.timeline = LinkTimeline(span)
         # (rows, target, levels, component size) of flood_depth's last tree
         self._depth_memo: tuple = (None, None, None, 0)
         # (instant, rows) of snapshot's last answer

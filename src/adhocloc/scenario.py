@@ -144,11 +144,10 @@ def run_scenario(cfg: ScenarioConfig, world: Optional[World] = None) -> Scenario
         raise ValueError(f"world drawn for another {', '.join(differ)} than the run's")
     engine = Engine()
     streams = RngStreams(cfg.seed)
-    model = world.model
     ledger = MessageLedger()
-    radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger, world.span)
+    radio = Radio(world.span, ledger)
     code = MobileCode(mother=cfg.mother, host=cfg.mother)
-    ctx = ScenarioContext(cfg, engine, streams, model, radio, ledger, code)
+    ctx = ScenarioContext(cfg, engine, streams, radio, code)
 
     records: list[RequestRecord] = []
     for i, at in enumerate(_draw_arrivals(streams, cfg.lam, cfg.duration)):
@@ -160,24 +159,23 @@ def run_scenario(cfg: ScenarioConfig, world: Optional[World] = None) -> Scenario
     # built after the arrivals, which read `protocol` when they fire, so the
     # timers these constructors schedule keep their seqs
     protocol = make_protocol(cfg.protocol, ctx)
-    mover = CodeMigrationProcess(ctx, protocol)
+    mover = CodeMigrationProcess(protocol)
     _PartitionWatchdog(radio, engine, cfg.partition_grace, cfg.duration)
     # start-up above read the exact path; the event loop reads the span
     engine.schedule(0.0, radio.timeline.build)
 
-    aborted = False
     abort_reason = None
     try:
         engine.run_until(cfg.duration)
     except ScenarioAborted as stop:
-        aborted = True
         abort_reason = str(stop)
     finally:
         engine.discard_pending()
+    aborted = abort_reason is not None
 
     for record in records:
         record.units = ledger.units_for_request(record.request_id)
 
     report = build_report(cfg, world.measured_mob, records, ledger, aborted=aborted)
-    return ScenarioResult(cfg, report, records, ledger, engine, model, radio,
+    return ScenarioResult(cfg, report, records, ledger, engine, world.model, radio,
                           protocol, mover, aborted, abort_reason)

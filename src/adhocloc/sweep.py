@@ -18,7 +18,7 @@ from collections import Counter
 from operator import attrgetter
 from typing import IO, Iterable, Optional, Sequence
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .metrics import MetricsReport
 from .scenario import World, WorldKey, run_scenario
 
@@ -108,11 +108,15 @@ def run_sweep(base: ScenarioConfig,
               on_result=None) -> list[list[MetricsReport]]:
     """Run the full grid; returns each cell's reports in seed order, cells
     in axis order (protocol, then lambda, node mobility and code band).
-    Every cell's config is built, and so checked, before the first one runs.
-    Runs that share a `WorldKey` (the seed and the geometry) share one
-    `World`: the trajectories are drawn, their link span solved and Mob
-    measured once, by the first of them, and the world is released after
-    the last."""
+    Every cell's config is built, and so checked, before the first one runs;
+    an empty axis is refused with ConfigError. Runs that share a `WorldKey`
+    (the seed and the geometry) share one `World`: the trajectories are
+    drawn, their link span solved and Mob measured once, by the first of
+    them, and the world is released after the last."""
+    for name, values in dict(protocols=protocols, lambdas=lambdas, node_mobs=node_mobs,
+                             code_bands=code_bands, seeds=seeds).items():
+        if not values:
+            raise ConfigError(f"sweep axis {name} names no value")
     cells = [[base.replace(protocol=protocol, lam=lam, node_mob=node_mob,
                            code_band=code_band, seed=seed) for seed in seeds]
              for protocol in protocols for lam in lambdas
@@ -138,10 +142,9 @@ def run_sweep(base: ScenarioConfig,
 def comparison_table(cells: Sequence[Sequence[MetricsReport]]) -> str:
     """Nb_msg and Rtime per protocol, cheapest first: one block per lambda,
     node mobility and code band, in lambda order, ranking each cell by its
-    last row (its seed average, or its one row with one seed); a cell run
-    at no seed has no row and is left out."""
+    last row (its seed average, or its one row with one seed)."""
     blocks: dict[tuple, list[dict]] = {}
-    for reports in sorted(filter(None, cells), key=lambda cell: cell[0].cfg.lam):
+    for reports in sorted(cells, key=lambda cell: cell[0].cfg.lam):
         cfg = reports[0].cfg
         key = (cfg.lam, cfg.node_mob, cfg.node_speed, cfg.code_band)
         blocks.setdefault(key, []).append(cell_rows(reports)[-1])

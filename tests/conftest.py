@@ -7,7 +7,7 @@ from adhocloc.config import ScenarioConfig
 from adhocloc.engine import Engine, RngStreams
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols.base import MobileCode, ScenarioContext
-from adhocloc.radio import PER_HOP_LATENCY, MessageLedger, Radio
+from adhocloc.radio import LinkSpan, MessageLedger, Radio
 
 
 def static_model(points):
@@ -37,11 +37,10 @@ def build_ctx(model, mother=0, host=None, **overrides):
     cfg = ScenarioConfig(n_nodes=model.n_nodes, mother=mother, **overrides)
     engine = Engine()
     streams = RngStreams(cfg.seed)
-    ledger = MessageLedger()
-    radio = Radio(model, cfg.range, PER_HOP_LATENCY, ledger)
+    radio = Radio(LinkSpan(model, cfg.range), MessageLedger())
     code = MobileCode(mother=mother, host=mother if host is None else host)
-    return ScenarioContext(cfg=cfg, engine=engine, streams=streams, model=model,
-                           radio=radio, ledger=ledger, code=code)
+    return ScenarioContext(cfg=cfg, engine=engine, streams=streams, radio=radio,
+                           code=code)
 
 
 def jump_code(protocol, new_host):

@@ -44,7 +44,7 @@ def paper_grid():
     jump = CodeMigrationProcess._jump
 
     def recording_jump(mover):
-        attempts.setdefault(mover, []).append(mover.ctx.engine.now)
+        attempts.setdefault(mover, []).append(mover.protocol.engine.now)
         jump(mover)
 
     runs = {}

@@ -59,7 +59,7 @@ class TestWalk:
         record = issue(proto, 0.0)
         assert record.resolved_at == 0.0
         assert record.returned_host == 0 and record.truth_host == 0
-        assert proto.ctx.ledger.recount() == 0
+        assert proto.radio.ledger.recount() == 0
 
     def test_walk_along_an_intact_chain(self):
         proto = make_forwarder(static_model(LINE4))
@@ -70,7 +70,7 @@ class TestWalk:
         # three forwards at one hop each, then a three-hop reply
         assert record.resolved_at == pytest.approx(0.06)
         assert record.returned_host == 3 and record.truth_host == 3
-        assert proto.ctx.ledger.units_for_request(1) == 6
+        assert proto.radio.ledger.units_for_request(1) == 6
 
     def test_a_walk_past_its_step_budget_fails(self):
         proto = make_forwarder(static_model(LINE4))
@@ -84,7 +84,7 @@ class TestWalk:
         assert record.status == "failed"
         assert record.failed_at == pytest.approx(1.02)
         assert all(r.kind is not MessageKind.LOCATE_REPLY
-                   for r in proto.ctx.ledger.rows)
+                   for r in proto.radio.ledger.rows)
 
     def test_reactive_resolution_collapses_the_chain(self):
         proto = make_forwarder(static_model(LINE4))
@@ -112,7 +112,7 @@ class TestMaintenance:
         jump_code(proto, 1)
         jump_code(proto, 2)
         proto.engine.run_until(10.0)
-        assert proto.ctx.ledger.recount() == 0
+        assert proto.radio.ledger.recount() == 0
 
     def test_proactive_ticks_probe_every_link_every_period(self):
         proto = make_forwarder(static_model(LINE4), proactive=True)
@@ -120,7 +120,7 @@ class TestMaintenance:
             jump_code(proto, host)
         proto.engine.run_until(5.5)
         # ticks at 1..5 s probe the three standing links
-        assert proto.ctx.ledger.by_kind == {"ChainCheck": 15}
+        assert proto.radio.ledger.by_kind == {"ChainCheck": 15}
 
     def test_tick_repair_rewires_a_break_without_any_request(self):
         # station 1 walks out of the chain for good; a bystander at (200, 60)
@@ -140,7 +140,7 @@ class TestMaintenance:
         assert proto.entries == {0: ForwarderEntry(3, 0.0),
                                  3: ForwarderEntry(2, 1.0)}
         # maintenance traffic is not billed to any request
-        assert proto.ctx.ledger.units_for_request(None) == proto.ctx.ledger.recount()
+        assert proto.radio.ledger.units_for_request(None) == proto.radio.ledger.recount()
 
     def test_tick_repair_stands_down_when_the_entry_goes_during_the_ack_wait(self):
         # the 1 -> 2 link is out of range, so the 1 s tick's probe fails;
@@ -153,7 +153,7 @@ class TestMaintenance:
         assert proto._repair_active == {1}
         jump_code(proto, 1)     # drops station 1's pointer
         proto.engine.run_until(1.5)
-        floods = [r for r in proto.ctx.ledger.rows
+        floods = [r for r in proto.radio.ledger.rows
                   if r.kind is MessageKind.CHAIN_REPAIR_FLOOD and r.src == 1]
         assert floods == []
         assert proto._repair_active == set()
@@ -180,7 +180,7 @@ class TestMaintenance:
         # the 2 s tick probes station 0's healthy link and leaves station 1 be
         assert [(src, t) for src, kind, t in sent
                 if kind is MessageKind.CHAIN_CHECK] == [(0, 1.0), (1, 1.0), (0, 2.0)]
-        floods = [round(r.t, 6) for r in proto.ctx.ledger.rows
+        floods = [round(r.t, 6) for r in proto.radio.ledger.rows
                   if r.kind is MessageKind.CHAIN_REPAIR_FLOOD]
         assert floods == [1.03, 1.09]
 
@@ -223,8 +223,8 @@ class TestWalkRepairs:
         proto.engine.run_until(4.0)
         assert record.resolved_at is not None
         # diffusion 3 + reply 2 + two walk hops + two reply hops
-        assert proto.ctx.ledger.units_for_request(7) == 9
-        kinds = set(proto.ctx.ledger.by_kind)
+        assert proto.radio.ledger.units_for_request(7) == 9
+        kinds = set(proto.radio.ledger.by_kind)
         assert {"ChainRepairFlood", "ChainRepairReply"} <= kinds
 
     def test_bypassed_station_is_dropped_from_the_chain(self):
@@ -302,7 +302,7 @@ class TestParking:
         assert record.returned_host == 2
         assert proto._parked == {}
         # the wait itself costs the request nothing beyond its own messages
-        assert proto.ctx.ledger.units_for_request(5) == 4
+        assert proto.radio.ledger.units_for_request(5) == 4
 
     def test_parked_walk_gives_up_after_the_configured_ticks(self):
         model = scripted_model([

@@ -21,7 +21,7 @@ from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              parse_config_text)
 from adhocloc.metrics import MetricsReport
 from adhocloc.mobility import RandomWaypointModel
-from adhocloc.protocols.base import CodeMigrationProcess
+from adhocloc.protocols.base import CodeMigrationProcess, LocalizationProtocol
 from adhocloc.radio import Radio
 from adhocloc.scenario import World, WorldKey, run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row, cell_rows,
@@ -254,11 +254,11 @@ class TestScenario:
         jump = CodeMigrationProcess._jump
 
         def recording_jump(mover):
-            made, old_host = mover.jumps_made, mover.ctx.code.host
+            made, old_host = mover.jumps_made, mover.protocol.code.host
             jump(mover)
             if mover.jumps_made > made:
                 jumps.setdefault(mover, []).append(
-                    (mover.ctx.engine.now, old_host, mover.ctx.code.host))
+                    (mover.protocol.engine.now, old_host, mover.protocol.code.host))
 
         seen = []
         with pytest.MonkeyPatch.context() as patch:
@@ -334,6 +334,35 @@ class TestScenario:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("overrides", [
+        *(pytest.param({"protocol": p, "n_zones": z, "lam": 4.0, "node_mob": "high",
+                        "seed": seed}, id=f"{p}-{z}-seed{seed}")
+          for p, z in (("forwarder_proactive", 2), ("forwarder_reactive", 2),
+                       ("centralized", 2), ("zoned", 2), ("zoned", 4))
+          for seed in (1, 4)),
+        pytest.param({"protocol": "forwarder_proactive", "lam": 4.0, "node_mob": "low",
+                      "seed": 4}, id="aborted"),
+    ])
+    def test_a_request_ends_at_most_once(self, monkeypatch, overrides):
+        # the outcomes set a record's end without looking at it first, so a
+        # second end would overwrite the first; at seed 4 the proactive
+        # chain releases walks whose requests had already timed out
+        ends = Counter()
+
+        def counted(outcome):
+            def wrapper(self, record, *args):
+                ends[record.request_id] += 1
+                return outcome(self, record, *args)
+            return wrapper
+
+        for name in ("_resolve", "_fail"):
+            monkeypatch.setattr(LocalizationProtocol, name,
+                                counted(getattr(LocalizationProtocol, name)))
+        result = run_scenario(ScenarioConfig(duration=60.0, **overrides))
+        assert result.aborted == (overrides["node_mob"] == "low")
+        assert ends and set(ends.values()) == {1}
+        assert sorted(ends) == [r.request_id for r in result.records if r.done]
+
 
 class TestSweep:
     def test_grid_rows_come_per_seed_then_averaged(self):
@@ -380,6 +409,17 @@ class TestSweep:
             run_sweep(short_cfg(), protocols=["zoned", "bogus"], lambdas=[1.0],
                       node_mobs=["medium"], code_bands=["medium"],
                       seeds=[1, 2, 3], on_result=ran.append)
+        assert len(ran) == 0
+
+    @pytest.mark.parametrize("axis", ["protocols", "lambdas", "node_mobs",
+                                      "code_bands", "seeds"])
+    def test_an_empty_axis_stops_the_grid_before_any_cell_runs(self, axis):
+        axes = dict(protocols=["zoned"], lambdas=[1.0], node_mobs=["medium"],
+                    code_bands=["medium"], seeds=[1, 2])
+        axes[axis] = []
+        ran = []
+        with pytest.raises(ConfigError, match=f"sweep axis {axis} names no value"):
+            run_sweep(short_cfg(), **axes, on_result=ran.append)
         assert len(ran) == 0
 
     @pytest.mark.parametrize("protocols, overrides", [
@@ -503,8 +543,6 @@ class TestSweep:
         # a single-seed cell is ranked by its one row
         single = comparison_table([cell("zoned", (70,), 0.5)])
         assert single.splitlines()[2].split() == ["zoned", "7", "0.5", "0"]
-        # a grid without seeds has nothing to rank
-        assert comparison_table([cell("zoned", (), 0.5)]) == ""
 
 
 class TestCli:
@@ -741,6 +779,16 @@ class TestPublicSurface:
                 "engine", "scenario", "sweep"} <= set(adhocloc.__all__)
         for name in adhocloc.__all__:
             assert getattr(adhocloc, name) is not None, name
+
+    def test_the_aborting_same_bytes_set_is_pinned(self, monkeypatch):
+        # every simulated value of ten runs that end in a partition abort;
+        # a change that moves none of them keeps the first two fields
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "tools"))
+        same_bytes = importlib.import_module("same_bytes")
+        line = same_bytes.run_set(same_bytes.RUN_SETS[1]).split()
+        assert line[:2] == [
+            "10", "58467c7bbd98ff7936ab9da5ac90e82ae610c369d10029ca9a85057eb3b4a2b6"]
 
     def test_every_function_is_referenced_outside_its_own_body(self):
         # a name no other code in the package mentions is a function the

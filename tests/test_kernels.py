@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adhocloc import kernels
-from adhocloc.radio import MessageLedger, Radio
+from adhocloc.radio import LinkSpan, MessageLedger, Radio
 from conftest import static_model
 
 
@@ -327,7 +327,7 @@ class TestBfsTree:
         rng = np.random.default_rng(seed)
         pos = np.round(rng.uniform(0, 1000, (n, 2)), 1)
         adj = kernels.adjacency(pos, range_m)
-        radio = Radio(static_model(pos), range_m, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(static_model(pos), range_m), MessageLedger())
         for src in range(n):
             hops, parents = bfs_tree_frontier(adj, src)
             for dst in range(n):
@@ -342,7 +342,7 @@ class TestBfsTree:
 
     def test_shortest_path_to_itself_and_to_an_unreachable_node(self):
         pos = np.array([[0.0, 0.0], [100.0, 0.0], [900.0, 400.0]])
-        radio = Radio(static_model(pos), 150.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(static_model(pos), 150.0), MessageLedger())
         assert radio.route(1, 1, 0.0) == (1,)
         assert radio.route(2, 2, 0.0) == (2,)
         assert radio.route(0, 2, 0.0) is None

@@ -21,15 +21,15 @@ from test_kernels import bfs_tree_frontier, mask_bits
 LINE = [(0, 0), (200, 0), (400, 0), (600, 0)]
 
 
-def line_radio(latency=0.01, range_m=250.0):
+def line_radio(range_m=250.0):
     ledger = MessageLedger()
-    return Radio(static_model(LINE), range_m, latency, ledger), ledger
+    return Radio(LinkSpan(static_model(LINE), range_m), ledger), ledger
 
 
 def random_radio(rng, n, range_m=250.0):
     """A radio over n still nodes; also returns their bool adjacency matrix."""
     points = np.round(rng.uniform(0, [1000.0, 500.0], (n, 2)), 1)
-    radio = Radio(static_model(points), range_m, 0.01, MessageLedger())
+    radio = Radio(LinkSpan(static_model(points), range_m), MessageLedger())
     return radio, kernels.adjacency(radio.model.positions(0.0), range_m)
 
 
@@ -55,7 +55,7 @@ def flood_on_matrix(adj, origin, ttl, member):
 class TestLinks:
     def test_range_is_inclusive_at_the_boundary(self):
         model = static_model([(0, 0), (250.0, 0), (500.0, 0), (750.0000001, 0)])
-        r = Radio(model, 250.0, 0.01, MessageLedger())
+        r = Radio(LinkSpan(model, 250.0), MessageLedger())
         assert r.in_range(0, 1, 0.0)       # exactly at range
         assert r.in_range(1, 2, 0.0)
         assert not r.in_range(2, 3, 0.0)   # a hair past it
@@ -73,7 +73,7 @@ class TestLinks:
 
     def test_disconnected_network_is_reported(self):
         model = static_model([(0, 0), (900, 400)])
-        radio = Radio(model, 250.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         assert not radio.connected(0.0)
         assert radio.diameter(0.0) == 0
 
@@ -119,7 +119,7 @@ class TestUnicast:
 
     def test_unreachable_destination_returns_none_uncharged(self):
         model = static_model([(0, 0), (900, 400)])
-        radio = Radio(model, 250.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         assert radio.unicast(0, 1, MessageKind.DATA, 0.0) is None
         assert radio.ledger.recount() == 0
 
@@ -137,7 +137,7 @@ class TestUnicast:
                  Trajectory([0.0], [600.0], [0.0])]
         model = RandomWaypointModel.from_trajectories(trajs)
         ledger = MessageLedger()
-        radio = Radio(model, 250.0, 0.01, ledger)
+        radio = Radio(LinkSpan(model, 250.0), ledger)
         assert radio.unicast(0, 3, MessageKind.DATA, 0.0, request_id=5) is None
         assert ledger.units_for_request(5) == 2
 
@@ -153,7 +153,7 @@ class TestUnicast:
                  Trajectory([0.0], [200.0], [0.0]),
                  runner]
         ledger = MessageLedger()
-        radio = Radio(RandomWaypointModel.from_trajectories(trajs), 250.0, 0.01, ledger)
+        radio = Radio(LinkSpan(RandomWaypointModel.from_trajectories(trajs), 250.0), ledger)
         assert radio.route(0, 2, 0.0) == (0, 1, 2)
         assert radio.unicast(0, 2, MessageKind.DATA, 0.0, request_id=4) is None
         assert ledger.units_for_request(4) == 1
@@ -169,7 +169,7 @@ class TestUnicast:
                  Trajectory([0.0], [600.0], [0.0])]
         model = RandomWaypointModel.from_trajectories(trajs)
         ledger = MessageLedger()
-        Radio(model, 250.0, 0.01, ledger).unicast(0, 3, MessageKind.DATA, 0.0)
+        Radio(LinkSpan(model, 250.0), ledger).unicast(0, 3, MessageKind.DATA, 0.0)
         (row,) = ledger.rows
         assert row.kind is MessageKind.DATA
         assert (row.src, row.dst, row.units) == (0, 3, 2)
@@ -178,9 +178,7 @@ class TestUnicast:
 def test_bad_arguments_are_refused():
     model = static_model(LINE)
     with pytest.raises(ValueError, match="range"):
-        Radio(model, 0.0, 0.01, MessageLedger())
-    with pytest.raises(ValueError, match="latency"):
-        Radio(model, 250.0, -0.01, MessageLedger())
+        LinkSpan(model, 0.0)
     radio, _ = line_radio()
     with pytest.raises(ValueError, match="ttl"):
         radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0, ttl=0)
@@ -217,7 +215,7 @@ class TestFlood:
 
     def test_isolated_origin_still_pays_its_own_broadcast(self):
         model = static_model([(0, 0), (900, 400)])
-        radio = Radio(model, 250.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0)
         assert list(flood.depths) == [0]
         assert radio.ledger.rows[-1].units == 1
@@ -268,7 +266,7 @@ class TestFlood:
 
     def test_flood_path_to_unreached_node_raises(self):
         model = static_model([(0, 0), (900, 400)])
-        radio = Radio(model, 250.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
         with pytest.raises(ValueError):
             radio.flood_path(flood, 1)
@@ -298,11 +296,11 @@ class TestFloodDepth:
         # one rows object throughout, with the target changing twice
         queries = [(origin, target) for target in (2, 2, 4, 0)
                    for origin in range(len(self.SPLIT))]
-        ref = Radio(static_model(self.SPLIT), 250.0, 0.01, MessageLedger())
+        ref = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         expected = []
         for origin, target in queries:
             expected.append(ref.flood(origin, kind, 0.0).depths.get(target))
-        radio = Radio(static_model(self.SPLIT), 250.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         trees = count_trees(monkeypatch)
         depths = [radio.flood_depth(origin, target, kind, 0.0)
                   for origin, target in queries]
@@ -316,8 +314,8 @@ class TestFloodDepth:
     def test_a_new_topology_gets_a_new_tree(self):
         # node 3 leaves the line between t = 0 and t = 10
         knots = [[(0.0, x, y)] for x, y in LINE[:3]] + [[(0.0, 600, 0), (10.0, 600, 400)]]
-        radio = Radio(scripted_model(knots), 250.0, 0.01, MessageLedger())
-        ref = Radio(scripted_model(knots), 250.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(scripted_model(knots), 250.0), MessageLedger())
+        ref = Radio(LinkSpan(scripted_model(knots), 250.0), MessageLedger())
         kind = MessageKind.POSITION_REPORT
         for t in (0.0, 10.0, 0.0):
             for origin in range(4):
@@ -374,7 +372,7 @@ def test_moving_node_changes_its_neighbourhood():
         [(0.0, 0.0, 0.0), (10.0, 0.0, 0.0)],
         [(0.0, 200.0, 0.0), (10.0, 800.0, 0.0)],
     ])
-    radio = Radio(model, 250.0, 0.01, MessageLedger())
+    radio = Radio(LinkSpan(model, 250.0), MessageLedger())
     assert radio.in_range(0, 1, 0.0)
     assert not radio.in_range(0, 1, 10.0)
 
@@ -387,7 +385,7 @@ def exact_rows(model, range_m, t):
 def built_radio(model, range_m=250.0):
     """A radio whose timeline is solved up to the horizon; a zero horizon
     leaves it unbuilt."""
-    radio = Radio(model, range_m, 0.01, MessageLedger())
+    radio = Radio(LinkSpan(model, range_m), MessageLedger())
     if model.horizon > 0:
         radio.timeline.build()
     return radio
@@ -542,7 +540,7 @@ class TestLinkTimeline:
         model = RandomWaypointModel(25, 1000.0, 500.0, 8.0, 15.0,
                                     lambda node: streams.substream("mobility", node),
                                     horizon=60.0)
-        radio = Radio(model, 250.0, 0.01, MessageLedger())
+        radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         radio.timeline.build()
         rng = np.random.default_rng(4)
         # the span is solved to the horizon; past it the exact path answers

@@ -35,7 +35,7 @@ def issue(proto, request_id=1):
 
 
 def migration_rows(proto):
-    return [r for r in proto.ctx.ledger.rows
+    return [r for r in proto.radio.ledger.rows
             if r.kind is MessageKind.AGENT_MIGRATION]
 
 
@@ -144,7 +144,7 @@ class TestElection:
         proto = make_server(static_model(CLUSTER6), host=3,
                             central_report_period=1.0)
         proto.engine.run_until(2.2)
-        assert proto.ctx.ledger.by_kind["PositionReport"] >= 6
+        assert proto.radio.ledger.by_kind["PositionReport"] >= 6
         assert sorted(proto.agent.stations) == [0, 1, 2, 3, 4, 5]
         assert proto.agent.entry_count() == 7
 
@@ -182,7 +182,7 @@ class TestRequestPath:
         assert record.resolved_at == pytest.approx(2.106)
         assert record.returned_host == 3 and record.truth_host == 3
         assert record.retries == 0
-        assert proto.ctx.ledger.units_for_request(1) == 7
+        assert proto.radio.ledger.units_for_request(1) == 7
 
     def test_stale_reply_triggers_one_requery(self):
         proto = make_server(static_model(CLUSTER6), host=3)
@@ -195,7 +195,7 @@ class TestRequestPath:
         assert record.retries == 1
         assert record.returned_host == 4 and record.truth_host == 4
         assert record.resolved_at == pytest.approx(2.222)
-        assert proto.ctx.ledger.units_for_request(1) == 14
+        assert proto.radio.ledger.units_for_request(1) == 14
 
     def test_an_agent_without_the_code_entry_is_requeried_until_failure(self):
         proto = make_server(static_model(CLUSTER6), host=3)
@@ -207,7 +207,7 @@ class TestRequestPath:
         assert record.resolved_at is None
         assert record.retries == 3
         assert record.failed_at == pytest.approx(2.224)
-        assert proto.ctx.ledger.units_for_request(1) == 8
+        assert proto.radio.ledger.units_for_request(1) == 8
 
 
 class TestHandoff:
@@ -249,7 +249,7 @@ class TestHandoff:
         proto.engine.run_until(8.0)
         assert record.resolved_at == pytest.approx(6.086)
         assert record.returned_host == 3
-        assert proto.ctx.ledger.units_for_request(1) == 5
+        assert proto.radio.ledger.units_for_request(1) == 5
 
     def test_a_query_chased_into_a_dead_end_requeries_until_failure(self):
         proto = make_server(static_model(CLUSTER6), host=3)
@@ -263,7 +263,7 @@ class TestHandoff:
         assert record.resolved_at is None
         assert record.retries == 3
         assert record.failed_at == pytest.approx(2.08)
-        assert proto.ctx.ledger.units_for_request(1) == 8
+        assert proto.radio.ledger.units_for_request(1) == 8
         assert proto.agent.processed == 1    # the initial location update
 
     @pytest.mark.parametrize("pointers", [CHASE_BUDGET, CHASE_BUDGET + 1])
@@ -290,7 +290,7 @@ class TestHandoff:
         jump_code(proto, 4)
         proto.engine.run_until(4.0)
         # the one-hop update to node 5 is charged, then goes nowhere
-        assert proto.ctx.ledger.by_kind["ServerUpdate"] == 8
+        assert proto.radio.ledger.by_kind["ServerUpdate"] == 8
         assert proto.agent.code_host == 3 and proto.agent.processed == 1
 
     def test_a_small_centering_gain_does_not_move_the_agent(self):

@@ -34,7 +34,7 @@ def issue(proto, request_id=1):
 
 
 def ring_rows(proto):
-    return [r for r in proto.ctx.ledger.rows
+    return [r for r in proto.radio.ledger.rows
             if r.kind is MessageKind.RING_FORWARD]
 
 
@@ -58,7 +58,7 @@ class TestRequestPath:
         # one hop each for query, reply and contact plus one service time
         assert record.resolved_at == pytest.approx(2.066)
         assert record.returned_host == 1 and record.retries == 0
-        assert proto.ctx.ledger.units_for_request(1) == 3
+        assert proto.radio.ledger.units_for_request(1) == 3
         assert ring_rows(proto) == []
 
     def test_a_neighbour_zone_hit_costs_one_ring_forward(self):
@@ -68,7 +68,7 @@ class TestRequestPath:
         proto.engine.run_until(4.0)
         assert record.resolved_at == pytest.approx(2.122)
         assert record.returned_host == 2 and record.retries == 0
-        assert proto.ctx.ledger.units_for_request(1) == 5
+        assert proto.radio.ledger.units_for_request(1) == 5
         assert len(ring_rows(proto)) == 1
 
     def test_a_full_circle_of_misses_nacks_and_retries_until_failure(self):
@@ -82,7 +82,7 @@ class TestRequestPath:
         assert record.resolved_at is None
         assert record.retries == 3
         assert record.failed_at == pytest.approx(1.816)
-        assert proto.ctx.ledger.units_for_request(1) == 24
+        assert proto.radio.ledger.units_for_request(1) == 24
         assert len(ring_rows(proto)) == 12
 
 
@@ -100,7 +100,7 @@ class TestDatabaseUpkeep:
         proto.engine.run_until(4.0)
         assert record.resolved_at == pytest.approx(2.188)
         assert record.returned_host == 4
-        assert proto.ctx.ledger.units_for_request(1) == 8
+        assert proto.radio.ledger.units_for_request(1) == 8
         assert len(ring_rows(proto)) == 2
 
     def test_a_crossing_report_moves_the_registry_entry(self):
@@ -124,7 +124,7 @@ class TestDatabaseUpkeep:
             proto.agents[0].stations = Table()
             proto.engine.run_until(3.0)
             assert proto.last_zone[0] == 1
-            reports = [(r.t, r.dst) for r in proto.ctx.ledger.rows
+            reports = [(r.t, r.dst) for r in proto.radio.ledger.rows
                        if r.kind is MessageKind.POSITION_REPORT and r.src == 0]
             crossed = min(t for t, dst in reports if dst == 3)
             holders = [zone for zone, agent in enumerate(proto.agents)
@@ -181,7 +181,7 @@ class TestReelection:
 
         def recording_flood(origin, kind, t, **kwargs):
             result = flood(origin, kind, t, **kwargs)
-            floods.append((origin, kind, t, result, proto.ctx.ledger.rows[-1].units))
+            floods.append((origin, kind, t, result, proto.radio.ledger.rows[-1].units))
             return result
 
         proto.radio.flood = recording_flood
@@ -192,7 +192,7 @@ class TestReelection:
         proto.engine.run_until(5.0)
         assert [a.host for a in proto.agents] == [0, 3, 5, 7]
         assert proto.handoffs == 1
-        rows = [r for r in proto.ctx.ledger.rows
+        rows = [r for r in proto.radio.ledger.rows
                 if r.kind is MessageKind.AGENT_MIGRATION]
         assert len(rows) == 1
         assert (rows[0].src, rows[0].dst, rows[0].t) == (1, 0, 5.0)

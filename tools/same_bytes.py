@@ -28,7 +28,8 @@ the link timeline that leaves its reach alone prints the same count. The
 runs go through one `run_sweep` per protocol variant and set, axes in the
 order listed and seeds innermost, so runs at one seed and node speed share
 their world as in any sweep; any tree whose `run_sweep` takes these axes and
-hands each result to `on_result` can be checked.
+hands each result to `on_result` can be checked. `run_set` runs one set and
+returns its line, so a test can pin a set's digest.
 """
 
 from __future__ import annotations
@@ -72,7 +73,10 @@ def agent_jobs(protocol) -> int:
     return sum(agent.processed for agent in agents)
 
 
-def main() -> None:
+def run_set(axes: tuple) -> str:
+    """Run every variant over one set's axes; returns the set's line."""
+    digest = hashlib.sha256()
+    runs = executed = skipped = jobs = exact = 0
     snapshot = Radio.snapshot
 
     def counted_snapshot(radio, t):
@@ -80,24 +84,28 @@ def main() -> None:
         exact += 1
         return snapshot(radio, t)
 
+    def on_result(result) -> None:
+        nonlocal runs, executed, skipped, jobs
+        digest.update(repr(run_key(result)).encode())
+        executed += result.engine.executed
+        skipped += result.engine.skipped_cancelled
+        jobs += agent_jobs(result.protocol)
+        runs += 1
+
     Radio.snapshot = counted_snapshot
-    for axes in RUN_SETS:
-        digest = hashlib.sha256()
-        runs = executed = skipped = jobs = exact = 0
-
-        def on_result(result) -> None:
-            nonlocal runs, executed, skipped, jobs
-            digest.update(repr(run_key(result)).encode())
-            executed += result.engine.executed
-            skipped += result.engine.skipped_cancelled
-            jobs += agent_jobs(result.protocol)
-            runs += 1
-
+    try:
         for protocol, n_zones in VARIANTS:
             run_sweep(ScenarioConfig(n_zones=n_zones, duration=DURATION), [protocol],
                       *axes, on_result=on_result)
-        print(runs, digest.hexdigest(), f"events={executed}", f"cancelled={skipped}",
-              f"processed={jobs}", f"exact={exact}")
+    finally:
+        Radio.snapshot = snapshot
+    return (f"{runs} {digest.hexdigest()} events={executed} cancelled={skipped} "
+            f"processed={jobs} exact={exact}")
+
+
+def main() -> None:
+    for axes in RUN_SETS:
+        print(run_set(axes))
 
 
 if __name__ == "__main__":
