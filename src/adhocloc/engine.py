@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -79,6 +79,16 @@ class Engine:
 
 
 STREAM_NAMES = ("mobility", "workload", "code-migration", "protocol")
+#: values `drawn_in_blocks` takes from a stream at once; a block of draws
+#: equals as many one-at-a-time draws, so the size changes no value
+DRAW_BLOCK = 64
+
+
+def drawn_in_blocks(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of `draw(DRAW_BLOCK)` one at a time, drawing the next block
+    when one runs out; `draw(k)` must equal k one-at-a-time draws."""
+    while True:
+        yield from draw(DRAW_BLOCK).tolist()
 
 
 class RngStreams:

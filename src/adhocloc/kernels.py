@@ -257,15 +257,28 @@ def range_crossings(knot_t, knot_x, knot_y, offsets, hi, r2, delta):
             (np.concatenate(lows), np.concatenate(highs)))
 
 
+#: pair distances per block of separation_series, so that its two
+#: temporaries stay near 130 kB each however long the sampled run
+_BLOCK_PAIR_DISTANCES = 16384
+
+
 def separation_series(block):
     """Average separation A_i(t) per node for a (S, n, 2) position block,
-    through two (S, n, n) temporaries; dy² added in place to dx² gives the
-    same bits as summing a (S, n, n, 2) array of squares over its last axis."""
-    dists = block[:, :, None, 0] - block[:, None, :, 0]
-    dists *= dists
-    dy = block[:, :, None, 1] - block[:, None, :, 1]
-    dy *= dy
-    dists += dy
-    np.sqrt(dists, out=dists)
-    n = block.shape[1]
-    return dists.sum(axis=2) / (n - 1)
+    through two (s, n, n) temporaries for a block of s samples at a time;
+    dy² added in place to dx² gives the same bits as summing a (S, n, n, 2)
+    array of squares over its last axis, and each sample's row sums are
+    those of the whole block."""
+    samples, n = block.shape[:2]
+    step = max(1, _BLOCK_PAIR_DISTANCES // (n * n))
+    series = np.empty((samples, n))
+    for s in range(0, samples, step):
+        part = block[s:s + step]
+        dists = part[:, :, None, 0] - part[:, None, :, 0]
+        dists *= dists
+        dy = part[:, :, None, 1] - part[:, None, :, 1]
+        dy *= dy
+        dists += dy
+        np.sqrt(dists, out=dists)
+        dists.sum(axis=2, out=series[s:s + step])
+    series /= n - 1
+    return series

@@ -11,29 +11,23 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO
 
 import numpy as np
 
 from . import kernels
+from .engine import drawn_in_blocks
 
 
 @dataclass
 class Trajectory:
     """Knot times with matching coordinates; linear between knots, clamped outside."""
 
-    times: list[float] = field(default_factory=list)
-    xs: list[float] = field(default_factory=list)
-    ys: list[float] = field(default_factory=list)
-
-    def append(self, t: float, x: float, y: float) -> None:
-        if self.times and t < self.times[-1]:
-            raise ValueError("trajectory knots must be time-ordered")
-        self.times.append(t)
-        self.xs.append(x)
-        self.ys.append(y)
+    times: list[float]
+    xs: list[float]
+    ys: list[float]
 
     @property
     def end_time(self) -> float:
@@ -50,6 +44,12 @@ class RandomWaypointModel:
     model never changes afterwards. A longer horizon only appends legs, so
     the knots up to a shorter horizon's last ones are the same. Past a node's
     last knot it rests there.
+
+    The substream's doubles are taken in blocks (`engine.drawn_in_blocks`),
+    and each uniform is `low + (high - low) * u`, the expression
+    `Generator.uniform` evaluates on one double, so the knots are those of
+    one `uniform` call per value. A block may reach past the horizon; nothing
+    else reads the substream.
     """
 
     def __init__(self, n_nodes: int, width: float, height: float,
@@ -63,20 +63,25 @@ class RandomWaypointModel:
         self.n_nodes = n_nodes
         self.horizon = float(horizon)
         self.trajectories: list[Trajectory] = []
+        speed_span = speed_max - speed_min
         for i in range(n_nodes):
-            rng = rng_for_node(i)
-            traj = Trajectory()
-            traj.append(0.0, rng.uniform(0.0, width), rng.uniform(0.0, height))
-            while traj.end_time < self.horizon:
-                x0, y0 = traj.xs[-1], traj.ys[-1]
-                dest_x = rng.uniform(0.0, width)
-                dest_y = rng.uniform(0.0, height)
-                speed = rng.uniform(speed_min, speed_max)
-                leg = math.hypot(dest_x - x0, dest_y - y0)
+            units = drawn_in_blocks(rng_for_node(i).random)
+            # uniform(0, w) is 0.0 + w * u, which is w * u for u >= 0
+            x, y = width * next(units), height * next(units)
+            t = 0.0
+            times, xs, ys = [t], [x], [y]
+            while t < self.horizon:
+                dest_x, dest_y = width * next(units), height * next(units)
+                speed = speed_min + speed_span * next(units)
+                leg = math.hypot(dest_x - x, dest_y - y)
                 if leg == 0.0:
                     continue
-                traj.append(traj.end_time + leg / speed, dest_x, dest_y)
-            self.trajectories.append(traj)
+                t += leg / speed
+                x, y = dest_x, dest_y
+                times.append(t)
+                xs.append(x)
+                ys.append(y)
+            self.trajectories.append(Trajectory(times, xs, ys))
 
     @classmethod
     def from_trajectories(cls, trajectories: list[Trajectory]) -> "RandomWaypointModel":

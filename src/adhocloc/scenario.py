@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, takewhile
 from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
-from .engine import Engine, RngStreams
+from .engine import Engine, RngStreams, drawn_in_blocks
 from .metrics import MetricsReport, RequestRecord, build_report
 from .mobility import RandomWaypointModel, network_mobility
 from .protocols import (CodeMigrationProcess, LocalizationProtocol, MobileCode,
@@ -72,14 +73,9 @@ class _PartitionWatchdog:
 
 
 def _draw_arrivals(streams: RngStreams, lam: float, duration: float) -> list[float]:
-    rng = streams.workload
-    arrivals = []
-    t = 0.0
-    while True:
-        t += float(rng.exponential(1.0 / lam))
-        if t > duration:
-            return arrivals
-        arrivals.append(t)
+    gaps = drawn_in_blocks(lambda k: streams.workload.exponential(1.0 / lam, k))
+    # each arrival is the one before plus a gap, summed one at a time
+    return list(takewhile(lambda t: t <= duration, accumulate(gaps)))
 
 
 class WorldKey(NamedTuple):

@@ -20,10 +20,8 @@ def scripted_model(knot_lists):
     """A model from explicit per-node knot lists of (t, x, y) tuples."""
     trajs = []
     for knots in knot_lists:
-        traj = Trajectory()
-        for t, x, y in knots:
-            traj.append(float(t), float(x), float(y))
-        trajs.append(traj)
+        times, xs, ys = ([float(v) for v in column] for column in zip(*knots))
+        trajs.append(Trajectory(times, xs, ys))
     return RandomWaypointModel.from_trajectories(trajs)
 
 

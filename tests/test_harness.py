@@ -19,6 +19,7 @@ from adhocloc import cli, kernels, scenario, sweep
 from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
+from adhocloc.engine import DRAW_BLOCK, RngStreams
 from adhocloc.metrics import MetricsReport
 from adhocloc.mobility import RandomWaypointModel
 from adhocloc.protocols.base import CodeMigrationProcess, LocalizationProtocol
@@ -210,7 +211,26 @@ class TestConfig:
         assert listed == [f.name for f in fields(ScenarioConfig)]
 
 
+def arrivals_loop(streams, lam, duration):
+    """Loop reference for the request arrivals: one scalar `exponential` call
+    per gap, summed one at a time."""
+    arrivals, t = [], 0.0
+    while True:
+        t += float(streams.workload.exponential(1.0 / lam))
+        if t > duration:
+            return arrivals
+        arrivals.append(t)
+
+
 class TestScenario:
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 4.0])
+    def test_arrivals_equal_one_exponential_call_per_gap(self, lam):
+        for seed, duration in ((1, 200.0), (5, 60.0), (9, 1000.0)):
+            arrivals = scenario._draw_arrivals(RngStreams(seed), lam, duration)
+            assert arrivals == arrivals_loop(RngStreams(seed), lam, duration)
+        # the 1,000 s run's gaps take more than one block at every λ
+        assert len(arrivals) > DRAW_BLOCK
+
     def test_same_seed_reruns_are_byte_identical(self):
         cfg = short_cfg()
         first = run_scenario(cfg)

@@ -1,11 +1,13 @@
 """Trajectories, the Random Waypoint model and the relative-motion metrics."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
-from adhocloc.engine import RngStreams
+from adhocloc.config import NODE_SPEED_PRESETS
+from adhocloc.engine import DRAW_BLOCK, RngStreams
 from adhocloc.mobility import (RandomWaypointModel, Trajectory, network_mobility,
                                separation_matrix, write_trajectory_csv)
 from conftest import (BAND_LOW_MAX, BAND_MEDIUM_MAX, MobilityBand,
@@ -19,11 +21,26 @@ def avg_separation(model, node, t):
     return float(d.sum() / (model.n_nodes - 1))
 
 
-class TestTrajectory:
-    def test_appending_out_of_order_raises(self):
-        traj = Trajectory([0.0], [0.0], [0.0])
-        with pytest.raises(ValueError):
-            traj.append(-1.0, 5.0, 5.0)
+def waypoint_knots_loop(n_nodes, width, height, speed_min, speed_max, rng_for_node,
+                        horizon):
+    """Loop reference for the model's knots: one scalar `uniform` call per
+    value, each node's (times, xs, ys) lists."""
+    knots = []
+    for i in range(n_nodes):
+        rng = rng_for_node(i)
+        times, xs, ys = [0.0], [rng.uniform(0.0, width)], [rng.uniform(0.0, height)]
+        while times[-1] < horizon:
+            dest_x = rng.uniform(0.0, width)
+            dest_y = rng.uniform(0.0, height)
+            speed = rng.uniform(speed_min, speed_max)
+            leg = math.hypot(dest_x - xs[-1], dest_y - ys[-1])
+            if leg == 0.0:
+                continue
+            times.append(times[-1] + leg / speed)
+            xs.append(dest_x)
+            ys.append(dest_y)
+        knots.append((times, xs, ys))
+    return knots
 
 
 class TestRandomWaypointModel:
@@ -65,19 +82,39 @@ class TestRandomWaypointModel:
 
     def test_a_destination_equal_to_the_position_is_redrawn(self):
         class ScriptedRng:
-            """Hands out start x, y, then (dest x, dest y, speed) per leg."""
-            def __init__(self, draws):
-                self.draws = iter(draws)
+            """Hands out unit fractions: start x, y, then (dest x, dest y,
+            speed) per leg; a block past the script is padded with halves."""
+            def __init__(self, units):
+                self.units = units
 
-            def uniform(self, low, high):
-                return next(self.draws)
+            def random(self, size):
+                block, self.units = self.units[:size], self.units[size:]
+                return np.array(block + [0.5] * (size - len(block)))
 
-        rng = ScriptedRng([100.0, 100.0, 100.0, 100.0, 5.0, 400.0, 100.0, 10.0])
+        # 0.1 * 1000 and 0.2 * 500 are 100.0, and 1 + 19 * (9 / 19) is 10.0
+        rng = ScriptedRng([0.1, 0.2, 0.1, 0.2, 4 / 19, 0.4, 0.2, 9 / 19])
         model = RandomWaypointModel(1, 1000, 500, 1, 20, lambda node: rng, 20.0)
         traj = model.trajectories[0]
         # the zero-length leg leaves no knot; the 300 m leg at 10 m/s does
         assert traj.times == [0.0, 30.0]
         assert (traj.xs, traj.ys) == ([100.0, 400.0], [100.0, 100.0])
+
+    @pytest.mark.parametrize("band", sorted(NODE_SPEED_PRESETS))
+    def test_knots_equal_one_uniform_call_per_value(self, band):
+        smin, smax = NODE_SPEED_PRESETS[band]
+        for seed, horizon in ((1, 200.8), (2, 200.8), (7, 1000.8), (8, 0.5)):
+            streams = RngStreams(seed)
+            model = RandomWaypointModel(25, 1000.0, 500.0, smin, smax,
+                                        lambda node: streams.substream("mobility", node),
+                                        horizon)
+            ref = waypoint_knots_loop(25, 1000.0, 500.0, smin, smax,
+                                      lambda node: streams.substream("mobility", node),
+                                      horizon)
+            assert [(t.times, t.xs, t.ys) for t in model.trajectories] == ref
+            if band == "high" and horizon > 1000:
+                # every node takes at least three blocks of draws
+                assert min(2 + 3 * (len(t.times) - 1)
+                           for t in model.trajectories) > 2 * DRAW_BLOCK
 
     def test_one_node_position_is_bit_identical_to_all_positions(self):
         rng = np.random.default_rng(17)

@@ -127,10 +127,7 @@ class TestUnicast:
         # node 2 sits on the planned 0-1-2-3 route but has left its slot by
         # the time the message tries to cross the 2-3 link; the two hops
         # completed are charged, the failed one is not
-        runner = Trajectory()
-        runner.append(0.0, 400.0, 0.0)
-        runner.append(0.012, 400.0, 0.0)
-        runner.append(0.020, 5000.0, 0.0)
+        runner = Trajectory([0.0, 0.012, 0.020], [400.0, 400.0, 5000.0], [0.0, 0.0, 0.0])
         trajs = [Trajectory([0.0], [0.0], [0.0]),
                  Trajectory([0.0], [200.0], [0.0]),
                  runner,
@@ -145,10 +142,7 @@ class TestUnicast:
         # on the 0-1-2 line, node 2 is in range of node 1 at the send time
         # but gone when the second hop leaves, one latency later: the first
         # hop is charged and the message is lost
-        runner = Trajectory()
-        runner.append(0.0, 400.0, 0.0)
-        runner.append(0.005, 400.0, 0.0)
-        runner.append(0.010, 5000.0, 0.0)
+        runner = Trajectory([0.0, 0.005, 0.010], [400.0, 400.0, 5000.0], [0.0, 0.0, 0.0])
         trajs = [Trajectory([0.0], [0.0], [0.0]),
                  Trajectory([0.0], [200.0], [0.0]),
                  runner]
@@ -159,10 +153,7 @@ class TestUnicast:
         assert ledger.units_for_request(4) == 1
 
     def test_break_charge_is_visible_in_the_raw_log(self):
-        runner = Trajectory()
-        runner.append(0.0, 400.0, 0.0)
-        runner.append(0.012, 400.0, 0.0)
-        runner.append(0.020, 5000.0, 0.0)
+        runner = Trajectory([0.0, 0.012, 0.020], [400.0, 400.0, 5000.0], [0.0, 0.0, 0.0])
         trajs = [Trajectory([0.0], [0.0], [0.0]),
                  Trajectory([0.0], [200.0], [0.0]),
                  runner,

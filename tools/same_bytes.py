@@ -7,29 +7,33 @@ before and after it. Run it from the repository root against each tree:
     PYTHONPATH=/path/to/other/checkout/src python tools/same_bytes.py
 
 It prints one line per set of runs, `<runs> <sha256> events=<executed>
-cancelled=<skipped> processed=<jobs> exact=<snapshots>`. Each set runs both
-forwarders, centralized and zoned with 2 and 4 zones, 200 s each. The first
-set covers lambda 0.25, 1 and 4, medium and high node speed, medium and high
-code band and seeds 1 and 2: 120 runs, none of which aborts. The second is
-the aborting set: lambda 0.25, low node speed, medium code band and seeds 4
-and 12, 10 runs that each end in a partition abort, so a change to what an
-aborted run reports shows in its digest. The digest takes in every request
-record, every ledger row (in order), the mover's jump counters, the measured
-Mob and the abort reason: simulated values only. The engine's executed and
-cancelled-skip event counts are host work, not results, so they are summed
-over the runs and printed after the digest, outside it; a change that removes
-events keeps the first two fields and shows its saving in the next two. The
-fifth field sums the jobs every server agent took. No simulated value reads
-that count, so the digest cannot see it, yet a worker that takes some jobs
-without an event must keep it exact: both trees must print the same total.
-The sixth counts the calls to `Radio.snapshot`, the exact path of topology
-queries, wrapped from here so that any tree can be measured; a change to
-the link timeline that leaves its reach alone prints the same count. The
-runs go through one `run_sweep` per protocol variant and set, axes in the
-order listed and seeds innermost, so runs at one seed and node speed share
-their world as in any sweep; any tree whose `run_sweep` takes these axes and
-hands each result to `on_result` can be checked. `run_set` runs one set and
-returns its line, so a test can pin a set's digest.
+cancelled=<skipped> processed=<jobs> exact=<snapshots> worlds=<sha256
+prefix>`. Each set runs both forwarders, centralized and zoned with 2 and 4
+zones, 200 s each. The first set covers lambda 0.25, 1 and 4, medium and
+high node speed, medium and high code band and seeds 1 and 2: 120 runs, none
+of which aborts. The second is the aborting set: lambda 0.25, low node
+speed, medium code band and seeds 4 and 12, 10 runs that each end in a
+partition abort, so a change to what an aborted run reports shows in its
+digest. The digest takes in every request record, every ledger row (in
+order), the mover's jump counters, the measured Mob and the abort reason:
+simulated values only. The engine's executed and cancelled-skip event counts
+are host work, not results, so they are summed over the runs and printed
+after the digest, outside it; a change that removes events keeps the first
+two fields and shows its saving in the next two. The fifth field sums the
+jobs every server agent took. No simulated value reads that count, so the
+digest cannot see it, yet a worker that takes some jobs without an event
+must keep it exact: both trees must print the same total. The sixth counts
+the calls to `Radio.snapshot`, the exact path of topology queries, wrapped
+from here so that any tree can be measured; a change to the link timeline
+that leaves its reach alone prints the same count. The seventh hashes the
+knot arrays of every distinct world, in run order, so a change to how the
+trajectories are drawn shows directly, and not only through the Mob and the
+rows it moves. The runs go through one `run_sweep` per protocol variant and
+set, axes in the order listed and seeds innermost, so runs at one seed and
+node speed share their world as in any sweep; any tree whose `run_sweep`
+takes these axes and hands each result to `on_result` can be checked.
+`run_set` runs one set and returns its line, so a test can pin a set's
+digest.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import hashlib
 
 from adhocloc.config import ScenarioConfig
 from adhocloc.radio import Radio
+from adhocloc.scenario import WorldKey
 from adhocloc.sweep import run_sweep
 
 VARIANTS = (("forwarder_proactive", 2), ("forwarder_reactive", 2),
@@ -75,8 +80,9 @@ def agent_jobs(protocol) -> int:
 
 def run_set(axes: tuple) -> str:
     """Run every variant over one set's axes; returns the set's line."""
-    digest = hashlib.sha256()
+    digest, worlds = hashlib.sha256(), hashlib.sha256()
     runs = executed = skipped = jobs = exact = 0
+    seen: set = set()
     snapshot = Radio.snapshot
 
     def counted_snapshot(radio, t):
@@ -91,16 +97,22 @@ def run_set(axes: tuple) -> str:
         skipped += result.engine.skipped_cancelled
         jobs += agent_jobs(result.protocol)
         runs += 1
+        key = WorldKey.of(result.cfg)
+        if key not in seen:
+            seen.add(key)
+            for array in result.model.knot_arrays:
+                worlds.update(array.tobytes())
 
     Radio.snapshot = counted_snapshot
     try:
         for protocol, n_zones in VARIANTS:
+            seen.clear()        # each sweep draws its worlds anew
             run_sweep(ScenarioConfig(n_zones=n_zones, duration=DURATION), [protocol],
                       *axes, on_result=on_result)
     finally:
         Radio.snapshot = snapshot
     return (f"{runs} {digest.hexdigest()} events={executed} cancelled={skipped} "
-            f"processed={jobs} exact={exact}")
+            f"processed={jobs} exact={exact} worlds={worlds.hexdigest()[:16]}")
 
 
 def main() -> None:
