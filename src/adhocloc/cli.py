@@ -62,6 +62,8 @@ def _print_report(result: ScenarioResult, out) -> None:
     print(f"total messages:  {report.total_messages}", file=out)
     print(f"Nb_msg:          {_fmt(report.nb_msg)}", file=out)
     print(f"Rtime:           {_fmt(report.rtime_s)} s", file=out)
+    print(f"code jumps:      {result.mover.jumps_made} of "
+          f"{result.mover.jumps_attempted} attempts", file=out)
     protocol = result.protocol
     agents = getattr(protocol, "agents", [getattr(protocol, "agent", None)])
     if agents[0] is not None:

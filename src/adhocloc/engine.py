@@ -1,4 +1,5 @@
-"""Deterministic discrete-event core: virtual clock, ordered queue, named RNG streams."""
+"""Deterministic discrete-event core: virtual clock, ordered queue, and the
+random streams a run draws from its seed, each named by (seed, name, key)."""
 
 from __future__ import annotations
 
@@ -48,8 +49,9 @@ class Engine:
         return seq
 
     def cancel(self, handle: int) -> None:
-        """Skip the event `handle` when it comes up; an event that already
-        ran is past skipping, so its handle changes nothing."""
+        """Skip the pending event `handle` when it comes up. Cancel only an
+        event that has not run: the handle of one that has is never popped
+        again, so it would stay in the cancelled set until the run ends."""
         self._cancelled.add(handle)
 
     def run_until(self, t_end: float) -> None:
@@ -91,24 +93,10 @@ def drawn_in_blocks(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
         yield from draw(DRAW_BLOCK).tolist()
 
 
-class RngStreams:
-    """Independent PCG64 streams derived from one scenario seed: `workload`,
-    `code_migration` and `protocol`, plus keyed substreams such as one
-    mobility stream per node.
-
-    Consuming draws from one stream never perturbs another, so e.g. the same
-    node trajectories appear under every protocol at a given seed.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.workload = self._stream(STREAM_NAMES.index("workload"))
-        self.code_migration = self._stream(STREAM_NAMES.index("code-migration"))
-        self.protocol = self._stream(STREAM_NAMES.index("protocol"))
-
-    def substream(self, name: str, key: int) -> np.random.Generator:
-        """A child stream, e.g. one per node, stable under any draw interleaving."""
-        return self._stream(STREAM_NAMES.index(name), int(key))
-
-    def _stream(self, *key: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, *key))))
+def stream(seed: int, name: str, *key: int) -> np.random.Generator:
+    """The PCG64 stream `name` (in STREAM_NAMES) of `seed`, keyed by `key`,
+    e.g. one mobility stream per node. Its draws depend on (seed, name, key)
+    alone, so e.g. the same node trajectories appear under every protocol at
+    a given seed. An unknown name raises ValueError."""
+    entropy = (seed, STREAM_NAMES.index(name), *key)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

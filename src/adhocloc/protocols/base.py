@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..config import ScenarioConfig
-from ..engine import Engine, RngStreams
+from ..engine import Engine, stream
 from ..metrics import RequestRecord
 from ..radio import MessageKind, Radio
 
@@ -25,7 +25,6 @@ class MobileCode:
 class ScenarioContext:
     cfg: ScenarioConfig
     engine: Engine
-    streams: RngStreams
     radio: Radio
     code: MobileCode
 
@@ -39,10 +38,11 @@ class LocalizationProtocol:
     subclass supplies `on_code_jump(old_host)`, run right after the code left
     `old_host` for `code.host`, and `_attempt(record)`, which starts the
     search for `record`; a request ends once, by `_resolve` or `_fail`.
+    The constructor keeps the context's parts, not the context; a protocol
+    that draws random numbers builds its own stream from `cfg.seed`.
     """
 
     def __init__(self, ctx: ScenarioContext):
-        self.ctx = ctx
         self.cfg = ctx.cfg
         self.engine = ctx.engine
         self.radio = ctx.radio
@@ -86,14 +86,19 @@ class CodeMigrationProcess:
     A jump instant with no neighbour in range is skipped (the code stays put).
     Migration is atomic within its event, and `protocol`, its view of the run,
     hears of it right after the host switch, so it sees the new placement.
+    Delays and neighbour picks come from the seed's `code-migration` stream;
+    `jumps_made` is the code's own count, `protocol.code.jumps`.
     """
 
     def __init__(self, protocol: LocalizationProtocol):
         self.protocol = protocol
-        self.rng = protocol.ctx.streams.code_migration
+        self.rng = stream(protocol.cfg.seed, "code-migration")
         self.jumps_attempted = 0
-        self.jumps_made = 0
         self._schedule_next()
+
+    @property
+    def jumps_made(self) -> int:
+        return self.protocol.code.jumps
 
     def _schedule_next(self) -> None:
         delay = float(self.rng.exponential(1.0 / self.protocol.cfg.jump_rate))
@@ -107,6 +112,5 @@ class CodeMigrationProcess:
             old_host = code.host
             code.jumps += 1
             code.host = nbrs[int(self.rng.integers(len(nbrs)))]
-            self.jumps_made += 1
             self.protocol.on_code_jump(old_host)
         self._schedule_next()

@@ -92,9 +92,9 @@ class ForwarderProtocol(LocalizationProtocol):
         self.proactive = proactive
         self.entries: Dict[int, ForwarderEntry] = {}
         # station -> (record, walk, timeout handle) per walk waiting for a
-        # tick repair; a walk whose timeout failed it stays listed, and
-        # releasing it is harmless: cancelling a handle whose event ran is a
-        # no-op, and _advance returns at once on a done record
+        # tick repair; a walk whose timeout failed it stays listed until its
+        # station is released, which drops it: its timeout has run, and a
+        # cancel would leave that handle in the engine's cancelled set
         self._parked: Dict[int, List[Tuple[RequestRecord, _WalkState, int]]] = {}
         self._repair_active: set[int] = set()
         self._max_steps = MAX_WALK_FACTOR * ctx.cfg.n_nodes
@@ -124,8 +124,6 @@ class ForwarderProtocol(LocalizationProtocol):
 
     def _advance(self, record: RequestRecord, walk: _WalkState,
                  station: int) -> None:
-        if record.done:
-            return
         walk.steps += 1
         if walk.steps > self._max_steps:
             self._fail(record)
@@ -203,8 +201,9 @@ class ForwarderProtocol(LocalizationProtocol):
 
     def _release_parked(self, station: int) -> None:
         for record, walk, timeout in self._parked.pop(station, []):
-            self.engine.cancel(timeout)
-            self._advance(record, walk, station)
+            if not record.done:
+                self.engine.cancel(timeout)
+                self._advance(record, walk, station)
 
     # -- proactive maintenance ---------------------------------------------------
 

@@ -35,7 +35,7 @@ import heapq
 import math
 from typing import Callable, Dict, Optional
 
-from ..engine import Engine
+from ..engine import Engine, drawn_in_blocks, stream
 from ..geometry import centroid, dist, elect_server
 from ..metrics import RequestRecord
 from ..radio import MessageKind
@@ -51,9 +51,6 @@ REELECTION_PERIOD = 5.0
 HANDOFF_THRESHOLD = 50.0
 #: seconds an agent spends on each message
 SERVICE_TIME = 0.036
-#: report gaps drawn from the protocol stream at once; a block of uniform
-#: draws equals as many one-at-a-time draws, so the size changes no value
-JITTER_BLOCK = 256
 
 
 class ServerAgent:
@@ -140,13 +137,15 @@ class ServerProtocol(LocalizationProtocol):
     `record.retries`. Subclasses supply `_attempt(record)`, `_report(node)`
     and `_reelect(pos, ref)`; `pos` holds every node's position at the
     re-election instant, read from the mobility model, and `ref` their
-    centroid.
+    centroid. A station's report gap is its period times a factor uniform in
+    [0.75, 1.25] from the seed's `protocol` stream.
     """
 
     def __init__(self, ctx: ScenarioContext):
         super().__init__(ctx)
         self.handoffs = 0
-        self._jitter: list[float] = []   # the block's unread gaps, last first
+        rng = stream(self.cfg.seed, "protocol")
+        self._jitter = drawn_in_blocks(lambda k: rng.uniform(0.75, 1.25, k))
 
     # -- position reports ------------------------------------------------------
 
@@ -162,10 +161,7 @@ class ServerProtocol(LocalizationProtocol):
         self._report(node)
         # station clocks drift, so the reporting cadence jitters around the
         # configured period instead of staying phase-locked
-        if not self._jitter:
-            block = self.ctx.streams.protocol.uniform(0.75, 1.25, JITTER_BLOCK)
-            self._jitter = block.tolist()[::-1]
-        gap = period * self._jitter.pop()
+        gap = period * next(self._jitter)
         self.engine.schedule(self.engine.now + gap,
                              lambda: self._report_tick(node, period))
 

@@ -18,7 +18,7 @@ from itertools import accumulate, takewhile
 from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
-from .engine import Engine, RngStreams, drawn_in_blocks
+from .engine import Engine, drawn_in_blocks, stream
 from .metrics import MetricsReport, RequestRecord, build_report
 from .mobility import RandomWaypointModel, network_mobility
 from .protocols import (CodeMigrationProcess, LocalizationProtocol, MobileCode,
@@ -72,8 +72,9 @@ class _PartitionWatchdog:
             self.engine.schedule(nxt, self._check)
 
 
-def _draw_arrivals(streams: RngStreams, lam: float, duration: float) -> list[float]:
-    gaps = drawn_in_blocks(lambda k: streams.workload.exponential(1.0 / lam, k))
+def _draw_arrivals(seed: int, lam: float, duration: float) -> list[float]:
+    rng = stream(seed, "workload")
+    gaps = drawn_in_blocks(lambda k: rng.exponential(1.0 / lam, k))
     # each arrival is the one before plus a gap, summed one at a time
     return list(takewhile(lambda t: t <= duration, accumulate(gaps)))
 
@@ -98,7 +99,7 @@ class World:
     trajectories, their link span at the radio range and the measured Mob.
 
     Runs whose configs share a `WorldKey` can share one world, and their
-    results do not change: each mobility substream depends only on the seed
+    results do not change: each mobility stream depends only on the seed
     and the node, and a world holds nothing of a run. Each part is built
     where a run of its own would build it, by the first run that reads it:
     the model in its set-up, the span at its first event, Mob at its end.
@@ -109,7 +110,6 @@ class World:
 
     @cached_property
     def model(self) -> RandomWaypointModel:
-        streams = RngStreams(self.key.seed)
         (width, height), (smin, smax) = self.key.area, self.key.node_speed
         # the latest read follows an event at `duration`: a forwarder repair
         # reply leaves up to n - 1 flood hops later and has its hops checked
@@ -117,7 +117,7 @@ class World:
         # them all
         n = self.key.n_nodes
         return RandomWaypointModel(n, width, height, smin, smax,
-                                   lambda node: streams.substream("mobility", node),
+                                   lambda node: stream(self.key.seed, "mobility", node),
                                    horizon=self.key.duration + 2 * n * PER_HOP_LATENCY)
 
     @cached_property
@@ -139,14 +139,13 @@ def run_scenario(cfg: ScenarioConfig, world: Optional[World] = None) -> Scenario
     if differ:
         raise ValueError(f"world drawn for another {', '.join(differ)} than the run's")
     engine = Engine()
-    streams = RngStreams(cfg.seed)
     ledger = MessageLedger()
     radio = Radio(world.span, ledger)
     code = MobileCode(mother=cfg.mother, host=cfg.mother)
-    ctx = ScenarioContext(cfg, engine, streams, radio, code)
+    ctx = ScenarioContext(cfg, engine, radio, code)
 
     records: list[RequestRecord] = []
-    for i, at in enumerate(_draw_arrivals(streams, cfg.lam, cfg.duration)):
+    for i, at in enumerate(_draw_arrivals(cfg.seed, cfg.lam, cfg.duration)):
         record = RequestRecord(request_id=i, issued_at=at,
                                warmup=(at < cfg.warmup))
         records.append(record)

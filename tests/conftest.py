@@ -4,7 +4,7 @@ and the mobility bands the speed presets are calibrated against."""
 from enum import Enum
 
 from adhocloc.config import ScenarioConfig
-from adhocloc.engine import Engine, RngStreams
+from adhocloc.engine import Engine
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols.base import MobileCode, ScenarioContext
 from adhocloc.radio import LinkSpan, MessageLedger, Radio
@@ -34,11 +34,9 @@ def build_ctx(model, mother=0, host=None, **overrides):
     """
     cfg = ScenarioConfig(n_nodes=model.n_nodes, mother=mother, **overrides)
     engine = Engine()
-    streams = RngStreams(cfg.seed)
     radio = Radio(LinkSpan(model, cfg.range), MessageLedger())
     code = MobileCode(mother=mother, host=mother if host is None else host)
-    return ScenarioContext(cfg=cfg, engine=engine, streams=streams, radio=radio,
-                           code=code)
+    return ScenarioContext(cfg=cfg, engine=engine, radio=radio, code=code)
 
 
 def jump_code(protocol, new_host):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from adhocloc.config import NODE_SPEED_PRESETS, PROTOCOLS, ScenarioConfig
-from adhocloc.engine import RngStreams
+from adhocloc.engine import stream
 from adhocloc.geometry import ZoneLayout, centroid, dist, elect_server
 from adhocloc.mobility import RandomWaypointModel, Trajectory, network_mobility
 from adhocloc.protocols.base import CodeMigrationProcess
@@ -294,10 +294,9 @@ class TestNumericOracles:
             smin, smax = NODE_SPEED_PRESETS[band]
             hits[band] = 0
             for seed in SEEDS:
-                streams = RngStreams(seed)
                 model = RandomWaypointModel(
                     25, 1000.0, 500.0, smin, smax,
-                    lambda node: streams.substream("mobility", node),
+                    lambda node: stream(seed, "mobility", node),
                     horizon=200.0)
                 mob = network_mobility(model, 200.0, 1.0)
                 hits[band] += classify_mobility(mob).value == band
@@ -312,7 +311,7 @@ class TestNumericOracles:
         ok = True
         details = []
         for lam in GRID_LAMBDAS:
-            draws = RngStreams(11).workload.exponential(1.0 / lam, 100_000)
+            draws = stream(11, "workload").exponential(1.0 / lam, 100_000)
             err = abs(float(draws.mean()) - 1.0 / lam) * lam
             ok = ok and err <= 0.02
             details.append(f"lam={lam:g} rel err {100 * err:.2f}%")

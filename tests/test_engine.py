@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from adhocloc.engine import Engine, RngStreams
+from adhocloc.engine import Engine, stream
 
-#: the named streams RngStreams carries as attributes
-STREAMS = ("workload", "code_migration", "protocol")
+#: the streams a run reads unkeyed; the mobility streams are keyed by node
+UNKEYED = ("workload", "code-migration", "protocol")
 
 
 def test_events_fire_in_time_order():
@@ -102,50 +102,45 @@ def test_executed_counts_only_the_events_that_ran():
     assert engine.executed == 3
 
 
-class TestRngStreams:
+class TestStream:
     def test_same_seed_replays_identically(self):
-        a = RngStreams(42)
-        b = RngStreams(42)
-        for name in STREAMS:
-            assert np.array_equal(getattr(a, name).random(32),
-                                  getattr(b, name).random(32))
+        for name in UNKEYED:
+            assert np.array_equal(stream(42, name).random(32),
+                                  stream(42, name).random(32))
 
     def test_different_seeds_differ(self):
-        a = RngStreams(1)
-        b = RngStreams(2)
-        assert not np.array_equal(a.workload.random(16), b.workload.random(16))
+        assert not np.array_equal(stream(1, "workload").random(16),
+                                  stream(2, "workload").random(16))
 
     def test_draws_on_one_stream_never_shift_another(self):
-        plain = RngStreams(7)
-        noisy = RngStreams(7)
-        noisy.workload.random(1000)
-        noisy.protocol.random(1000)
-        assert np.array_equal(plain.code_migration.random(32),
-                              noisy.code_migration.random(32))
+        plain = stream(7, "code-migration")
+        stream(7, "workload").random(1000)
+        stream(7, "protocol").random(1000)
+        assert np.array_equal(plain.random(32),
+                              stream(7, "code-migration").random(32))
 
     def test_streams_are_mutually_distinct(self):
-        streams = RngStreams(3)
-        draws = [getattr(streams, name).random(16) for name in STREAMS]
-        draws.append(streams.substream("mobility", 0).random(16))
+        draws = [stream(3, name).random(16) for name in UNKEYED]
+        draws.append(stream(3, "mobility", 0).random(16))
         for i in range(len(draws)):
             for j in range(i + 1, len(draws)):
                 assert not np.array_equal(draws[i], draws[j])
 
     def test_substream_is_keyed_and_stable(self):
-        a = RngStreams(9).substream("mobility", 4)
-        b = RngStreams(9).substream("mobility", 4)
-        c = RngStreams(9).substream("mobility", 5)
+        a = stream(9, "mobility", 4)
+        b = stream(9, "mobility", 4)
+        c = stream(9, "mobility", 5)
         ref = a.random(16)
         assert np.array_equal(ref, b.random(16))
         assert not np.array_equal(ref, c.random(16))
 
     def test_substream_does_not_consume_the_parent(self):
-        plain = RngStreams(11)
-        forked = RngStreams(11)
+        plain = stream(11, "workload")
+        forked = stream(11, "workload")
         for key in range(8):
-            forked.substream("mobility", key).random(64)
-        assert np.array_equal(plain.workload.random(16), forked.workload.random(16))
+            stream(11, "mobility", key).random(64)
+        assert np.array_equal(plain.random(16), forked.random(16))
 
     def test_unknown_stream_name_raises(self):
         with pytest.raises(ValueError):
-            RngStreams(1).substream("weather", 0)
+            stream(1, "weather", 0)

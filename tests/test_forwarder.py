@@ -335,6 +335,28 @@ class TestParking:
         assert record.resolved_at is not None
         assert record.returned_host == 0
 
+    def test_releasing_a_walk_its_timeout_failed_cancels_nothing(self):
+        model = scripted_model([
+            [(0.0, 0.0, 0.0), (10.0, 0.0, 0.0)],
+            [(0.0, 200.0, 0.0), (1.5, 200.0, 0.0), (1.6, 5000.0, 0.0),
+             (10.0, 5000.0, 0.0)],
+            [(0.0, 400.0, 0.0), (10.0, 400.0, 0.0)],
+        ])
+        proto = make_forwarder(model, proactive=True)
+        jump_code(proto, 1)
+        jump_code(proto, 2)
+        proto.engine.run_until(2.0)
+        record = issue(proto, 2.0)
+        proto.engine.run_until(6.0)
+        assert record.failed_at == pytest.approx(5.03) and 0 in proto._parked
+        # the code hops back onto the station the failed walk parked at
+        jump_code(proto, 0)
+        assert proto._parked == {}
+        assert record.failed_at == pytest.approx(5.03)
+        # a handle of an event that has run would never be popped again
+        pending = {seq for _, seq, _ in proto.engine._heap}
+        assert proto.engine._cancelled <= pending
+
     def test_released_walks_cancel_their_timeouts(self):
         # executed events are deterministic, so a timeout left to fire, or
         # a cancel that drops the wrong event, shows as a count

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from adhocloc import cli, kernels, scenario, sweep
 from adhocloc.config import (CODE_BANDS, JUMP_RATES, KEY_ALIASES, PROTOCOLS,
                              ConfigError, NODE_SPEED_PRESETS, ScenarioConfig,
                              parse_config_text)
-from adhocloc.engine import DRAW_BLOCK, RngStreams
+from adhocloc.engine import DRAW_BLOCK, stream
 from adhocloc.metrics import MetricsReport
 from adhocloc.mobility import RandomWaypointModel
 from adhocloc.protocols.base import CodeMigrationProcess, LocalizationProtocol
@@ -211,23 +212,36 @@ class TestConfig:
         assert listed == [f.name for f in fields(ScenarioConfig)]
 
 
-def arrivals_loop(streams, lam, duration):
+def arrivals_loop(rng, lam, duration):
     """Loop reference for the request arrivals: one scalar `exponential` call
     per gap, summed one at a time."""
     arrivals, t = [], 0.0
     while True:
-        t += float(streams.workload.exponential(1.0 / lam))
+        t += float(rng.exponential(1.0 / lam))
         if t > duration:
             return arrivals
         arrivals.append(t)
+
+
+def recorded_streams(patch) -> list[tuple]:
+    """Record the entropy of every `SeedSequence` built from here on; each
+    random stream of a run is seeded by one."""
+    built, seed_sequence = [], np.random.SeedSequence
+
+    def recording(entropy=None, *args, **kwargs):
+        built.append(tuple(entropy))
+        return seed_sequence(entropy, *args, **kwargs)
+
+    patch.setattr(np.random, "SeedSequence", recording)
+    return built
 
 
 class TestScenario:
     @pytest.mark.parametrize("lam", [0.1, 1.0, 4.0])
     def test_arrivals_equal_one_exponential_call_per_gap(self, lam):
         for seed, duration in ((1, 200.0), (5, 60.0), (9, 1000.0)):
-            arrivals = scenario._draw_arrivals(RngStreams(seed), lam, duration)
-            assert arrivals == arrivals_loop(RngStreams(seed), lam, duration)
+            arrivals = scenario._draw_arrivals(seed, lam, duration)
+            assert arrivals == arrivals_loop(stream(seed, "workload"), lam, duration)
         # the 1,000 s run's gaps take more than one block at every λ
         assert len(arrivals) > DRAW_BLOCK
 
@@ -293,6 +307,24 @@ class TestScenario:
         arrivals, moves = seen[0]
         assert len(arrivals) > 100 and len(moves) > 50
         assert all(other == seen[0] for other in seen[1:])
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_run_builds_only_the_streams_it_reads(self, protocol, monkeypatch):
+        # (seed, 0, node) mobility, (seed, 1) workload, (seed, 2) code
+        # migration; only the server protocols read (seed, 3), their jitter
+        built = recorded_streams(monkeypatch)
+        cfg = short_cfg(protocol=protocol, seed=5)
+        run_scenario(cfg)
+        expected = [(5, 0, v) for v in range(cfg.n_nodes)] + [(5, 1), (5, 2)]
+        if protocol in ("centralized", "zoned"):
+            expected.append((5, 3))
+        assert Counter(built) == Counter(expected)
+
+    def test_a_world_builds_one_mobility_stream_per_node(self, monkeypatch):
+        built = recorded_streams(monkeypatch)
+        cfg = short_cfg(seed=5)
+        World(cfg).model
+        assert built == [(5, 0, v) for v in range(cfg.n_nodes)]
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(keys=fuzz_config_keys())
@@ -591,6 +623,21 @@ class TestCli:
                        if line.startswith("agent jobs:")]
             assert printed == ([[str(agent.processed) for agent in agents]]
                                if agents else [])
+
+    def test_run_prints_the_code_jumps_made_and_attempted(self, capsys):
+        # at a 100 m range some jump instants find no neighbour, so the two
+        # counts differ
+        overrides = dict(duration=30, warmup=2, range=100, partition_grace=100,
+                         code_band="high")
+        result = run_scenario(ScenarioConfig(**overrides))
+        made, attempted = result.mover.jumps_made, result.mover.jumps_attempted
+        assert made == result.protocol.code.jumps and 0 < made < attempted
+        argv = ["run"] + [arg for key, value in overrides.items()
+                          for arg in ("--set", f"{key}={value}")]
+        assert cli.main(argv) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("code jumps:")]
+        assert printed == [f"code jumps:      {made} of {attempted} attempts"]
 
     def test_run_reads_a_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "scenario.cfg"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adhocloc.config import NODE_SPEED_PRESETS
-from adhocloc.engine import DRAW_BLOCK, RngStreams
+from adhocloc.engine import DRAW_BLOCK, stream
 from adhocloc.mobility import (RandomWaypointModel, Trajectory, network_mobility,
                                separation_matrix, write_trajectory_csv)
 from conftest import (BAND_LOW_MAX, BAND_MEDIUM_MAX, MobilityBand,
@@ -45,9 +45,8 @@ def waypoint_knots_loop(n_nodes, width, height, speed_min, speed_max, rng_for_no
 
 class TestRandomWaypointModel:
     def make(self, seed=3, horizon=40.0, smin=2.0, smax=8.0):
-        streams = RngStreams(seed)
         return RandomWaypointModel(6, 1000.0, 500.0, smin, smax,
-                                   lambda node: streams.substream("mobility", node),
+                                   lambda node: stream(seed, "mobility", node),
                                    horizon=horizon)
 
     def test_positions_stay_inside_the_area(self):
@@ -103,12 +102,11 @@ class TestRandomWaypointModel:
     def test_knots_equal_one_uniform_call_per_value(self, band):
         smin, smax = NODE_SPEED_PRESETS[band]
         for seed, horizon in ((1, 200.8), (2, 200.8), (7, 1000.8), (8, 0.5)):
-            streams = RngStreams(seed)
             model = RandomWaypointModel(25, 1000.0, 500.0, smin, smax,
-                                        lambda node: streams.substream("mobility", node),
+                                        lambda node: stream(seed, "mobility", node),
                                         horizon)
             ref = waypoint_knots_loop(25, 1000.0, 500.0, smin, smax,
-                                      lambda node: streams.substream("mobility", node),
+                                      lambda node: stream(seed, "mobility", node),
                                       horizon)
             assert [(t.times, t.xs, t.ys) for t in model.trajectories] == ref
             if band == "high" and horizon > 1000:
@@ -148,8 +146,7 @@ class TestRandomWaypointModel:
             self.make().position(0, -0.1)
 
     def test_constructor_validation(self):
-        streams = RngStreams(1)
-        factory = lambda node: streams.substream("mobility", node)
+        factory = lambda node: stream(1, "mobility", node)
         with pytest.raises(ValueError, match="one node"):
             RandomWaypointModel(0, 1000, 500, 1, 2, factory, 10)
         with pytest.raises(ValueError, match="speeds"):

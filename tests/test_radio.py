@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adhocloc import kernels
 from adhocloc.config import PROTOCOLS, ScenarioConfig
-from adhocloc.engine import Engine, RngStreams
+from adhocloc.engine import Engine, stream
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols import make_protocol
 from adhocloc.protocols.base import LocalizationProtocol
@@ -527,9 +527,8 @@ class TestLinkTimeline:
     def test_waypoint_runs_past_the_horizon_stay_exact(self, monkeypatch):
         # blocks of a few intervals, so a build takes many blocks
         monkeypatch.setattr(kernels, "_BLOCK_PAIR_INTERVALS", 1000)
-        streams = RngStreams(4)
         model = RandomWaypointModel(25, 1000.0, 500.0, 8.0, 15.0,
-                                    lambda node: streams.substream("mobility", node),
+                                    lambda node: stream(4, "mobility", node),
                                     horizon=60.0)
         radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         radio.timeline.build()

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhocloc.config import ScenarioConfig
-from adhocloc.engine import Engine, RngStreams
+from adhocloc.engine import DRAW_BLOCK, Engine, stream
 from adhocloc.metrics import RequestRecord
-from adhocloc.protocols.server import (CHASE_BUDGET, JITTER_BLOCK, SERVICE_TIME,
-                                       CentralizedProtocol, ServerAgent)
+from adhocloc.protocols.server import (CHASE_BUDGET, SERVICE_TIME, CentralizedProtocol,
+                                       ServerAgent)
 from adhocloc.radio import MessageKind
 from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
@@ -157,9 +157,9 @@ class TestElection:
         proto._report = lambda node: (ticks.append((proto.engine.now, node)),
                                       report(node))
         proto.engine.run_until(100.0)
-        assert len(ticks) > 2 * JITTER_BLOCK
+        assert len(ticks) > 2 * DRAW_BLOCK
         # the same cadence from scalar draws, taken in tick order
-        draws = RngStreams(proto.cfg.seed).protocol
+        draws = stream(proto.cfg.seed, "protocol")
         n = len(CLUSTER6)
         pending = [(period * (v + 1) / n, v) for v in range(n)]
         expected = []
