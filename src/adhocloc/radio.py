@@ -6,7 +6,9 @@ every topology query reads those rows. Each is one BFS walk over them
 its caller reads: a flood walks the whole tree, a route stops at its
 destination's level and reads its path back by the lowest-id parent rule
 (`kernels.path_back`), and floods read for one node's depth share one tree
-while the rows and the node stay the same (`flood_depth`).
+while the rows and the node stay the same (`flood_depth`). Whether the
+network is connected is a property of an epoch's rows, so the span keeps it
+per epoch for every run of its world (`LinkSpan.connectivity`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per interval between knots.
@@ -32,8 +34,11 @@ The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
 link at each hop's own send instant), so routing-layer discovery is free while
 every protocol-level transmission is charged: one unit per unicast hop, one
-unit per flood transmitter. Every charge lands in the MessageLedger, whose raw
-log is the ground truth any total must recount to.
+unit per flood transmitter. No link changes inside a quiet window, so a
+unicast whose last hop leaves before its send instant's window closes needs
+no check and no path: its hop count is its BFS depth. Every charge lands in
+the MessageLedger, whose raw log is the ground truth any total must recount
+to.
 """
 
 from __future__ import annotations
@@ -60,6 +65,11 @@ PER_HOP_LATENCY = 0.01
 #: 1e-12 leaves a thousandfold margin; the guard bands it implies have a
 #: half-width of about 1e-4 s at 1 km and 10 m/s.
 SLACK = 1e-12
+
+
+def _joins_all(rows: list[int]) -> bool:
+    """Whether the BFS tree from node 0 spans every node of `rows`."""
+    return sum(kernels.bfs_tree(rows, 0)) == (1 << len(rows)) - 1
 
 
 class MessageKind(Enum):
@@ -127,6 +137,9 @@ class LinkSpan:
     of their epoch (the crossings at or before the open end) throughout.
     Solved when a timeline first builds on the span, then kept, so every
     run of one world adopts the same arrays; it holds nothing of a run.
+    `connectivity` is world data too: whether each epoch's links join every
+    node, filled by `Radio.connected` for the epochs its runs ask about, so
+    a later run of the world walks none of them again.
     """
 
     def __init__(self, model: RandomWaypointModel, range_m: float):
@@ -134,6 +147,7 @@ class LinkSpan:
             raise ValueError("radio range must be positive")
         self.model = model
         self.range_m = range_m
+        self.connectivity: dict[int, bool] = {}
 
     @cached_property
     def solved(self) -> tuple:
@@ -174,21 +188,23 @@ class LinkTimeline:
     cursor (an epoch, its rows and its window) is the timeline's own, so
     timelines sharing a span never see each other's moves. Most queries fall
     in the window of the query before and get the cursor's rows without a
-    search; any other takes one bisect over the windows' opens.
+    search; any other takes one bisect over the windows' opens. After an
+    answer, `epoch` is the answer's epoch and `until` the close of its
+    window; after a None neither says anything of the query.
     """
 
     def __init__(self, span: LinkSpan):
         self.span = span
         self.opens = self.closes = array("d")   # no window until the build
-        self._open = self._close = 0.0          # the cursor's, open and empty
+        self._open = self.until = 0.0           # the cursor's, open and empty
 
     def rows(self, t: float) -> Optional[list[int]]:
-        if self._open < t < self._close:
+        if self._open < t < self.until:
             return self._epoch_rows
         window = bisect_left(self.opens, t) - 1     # the last opening before t
         if window < 0 or t >= self.closes[window]:
             return None
-        self._open, self._close = self.opens[window], self.closes[window]
+        self._open, self.until = self.opens[window], self.closes[window]
         epoch = self.epochs[window]
         if epoch != self.epoch:
             # a rows list, once handed out, is never edited: a move edits a copy
@@ -205,7 +221,7 @@ class LinkTimeline:
         (self.opens, self.closes, self.epochs, self.a, self.b,
          self._epoch_rows) = self.span.solved
         self.epoch = 0
-        self._open = self._close = 0.0
+        self._open = self.until = 0.0
 
 
 class Radio:
@@ -244,8 +260,18 @@ class Radio:
         return bool(self._rows(t)[a] >> b & 1)
 
     def connected(self, t: float) -> bool:
-        rows = self._rows(t)
-        return sum(kernels.bfs_tree(rows, 0)) == (1 << len(rows)) - 1
+        """Whether every node reaches node 0 at t. An instant the timeline
+        answers reads its epoch's entry in the span's connectivity table,
+        walking the rows only on a miss; the exact path walks and stores
+        nothing, for its instant has no epoch."""
+        timeline = self.timeline
+        rows = timeline.rows(t)
+        if rows is None:
+            return _joins_all(self.snapshot(t))
+        table, epoch = timeline.span.connectivity, timeline.epoch
+        if epoch not in table:
+            table[epoch] = _joins_all(rows)
+        return table[epoch]
 
     def diameter(self, t: float) -> int:
         """Largest finite hop distance over all pairs at t."""
@@ -271,12 +297,26 @@ class Radio:
         The path is planned once on the send-time snapshot; each hop's link is
         re-validated at that hop's own send instant, so a topology change can
         break delivery mid-path. Charges one unit per hop actually traversed.
-        A send to self arrives at t for zero units, so test for None, not for
-        a false value.
+        When the timeline answers t and the last hop leaves before t's window
+        closes, every hop leaves on the links the plan was made on, so the
+        message arrives after its BFS depth in hops with no path read back
+        and no hop checked; past the window the path is read back from the
+        same walk and each hop checked. A send to self arrives at t for zero
+        units, so test for None, not for a false value.
         """
-        path = self.route(src, dst, t)
-        if path is None:
+        timeline = self.timeline
+        rows = timeline.rows(t)
+        windowed = rows is not None
+        if not windowed:
+            rows = self.snapshot(t)
+        levels = kernels.bfs_tree(rows, src, stop=1 << dst)
+        if not levels[-1] >> dst & 1:
             return None
+        hops = len(levels) - 1
+        if windowed and t + (hops - 1) * self.latency < timeline.until:
+            self.ledger.charge(kind, src, dst, hops, t, request_id)
+            return t + hops * self.latency
+        path = kernels.path_back(rows, levels, dst)
         traversed = 0
         for k in range(len(path) - 1):
             hop_time = t + k * self.latency

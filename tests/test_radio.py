@@ -1,5 +1,7 @@
 """Unit-disk links, the link timeline, unicast planning with in-flight
-revalidation, floods."""
+revalidation, the span's connectivity table, floods."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from adhocloc.protocols import make_protocol
 from adhocloc.protocols.base import LocalizationProtocol
 from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LinkSpan, LinkTimeline,
                             MessageKind, MessageLedger, Radio)
-from adhocloc.scenario import run_scenario
+from adhocloc.scenario import World, run_scenario
 from conftest import build_ctx, scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
 
@@ -126,17 +128,25 @@ class TestUnicast:
     def test_midpath_break_charges_the_hops_completed(self):
         # node 2 sits on the planned 0-1-2-3 route but has left its slot by
         # the time the message tries to cross the 2-3 link; the two hops
-        # completed are charged, the failed one is not
-        runner = Trajectory([0.0, 0.012, 0.020], [400.0, 400.0, 5000.0], [0.0, 0.0, 0.0])
+        # completed are charged, the failed one is not. On a built timeline
+        # the send falls in the first window, which closes before the last
+        # hop leaves, so each hop is still checked at its own instant
+        runner = Trajectory([0.0, 0.012, 0.020, 1.0], [400.0, 400.0, 5000.0, 5000.0],
+                            [0.0, 0.0, 0.0, 0.0])
         trajs = [Trajectory([0.0], [0.0], [0.0]),
                  Trajectory([0.0], [200.0], [0.0]),
                  runner,
                  Trajectory([0.0], [600.0], [0.0])]
         model = RandomWaypointModel.from_trajectories(trajs)
-        ledger = MessageLedger()
-        radio = Radio(LinkSpan(model, 250.0), ledger)
-        assert radio.unicast(0, 3, MessageKind.DATA, 0.0, request_id=5) is None
-        assert ledger.units_for_request(5) == 2
+        t = 0.001
+        for built in (False, True):
+            radio = Radio(LinkSpan(model, 250.0), MessageLedger())
+            if built:
+                radio.timeline.build()
+                assert radio.timeline.rows(t) is not None
+                assert t < radio.timeline.until <= t + 2 * PER_HOP_LATENCY
+            assert radio.unicast(0, 3, MessageKind.DATA, t, request_id=5) is None
+            assert radio.ledger.units_for_request(5) == 2
 
     def test_the_second_hop_is_checked_at_its_own_send_instant(self):
         # on the 0-1-2 line, node 2 is in range of node 1 at the send time
@@ -589,3 +599,92 @@ class TestLinkTimeline:
             builds.clear()
             run_scenario(ScenarioConfig(protocol=protocol, duration=200.0, seed=4))
             assert len(builds) == 1, protocol
+
+
+class TestTimelineShortcuts:
+    """What the radio answers from the span without walking a path."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(nodes=knot_lists(), data=st.data())
+    def test_unicast_on_a_built_timeline_equals_the_exact_path(self, nodes, data):
+        model = scripted_model(nodes)
+        assume(model.horizon > 0)
+        radio = built_radio(model)
+        exact = Radio(LinkSpan(model, 250.0), MessageLedger())
+        # sends a few half-latencies before a window closes, so the last hop
+        # of a path leaves after it, and sends anywhere in the horizon
+        closes = np.array(radio.timeline.closes)
+        late = (closes[:, None] - np.arange(1, 8) * PER_HOP_LATENCY / 2).ravel()
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+        anywhere = [*around(window_ends(radio)), *(np.array(fractions) * model.horizon)]
+        pools = [[float(t) for t in pool if t >= 0] for pool in (late, anywhere)]
+        assume(all(pools))
+        instants = data.draw(st.lists(st.one_of(*map(st.sampled_from, pools)),
+                                      min_size=1, max_size=12))
+        n = model.n_nodes
+        for request_id, t in enumerate(instants):
+            # every pair, sends to self included
+            for src, dst in itertools.product(range(n), repeat=2):
+                assert (radio.unicast(src, dst, MessageKind.DATA, t, request_id)
+                        == exact.unicast(src, dst, MessageKind.DATA, t, request_id))
+        assert radio.ledger.rows == exact.ledger.rows
+
+    def test_only_an_instant_in_a_window_is_stored(self):
+        # node 1 leaves node 0's range at t = 5: epoch 0 is connected, 1 not
+        model = scripted_model([[(0.0, 0.0, 0.0)],
+                                [(0.0, 100.0, 0.0), (10.0, 600.0, 0.0)]])
+        span = LinkSpan(model, 250.0)
+        radio = Radio(span, MessageLedger())
+        exact = Radio(LinkSpan(model, 250.0), MessageLedger())
+        assert radio.connected(1.0)                 # before the build
+        radio.timeline.build()
+        exact_instants = [radio.timeline.closes[0], model.horizon, model.horizon + 1.0]
+        for t in exact_instants:
+            assert radio.timeline.rows(t) is None
+            assert radio.connected(t) == exact.connected(t)
+        assert span.connectivity == {}
+        assert radio.connected(1.0) and not radio.connected(8.0)
+        assert span.connectivity == {0: True, 1: False}
+
+    def test_a_second_run_of_a_world_walks_no_epoch_the_first_answered(
+            self, monkeypatch):
+        walks = []
+        inside = []
+        bfs_tree, connected = kernels.bfs_tree, Radio.connected
+
+        def counted_bfs(rows, src, mask=-1, stop=0):
+            if inside:
+                walks.append(inside[-1])
+            return bfs_tree(rows, src, mask, stop)
+
+        def counted_connected(radio, t):
+            inside.append(t)
+            try:
+                return connected(radio, t)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(kernels, "bfs_tree", counted_bfs)
+        monkeypatch.setattr(Radio, "connected", counted_connected)
+        cfg = ScenarioConfig(protocol="zoned", lam=1.0, seed=4, duration=60.0)
+        other = ScenarioConfig(protocol="centralized", lam=0.25, seed=4, duration=60.0)
+        world = World(cfg)
+        run_scenario(cfg, world)
+        table = dict(world.span.connectivity)
+        # the watchdog checks once a second; the instants no window holds
+        # take the exact path, walk each time and are not stored
+        checks = [float(t) for t in range(1, 61)]
+        fresh = LinkTimeline(world.span)
+        fresh.build()
+        exact = [t for t in checks if fresh.rows(t) is None]
+        epochs = {fresh.epoch for t in checks if fresh.rows(t) is not None}
+        assert walks == checks and exact and set(table) == epochs
+        walks.clear()
+        second = run_scenario(other, world)
+        assert walks == exact
+        assert world.span.connectivity == table
+        # the table's answers equal a fresh world's, and so does the run
+        alone = run_scenario(other)
+        assert alone.radio.timeline.span.connectivity == table
+        assert second.ledger.rows == alone.ledger.rows
+        assert second.records == alone.records
