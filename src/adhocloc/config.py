@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
@@ -64,6 +65,15 @@ class ScenarioConfig:
         # key hash
         for name in ("area", "node_speed"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        # no NaN or infinity in a float field or either member of a pair
+        for field in fields(self):
+            value = getattr(self, field.name)
+            numbers = value if isinstance(value, tuple) else (value,)
+            if "float" in field.type and not all(map(math.isfinite, numbers)):
+                key = "lambda" if field.name == "lam" else field.name
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         preset = NODE_SPEED_PRESETS.get(self.node_mob)
         if preset is not None and self.node_speed != preset:
             raise ConfigError(f"node_mob={self.node_mob} runs at {preset} m/s, got "

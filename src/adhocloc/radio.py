@@ -14,8 +14,8 @@ Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per interval between knots.
 A `LinkSpan` solves those crossings once from 0 to the model's horizon
 (`kernels.range_crossings`) and keeps the quiet windows between them, shared
-by every run of one world; each run's `LinkTimeline` answers a query inside
-a window by moving its own cursor to the window's epoch, two bits per
+by every run of one world; each run's `Radio` answers a query inside a
+window by moving its own cursor to the window's epoch, two bits per
 crossing. Its answers equal the exact path's bit for bit: the exact path
 (`snapshot`: `positions_at`, then `adjacency` and `neighbour_bits`) answers
 every query outside the windows, wherever float error could matter: in
@@ -23,9 +23,9 @@ guard bands around each crossing sized from the root's conditioning, over
 grazing and co-moving pairs near range, at the instants a link flips across
 a knot (a jump), and at the crossings, at 0 and from the horizon on.
 `run_scenario` draws the model to a horizon past every read of its run, hop
-checks still in flight at its end included, and builds the timeline at the
+checks still in flight at its end included, and calls `Radio.build` at the
 run's first event, solving the span if no earlier run of its world has, so
-the exact path also answers start-up, and a timeline never built has no
+the exact path also answers start-up, and a radio never built has no
 window. The radio answers topology only: readers of coordinates ask the
 mobility model, `RandomWaypointModel.positions` for every node or
 `position` for one.
@@ -34,11 +34,11 @@ The medium is lossless and queue-free. Unicast routing is idealized (BFS
 shortest hop path on the connectivity snapshot at send time, validated link by
 link at each hop's own send instant), so routing-layer discovery is free while
 every protocol-level transmission is charged: one unit per unicast hop, one
-unit per flood transmitter. No link changes inside a quiet window, so a
-unicast whose last hop leaves before its send instant's window closes needs
-no check and no path: its hop count is its BFS depth. Every charge lands in
-the MessageLedger, whose raw log is the ground truth any total must recount
-to.
+unit per flood transmitter. No link changes inside a quiet window, so only
+the hops that leave at or after the close of the send instant's window are
+checked, and a unicast with none such needs no path: its hop count is its
+BFS depth. Every charge lands in the MessageLedger, whose raw log is the
+ground truth any total must recount to.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class LinkSpan:
     open intervals inside (0, horizon) that hold no guard-band point and no
     crossing instant of `kernels.range_crossings`, so their links are those
     of their epoch (the crossings at or before the open end) throughout.
-    Solved when a timeline first builds on the span, then kept, so every
+    Solved when a radio first builds on the span, then kept, so every
     run of one world adopts the same arrays; it holds nothing of a run.
     `connectivity` is world data too: whether each epoch's links join every
     node, filled by `Radio.connected` for the epochs its runs ask about, so
@@ -177,68 +177,63 @@ class LinkSpan:
                 kernels.neighbour_bits(start))
 
 
-class LinkTimeline:
-    """Neighbour bitmasks answered from a span's quiet windows.
+class Radio:
+    """A run's radio over `span`'s model and range, charging `ledger`; each
+    hop takes PER_HOP_LATENCY, the latency `World` sizes the horizon by.
 
     `build`, which `run_scenario` calls at the run's first event, adopts the
-    span's arrays, solving them if no timeline has yet. A query inside a
+    span's windows, solving them if no radio has yet. A query inside a
     window gets the rows of the window's epoch, the start rows with every
-    crossing of the epoch applied; `rows` returns None, leaving the query to
-    the exact path, anywhere else, and everywhere until the build. The
-    cursor (an epoch, its rows and its window) is the timeline's own, so
-    timelines sharing a span never see each other's moves. Most queries fall
-    in the window of the query before and get the cursor's rows without a
-    search; any other takes one bisect over the windows' opens. After an
-    answer, `epoch` is the answer's epoch and `until` the close of its
-    window; after a None neither says anything of the query.
+    crossing of the epoch applied; anywhere else, and everywhere until the
+    build, the exact path answers. The cursor (an epoch, its rows and its
+    window) is the radio's own, so radios sharing a span never see each
+    other's moves. Most queries fall in the window of the query before and
+    get the cursor's rows without a search; any other takes one bisect over
+    the windows' opens. After a windowed answer, `epoch` is the answer's
+    epoch and `until` the close of its window.
     """
 
-    def __init__(self, span: LinkSpan):
+    def __init__(self, span: LinkSpan, ledger: MessageLedger):
         self.span = span
+        self.model = span.model
+        self.range_m = span.range_m
+        self.latency = PER_HOP_LATENCY
+        self.ledger = ledger
         self.opens = self.closes = array("d")   # no window until the build
         self._open = self.until = 0.0           # the cursor's, open and empty
+        # (rows, target, levels, component size) of flood_depth's last tree
+        self._depth_memo: tuple = (None, None, None, 0)
+        # (instant, rows) of snapshot's last answer
+        self._exact: tuple = (None, None)
 
-    def rows(self, t: float) -> Optional[list[int]]:
+    def build(self) -> None:
+        (self.opens, self.closes, self._epochs, self._a, self._b,
+         self._epoch_rows) = self.span.solved
+        self.epoch = 0
+        self._open = self.until = 0.0
+
+    # -- topology queries ---------------------------------------------------
+
+    def _windowed(self, t: float) -> Optional[list[int]]:
+        """The rows of t's window, moving the cursor there; None when no
+        window holds t, leaving the cursor where it was."""
         if self._open < t < self.until:
             return self._epoch_rows
         window = bisect_left(self.opens, t) - 1     # the last opening before t
         if window < 0 or t >= self.closes[window]:
             return None
         self._open, self.until = self.opens[window], self.closes[window]
-        epoch = self.epochs[window]
+        epoch = self._epochs[window]
         if epoch != self.epoch:
             # a rows list, once handed out, is never edited: a move edits a copy
             rows = list(self._epoch_rows)
             lo, hi = sorted((self.epoch, epoch))
-            for a, b in zip(self.a[lo:hi], self.b[lo:hi]):
+            for a, b in zip(self._a[lo:hi], self._b[lo:hi]):
                 rows[a] ^= 1 << b
                 rows[b] ^= 1 << a
             self.epoch = epoch
             self._epoch_rows = rows
         return self._epoch_rows
-
-    def build(self) -> None:
-        (self.opens, self.closes, self.epochs, self.a, self.b,
-         self._epoch_rows) = self.span.solved
-        self.epoch = 0
-        self._open = self.until = 0.0
-
-
-class Radio:
-    def __init__(self, span: LinkSpan, ledger: MessageLedger):
-        """A run's radio over `span`'s model and range, charging `ledger`;
-        each hop takes PER_HOP_LATENCY, the latency `World` sizes the horizon by."""
-        self.model = span.model
-        self.range_m = span.range_m
-        self.latency = PER_HOP_LATENCY
-        self.ledger = ledger
-        self.timeline = LinkTimeline(span)
-        # (rows, target, levels, component size) of flood_depth's last tree
-        self._depth_memo: tuple = (None, None, None, 0)
-        # (instant, rows) of snapshot's last answer
-        self._exact: tuple = (None, None)
-
-    # -- topology queries ---------------------------------------------------
 
     def snapshot(self, t: float) -> list[int]:
         """Neighbour bitmasks at time t, computed exactly from the positions and
@@ -249,7 +244,7 @@ class Radio:
         return self._exact[1]
 
     def _rows(self, t: float) -> list[int]:
-        rows = self.timeline.rows(t)
+        rows = self._windowed(t)
         return self.snapshot(t) if rows is None else rows
 
     def neighbors(self, node: int, t: float) -> list[int]:
@@ -260,18 +255,17 @@ class Radio:
         return bool(self._rows(t)[a] >> b & 1)
 
     def connected(self, t: float) -> bool:
-        """Whether every node reaches node 0 at t. An instant the timeline
+        """Whether every node reaches node 0 at t. An instant a window
         answers reads its epoch's entry in the span's connectivity table,
         walking the rows only on a miss; the exact path walks and stores
         nothing, for its instant has no epoch."""
-        timeline = self.timeline
-        rows = timeline.rows(t)
+        rows = self._windowed(t)
         if rows is None:
             return _joins_all(self.snapshot(t))
-        table, epoch = timeline.span.connectivity, timeline.epoch
-        if epoch not in table:
-            table[epoch] = _joins_all(rows)
-        return table[epoch]
+        table = self.span.connectivity
+        if self.epoch not in table:
+            table[self.epoch] = _joins_all(rows)
+        return table[self.epoch]
 
     def diameter(self, t: float) -> int:
         """Largest finite hop distance over all pairs at t."""
@@ -294,38 +288,33 @@ class Radio:
         """Route src -> dst on the snapshot at t, walking hop by hop; returns
         the arrival time, or None when the message is not delivered.
 
-        The path is planned once on the send-time snapshot; each hop's link is
-        re-validated at that hop's own send instant, so a topology change can
-        break delivery mid-path. Charges one unit per hop actually traversed.
-        When the timeline answers t and the last hop leaves before t's window
-        closes, every hop leaves on the links the plan was made on, so the
-        message arrives after its BFS depth in hops with no path read back
-        and no hop checked; past the window the path is read back from the
-        same walk and each hop checked. A send to self arrives at t for zero
-        units, so test for None, not for a false value.
+        The path is planned once on the send-time snapshot; each later hop's
+        link is re-validated at that hop's own send instant, so a topology
+        change can break delivery mid-path. Charges one unit per hop actually
+        traversed. No link changes before the close of t's window (t itself
+        on the exact path), so only the hops that leave at or after it are
+        checked, and the path is read back from the plan's walk only for
+        them. A send to self arrives at t for zero units, so test for None,
+        not for a false value.
         """
-        timeline = self.timeline
-        rows = timeline.rows(t)
-        windowed = rows is not None
-        if not windowed:
-            rows = self.snapshot(t)
+        rows = self._windowed(t)
+        # the close of t's window (t on the exact path), read before a hop
+        # check can move the cursor
+        until, rows = (t, self.snapshot(t)) if rows is None else (self.until, rows)
         levels = kernels.bfs_tree(rows, src, stop=1 << dst)
         if not levels[-1] >> dst & 1:
             return None
         hops = len(levels) - 1
-        if windowed and t + (hops - 1) * self.latency < timeline.until:
-            self.ledger.charge(kind, src, dst, hops, t, request_id)
-            return t + hops * self.latency
-        path = kernels.path_back(rows, levels, dst)
-        traversed = 0
-        for k in range(len(path) - 1):
+        path = None
+        for k in range(1, hops):
             hop_time = t + k * self.latency
-            if k > 0 and not self.in_range(path[k], path[k + 1], hop_time):
-                self.ledger.charge(kind, src, dst, traversed, t, request_id)
-                return None
-            traversed += 1
-        self.ledger.charge(kind, src, dst, traversed, t, request_id)
-        return t + traversed * self.latency
+            if hop_time >= until:
+                path = path or kernels.path_back(rows, levels, dst)
+                if not self.in_range(path[k], path[k + 1], hop_time):
+                    self.ledger.charge(kind, src, dst, k, t, request_id)
+                    return None
+        self.ledger.charge(kind, src, dst, hops, t, request_id)
+        return t + hops * self.latency
 
     def direct(self, src: int, dst: int, kind: MessageKind, t: float,
                request_id: Optional[int] = None) -> Optional[float]:

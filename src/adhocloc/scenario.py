@@ -157,7 +157,7 @@ def run_scenario(cfg: ScenarioConfig, world: Optional[World] = None) -> Scenario
     mover = CodeMigrationProcess(protocol)
     _PartitionWatchdog(radio, engine, cfg.partition_grace, cfg.duration)
     # start-up above read the exact path; the event loop reads the span
-    engine.schedule(0.0, radio.timeline.build)
+    engine.schedule(0.0, radio.build)
 
     abort_reason = None
     try:

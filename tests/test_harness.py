@@ -68,13 +68,26 @@ def reads_within_horizon(patch) -> list[float]:
     return latest
 
 
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def non_finite_overrides(bad: float) -> list[dict]:
+    """Config keywords that put `bad` in each float field, and in either
+    member of each pair."""
+    return [*({f.name: bad} for f in fields(ScenarioConfig) if f.type == "float"),
+            {"area": (bad, 500.0)}, {"area": (1000.0, bad)},
+            {"node_mob": "custom", "node_speed": (bad, 15.0)},
+            {"node_mob": "custom", "node_speed": (8.0, bad)}]
+
+
 @st.composite
 def fuzz_config_keys(draw):
     """Config keywords of small random scenarios, valid or not: the whole
-    range of sizes, geometries, loads and speeds a run must survive."""
+    range of sizes, geometries, loads and speeds a run must survive, and now
+    and then a NaN, an infinity or a negative seed."""
     n_nodes = draw(st.integers(2, 12))
     speeds = sorted(draw(st.floats(0.1, 30.0)) for _ in range(2))
-    return dict(
+    keys = dict(
         n_nodes=n_nodes,
         area=(draw(st.floats(10.0, 2000.0)), draw(st.floats(10.0, 2000.0))),
         range=draw(st.floats(10.0, 600.0)),
@@ -86,6 +99,15 @@ def fuzz_config_keys(draw):
         protocol=draw(st.sampled_from(PROTOCOLS)),
         mother=draw(st.integers(0, n_nodes - 1)),
         seed=draw(st.integers(0, 2**16)))
+    # now and then one value no run can use: a negative seed, or a NaN or an
+    # infinity in one float field or pair member
+    spoil = draw(st.integers(0, 9))
+    if spoil == 8:
+        keys["seed"] = -keys["seed"] - 1
+    elif spoil == 9:
+        bad = draw(st.sampled_from(NON_FINITE))
+        keys.update(draw(st.sampled_from(non_finite_overrides(bad))))
+    return keys
 
 
 #: the keys the fuzz property's horizon examples share
@@ -168,9 +190,17 @@ class TestConfig:
                           ({"report_period": 0.0}, "periods"),
                           ({"central_report_period": -1.0}, "periods"),
                           ({"warmup": -1.0}, "warmup"),
-                          ({"partition_grace": 0.0}, "partition_grace")]:
+                          ({"partition_grace": 0.0}, "partition_grace"),
+                          ({"seed": -1}, "seed must be >= 0")]:
             with pytest.raises(ConfigError, match=word):
                 ScenarioConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "overrides", [keys for bad in NON_FINITE for keys in non_finite_overrides(bad)],
+        ids=lambda keys: ",".join(f"{key}={value}" for key, value in keys.items()))
+    def test_no_float_field_takes_a_nan_or_an_infinity(self, overrides):
+        with pytest.raises(ConfigError, match="must be finite"):
+            ScenarioConfig(**overrides)
 
     def test_a_mobility_label_brings_its_preset_speed(self):
         cfg = ScenarioConfig()
@@ -326,7 +356,7 @@ class TestScenario:
         World(cfg).model
         assert built == [(5, 0, v) for v in range(cfg.n_nodes)]
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=360, derandomize=True, deadline=None)
     @given(keys=fuzz_config_keys())
     # two runs whose reads go past their duration, though not past the
     # horizon: a horizon at the duration fails both
@@ -678,6 +708,12 @@ class TestCli:
         assert "unknown config key" in capsys.readouterr().err
         assert cli.main(["run", "--set", "duration=0"]) == cli.EXIT_CONFIG
         assert "duration" in capsys.readouterr().err
+        # values no run can use are refused before any run starts
+        for raw in ("lambda=nan", "report_period=nan", "duration=inf", "seed=-1"):
+            assert cli.main(["run", "--set", "protocol=zoned",
+                             "--set", raw]) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and raw.split("=")[0] in captured.err
 
     def test_more_zones_than_nodes_exit_with_the_config_code(self, capsys):
         code = cli.main(["run", "--set", "protocol=zoned", "--set", "n_zones=9",

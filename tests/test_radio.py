@@ -14,8 +14,8 @@ from adhocloc.engine import Engine, stream
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols import make_protocol
 from adhocloc.protocols.base import LocalizationProtocol
-from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LinkSpan, LinkTimeline,
-                            MessageKind, MessageLedger, Radio)
+from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LinkSpan, MessageKind,
+                            MessageLedger, Radio)
 from adhocloc.scenario import World, run_scenario
 from conftest import build_ctx, scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
@@ -128,9 +128,10 @@ class TestUnicast:
     def test_midpath_break_charges_the_hops_completed(self):
         # node 2 sits on the planned 0-1-2-3 route but has left its slot by
         # the time the message tries to cross the 2-3 link; the two hops
-        # completed are charged, the failed one is not. On a built timeline
+        # completed are charged, the failed one is not. On a built radio
         # the send falls in the first window, which closes before the last
-        # hop leaves, so each hop is still checked at its own instant
+        # hop leaves, so the hops past its close are checked at their own
+        # instants
         runner = Trajectory([0.0, 0.012, 0.020, 1.0], [400.0, 400.0, 5000.0, 5000.0],
                             [0.0, 0.0, 0.0, 0.0])
         trajs = [Trajectory([0.0], [0.0], [0.0]),
@@ -142,9 +143,9 @@ class TestUnicast:
         for built in (False, True):
             radio = Radio(LinkSpan(model, 250.0), MessageLedger())
             if built:
-                radio.timeline.build()
-                assert radio.timeline.rows(t) is not None
-                assert t < radio.timeline.until <= t + 2 * PER_HOP_LATENCY
+                radio.build()
+                assert radio._windowed(t) is not None
+                assert t < radio.until <= t + 2 * PER_HOP_LATENCY
             assert radio.unicast(0, 3, MessageKind.DATA, t, request_id=5) is None
             assert radio.ledger.units_for_request(5) == 2
 
@@ -384,11 +385,11 @@ def exact_rows(model, range_m, t):
 
 
 def built_radio(model, range_m=250.0):
-    """A radio whose timeline is solved up to the horizon; a zero horizon
+    """A radio whose windows are solved up to the horizon; a zero horizon
     leaves it unbuilt."""
     radio = Radio(LinkSpan(model, range_m), MessageLedger())
     if model.horizon > 0:
-        radio.timeline.build()
+        radio.build()
     return radio
 
 
@@ -400,21 +401,21 @@ def around(times):
 
 
 def window_ends(radio):
-    """Where the timeline's windows open and close: its crossings and guard
+    """Where the radio's windows open and close: its crossings and guard
     ends, and none before the build."""
-    return [*radio.timeline.opens, *radio.timeline.closes]
+    return [*radio.opens, *radio.closes]
 
 
 def assert_rows_are_exact(radio, times):
-    """Timeline answers equal the exact rows at every time; returns how many
-    the timeline answered itself."""
+    """Windowed answers equal the exact rows at every time; returns how many
+    a window answered."""
     answered = 0
     for t in times:
         t = float(t)
         if t < 0:
             continue
         exact = exact_rows(radio.model, radio.range_m, t)
-        rows = radio.timeline.rows(t)
+        rows = radio._windowed(t)
         if rows is not None:
             answered += 1
             assert rows == exact, t
@@ -461,17 +462,17 @@ class TestLinkTimeline:
         # queries in any order, at window ends and the domain's edges, get
         # what a timeline built for that one query returns
         radio = built_radio(scripted_model(nodes))
-        timeline, horizon = radio.timeline, radio.model.horizon
+        horizon = radio.model.horizon
         marks = [0.0, horizon, horizon + 1.0, *window_ends(radio)]
         fractions = data.draw(st.lists(st.floats(0.0, 1.0), max_size=10))
         pool = around(marks).tolist() + [f * horizon for f in fractions]
         queries = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
         handed_out = []
         for t in queries + sorted(queries) + sorted(queries, reverse=True):
-            fresh = LinkTimeline(timeline.span)
+            fresh = Radio(radio.span, MessageLedger())
             if horizon:
                 fresh.build()
-            rows, expected = timeline.rows(t), fresh.rows(t)
+            rows, expected = radio._windowed(t), fresh._windowed(t)
             assert (rows is None) == (expected is None), t
             if rows is not None:
                 assert rows == expected, t
@@ -514,10 +515,9 @@ class TestLinkTimeline:
         # node 1 leaves node 0's range at t = 3; t = 8 lies in a quiet epoch
         radio = built_radio(scripted_model([[(0.0, 0.0, 0.0)],
                                             [(0.0, 100.0, 0.0), (10.0, 600.0, 0.0)]]))
-        timeline = radio.timeline
-        moved = timeline.rows(8.0)
-        timeline.build()
-        assert timeline.rows(8.0) == moved == exact_rows(radio.model, 250.0, 8.0)
+        moved = radio._windowed(8.0)
+        radio.build()
+        assert radio._windowed(8.0) == moved == exact_rows(radio.model, 250.0, 8.0)
 
     @pytest.mark.parametrize("nodes", [
         # closest approach exactly at range, and a hair inside and outside it
@@ -541,7 +541,7 @@ class TestLinkTimeline:
                                     lambda node: stream(4, "mobility", node),
                                     horizon=60.0)
         radio = Radio(LinkSpan(model, 250.0), MessageLedger())
-        radio.timeline.build()
+        radio.build()
         rng = np.random.default_rng(4)
         # the span is solved to the horizon; past it the exact path answers
         # and the model draws no further legs
@@ -549,8 +549,8 @@ class TestLinkTimeline:
         assert_rows_are_exact(radio, rng.uniform(60.0, 130.0, 200))
         assert_rows_are_exact(radio, rng.uniform(0.0, 130.0, 400))
         assert early > 300
-        assert radio.timeline.closes[-1] <= model.horizon == 60.0
-        assert all(radio.timeline.rows(t) is None
+        assert radio.closes[-1] <= model.horizon == 60.0
+        assert all(radio._windowed(t) is None
                    for t in [60.0, *rng.uniform(60.0, 130.0, 50)])
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -559,13 +559,13 @@ class TestLinkTimeline:
             cfg = ScenarioConfig(protocol=protocol, node_mob=node_mob, lam=1.0,
                                  duration=60.0, seed=4)
             timed = run_scenario(cfg)
-            assert (timed.radio.timeline.closes[-1] <= timed.model.horizon
+            assert (timed.radio.closes[-1] <= timed.model.horizon
                     == cfg.duration + 2 * cfg.n_nodes * PER_HOP_LATENCY)
             with monkeypatch.context() as patch:
-                patch.setattr(LinkTimeline, "rows", lambda self, t: None)
-                patch.setattr(LinkTimeline, "build", lambda self: None)
+                patch.setattr(Radio, "_windowed", lambda self, t: None)
+                patch.setattr(Radio, "build", lambda self: None)
                 exact = run_scenario(cfg)
-            assert len(exact.radio.timeline.opens) == 0
+            assert len(exact.radio.opens) == 0
             assert timed.ledger.rows == exact.ledger.rows
             assert timed.records == exact.records
 
@@ -578,7 +578,7 @@ class TestLinkTimeline:
 
         built = []
         monkeypatch.setattr(Engine, "run_until", run_until)
-        monkeypatch.setattr(LinkTimeline, "build", lambda self: built.append(self))
+        monkeypatch.setattr(Radio, "build", lambda self: built.append(self))
         for protocol in PROTOCOLS:
             for n_zones in (2, 25):
                 with pytest.raises(Started):
@@ -588,13 +588,13 @@ class TestLinkTimeline:
 
     def test_a_run_builds_the_timeline_once(self, monkeypatch):
         builds = []
-        build = LinkTimeline.build
+        build = Radio.build
 
-        def counted(timeline):
-            builds.append(timeline)
-            build(timeline)
+        def counted(radio):
+            builds.append(radio)
+            build(radio)
 
-        monkeypatch.setattr(LinkTimeline, "build", counted)
+        monkeypatch.setattr(Radio, "build", counted)
         for protocol in PROTOCOLS:
             builds.clear()
             run_scenario(ScenarioConfig(protocol=protocol, duration=200.0, seed=4))
@@ -613,7 +613,7 @@ class TestTimelineShortcuts:
         exact = Radio(LinkSpan(model, 250.0), MessageLedger())
         # sends a few half-latencies before a window closes, so the last hop
         # of a path leaves after it, and sends anywhere in the horizon
-        closes = np.array(radio.timeline.closes)
+        closes = np.array(radio.closes)
         late = (closes[:, None] - np.arange(1, 8) * PER_HOP_LATENCY / 2).ravel()
         fractions = data.draw(st.lists(st.floats(0.0, 1.0), max_size=10))
         anywhere = [*around(window_ends(radio)), *(np.array(fractions) * model.horizon)]
@@ -629,6 +629,30 @@ class TestTimelineShortcuts:
                         == exact.unicast(src, dst, MessageKind.DATA, t, request_id))
         assert radio.ledger.rows == exact.ledger.rows
 
+    def test_only_the_hops_past_the_window_are_checked(self, monkeypatch):
+        # a still 0-1-2-3-4 line, and node 5 that comes into node 4's range
+        # at about t = 5.5: the send's window closes between the second and
+        # the last hop leaving, so hops 1 and 2 leave inside it and only hop
+        # 3 is checked
+        knots = [[(0.0, x, 0.0)] for x in range(0, 1000, 200)]
+        radio = built_radio(scripted_model(knots + [[(0.0, 1000.0, 400.0),
+                                                      (10.0, 800.0, 100.0)]]))
+        assert radio._windowed(1.0) is not None
+        until = radio.until
+        t = until - 2.5 * PER_HOP_LATENCY
+        assert radio._windowed(t) is not None and radio.until == until
+        checked, in_range = [], Radio.in_range
+
+        def wrapped(radio, a, b, at):
+            checked.append(at)
+            return in_range(radio, a, b, at)
+
+        monkeypatch.setattr(Radio, "in_range", wrapped)
+        assert radio.unicast(0, 4, MessageKind.DATA, t) == t + 4 * PER_HOP_LATENCY
+        assert radio.ledger.rows[-1].units == 4
+        assert checked == [t + 3 * PER_HOP_LATENCY]
+        assert all(at >= until for at in checked)
+
     def test_only_an_instant_in_a_window_is_stored(self):
         # node 1 leaves node 0's range at t = 5: epoch 0 is connected, 1 not
         model = scripted_model([[(0.0, 0.0, 0.0)],
@@ -637,10 +661,10 @@ class TestTimelineShortcuts:
         radio = Radio(span, MessageLedger())
         exact = Radio(LinkSpan(model, 250.0), MessageLedger())
         assert radio.connected(1.0)                 # before the build
-        radio.timeline.build()
-        exact_instants = [radio.timeline.closes[0], model.horizon, model.horizon + 1.0]
+        radio.build()
+        exact_instants = [radio.closes[0], model.horizon, model.horizon + 1.0]
         for t in exact_instants:
-            assert radio.timeline.rows(t) is None
+            assert radio._windowed(t) is None
             assert radio.connected(t) == exact.connected(t)
         assert span.connectivity == {}
         assert radio.connected(1.0) and not radio.connected(8.0)
@@ -674,10 +698,10 @@ class TestTimelineShortcuts:
         # the watchdog checks once a second; the instants no window holds
         # take the exact path, walk each time and are not stored
         checks = [float(t) for t in range(1, 61)]
-        fresh = LinkTimeline(world.span)
+        fresh = Radio(world.span, MessageLedger())
         fresh.build()
-        exact = [t for t in checks if fresh.rows(t) is None]
-        epochs = {fresh.epoch for t in checks if fresh.rows(t) is not None}
+        exact = [t for t in checks if fresh._windowed(t) is None]
+        epochs = {fresh.epoch for t in checks if fresh._windowed(t) is not None}
         assert walks == checks and exact and set(table) == epochs
         walks.clear()
         second = run_scenario(other, world)
@@ -685,6 +709,6 @@ class TestTimelineShortcuts:
         assert world.span.connectivity == table
         # the table's answers equal a fresh world's, and so does the run
         alone = run_scenario(other)
-        assert alone.radio.timeline.span.connectivity == table
+        assert alone.radio.span.connectivity == table
         assert second.ledger.rows == alone.ledger.rows
         assert second.records == alone.records

@@ -8,42 +8,46 @@ before and after it. Run it from the repository root against each tree:
 
 It prints one line per set of runs, `<runs> <sha256> events=<executed>
 cancelled=<skipped> processed=<jobs> exact=<snapshots> worlds=<sha256
-prefix>`. Each set runs both forwarders, centralized and zoned with 2 and 4
-zones, 200 s each. The first set covers lambda 0.25, 1 and 4, medium and
-high node speed, medium and high code band and seeds 1 and 2: 120 runs, none
-of which aborts. The second is the aborting set: lambda 0.25, low node
-speed, medium code band and seeds 4 and 12, 10 runs that each end in a
-partition abort, so a change to what an aborted run reports shows in its
-digest. The digest takes in every request record, every ledger row (in
-order), the mover's jump counters, the measured Mob and the abort reason:
-simulated values only. The engine's executed and cancelled-skip event counts
-are host work, not results, so they are summed over the runs and printed
-after the digest, outside it; a change that removes events keeps the first
-two fields and shows its saving in the next two. The fifth field sums the
-jobs every server agent took. No simulated value reads that count, so the
-digest cannot see it, yet a worker that takes some jobs without an event
-must keep it exact: both trees must print the same total. The sixth counts
-the calls to `Radio.snapshot`, the exact path of topology queries, wrapped
-from here so that any tree can be measured; a change to the link timeline
-that leaves its reach alone prints the same count. The seventh hashes the
-knot arrays of every distinct world, in run order, so a change to how the
-trajectories are drawn shows directly, and not only through the Mob and the
-rows it moves. The runs go through one `run_sweep` per protocol variant and
-set, axes in the order listed and seeds innermost, so runs at one seed and
-node speed share their world as in any sweep; any tree whose `run_sweep`
-takes these axes and hands each result to `on_result` can be checked.
-`run_set` runs one set and returns its line, so a test can pin a set's
-digest.
+prefix> rows=<sha256 prefix>`. Each set runs both forwarders, centralized
+and zoned with 2 and 4 zones, 200 s each. The first set covers lambda 0.25,
+1 and 4, medium and high node speed, medium and high code band and seeds 1
+and 2: 120 runs, none of which aborts. The second is the aborting set:
+lambda 0.25, low node speed, medium code band and seeds 4 and 12, 10 runs
+that each end in a partition abort, so a change to what an aborted run
+reports shows in its line. The digest takes in every request record, every
+ledger row (in order), the mover's jump counters, the measured Mob and the
+abort reason: simulated values only. The engine's executed and
+cancelled-skip event counts are host work, not results, so they are summed
+over the runs and printed after the digest, outside it; a change that
+removes events keeps the first two fields and shows its saving in the next
+two. The fifth field sums the jobs every server agent took. No simulated
+value reads that count, so the digest cannot see it, yet a worker that
+takes some jobs without an event must keep it exact: both trees must print
+the same total. The sixth counts the calls to `Radio.snapshot`, the exact
+path of topology queries, wrapped from here so that any tree can be
+measured; a change to the quiet windows that leaves their reach alone
+prints the same count. The seventh hashes the knot arrays of every distinct
+world, in run order, so a change to how the trajectories are drawn shows
+directly, and not only through the Mob and the rows it moves. The eighth
+hashes every run's CSV row, as a sweep CSV writes it without the
+seed-averaged rows, in run order. Those are the report's counts and means,
+which the digest does not take in, so a change inside `build_report` shows
+there. The runs go through one `run_sweep` per protocol variant and set,
+axes in the order listed and seeds innermost, so runs at one seed and node
+speed share their world as in any sweep; any tree whose `run_sweep` takes
+these axes and hands each result to `on_result` can be checked. `run_set`
+runs one set and returns its line, so a test can pin a set's digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 
 from adhocloc.config import ScenarioConfig
 from adhocloc.radio import Radio
 from adhocloc.scenario import WorldKey
-from adhocloc.sweep import run_sweep
+from adhocloc.sweep import run_sweep, write_csv
 
 VARIANTS = (("forwarder_proactive", 2), ("forwarder_reactive", 2),
             ("centralized", 2), ("zoned", 2), ("zoned", 4))
@@ -70,6 +74,13 @@ def run_key(result) -> tuple:
     )
 
 
+def csv_row(report) -> str:
+    """One run's row as a sweep CSV writes it, without the header."""
+    out = io.StringIO()
+    write_csv([[report]], out, average=False)
+    return out.getvalue().split("\n", 1)[1]
+
+
 def agent_jobs(protocol) -> int:
     """Jobs taken by the run's server agents; 0 for the forwarders."""
     agents = list(getattr(protocol, "agents", []))
@@ -80,7 +91,7 @@ def agent_jobs(protocol) -> int:
 
 def run_set(axes: tuple) -> str:
     """Run every variant over one set's axes; returns the set's line."""
-    digest, worlds = hashlib.sha256(), hashlib.sha256()
+    digest, worlds, rows = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     runs = executed = skipped = jobs = exact = 0
     seen: set = set()
     snapshot = Radio.snapshot
@@ -93,6 +104,7 @@ def run_set(axes: tuple) -> str:
     def on_result(result) -> None:
         nonlocal runs, executed, skipped, jobs
         digest.update(repr(run_key(result)).encode())
+        rows.update(csv_row(result.report).encode())
         executed += result.engine.executed
         skipped += result.engine.skipped_cancelled
         jobs += agent_jobs(result.protocol)
@@ -112,7 +124,8 @@ def run_set(axes: tuple) -> str:
     finally:
         Radio.snapshot = snapshot
     return (f"{runs} {digest.hexdigest()} events={executed} cancelled={skipped} "
-            f"processed={jobs} exact={exact} worlds={worlds.hexdigest()[:16]}")
+            f"processed={jobs} exact={exact} worlds={worlds.hexdigest()[:16]} "
+            f"rows={rows.hexdigest()[:16]}")
 
 
 def main() -> None:
