@@ -38,14 +38,18 @@ unit per flood transmitter. No link changes inside a quiet window, so only
 the hops that leave at or after the close of the send instant's window are
 checked, and a unicast with none such needs no path: its hop count is its
 BFS depth. Every charge lands in the MessageLedger, whose raw log is the
-ground truth any total must recount to.
+ground truth any total must recount to. The log is kept as columns, so a
+charge is one append per column; its rows, a read-only view (`LedgerRows`),
+and its totals by kind and by request are built where they are read.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -87,7 +91,11 @@ class MessageKind(Enum):
     POSITION_REPORT = "PositionReport"
 
 
-@dataclass(slots=True)
+#: an enum member hashes in Python (`Enum.__hash__`), its id in C
+_KIND_BY_ID = {id(kind): kind for kind in MessageKind}
+
+
+@dataclass(frozen=True, slots=True)
 class LedgerRow:
     request_id: Optional[int]
     kind: MessageKind
@@ -97,30 +105,88 @@ class LedgerRow:
     t: float
 
 
+class LedgerRows(Sequence):
+    """Read-only view of a ledger's columns that builds each `LedgerRow` as
+    it is read; a charge made after the view was taken shows in it."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(LedgerRow, *(column[index] for column in self._columns)))
+        return LedgerRow(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(LedgerRow, *self._columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (LedgerRows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 class MessageLedger:
-    """Append-only accounting of every charged transmission."""
+    """Append-only accounting of every charged transmission.
+
+    The raw log is six columns in `LedgerRow`'s field order: request id and
+    kind in lists, src, dst and units in `array("q")`, t in `array("d")`. A
+    charge appends one value to each and adds to `total_units`; `rows`,
+    `by_kind`, `recount` and `units_for_request` are built from the columns
+    where they are read."""
 
     def __init__(self):
         self.total_units = 0
-        self.by_kind: Counter = Counter()
-        self.by_request: Counter = Counter()  # key None: unbilled traffic
-        self.rows: list[LedgerRow] = []
+        self._request_id: list[Optional[int]] = []
+        self._kind: list[MessageKind] = []
+        self._src, self._dst, self._units = array("q"), array("q"), array("q")
+        self._t = array("d")
+        self._columns = (self._request_id, self._kind, self._src, self._dst,
+                         self._units, self._t)
+        self._by_request: dict[Optional[int], int] = {}  # key None: unbilled
+        self._folded = 0  # rows already summed into _by_request
 
     def charge(self, kind: MessageKind, src: int, dst: int, units: int, t: float,
                request_id: Optional[int] = None) -> None:
-        if units < 0:
+        if units < 0:  # before any append, so a refused charge leaves no row
             raise ValueError("cannot charge negative units")
+        self._request_id.append(request_id)
+        self._kind.append(kind)
+        self._src.append(src)
+        self._dst.append(dst)
+        self._units.append(units)
+        self._t.append(t)
         self.total_units += units
-        self.by_kind[kind.value] += units
-        self.by_request[request_id] += units
-        self.rows.append(LedgerRow(request_id, kind, src, dst, units, t))
+
+    @property
+    def rows(self) -> LedgerRows:
+        return LedgerRows(self._columns)
+
+    @property
+    def by_kind(self) -> Counter:
+        """Units per kind's value, a key for every kind charged, 0 units too."""
+        units_by_id: dict[int, int] = {}
+        for key, units in zip(map(id, self._kind), self._units):
+            units_by_id[key] = units_by_id.get(key, 0) + units
+        return Counter({_KIND_BY_ID[key].value: n for key, n in units_by_id.items()})
 
     def recount(self) -> int:
-        """Independent total from the raw log; must equal total_units exactly."""
-        return sum(row.units for row in self.rows)
+        """Independent total from the units column; must equal total_units exactly."""
+        return sum(self._units)
 
     def units_for_request(self, request_id: Optional[int]) -> int:
-        return self.by_request[request_id]
+        """Units charged to `request_id` (None: unbilled traffic); a call sums
+        only the rows charged since the last."""
+        totals, start = self._by_request, self._folded
+        for key, units in zip(self._request_id[start:], self._units[start:]):
+            totals[key] = totals.get(key, 0) + units
+        self._folded = len(self._units)
+        return totals.get(request_id, 0)
 
 
 @dataclass(slots=True)

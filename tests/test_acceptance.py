@@ -229,7 +229,7 @@ class TestDeterminism:
                                        seed=3, duration=60.0)
         result = run_scenario(cfg)
         h = hashlib.sha256()
-        for item in result.records + result.ledger.rows:
+        for item in [*result.records, *result.ledger.rows]:
             h.update(repr(item).encode())
         assert h.hexdigest() == digest
 

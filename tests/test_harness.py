@@ -689,6 +689,9 @@ class TestCli:
         assert trace.read_text().splitlines()[0] == "node_id,t,x,y"
         assert (messages.read_text().splitlines()[0]
                 == "request_id,kind,src,dst,units,t")
+        # every ledger row of the run, as the CLI writes it
+        assert (hashlib.sha256(messages.read_bytes()).hexdigest()
+                == "321b4e63f816cfb735cb61ddb25a6ccfd0e812a97f079a5b02a12783cd3363a4")
         # every CSV the CLI writes ends its lines with a bare LF
         assert not any(b"\r" in path.read_bytes() for path in (rows, trace, messages))
 

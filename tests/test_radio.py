@@ -2,6 +2,8 @@
 revalidation, the span's connectivity table, floods."""
 
 import itertools
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from adhocloc.engine import Engine, stream
 from adhocloc.mobility import RandomWaypointModel, Trajectory
 from adhocloc.protocols import make_protocol
 from adhocloc.protocols.base import LocalizationProtocol
-from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LinkSpan, MessageKind,
-                            MessageLedger, Radio)
+from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LedgerRow, LinkSpan,
+                            MessageKind, MessageLedger, Radio)
 from adhocloc.scenario import World, run_scenario
 from conftest import build_ctx, scripted_model, static_model
 from test_kernels import bfs_tree_frontier, mask_bits
@@ -346,7 +348,81 @@ class TestBfsWork:
         assert calls < len(rows) / 10
 
 
+class RowLedger:
+    """The ledger as a list of rows beside running counters, as it was kept
+    before the columns: the reference the column ledger must equal."""
+
+    def __init__(self):
+        self.total_units = 0
+        self.by_kind: Counter = Counter()
+        self.by_request: Counter = Counter()
+        self.rows: list[LedgerRow] = []
+
+    def charge(self, kind, src, dst, units, t, request_id=None):
+        if units < 0:
+            raise ValueError("cannot charge negative units")
+        self.total_units += units
+        self.by_kind[kind.value] += units
+        self.by_request[request_id] += units
+        self.rows.append(LedgerRow(request_id, kind, src, dst, units, t))
+
+    def recount(self):
+        return sum(row.units for row in self.rows)
+
+    def units_for_request(self, request_id):
+        return self.by_request[request_id]
+
+
+CHARGES = st.tuples(
+    st.sampled_from(list(MessageKind)), st.integers(0, 30),
+    st.one_of(st.just(BROADCAST), st.integers(0, 30)), st.integers(0, 20),
+    st.floats(0.0, 1e4), st.one_of(st.none(), st.integers(0, 6)))
+
+
+def assert_same_ledger(ledger, ref, request_ids):
+    rows = ledger.rows
+    assert list(rows) == ref.rows and rows == ref.rows
+    assert len(rows) == len(ref.rows)
+    if ref.rows:
+        assert rows[-1] == ref.rows[-1]
+    else:
+        with pytest.raises(IndexError):
+            rows[-1]
+    assert rows[1::2] == ref.rows[1::2] and rows[-3:] == ref.rows[-3:]
+    # Counter equality forgives a key whose count is 0; the items do not
+    assert list(ledger.by_kind.items()) == list(ref.by_kind.items())
+    for request_id in [*request_ids, None, 99]:
+        assert ledger.units_for_request(request_id) == ref.units_for_request(request_id)
+    assert ledger.recount() == ref.recount()
+    assert ledger.total_units == ref.total_units
+
+
 class TestLedger:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(CHARGES, st.just("read")), max_size=40))
+    def test_columns_equal_a_row_ledger(self, steps):
+        # `stepwise` is read after every step, `sparse` only at a read, so
+        # units_for_request folds in both one row and many rows at a time
+        stepwise, sparse, ref = MessageLedger(), MessageLedger(), RowLedger()
+        request_ids = set()
+        for step in steps:
+            if step == "read":
+                assert_same_ledger(sparse, ref, request_ids)
+            else:
+                for ledger in (stepwise, sparse, ref):
+                    ledger.charge(*step)
+                if step[-1] is not None:
+                    request_ids.add(step[-1])
+            assert_same_ledger(stepwise, ref, request_ids)
+        assert_same_ledger(sparse, ref, request_ids)
+
+    def test_rows_are_read_only(self):
+        ledger = MessageLedger()
+        ledger.charge(MessageKind.DATA, 0, 1, 3, 0.5)
+        with pytest.raises(FrozenInstanceError):
+            ledger.rows[0].units = 4
+        assert ledger.rows[0].units == 3
+
     def test_recount_sums_the_raw_rows(self):
         ledger = MessageLedger()
         ledger.charge(MessageKind.DATA, 0, 1, 3, 0.0)
@@ -365,8 +441,14 @@ class TestLedger:
 
     def test_negative_units_are_rejected(self):
         ledger = MessageLedger()
+        ledger.charge(MessageKind.DATA, 0, 1, 3, 0.5, request_id=2)
+        before = [list(column) for column in ledger._columns]
         with pytest.raises(ValueError):
-            ledger.charge(MessageKind.DATA, 0, 1, -1, 0.0)
+            ledger.charge(MessageKind.DATA, 0, 1, -1, 0.6, request_id=2)
+        # a refused charge leaves nothing behind in any column
+        assert [list(column) for column in ledger._columns] == before
+        assert len(ledger.rows) == 1 and ledger.total_units == 3
+        assert ledger.recount() == 3 and ledger.units_for_request(2) == 3
 
 
 def test_moving_node_changes_its_neighbourhood():
