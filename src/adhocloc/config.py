@@ -51,12 +51,11 @@ class ScenarioConfig:
     partition_grace: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}, expected one of {PROTOCOLS}")
-        if self.code_band not in CODE_BANDS:
-            raise ConfigError(f"unknown code_band {self.code_band!r}")
-        if self.node_mob not in NODE_MOB_LABELS:
-            raise ConfigError(f"unknown node_mob {self.node_mob!r}")
+        for key, labels in (("protocol", PROTOCOLS), ("code_band", CODE_BANDS),
+                            ("node_mob", NODE_MOB_LABELS)):
+            if getattr(self, key) not in labels:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}, "
+                                  f"expected one of {labels}")
         if self.node_speed is None:
             if self.node_mob == "custom":
                 raise ConfigError("node_mob=custom requires an explicit node_speed")
@@ -70,8 +69,12 @@ class ScenarioConfig:
             value = getattr(self, field.name)
             numbers = value if isinstance(value, tuple) else (value,)
             if "float" in field.type and not all(map(math.isfinite, numbers)):
-                key = "lambda" if field.name == "lam" else field.name
+                key = KEY_OF_FIELD.get(field.name, field.name)
                 raise ConfigError(f"{key} must be finite, got {value}")
+        for key in ("range", "lambda", "duration", "metric_dt", "report_period",
+                    "central_report_period", "partition_grace"):
+            if getattr(self, KEY_ALIASES.get(key, key)) <= 0:
+                raise ConfigError(f"{key} must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         preset = NODE_SPEED_PRESETS.get(self.node_mob)
@@ -88,25 +91,15 @@ class ScenarioConfig:
             raise ConfigError("need at least two nodes")
         if not 0 <= self.mother < self.n_nodes:
             raise ConfigError("mother must name a node id")
-        if self.range <= 0:
-            raise ConfigError("radio range must be positive")
         if self.n_zones < 1:
             raise ConfigError("n_zones must be >= 1")
         if self.protocol == "zoned" and self.n_zones > self.n_nodes:
             raise ConfigError(f"zoned protocol needs n_zones <= n_nodes, got "
                               f"n_zones={self.n_zones} for {self.n_nodes} nodes")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
-        if self.metric_dt <= 0:
-            raise ConfigError("metric_dt must be positive")
         if self.metric_dt >= self.duration:
             raise ConfigError("metric_dt must be smaller than duration")
-        if self.report_period <= 0 or self.central_report_period <= 0:
-            raise ConfigError("periods must be positive")
-        if self.warmup < 0 or self.partition_grace <= 0:
-            raise ConfigError("warmup must be >= 0 and partition_grace > 0")
+        if self.warmup < 0:
+            raise ConfigError("warmup must be >= 0")
 
     @property
     def jump_rate(self) -> float:
@@ -127,8 +120,9 @@ class ScenarioConfig:
         return dataclasses.replace(self, **updates)
 
 
-#: file key -> dataclass field, where they differ
+#: file key -> dataclass field, where they differ, and back
 KEY_ALIASES = {"lambda": "lam"}
+KEY_OF_FIELD = {name: key for key, name in KEY_ALIASES.items()}
 
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 

@@ -29,16 +29,10 @@ def elect_server(candidates: Iterable[int], positions, reference) -> int:
 
     `positions` is indexable by node id ((n, 2) array or mapping).
     """
-    best_id = -1
-    best_d = math.inf
-    for node in candidates:
-        d = dist(positions[node], reference)
-        if d < best_d or (d == best_d and node < best_id):
-            best_d = d
-            best_id = node
-    if best_id < 0:
+    best = min(candidates, key=lambda v: (dist(positions[v], reference), v), default=None)
+    if best is None:
         raise ValueError("cannot elect a server from an empty candidate set")
-    return best_id
+    return best
 
 
 def ring_next(zone: int, n_zones: int) -> int:

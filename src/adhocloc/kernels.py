@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorised with numpy: each handles all nodes at once,
 with no per-node Python loop but one knot search per node for a block of
-sample times. `bfs_tree` walks neighbour bitmasks level by level, as far
-as its caller asks; `path_back` reads a path back from those levels and
-`depths` each reached node's hop count. The tests hold loop references that
-the kernels must match bit for bit.
+sample times, which also finds `range_crossings`' segments at its interval
+starts. `bfs_tree` walks neighbour bitmasks level by level, as far as its
+caller asks; `path_back` reads a path back from those levels and `depths`
+each reached node's hop count. The tests hold loop references that the
+kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +34,17 @@ def positions_block(knot_t, knot_x, knot_y, offsets, times):
     time, and `positions_at`'s expressions run once on (times × nodes)
     arrays, so each sample equals `positions_at` bit for bit.
     """
+    count = _knots_at_or_before(knot_t, offsets, times)
+    return _interpolate(knot_t, knot_x, knot_y, offsets, count, times[:, None])
+
+
+def _knots_at_or_before(knot_t, offsets, times):
+    """Each node's count of knots at or before each time: (len(times), n)."""
     count = np.empty((times.size, offsets.size - 1), dtype=np.int64)
     for i in range(offsets.size - 1):
         count[:, i] = np.searchsorted(knot_t[offsets[i]:offsets[i + 1]], times,
                                       side="right")
-    return _interpolate(knot_t, knot_x, knot_y, offsets, count, times[:, None])
+    return count
 
 
 def _interpolate(knot_t, knot_x, knot_y, offsets, count, t):
@@ -162,19 +169,13 @@ def range_crossings(knot_t, knot_x, knot_y, offsets, hi, r2, delta):
     n = offsets.size - 1
     starts = offsets[:-1]
     last = offsets[1:] - 1
-    # each node's segment at each interval start: its knots at or before 0,
-    # as in positions_at, plus its knots inside the span up to the start
-    k_lo = starts + np.add.reduceat((knot_t <= 0.0).astype(np.int64), starts) - 1
-    in_span = np.nonzero((knot_t > 0.0) & (knot_t < hi))[0]
     # sorted distinct times; np.unique would do, but its first call costs
     # 1.5 MB of resident memory
-    breaks = np.sort(np.concatenate(([0.0], knot_t[in_span], [hi])))
+    breaks = np.sort(np.concatenate(([0.0], knot_t[(knot_t > 0.0) & (knot_t < hi)], [hi])))
     breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     m = breaks.size - 1
-    row = np.searchsorted(breaks, knot_t[in_span])
-    node = np.searchsorted(offsets, in_span, side="right") - 1
-    k = k_lo + np.bincount(row * n + node, minlength=m * n).reshape(m, n).cumsum(axis=0)
-    k = np.clip(k, starts, last)
+    # each node's segment at each interval start, found as positions_block does
+    k = np.clip(_knots_at_or_before(knot_t, offsets, breaks[:-1]) + (starts - 1), starts, last)
     a, b = np.triu_indices(n, 1)
     span = np.diff(breaks)[:, None]
     inside = np.empty((m, a.size), dtype=bool)

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -95,18 +96,11 @@ class RandomWaypointModel:
     @cached_property
     def knot_arrays(self) -> tuple:
         """Every node's knots stored flat: (times, xs, ys, per-node offsets)."""
-        offsets = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        for i, traj in enumerate(self.trajectories):
-            offsets[i + 1] = offsets[i] + len(traj.times)
-        knot_t = np.empty(offsets[-1], dtype=np.float64)
-        knot_x = np.empty(offsets[-1], dtype=np.float64)
-        knot_y = np.empty(offsets[-1], dtype=np.float64)
-        for i, traj in enumerate(self.trajectories):
-            s, e = offsets[i], offsets[i + 1]
-            knot_t[s:e] = traj.times
-            knot_x[s:e] = traj.xs
-            knot_y[s:e] = traj.ys
-        return knot_t, knot_x, knot_y, offsets
+        trajs = self.trajectories
+        offsets = np.cumsum([0] + [len(traj.times) for traj in trajs], dtype=np.int64)
+        knots = [np.fromiter(chain.from_iterable(getattr(traj, name) for traj in trajs),
+                             np.float64, offsets[-1]) for name in ("times", "xs", "ys")]
+        return (*knots, offsets)
 
     def positions(self, t: float) -> np.ndarray:
         """All node positions at time t as an (n, 2) array."""
@@ -170,9 +164,6 @@ def write_trajectory_csv(model: RandomWaypointModel, duration: float, dt: float,
     block = model.positions_block(times)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["node_id", "t", "x", "y"])
-    rows = 0
-    for node in range(model.n_nodes):
-        for j, t in enumerate(times):
-            writer.writerow([node, f"{t:.9g}", f"{block[j, node, 0]:.9g}", f"{block[j, node, 1]:.9g}"])
-            rows += 1
-    return rows
+    writer.writerows([node, f"{t:.9g}", f"{block[j, node, 0]:.9g}", f"{block[j, node, 1]:.9g}"]
+                     for node in range(model.n_nodes) for j, t in enumerate(times))
+    return model.n_nodes * len(times)

@@ -253,22 +253,14 @@ class ForwarderProtocol(LocalizationProtocol):
         code = self.code
         sought = anchor.next_hop if anchor is not None else None
 
-        candidates = []
-        for x in flood.depths:
-            if x == station:
-                continue
-            if x == code.host:
-                candidates.append(x)
-                continue
-            e = self.entries.get(x)
-            if e is not None and e.order > searcher_order:
-                candidates.append(x)
-
         replies: List[Tuple[float, int]] = []
-        for x in candidates:
-            sent_at = t + flood.depths[x] * lat
+        for x, depth in flood.depths.items():
+            e = self.entries.get(x)
+            answers = x == code.host or (e is not None and e.order > searcher_order)
+            if x == station or not answers:
+                continue
             arrival = self.radio.unicast(x, station, MessageKind.CHAIN_REPAIR_REPLY,
-                                         sent_at, request_id=request_id)
+                                         t + depth * lat, request_id=request_id)
             if arrival is not None:
                 replies.append((arrival, x))
 

@@ -408,9 +408,9 @@ class Radio:
         levels = kernels.bfs_tree(rows, origin, member_mask)
         if ttl is not None:
             del levels[ttl + 1:]
-        # the nodes short of the ttl relay; an isolated origin still
-        # transmits once
-        units = max(sum(level.bit_count() for level in levels[:ttl]), 1)
+        # the nodes short of the ttl relay; levels[0] is the origin, so an
+        # isolated one still transmits once
+        units = sum(levels[:ttl]).bit_count()
         self.ledger.charge(kind, origin, BROADCAST, units, t, request_id)
         return FloodResult(rows, levels, kernels.depths(levels))
 

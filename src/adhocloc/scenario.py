@@ -50,6 +50,8 @@ class ScenarioResult:
 
 
 class _PartitionWatchdog:
+    """A class: a self-rescheduling closure is a cycle, so its world would wait for the GC."""
+
     def __init__(self, radio: Radio, engine: Engine, grace: float, duration: float):
         self.radio = radio
         self.engine = engine

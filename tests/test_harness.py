@@ -187,8 +187,9 @@ class TestConfig:
                           ({"range": 0.0}, "range"),
                           ({"n_zones": 0}, "n_zones must be >= 1"),
                           ({"metric_dt": 0.0}, "metric_dt must be positive"),
-                          ({"report_period": 0.0}, "periods"),
-                          ({"central_report_period": -1.0}, "periods"),
+                          ({"report_period": 0.0}, "report_period must be positive"),
+                          ({"central_report_period": -1.0},
+                           "central_report_period must be positive"),
                           ({"warmup": -1.0}, "warmup"),
                           ({"partition_grace": 0.0}, "partition_grace"),
                           ({"seed": -1}, "seed must be >= 0")]:

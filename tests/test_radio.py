@@ -217,10 +217,11 @@ class TestFlood:
         f2 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.1, ttl=2)
         assert list(f2.depths) == [0, 1, 2] and ledger.rows[-1].units == 2
 
-    def test_isolated_origin_still_pays_its_own_broadcast(self):
+    @pytest.mark.parametrize("ttl", [None, 1, 3])
+    def test_isolated_origin_still_pays_its_own_broadcast(self, ttl):
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(LinkSpan(model, 250.0), MessageLedger())
-        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0)
+        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, ttl=ttl)
         assert list(flood.depths) == [0]
         assert radio.ledger.rows[-1].units == 1
 

@@ -39,6 +39,20 @@ def migration_rows(proto):
             if r.kind is MessageKind.AGENT_MIGRATION]
 
 
+#: five nodes in a line, 200 m apart; the agent settles mid-line at node 2
+LINE5 = [(200.0 * k, 0.0) for k in range(5)]
+
+
+def jump_far_then_near(proto):
+    """The update from node 4 leaves first but has two hops to go; the one
+    from node 3, 5 ms later, only one."""
+    proto.engine.run_until(1.0)
+    jump_code(proto, 4)
+    proto.engine.run_until(1.005)
+    jump_code(proto, 3)
+    proto.engine.run_until(2.0)
+
+
 #: instants on a binary grid, so sums of them tie exactly
 TICK_TIMES = st.sampled_from([k / 8 for k in range(17)])
 DELAYS = st.sampled_from([0.0, 0.125, 0.25, SERVICE_TIME, 2 * SERVICE_TIME])
@@ -292,6 +306,23 @@ class TestHandoff:
         # the one-hop update to node 5 is charged, then goes nowhere
         assert proto.radio.ledger.by_kind["ServerUpdate"] == 8
         assert proto.agent.code_host == 3 and proto.agent.processed == 1
+
+    def test_crossing_updates_reach_a_mid_line_agent(self):
+        proto = make_server(static_model(LINE5))
+        assert proto.agent.host == 2
+        jump_far_then_near(proto)
+        rows = proto.radio.ledger.rows[-2:]
+        assert proto.agent.host == 2
+        assert [(r.src, r.dst, r.units, r.t) for r in rows] == [(4, 2, 2, 1.0),
+                                                              (3, 2, 1, 1.005)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="an agent applies updates in arrival order; "
+                       "ROADMAP item 7 has them carry code.jumps")
+    def test_the_agent_keeps_the_newer_of_two_crossing_updates(self):
+        proto = make_server(static_model(LINE5))
+        jump_far_then_near(proto)
+        assert proto.agent.code_host == 3
 
     def test_a_small_centering_gain_does_not_move_the_agent(self):
         # the incumbent drifts just far enough that node 1 looks better,

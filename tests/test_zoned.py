@@ -38,6 +38,22 @@ def ring_rows(proto):
             if r.kind is MessageKind.RING_FORWARD]
 
 
+#: nodes along y = +10 are zone 0 (agent node 0), along y = -10 zone 1
+#: (agent node 1), with two zones
+TWO_ROWS = [(0, 10), (0, -10), (200, 10), (400, 10), (600, 10),
+            (-200, -10), (-400, -10), (-600, -10)]
+
+
+def jump_out_and_back(proto):
+    """Zone 0's drop from node 7 has three hops to go; the code's re-insert
+    from node 2, 5 ms later, only one."""
+    proto.engine.run_until(1.0)
+    jump_code(proto, 7)      # zone 0 into zone 1
+    proto.engine.run_until(1.005)
+    jump_code(proto, 2)      # and back
+    proto.engine.run_until(2.0)
+
+
 class TestPartition:
     def test_zones_and_agents_fall_out_of_the_initial_snapshot(self):
         proto = make_zoned(static_model(BOX8), host=2)
@@ -155,6 +171,23 @@ class TestDatabaseUpkeep:
         assert 0 not in agent.stations and agent.processed == 2
         engine.run_until(2.0)
         assert 0 in agent.stations
+
+    def test_the_code_leaves_zone_0_and_comes_back(self):
+        proto = make_zoned(static_model(TWO_ROWS), mother=3, n_zones=2)
+        assert [agent.host for agent in proto.agents] == [0, 1]
+        jump_out_and_back(proto)
+        rows = proto.radio.ledger.rows[-4:]
+        assert proto.sdb_zone == 0
+        assert [(r.src, r.dst, r.units) for r in rows] == [(7, 1, 3), (7, 0, 3),
+                                                          (2, 0, 1), (2, 1, 1)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a zone agent applies drops in arrival order; "
+                       "ROADMAP item 7 has them carry code.jumps")
+    def test_an_old_zone_s_late_drop_keeps_the_code_s_new_entry(self):
+        proto = make_zoned(static_model(TWO_ROWS), mother=3, n_zones=2)
+        jump_out_and_back(proto)
+        assert proto.agents[0].code_host == 2
 
 
 class TestEventWork:
