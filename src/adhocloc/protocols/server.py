@@ -21,18 +21,17 @@ re-query and drops an update.
 The agent serializes everything it ingests through a single FIFO worker with
 a fixed per-message SERVICE_TIME, so its response latency degrades as report
 and query traffic converges on it. Every message to an agent carries its work
-as a bare action, queued on arrival. The centralized agent's stations only
-ever gain ids, so a report from a station it already lists when the report
-leaves only occupies the worker: it is no event at all, but a job the agent
-takes in its turn (`ServerAgent.occupy`). A report from a station not listed
-yet keeps its arrival event, where the agent enlists the station
-(`ServerAgent.enlist`).
+as a bare action, queued on arrival. One rule, `ServerAgent.report`, decides
+for both protocols when a position report is an event: a report that can
+change no station table only occupies the worker, a job the agent takes in
+its turn (`ServerAgent.occupy`); any other keeps its arrival event.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from typing import Callable, Dict, Optional
 
 from ..engine import Engine, drawn_in_blocks, stream
@@ -77,6 +76,7 @@ class ServerAgent:
         self.host = host
         self.code_host: Optional[int] = None
         self.stations: set[int] = set()
+        self.drops: Counter[int] = Counter()    # delivered, uncompleted drops
         self._busy_until = 0.0
         self._processed = 0
         self._occupancy: list[tuple[float, int]] = []   # (arrival, seq) heap
@@ -96,17 +96,17 @@ class ServerAgent:
     def occupy(self, arrival: float) -> None:
         heapq.heappush(self._occupancy, (arrival, self.engine.reserve()))
 
-    def enlist(self, station: int) -> None:
-        """Queue a station's position report arriving now. When the station
-        is listed and the worker is strictly idle, its entry would change
-        nothing: every job queued before completed at an earlier instant,
-        and any queued after completes after this one. At `busy_until ==
-        now` a queued drop of the same station may still complete at this
-        instant, later in order, so that entry keeps its completion."""
-        if station in self.stations and self.busy_until < self.engine.now:
-            self.process(None)
+    def report(self, station: int, arrival: float, next_at: float) -> None:
+        """Queue `station`'s report, sent now, arriving at `arrival`; its next
+        report leaves at `next_at`. A listed station loses its entry only to a
+        completed drop, sent only by its own crossing reports, so with no drop
+        in flight or queued and the next report leaving no earlier than this
+        arrival the report changes no table and only occupies the worker."""
+        if station in self.stations and not self.drops[station] and next_at >= arrival:
+            self.occupy(arrival)
         else:
-            self.process(lambda: self.stations.add(station))
+            self.engine.schedule(arrival, lambda: self.process(
+                lambda: self.stations.add(station)))
 
     def process(self, action: Optional[Callable[[], None]]) -> None:
         done = max(self.engine.now, self.busy_until) + SERVICE_TIME
@@ -134,8 +134,9 @@ class ServerProtocol(LocalizationProtocol):
     A request queries an agent (`_attempt`), whose answer names the code's
     host (`_reply`); the requester then contacts that host. Any undeliverable
     leg or stale answer costs a re-query, up to MAX_RETRIES, counted in
-    `record.retries`. Subclasses supply `_attempt(record)`, `_report(node)`
-    and `_reelect(pos, ref)`; `pos` holds every node's position at the
+    `record.retries`. Subclasses supply `_attempt(record)`, `_report(node,
+    next_at)`, where `next_at` is the node's next report instant, and
+    `_reelect(pos, ref)`; `pos` holds every node's position at the
     re-election instant, read from the mobility model, and `ref` their
     centroid. A station's report gap is its period times a factor uniform in
     [0.75, 1.25] from the seed's `protocol` stream.
@@ -158,12 +159,11 @@ class ServerProtocol(LocalizationProtocol):
         self.engine.schedule(REELECTION_PERIOD, self._reelection_tick)
 
     def _report_tick(self, node: int, period: float) -> None:
-        self._report(node)
         # station clocks drift, so the reporting cadence jitters around the
         # configured period instead of staying phase-locked
-        gap = period * next(self._jitter)
-        self.engine.schedule(self.engine.now + gap,
-                             lambda: self._report_tick(node, period))
+        next_at = self.engine.now + period * next(self._jitter)
+        self._report(node, next_at)
+        self.engine.schedule(next_at, lambda: self._report_tick(node, period))
 
     # -- elections ---------------------------------------------------------------
 
@@ -245,17 +245,12 @@ class CentralizedProtocol(ServerProtocol):
 
     # -- maintenance traffic ---------------------------------------------------
 
-    def _report(self, node: int) -> None:
+    def _report(self, node: int, next_at: float) -> None:
         t = self.engine.now
         depth = self.radio.flood_depth(node, self.agent.host,
                                        MessageKind.POSITION_REPORT, t)
-        if depth is None:
-            return
-        arrive = t + depth * self.radio.latency
-        if node in self.agent.stations:
-            self.agent.occupy(arrive)
-        else:
-            self.engine.schedule(arrive, lambda: self.agent.enlist(node))
+        if depth is not None:
+            self.agent.report(node, t + depth * self.radio.latency, next_at)
 
     def _send_location_update(self) -> None:
         host = self.code.host

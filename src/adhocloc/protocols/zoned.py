@@ -7,8 +7,8 @@ position to their own zone's agent (an in-zone unicast per report_period),
 which enters the member in its station table. A report that detects a
 crossing also tells the old zone's agent to drop the node; tables learn only
 by these messages, so an undeliverable drop leaves the old entry in place.
-A report that reaches an idle agent already listing its member only occupies
-the worker: it schedules no completion (see `ServerAgent.enlist`).
+The old agent counts a delivered drop until it completes, and a report that
+can change no table only occupies the worker (see `ServerAgent.report`).
 The code's host keeps the zone database current the same way after each jump.
 
 A requester queries its own zone's agent. On a database hit the agent answers
@@ -67,17 +67,26 @@ class ZonedProtocol(ServerProtocol):
 
     # -- station table and database upkeep --------------------------------------
 
-    def _report(self, node: int) -> None:
+    def _report(self, node: int, next_at: float) -> None:
         zone = self._zone_at(node)
         previous = self.last_zone[node]
         agent = self.agents[zone]
-        if (self._send(node, agent.host, MessageKind.POSITION_REPORT,
-                       lambda: agent.enlist(node))
-                and zone != previous):
+        arrival = self.radio.unicast(node, agent.host, MessageKind.POSITION_REPORT,
+                                     self.engine.now)
+        if arrival is None:
+            return
+        agent.report(node, arrival, next_at)
+        if zone != previous:
             # the old zone's agent drops the node once told about the move
             self.last_zone[node] = zone
-            self._to_zone(node, previous, MessageKind.POSITION_REPORT,
-                          lambda: self.agents[previous].stations.discard(node))
+            old = self.agents[previous]
+
+            def dropped() -> None:
+                old.drops[node] -= 1
+                old.stations.discard(node)
+
+            if self._to_zone(node, previous, MessageKind.POSITION_REPORT, dropped):
+                old.drops[node] += 1
 
     def on_code_jump(self, old_host: int) -> None:
         host = self.code.host

@@ -424,6 +424,14 @@ class TestLedger:
             ledger.rows[0].units = 4
         assert ledger.rows[0].units == 3
 
+    def test_rows_equal_only_a_view_or_a_list(self):
+        ledger = MessageLedger()
+        ledger.charge(MessageKind.DATA, 0, 1, 3, 0.5)
+        assert ledger.rows == list(ledger.rows) == ledger.rows
+        # any other operand falls back to its own comparison, here identity
+        assert not ledger.rows == 5
+        assert ledger.rows != tuple(ledger.rows)
+
     def test_recount_sums_the_raw_rows(self):
         ledger = MessageLedger()
         ledger.charge(MessageKind.DATA, 0, 1, 3, 0.0)

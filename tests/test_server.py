@@ -168,19 +168,20 @@ class TestElection:
                             central_report_period=period)
         ticks = []
         report = proto._report
-        proto._report = lambda node: (ticks.append((proto.engine.now, node)),
-                                      report(node))
+        proto._report = lambda node, next_at: (
+            ticks.append((proto.engine.now, node, next_at)), report(node, next_at))
         proto.engine.run_until(100.0)
         assert len(ticks) > 2 * DRAW_BLOCK
-        # the same cadence from scalar draws, taken in tick order
+        # the same cadence from scalar draws, taken in tick order; each
+        # report is told its station's next tick
         draws = stream(proto.cfg.seed, "protocol")
         n = len(CLUSTER6)
         pending = [(period * (v + 1) / n, v) for v in range(n)]
         expected = []
         while pending[0][0] <= 100.0:
             t, v = heapq.heappop(pending)
-            expected.append((t, v))
             gap = period * float(draws.uniform(0.75, 1.25))
+            expected.append((t, v, t + gap))
             heapq.heappush(pending, (t + gap, v))
         assert ticks == expected
 
@@ -341,6 +342,42 @@ class TestHandoff:
         assert proto.forward_map == {} and migration_rows(proto) == []
 
 
+def agent_tables(result):
+    """Each server agent's job count, station table and code entry."""
+    proto = result.protocol
+    agents = getattr(proto, "agents", None) or [proto.agent]
+    return [(agent.processed, agent.stations, agent.code_host) for agent in agents]
+
+
+class TestReportRule:
+    @pytest.mark.parametrize("lam", [0.5, 8.0])
+    # at 0.02 s a station's next report leaves before a report of a few hops
+    # arrives; at 0.1 s a 4-zone agent's queue holds a drop of seed 12's
+    # stations while they come back
+    @pytest.mark.parametrize("report_period, duration", [(0.02, 4.0), (0.1, 20.0),
+                                                         (2.0, 60.0)])
+    @pytest.mark.parametrize("protocol, n_zones", [("centralized", 1), ("zoned", 2),
+                                                   ("zoned", 4)])
+    def test_runs_equal_the_event_path_runs(self, protocol, n_zones, report_period,
+                                            duration, lam, monkeypatch):
+        cfg = ScenarioConfig(protocol=protocol, n_zones=n_zones, lam=lam,
+                             report_period=report_period,
+                             central_report_period=report_period,
+                             node_mob="high", duration=duration, seed=12)
+        settled = run_scenario(cfg)
+
+        def evented_report(agent, station, arrival, next_at):
+            agent.engine.schedule(arrival, lambda: agent.process(
+                lambda: agent.stations.add(station)))
+
+        monkeypatch.setattr(ServerAgent, "report", evented_report)
+        evented = run_scenario(cfg)
+        assert settled.ledger.rows == evented.ledger.rows
+        assert settled.records == evented.records
+        assert agent_tables(settled) == agent_tables(evented)
+        assert settled.engine.executed < evented.engine.executed
+
+
 class TestEventWork:
     """Executed events are deterministic, so a lost shortcut shows as a count."""
 
@@ -349,8 +386,8 @@ class TestEventWork:
                                              seed=3, duration=60.0))
         reports = sum(row.kind is MessageKind.POSITION_REPORT
                       for row in result.ledger.rows)
-        # a tick per report; a delivery only from a station not yet listed
-        # when its report left, and never a completion
+        # a tick per report; an arrival and a completion only for a report
+        # from a station not yet listed when it left
         assert result.engine.executed < 1.75 * reports
         assert result.protocol.agent.processed == 1613
 

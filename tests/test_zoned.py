@@ -8,7 +8,7 @@ from adhocloc.config import ScenarioConfig
 from adhocloc.metrics import RequestRecord
 from adhocloc.protocols.server import SERVICE_TIME
 from adhocloc.protocols.zoned import ZonedProtocol
-from adhocloc.radio import MessageKind
+from adhocloc.radio import PER_HOP_LATENCY, MessageKind
 from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
 
@@ -42,6 +42,20 @@ def ring_rows(proto):
 #: (agent node 1), with two zones
 TWO_ROWS = [(0, 10), (0, -10), (200, 10), (400, 10), (600, 10),
             (-200, -10), (-400, -10), (-600, -10)]
+
+
+def report_back_at_1s(proto):
+    """Node 0, in zone 0, reports at t = 1 as if it came from zone 1, whose
+    agent (node 3, one hop away) lists it: a drop is on its way there."""
+    proto.engine.run_until(1.0)
+    proto.agents[1].stations.add(0)
+    proto.last_zone[0] = 1
+    proto._report(0, next_at=2.0)
+
+
+#: when zone 1's agent completes that drop: it arrives after one hop to an
+#: idle worker
+DROPPED_AT = 1.0 + PER_HOP_LATENCY + SERVICE_TIME
 
 
 def jump_out_and_back(proto):
@@ -160,15 +174,15 @@ class TestDatabaseUpkeep:
 
     def test_a_report_arriving_as_its_member_s_drop_completes_keeps_its_entry(self):
         proto = make_zoned(static_model(BOX8), host=2)
-        agent, engine = proto.agents[0], proto.engine
-        agent.stations.add(0)
-        dropped_at = 1.0 + SERVICE_TIME
-        # the report left first, so it arrives ahead of the drop's completion
-        # at the same instant, while the worker is busy up to that instant
-        engine.schedule(dropped_at, lambda: agent.enlist(0))
-        engine.schedule(1.0, lambda: agent.process(lambda: agent.stations.discard(0)))
-        engine.run_until(dropped_at)
-        assert 0 not in agent.stations and agent.processed == 2
+        agent, engine = proto.agents[1], proto.engine
+        report_back_at_1s(proto)
+        processed = agent.processed
+        # the report's arrival event is scheduled before the drop's
+        # completion, so it arrives ahead of it at the same instant, while
+        # the worker is busy up to that instant
+        agent.report(0, DROPPED_AT, next_at=2.0)
+        engine.run_until(DROPPED_AT)
+        assert 0 not in agent.stations and agent.processed == processed + 2
         engine.run_until(2.0)
         assert 0 in agent.stations
 
@@ -190,15 +204,54 @@ class TestDatabaseUpkeep:
         assert proto.agents[0].code_host == 2
 
 
+class TestReportRule:
+    """When a report to a static layout's agent is an event."""
+
+    @pytest.mark.parametrize("next_at, events", [
+        (2.0, 0),
+        # a next report leaving before this arrival could send a drop ahead
+        # of it, so this report keeps its arrival and completion
+        (1.0 + PER_HOP_LATENCY / 2, 2),
+    ])
+    def test_a_listed_member_s_report_is_an_event_only_if_its_next_report_leaves_first(
+            self, next_at, events):
+        proto = make_zoned(static_model(BOX8), host=2)
+        agent, engine = proto.agents[0], proto.engine
+        engine.run_until(1.0)
+        agent.stations.add(0)
+        executed = engine.executed
+        proto._report(0, next_at)
+        engine.run_until(1.5)
+        # either way the report occupies the worker for one service time
+        assert engine.executed == executed + events
+        assert agent.processed == 1
+        assert agent.busy_until == 1.0 + PER_HOP_LATENCY + SERVICE_TIME
+        assert agent.stations == {0}
+
+    def test_a_report_sent_while_its_member_s_drop_is_in_flight_keeps_its_event(self):
+        proto = make_zoned(static_model(BOX8), host=2)
+        agent, engine = proto.agents[1], proto.engine
+        report_back_at_1s(proto)
+        assert agent.drops[0] == 1
+        # a report that reaches zone 1's agent behind the drop
+        agent.report(0, 1.0 + 2 * PER_HOP_LATENCY, next_at=2.0)
+        engine.run_until(DROPPED_AT)
+        assert 0 not in agent.stations and agent.drops[0] == 0
+        engine.run_until(2.0)
+        # its completion follows the drop's and lists the member again
+        assert 0 in agent.stations
+
+
 class TestEventWork:
-    def test_a_listed_member_s_report_to_an_idle_agent_schedules_no_completion(self):
+    def test_a_report_that_changes_no_table_is_no_event(self):
         result = run_scenario(ScenarioConfig(protocol="zoned", lam=1.0, seed=3,
                                              duration=60.0))
         reports = sum(row.kind is MessageKind.POSITION_REPORT
                       for row in result.ledger.rows)
-        # with a completion for every report this run executes 3.8 events
-        # per report
-        assert result.engine.executed < 3.5 * reports
+        # a tick per report, and an arrival and a completion only for a report
+        # that may change a table; with both for every report this run
+        # executes 3.8 events per report
+        assert result.engine.executed < 2.25 * reports
         assert [agent.processed for agent in result.protocol.agents] == [535, 396]
 
 
