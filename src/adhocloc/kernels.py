@@ -1,7 +1,8 @@
 """Hot numeric kernels, vectorised with numpy: each handles all nodes at once,
 with no per-node Python loop but one knot search per node for a block of
-sample times, which also finds `range_crossings`' segments at its interval
-starts. `bfs_tree` walks neighbour bitmasks level by level, as far as its
+sample times. That search also counts each node's knots at every instant
+some node turns, from which `range_crossings` cuts each pair's own segments.
+`bfs_tree` walks neighbour bitmasks level by level, as far as its
 caller asks; `path_back` reads a path back from those levels and `depths`
 each reached node's hop count. The tests hold loop references that the
 kernels must match bit for bit.
@@ -141,7 +142,24 @@ def depths(levels):
     return dict(sorted(hops.items()))
 
 
-#: pair-intervals per block of range_crossings' vectorised pass, so that a
+def _motion(knot_t, knot_x, knot_y, k, last, begin):
+    """One node's motion on each segment: its position at the segment's
+    start `begin` and its velocity, the rows x, vx, y, vy of a (4, segments)
+    array, from the node's knot index k at `begin` and its last knot's index.
+    A node before its first knot or past its last rests there."""
+    k1 = np.minimum(k + 1, last)
+    t0 = knot_t[k]
+    dt = knot_t[k1] - t0
+    moving = (t0 <= begin) & (dt > 0)
+    dt = np.where(moving, dt, 1.0)
+    out = np.empty((4, k.size))
+    for row, knot_v in ((0, knot_x), (2, knot_y)):
+        out[row + 1] = np.where(moving, (knot_v[k1] - knot_v[k]) / dt, 0.0)
+        out[row] = knot_v[k] + out[row + 1] * (begin - t0)
+    return out
+
+
+#: pair-segments per block of range_crossings' vectorised pass, so that a
 #: build's temporaries stay near 130 kB each whatever the network's size
 _BLOCK_PAIR_INTERVALS = 16384
 
@@ -149,9 +167,13 @@ _BLOCK_PAIR_INTERVALS = 16384
 def range_crossings(knot_t, knot_x, knot_y, offsets, hi, r2, delta):
     """Where every node pair enters or leaves range r in the span [0, hi).
 
-    Between consecutive knot times every node moves linearly, so on such an
-    interval a pair's d² − r² is A τ² + B τ + C in the time τ since its start,
-    and the link can flip only at a root. Returns
+    A pair's d² − r² changes form only where one of its own two nodes turns,
+    so each pair is solved on its own segments: from 0, and from each instant
+    at which node a or node b passes a knot, to the pair's next such instant
+    or to hi. On a segment both nodes move linearly, so d² − r² is
+    A τ² + B τ + C in the time τ since its start, and the link can flip only
+    at a root; no other node's knot cuts it, so a pair's crossings depend on
+    its two nodes alone. Returns
 
     - `start`: (n, n) bool, the links at 0;
     - `events`: (times, a, b) arrays sorted by time; at each the link a-b
@@ -162,97 +184,99 @@ def range_crossings(knot_t, knot_x, knot_y, offsets, hi, r2, delta):
       test could decide the sign. Around a root the half-width is
       δ/|dd²/dt| + sqrt(δ/A); a pair whose minimum of d² − r² lies within δ
       of 0 (grazing), or that does not move relative to the other (A = 0)
-      with |C| <= δ, is guarded for the whole interval. A link that differs
-      across a knot time, where a node jumps (two knots at one time) or
-      rounding splits a crossing, flips there, and that instant is guarded.
+      with |C| <= δ, is guarded for the whole segment. A link that differs
+      across the edge between two of a pair's segments, where a node jumps
+      (two knots at one time) or rounding splits a crossing, flips there,
+      and that instant is guarded.
+
+    A span of length 0 gives each pair one segment of length 0: the start
+    rows, and no crossing.
     """
     n = offsets.size - 1
     starts = offsets[:-1]
     last = offsets[1:] - 1
-    # sorted distinct times; np.unique would do, but its first call costs
-    # 1.5 MB of resident memory
-    breaks = np.sort(np.concatenate(([0.0], knot_t[(knot_t > 0.0) & (knot_t < hi)], [hi])))
+    # the instants at which some node turns, sorted and distinct; np.unique
+    # would do, but its first call costs 1.5 MB of resident memory
+    breaks = np.sort(np.concatenate(([0.0], knot_t[(knot_t > 0.0) & (knot_t < hi)])))
     breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
-    m = breaks.size - 1
-    # each node's segment at each interval start, found as positions_block does
-    k = np.clip(_knots_at_or_before(knot_t, offsets, breaks[:-1]) + (starts - 1), starts, last)
+    count = _knots_at_or_before(knot_t, offsets, breaks)
+    # a node turns at a break where its count of knots grows, and every
+    # pair's first segment starts at 0
+    turns = np.ones((n, breaks.size), dtype=bool)
+    np.greater(count[1:].T, count[:-1].T, out=turns[:, 1:])
+    # the pairs' segments in pair order, each pair's in time order, from the
+    # one (pairs × breaks) mask, freed before the blocks' temporaries come
+    # (kept alive, it raised perfbench chain_stress's peak_rss_mb by 0.45 MB)
     a, b = np.triu_indices(n, 1)
-    span = np.diff(breaks)[:, None]
-    inside = np.empty((m, a.size), dtype=bool)
-    found = []
-    # a block of intervals at a time, so the per-node motion and the
-    # (intervals × pairs) temporaries stay small; only pairs whose d² − r²
-    # comes near 0 on their interval go on to the roots, the others keep one
-    # side of the range throughout
-    rows = max(1, _BLOCK_PAIR_INTERVALS // max(1, a.size))
-    for r in range(0, m, rows):
-        block = slice(r, r + rows)
-        kb = k[block]
-        k1 = np.minimum(kb + 1, last)
-        begin = breaks[:-1][block, None]
-        t0 = knot_t[kb]
-        dt = knot_t[k1] - t0
-        moving = (t0 <= begin) & (dt > 0)
-        dt = np.where(moving, dt, 1.0)
-        motion = []
-        for knot_v in (knot_x, knot_y):
-            v = np.where(moving, (knot_v[k1] - knot_v[kb]) / dt, 0.0)
-            motion.append((knot_v[kb] + v * (begin - t0), v))
-        (px, vx), (py, vy) = motion
-        dx = px[:, a] - px[:, b]
-        dy = py[:, a] - py[:, b]
-        ux = vx[:, a] - vx[:, b]
-        uy = vy[:, a] - vy[:, b]
+    mask = turns[a]
+    mask |= turns[b]
+    p, j = np.nonzero(mask)
+    del mask
+    # each node's segment at each break, found as positions_block does, in
+    # the counts' place
+    k = count
+    k += starts - 1
+    np.clip(k, starts, last, out=k)
+    # a segment ends where its pair's next one starts, the pair's last at hi
+    final = np.append(p[1:] != p[:-1], True)
+    end = np.append(breaks[j[1:]], hi)
+    end[final] = hi
+    inside = np.empty(j.size, dtype=bool)   # the link just after each start
+    after = np.empty(j.size, dtype=bool)    # and just before each end
+    times, pairs, lows, highs = [], [], [], []
+    # a block of segments at a time, so the temporaries stay small; only
+    # segments whose d² − r² comes near 0 go on to the roots, the others keep
+    # one side of the range throughout
+    for s in range(0, j.size, _BLOCK_PAIR_INTERVALS):
+        block = slice(s, s + _BLOCK_PAIR_INTERVALS)
+        jb, pb = j[block], p[block]
+        begin = breaks[jb]
+        L = end[block] - begin
+        rel = _motion(knot_t, knot_x, knot_y, k[jb, a[pb]], last[a[pb]], begin)
+        rel -= _motion(knot_t, knot_x, knot_y, k[jb, b[pb]], last[b[pb]], begin)
+        dx, ux, dy, uy = rel
         A = ux * ux + uy * uy
         B = 2.0 * (dx * ux + dy * uy)
         C = dx * dx + dy * dy - r2
         inside[block] = C <= 0
-        L = span[block]
         with np.errstate(divide="ignore", invalid="ignore"):
             tv = np.clip(np.where(A > 0, -B / (2.0 * A), 0.0), 0.0, L)
-        near = (((A * tv + B) * tv + C <= 2.0 * delta)
-                & (np.maximum(C, (A * L + B) * L + C) >= -2.0 * delta))
-        j, p = np.nonzero(near)
-        found.append((j + r, p, A[j, p], B[j, p], C[j, p]))
-    j, p, A, B, C = (np.concatenate(parts) for parts in zip(*found))
-    L = span[j, 0]
-    disc = B * B - 4.0 * A * C
-    two = disc > 4.0 * A * delta            # two roots, d² − r² dips below −δ
-    graze = ~two                            # near 0 throughout: guard it all
-    j2, p2, A, B, C, L, disc = (x[two] for x in (j, p, A, B, C, L, disc))
-    sq = np.sqrt(disc)
-    q = -0.5 * (B + np.copysign(sq, B))
-    tau1 = np.minimum(q / A, C / q)
-    tau2 = np.maximum(q / A, C / q)
-    half = delta / sq + np.sqrt(delta / A)
-    # the links just after each interval start: a root at τ = 0 has passed
-    inside[j2, p2] = (tau1 <= 0) & (tau2 > 0)
-    enter = (tau1 > 0) & (tau1 < L)
-    leave = (tau2 > 0) & (tau2 < L)
-    after = inside.copy()
-    after[j2[enter], p2[enter]] = True
-    after[j2[leave], p2[leave]] = False
-    j0, p0 = np.nonzero(after[:-1] != inside[1:])   # a jump, or rounding at a knot
-    j0 += 1
-    times = np.concatenate((breaks[j2[enter]] + tau1[enter],
-                            breaks[j2[leave]] + tau2[leave], breaks[j0]))
-    pairs = np.concatenate((p2[enter], p2[leave], p0))
+        near = np.flatnonzero(((A * tv + B) * tv + C <= 2.0 * delta)
+                              & (np.maximum(C, (A * L + B) * L + C) >= -2.0 * delta))
+        A, B, C, L, begin, pb = (x[near] for x in (A, B, C, L, begin, pb))
+        disc = B * B - 4.0 * A * C
+        two = disc > 4.0 * A * delta        # two roots, d² − r² dips below −δ
+        lows.append(begin[~two])            # near 0 throughout: guard it all
+        highs.append(end[block][near[~two]])
+        i, A, B, C, L, begin, pb, disc = (
+            x[two] for x in (near + s, A, B, C, L, begin, pb, disc))
+        sq = np.sqrt(disc)
+        q = -0.5 * (B + np.copysign(sq, B))
+        tau1 = np.minimum(q / A, C / q)
+        tau2 = np.maximum(q / A, C / q)
+        half = delta / sq + np.sqrt(delta / A)
+        # the link just after the start: a root at τ = 0 has passed
+        inside[i] = (tau1 <= 0) & (tau2 > 0)
+        after[block] = inside[block]
+        for tau, link in ((tau1, True), (tau2, False)):    # enter, then leave
+            flip = (tau > 0) & (tau < L)
+            after[i[flip]] = link
+            times.append(begin[flip] + tau[flip])
+            pairs.append(pb[flip])
+            band = (tau + half >= 0) & (tau - half <= L)
+            mid = begin[band] + tau[band]
+            lows.append(mid - half[band])
+            highs.append(mid + half[band])
+    # a jump, or rounding at a knot: the link differs across a segment edge
+    edge = np.flatnonzero(~final[:-1] & (after[:-1] != inside[1:])) + 1
+    for out in (times, lows, highs):
+        out.append(breaks[j[edge]])
+    pairs.append(p[edge])
+    times, pairs = np.concatenate(times), np.concatenate(pairs)
     order = np.argsort(times, kind="stable")
     pairs = pairs[order]
-    # guards: root bands reaching into their interval, grazing intervals,
-    # and the instants of boundary flips
-    lows, highs = [], []
-    for tau in (tau1, tau2):
-        near = (tau + half >= 0) & (tau - half <= L)
-        mid = breaks[j2[near]] + tau[near]
-        lows.append(mid - half[near])
-        highs.append(mid + half[near])
-    lows.append(breaks[j[graze]])
-    highs.append(breaks[j[graze] + 1])
-    lows.append(breaks[j0])
-    highs.append(breaks[j0])
     adj = np.zeros((n, n), dtype=bool)
-    adj[a, b] = inside[0]
+    adj[a, b] = inside[j == 0]
     adj |= adj.T
     return (adj, (times[order], a[pairs], b[pairs]),
             (np.concatenate(lows), np.concatenate(highs)))

@@ -11,7 +11,8 @@ network is connected is a property of an epoch's rows, so the span keeps it
 per epoch for every run of its world (`LinkSpan.connectivity`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
-d² − r² crosses 0, at a root of one quadratic per interval between knots.
+d² − r² crosses 0, at a root of one quadratic per segment between the knots
+of the pair's own two nodes.
 A `LinkSpan` solves those crossings once from 0 to the model's horizon
 (`kernels.range_crossings`) and keeps the quiet windows between them, shared
 by every run of one world; each run's `Radio` answers a query inside a
@@ -201,8 +202,10 @@ class LinkSpan:
     open intervals inside (0, horizon) that hold no guard-band point and no
     crossing instant of `kernels.range_crossings`, so their links are those
     of their epoch (the crossings at or before the open end) throughout.
-    Solved when a radio first builds on the span, then kept, so every
-    run of one world adopts the same arrays; it holds nothing of a run.
+    Each pair's crossings and guards are solved between its own two nodes'
+    knots alone, so another node's turn moves none of them. Solved when a
+    radio first builds on the span, then kept, so every run of one world
+    adopts the same arrays; it holds nothing of a run.
     `connectivity` is world data too: whether each epoch's links join every
     node, filled by `Radio.connected` for the epochs its runs ask about, so
     a later run of the world walks none of them again.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adhocloc import kernels
-from adhocloc.radio import LinkSpan, MessageLedger, Radio
+from adhocloc.radio import SLACK, LinkSpan, MessageLedger, Radio
 from conftest import static_model
 
 
@@ -350,6 +350,27 @@ class TestBfsTree:
         assert radio.route(1, 0, 0.0) == (1, 0)
         rows = radio.snapshot(0.0)
         assert kernels.path_back(rows, kernels.bfs_tree(rows, 1), 0) == (1, 0)
+
+
+class TestRangeCrossings:
+    def test_a_pairs_crossings_depend_on_its_two_nodes_only(self):
+        # a far node whose knots interleave the pair's cuts none of the
+        # pair's segments: the crossings, their pairs and the guard bands
+        # stay bitwise equal
+        rng = np.random.default_rng(8)
+        hi, r2, delta = 100.0, 250.0 ** 2, SLACK * 500.0 ** 2
+        for _ in range(100):
+            pair = [(np.concatenate(([0.0], np.sort(rng.uniform(0.0, hi, 2)), [hi])),
+                     *rng.uniform(0.0, 500.0, (2, 4))) for _ in range(2)]
+            far = (np.concatenate(([0.0], np.sort(rng.uniform(0.0, hi, 29)))),
+                   *rng.uniform(10_000.0, 11_000.0, (2, 30)))
+            start, events, guards = kernels.range_crossings(
+                *flatten_trajectories(pair), hi, r2, delta)
+            joined, joined_events, joined_guards = kernels.range_crossings(
+                *flatten_trajectories(pair + [far]), hi, r2, delta)
+            assert np.array_equal(joined[:2, :2], start) and not joined[2].any()
+            for mine, theirs in zip((*events, *guards), (*joined_events, *joined_guards)):
+                assert np.array_equal(mine, theirs)
 
 
 class TestSeparationSeries:

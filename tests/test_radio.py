@@ -476,11 +476,9 @@ def exact_rows(model, range_m, t):
 
 
 def built_radio(model, range_m=250.0):
-    """A radio whose windows are solved up to the horizon; a zero horizon
-    leaves it unbuilt."""
+    """A radio whose windows are solved up to the horizon."""
     radio = Radio(LinkSpan(model, range_m), MessageLedger())
-    if model.horizon > 0:
-        radio.build()
+    radio.build()
     return radio
 
 
@@ -619,15 +617,35 @@ class TestLinkTimeline:
         # a jump across the range, one knot time stamped twice
         [[(0.0, 0.0, 0.0)], [(0.0, 100.0, 0.0), (20.0, 100.0, 0.0),
                              (20.0, 400.0, 0.0), (70.0, 0.0, 0.0)]],
+        # a turn back exactly at range, so a segment starts with d² − r² = 0
+        # and rising, and the pair's next segment starts out of range
+        [[(0.0, 0.0, 0.0)], [(0.0, 300.0, 0.0), (10.0, 250.0, 0.0),
+                             (20.0, 300.0, 0.0), (30.0, 400.0, 0.0)]],
     ])
     def test_edge_cases_equal_the_exact_rows(self, nodes):
         radio = built_radio(scripted_model(nodes))
         times = np.linspace(0.0, 80.0, 801).tolist() + [30.0, 50.0, 20.0]
         assert_rows_are_exact(radio, around(times + window_ends(radio)))
 
+    @pytest.mark.parametrize("model, windows", [
+        # every node has one knot, so the horizon is 0 and holds no window
+        (static_model([(0.0, 0.0), (200.0, 0.0), (500.0, 0.0)]), 0),
+        # one node and so no pair: the whole span is one window
+        (scripted_model([[(0.0, 0.0, 0.0), (10.0, 500.0, 0.0)]]), 1),
+    ])
+    def test_a_span_without_pairs_or_time_keeps_its_start_rows(self, model, windows):
+        radio = built_radio(model)
+        *_, a, b, start = radio.span.solved
+        assert len(a) == len(b) == 0
+        assert start == exact_rows(model, 250.0, 0.0)
+        assert len(radio.opens) == windows
+        assert_rows_are_exact(radio, around([0.0, 5.0, model.horizon, model.horizon + 1.0]))
+
     def test_waypoint_runs_past_the_horizon_stay_exact(self, monkeypatch):
-        # blocks of a few intervals, so a build takes many blocks
-        monkeypatch.setattr(kernels, "_BLOCK_PAIR_INTERVALS", 1000)
+        # blocks of a few segments, an odd count so that a pair's segments
+        # straddle block edges and the check for a flip between two of them
+        # crosses one
+        monkeypatch.setattr(kernels, "_BLOCK_PAIR_INTERVALS", 7)
         model = RandomWaypointModel(25, 1000.0, 500.0, 8.0, 15.0,
                                     lambda node: stream(4, "mobility", node),
                                     horizon=60.0)
