@@ -8,6 +8,7 @@ from adhocloc.protocols.forwarder import ForwarderEntry, ForwarderProtocol
 from adhocloc.radio import MessageKind
 from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
+from pins import pin
 
 LINE4 = [(0, 0), (200, 0), (400, 0), (600, 0)]
 
@@ -279,6 +280,21 @@ class TestWalkRepairs:
         assert proto.entries == {0: ForwarderEntry(3, 0.0)}
 
 
+def released_walk_events() -> tuple[int, int]:
+    """The executed and the cancelled-skip event counts of a 60 s proactive
+    run with a fast code."""
+    engine = run_scenario(ScenarioConfig(
+        protocol="forwarder_proactive", lam=1.0, code_band="high",
+        node_mob="high", seed=3, duration=60.0)).engine
+    return engine.executed, engine.skipped_cancelled
+
+
+def pinned_values() -> dict:
+    executed, skipped = released_walk_events()
+    return {"forwarder.released_walks.executed": executed,
+            "forwarder.released_walks.skipped_cancelled": skipped}
+
+
 class TestParking:
     def parking_model(self):
         # station 1 leaves at t=1.5 and returns at t=3.5; nobody can bridge
@@ -360,8 +376,6 @@ class TestParking:
     def test_released_walks_cancel_their_timeouts(self):
         # executed events are deterministic, so a timeout left to fire, or
         # a cancel that drops the wrong event, shows as a count
-        result = run_scenario(ScenarioConfig(
-            protocol="forwarder_proactive", lam=1.0, code_band="high",
-            node_mob="high", seed=3, duration=60.0))
-        assert result.engine.executed == 694
-        assert result.engine.skipped_cancelled == 11
+        executed, skipped = released_walk_events()
+        assert executed == pin("forwarder.released_walks.executed")
+        assert skipped == pin("forwarder.released_walks.skipped_cancelled")

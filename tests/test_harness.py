@@ -1,11 +1,13 @@
 """Config parsing, scenario runs, sweeps, CSV output and the CLI."""
 
 import ast
+import contextlib
 import gc
 import hashlib
 import importlib
 import io
 import re
+import tempfile
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields
@@ -29,6 +31,8 @@ from adhocloc.scenario import World, WorldKey, run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row, cell_rows,
                             comparison_table, run_sweep, write_csv)
 from conftest import build_ctx, classify_mobility, static_model
+import pins
+from pins import pin
 
 
 def short_cfg(**overrides):
@@ -628,6 +632,48 @@ class TestSweep:
         assert single.splitlines()[2].split() == ["zoned", "7", "0.5", "0"]
 
 
+#: the dump files of the run whose messages dump is pinned, as `--csv`,
+#: `--dump-trace` and `--dump-messages` name them
+DUMPS = ("rows.csv", "trace.csv", "messages.csv")
+#: the grid whose sweep and compare outputs are pinned
+CLI_GRID = ["--set", "duration=12", "--set", "warmup=2",
+            "--protocols", "forwarder_reactive,centralized",
+            "--lambda", "0.5", "--seeds", "1,2"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_out(argv: list) -> str:
+    """What the CLI prints for `argv`; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def cli_sha(argv: list) -> str:
+    return sha256(cli_out(argv).encode())
+
+
+def run_messages_sha(directory: Path) -> str:
+    """sha256 of the messages dump of a 12 s run that writes every dump
+    into `directory`."""
+    rows, trace, messages = (directory / name for name in DUMPS)
+    cli_out(["run", "--set", "duration=12", "--set", "warmup=2", "--csv", str(rows),
+             "--dump-trace", str(trace), "--dump-messages", str(messages)])
+    return sha256(messages.read_bytes())
+
+
+def pinned_values() -> dict:
+    with tempfile.TemporaryDirectory() as directory:
+        messages_sha = run_messages_sha(Path(directory))
+    return {"harness.run_messages_sha": messages_sha,
+            "harness.sweep_rows_sha": cli_sha(["sweep", *CLI_GRID]),
+            "harness.compare_table_sha": cli_sha(["compare", *CLI_GRID])}
+
+
 class TestCli:
     def test_run_prints_a_report_and_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "row.csv"
@@ -678,21 +724,13 @@ class TestCli:
         assert code == 0
         assert "protocol:        zoned" in capsys.readouterr().out
 
-    def test_dump_files_carry_their_headers(self, tmp_path, capsys):
-        rows = tmp_path / "rows.csv"
-        trace = tmp_path / "trace.csv"
-        messages = tmp_path / "messages.csv"
-        code = cli.main(["run", "--set", "duration=12", "--set", "warmup=2",
-                         "--csv", str(rows), "--dump-trace", str(trace),
-                         "--dump-messages", str(messages)])
-        assert code == 0
-        capsys.readouterr()
+    def test_dump_files_carry_their_headers(self, tmp_path):
+        # every ledger row of the run, as the CLI writes it
+        assert run_messages_sha(tmp_path) == pin("harness.run_messages_sha")
+        rows, trace, messages = (tmp_path / name for name in DUMPS)
         assert trace.read_text().splitlines()[0] == "node_id,t,x,y"
         assert (messages.read_text().splitlines()[0]
                 == "request_id,kind,src,dst,units,t")
-        # every ledger row of the run, as the CLI writes it
-        assert (hashlib.sha256(messages.read_bytes()).hexdigest()
-                == "321b4e63f816cfb735cb61ddb25a6ccfd0e812a97f079a5b02a12783cd3363a4")
         # every CSV the CLI writes ends its lines with a bare LF
         assert not any(b"\r" in path.read_bytes() for path in (rows, trace, messages))
 
@@ -844,28 +882,16 @@ class TestCli:
             assert block == {protocol: averages[(protocol, lam, target)]
                              for protocol in ("forwarder_reactive", "centralized")}
 
-    def test_sweep_and_compare_bytes_are_pinned(self, tmp_path, capsys):
-        # sha256 of the outputs; a changed byte means a changed result. The
-        # rows' hash was recorded before the result rows were built from one
-        # column table, the table's when its blocks became one per cell
-        grid = ["--set", "duration=12", "--set", "warmup=2",
-                "--protocols", "forwarder_reactive,centralized",
-                "--lambda", "0.5", "--seeds", "1,2"]
-        rows_sha = "c3bfc66b36ac01ed2395d52ed34dafbe46dbf5a59d1ec37b40936fa97609456f"
-        table_sha = "b6c8e9dfa6cf26c4d100c31542f3c9ee039a71587676df1deb2008c5816dda81"
+    def test_sweep_and_compare_bytes_are_pinned(self, tmp_path):
+        # sha256 of the outputs; a changed byte means a changed result
+        rows_sha = pin("harness.sweep_rows_sha")
+        table_sha = pin("harness.compare_table_sha")
         sweep_csv, compare_csv = tmp_path / "sweep.csv", tmp_path / "compare.csv"
-
-        def sha(data: bytes) -> str:
-            return hashlib.sha256(data).hexdigest()
-
-        assert cli.main(["sweep", *grid, "--csv", str(sweep_csv)]) == 0
-        assert capsys.readouterr().out == ""
-        assert sha(sweep_csv.read_bytes()) == rows_sha
-        assert cli.main(["sweep", *grid]) == 0
-        assert sha(capsys.readouterr().out.encode()) == rows_sha
-        assert cli.main(["compare", *grid, "--csv", str(compare_csv)]) == 0
-        assert sha(capsys.readouterr().out.encode()) == table_sha
-        assert sha(compare_csv.read_bytes()) == rows_sha
+        assert cli_out(["sweep", *CLI_GRID, "--csv", str(sweep_csv)]) == ""
+        assert sha256(sweep_csv.read_bytes()) == rows_sha
+        assert cli_sha(["sweep", *CLI_GRID]) == rows_sha
+        assert cli_sha(["compare", *CLI_GRID, "--csv", str(compare_csv)]) == table_sha
+        assert sha256(compare_csv.read_bytes()) == rows_sha
 
 
 class TestPublicSurface:
@@ -888,14 +914,30 @@ class TestPublicSurface:
             assert getattr(adhocloc, name) is not None, name
 
     def test_the_aborting_same_bytes_set_is_pinned(self, monkeypatch):
-        # every simulated value of ten runs that end in a partition abort;
-        # a change that moves none of them keeps the first two fields
+        # every simulated value of ten runs that end in a partition abort,
+        # against the pin the same-bytes tool checks
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                         / "tools"))
         same_bytes = importlib.import_module("same_bytes")
-        line = same_bytes.run_set(same_bytes.RUN_SETS[1]).split()
-        assert line[:2] == [
-            "10", "58467c7bbd98ff7936ab9da5ac90e82ae610c369d10029ca9a85057eb3b4a2b6"]
+        assert (same_bytes.kept_fields(same_bytes.run_set(same_bytes.RUN_SETS["aborting"]))
+                == pin("same_bytes.aborting"))
+
+    def test_golden_values_are_written_only_in_the_pin_file(self):
+        # a run of 16 or more hex digits is a digest or a full-precision
+        # float copied by hand; tests/pins.json is the one place for them
+        root = Path(__file__).resolve().parent.parent
+        paths = [*root.glob("tests/*.py"), *root.glob("tools/*.py"),
+                 *root.glob(".github/workflows/*.yml"), root / "README.md"]
+        copies = [f"{path.relative_to(root)}:{number}" for path in paths
+                  for number, line in enumerate(path.read_text(encoding="utf-8")
+                                                .splitlines(), 1)
+                  if re.search("[0-9a-fA-F]{16,}", line)]
+        assert copies == []
+
+    def test_the_pin_file_is_written_as_its_writer_writes_it(self):
+        # sorted keys and each float's repr: re-pinning an unchanged tree
+        # leaves the file byte-identical
+        assert pins.dumps(pins.load()) == pins.PATH.read_text(encoding="utf-8")
 
     def test_every_function_is_referenced_outside_its_own_body(self):
         # a name no other code in the package mentions is a function the

@@ -15,6 +15,7 @@ from adhocloc.protocols.server import (CHASE_BUDGET, SERVICE_TIME, CentralizedPr
 from adhocloc.radio import MessageKind
 from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
+from pins import pin
 
 # a connected cluster whose centroid sits nearest node 2
 CLUSTER6 = [(0, 0), (200, 0), (400, 0), (600, 0), (450, 100), (350, -100)]
@@ -378,29 +379,52 @@ class TestReportRule:
         assert settled.engine.executed < evented.engine.executed
 
 
+#: a 60 s centralized run whose agent's job count is pinned
+LISTED_REPORTS_RUN = ScenarioConfig(protocol="centralized", lam=1.0, seed=3,
+                                    duration=60.0)
+#: centralized runs that abort at 3 s, by pin name: their overrides
+ABORTED_RUNS = {
+    "range1": {"range": 1.0},
+    # a report is still on its way at the abort
+    "range150-seed6": {"range": 150.0, "seed": 6},
+}
+
+
+def agent_jobs(result) -> int:
+    return result.protocol.agent.processed
+
+
+def aborted_run(overrides: dict):
+    return run_scenario(ScenarioConfig(protocol="centralized", partition_grace=2.0,
+                                       duration=10.0, **overrides))
+
+
+def agent_state(result) -> dict:
+    """The jobs the agent took and the instant its queue drains."""
+    agent = result.protocol.agent
+    return {"processed": agent.processed, "busy_until": agent.busy_until}
+
+
+def pinned_values() -> dict:
+    return {"server.agent_jobs": agent_jobs(run_scenario(LISTED_REPORTS_RUN)),
+            **{f"server.aborted_agent.{name}": agent_state(aborted_run(overrides))
+               for name, overrides in ABORTED_RUNS.items()}}
+
+
 class TestEventWork:
     """Executed events are deterministic, so a lost shortcut shows as a count."""
 
     def test_a_listed_station_s_report_schedules_no_completion(self):
-        result = run_scenario(ScenarioConfig(protocol="centralized", lam=1.0,
-                                             seed=3, duration=60.0))
+        result = run_scenario(LISTED_REPORTS_RUN)
         reports = sum(row.kind is MessageKind.POSITION_REPORT
                       for row in result.ledger.rows)
         # a tick per report; an arrival and a completion only for a report
         # from a station not yet listed when it left
         assert result.engine.executed < 1.75 * reports
-        assert result.protocol.agent.processed == 1613
+        assert agent_jobs(result) == pin("server.agent_jobs")
 
-    @pytest.mark.parametrize("overrides, processed, busy_until", [
-        ({"range": 1.0}, 3, 2.4496606936080947),
-        # a report is still on its way at the abort
-        ({"range": 150.0, "seed": 6}, 48, 3.005715608277959),
-    ])
-    def test_an_aborted_run_counts_the_jobs_taken_before_the_abort(
-            self, overrides, processed, busy_until):
-        result = run_scenario(ScenarioConfig(protocol="centralized",
-                                             partition_grace=2.0, duration=10.0,
-                                             **overrides))
+    @pytest.mark.parametrize("name", ABORTED_RUNS)
+    def test_an_aborted_run_counts_the_jobs_taken_before_the_abort(self, name):
+        result = aborted_run(ABORTED_RUNS[name])
         assert result.aborted and result.engine.now == 3.0
-        agent = result.protocol.agent
-        assert (agent.processed, agent.busy_until) == (processed, busy_until)
+        assert agent_state(result) == pin(f"server.aborted_agent.{name}")

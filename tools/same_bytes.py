@@ -36,12 +36,12 @@ there. The runs go through one `run_sweep` per protocol variant and set,
 axes in the order listed and seeds innermost, so runs at one seed and node
 speed share their world as in any sweep; any tree whose `run_sweep` takes
 these axes and hands each result to `on_result` can be checked. `run_set`
-runs one set and returns its line, so a test can pin a set's digest.
+runs one set and returns its line, so a test can check the aborting set.
 
-It also compares each line with the one kept in `EXPECTED`, field by
-field apart from the three counts of host work (`events=`, `cancelled=`,
-`exact=`), and exits 1 if any kept field differs. A change that moves a
-simulated value on purpose updates `EXPECTED`.
+It also compares each line's kept fields, all but the three counts of host
+work (`events=`, `cancelled=`, `exact=`), with the set's pin in
+`tests/pins.json`, and exits 1 if they differ. A change that moves a
+simulated value on purpose runs `tools/repin.py`, which rewrites the pins.
 """
 
 from __future__ import annotations
@@ -49,31 +49,26 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from adhocloc.config import ScenarioConfig
 from adhocloc.radio import Radio
 from adhocloc.scenario import WorldKey
 from adhocloc.sweep import run_sweep, write_csv
+from pins import pin
 
 VARIANTS = (("forwarder_proactive", 2), ("forwarder_reactive", 2),
             ("centralized", 2), ("zoned", 2), ("zoned", 4))
-#: each line's runs, every variant over these axes: (lambdas, node mobility
-#: labels, code bands, seeds)
-RUN_SETS = (
-    ((0.25, 1.0, 4.0), ("medium", "high"), ("medium", "high"), (1, 2)),
+#: each line's runs, by pin name, every variant over these axes: (lambdas,
+#: node mobility labels, code bands, seeds)
+RUN_SETS = {
+    "main": ((0.25, 1.0, 4.0), ("medium", "high"), ("medium", "high"), (1, 2)),
     # low node speed: each of these runs ends in a partition abort
-    ((0.25,), ("low",), ("medium",), (4, 12)),
-)
+    "aborting": ((0.25,), ("low",), ("medium",), (4, 12)),
+}
 DURATION = 200.0
-#: each set's line as this tree prints it; `main` compares against it
-EXPECTED = (
-    "120 86976f9b6ad03326f55134da4e8e7f6a1170e3784e3ee9eeff565bce123114c6 events=835732 "
-    "cancelled=1837 processed=327719 exact=1039 worlds=ec73456c3b09a868 rows=8cd83e3c10c61c53",
-    "10 58467c7bbd98ff7936ab9da5ac90e82ae610c369d10029ca9a85057eb3b4a2b6 events=6476 "
-    "cancelled=0 processed=3107 exact=25 worlds=b1240492749cbd8e rows=2363f6c25163d895",
-)
-#: the fields that count host work, which `main` does not compare
-HOST_WORK = ("events=", "cancelled=", "exact=")
 
 
 def run_key(result) -> tuple:
@@ -143,18 +138,24 @@ def run_set(axes: tuple) -> str:
             f"rows={rows.hexdigest()[:16]}")
 
 
-def kept_fields(line: str) -> list[str]:
-    """A line's fields without its counts of host work."""
-    return [field for field in line.split() if not field.startswith(HOST_WORK)]
+def kept_fields(line: str) -> str:
+    """A line without its counts of host work: what the pin holds."""
+    return " ".join(field for field in line.split()
+                    if not field.startswith(("events=", "cancelled=", "exact=")))
+
+
+def pinned_values() -> dict:
+    return {f"same_bytes.{name}": kept_fields(run_set(axes))
+            for name, axes in RUN_SETS.items()}
 
 
 def main() -> int:
     status = 0
-    for axes, expected in zip(RUN_SETS, EXPECTED):
-        line = run_set(axes)
+    for name, axes in RUN_SETS.items():
+        line, pinned = run_set(axes), pin(f"same_bytes.{name}")
         print(line)
-        if kept_fields(line) != kept_fields(expected):
-            print(f"MISMATCH: expected {expected}", file=sys.stderr)
+        if kept_fields(line) != pinned:
+            print(f"MISMATCH: pinned {pinned}", file=sys.stderr)
             status = 1
     return status
 
