@@ -35,10 +35,12 @@ proactive tick runs every CHAIN_CHECK_PERIOD; a parked walk gives up after
 PROACTIVE_WAIT_TICKS of them.
 
 A repair diffuses a search around the broken station, first within REPAIR_TTL
-hops, then network-wide. The current host and every station of order higher
-than the searcher answer (each reply is charged). The searcher reconnects to
-the sought successor, or to an answerer that is nearer in hops than the sought
-one, preferring the highest order, then the fewest hops, then the lowest id.
+hops, then network-wide. The answerers are the current host and every station
+of order higher than the searcher that the search reaches, read off the chain;
+they reply in ascending id, each reply charged, and no other station is asked.
+The searcher reconnects to the sought successor, or to an answerer that is
+nearer in hops than the sought one, preferring the highest order, then the
+fewest hops, then the lowest id.
 Relay nodes on the adopted multi-hop path are turned into chain members with
 interpolated orders so the rebuilt stretch stays walkable over direct links;
 stations whose order falls inside the bridged stretch but that are not on the
@@ -253,21 +255,23 @@ class ForwarderProtocol(LocalizationProtocol):
         code = self.code
         sought = anchor.next_hop if anchor is not None else None
 
+        # the host and the members above the searcher that the flood reached
+        # answer, in ascending id
+        reached = sum(flood.levels)
+        answerers = {x for x, e in self.entries.items() if e.order > searcher_order}
         replies: List[Tuple[float, int]] = []
-        for x, depth in flood.depths.items():
-            e = self.entries.get(x)
-            answers = x == code.host or (e is not None and e.order > searcher_order)
-            if x == station or not answers:
+        for x in sorted((answerers | {code.host}) - {station}):
+            if not reached >> x & 1:
                 continue
             arrival = self.radio.unicast(x, station, MessageKind.CHAIN_REPAIR_REPLY,
-                                         t + depth * lat, request_id=request_id)
+                                         t + flood.depth(x) * lat, request_id=request_id)
             if arrival is not None:
                 replies.append((arrival, x))
 
         # an unreached sought station lies beyond every answerer
-        sought_depth = flood.depths.get(sought, self.cfg.n_nodes + 1)
-        pool = [x for _, x in replies
-                if x == sought or flood.depths[x] < sought_depth]
+        sought_depth = None if sought is None else flood.depth(sought)
+        pool = [x for _, x in replies if sought_depth is None
+                or x == sought or flood.depth(x) < sought_depth]
 
         if not pool:
             if ttl is not None:
@@ -282,7 +286,7 @@ class ForwarderProtocol(LocalizationProtocol):
         def preference(x: int) -> Tuple[float, int, int]:
             e = self.entries.get(x)
             order = e.order if e is not None else float(code.jumps)
-            return (-order, flood.depths[x], x)
+            return (-order, flood.depth(x), x)
 
         best = min(pool, key=preference)
         path = self.radio.flood_path(flood, best)

@@ -34,6 +34,7 @@ import math
 from collections import Counter
 from typing import Callable, Dict, Optional
 
+from .. import kernels
 from ..engine import Engine, drawn_in_blocks, stream
 from ..geometry import centroid, dist, elect_server
 from ..metrics import RequestRecord
@@ -270,7 +271,7 @@ class CentralizedProtocol(ServerProtocol):
         t = self.engine.now
         flood = self.radio.flood(holder, MessageKind.SERVER_UPDATE, t, ttl=None)
         lat = self.radio.latency
-        for v, depth in flood.depths.items():
+        for v, depth in kernels.depths(flood.levels).items():
             if depth == 0:
                 self.known_server[v] = holder
             else:

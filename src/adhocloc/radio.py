@@ -194,7 +194,13 @@ class MessageLedger:
 class FloodResult:
     rows: list[int]             # the topology flooded, for flood_path
     levels: list[int]           # bitmask of the nodes at each depth
-    depths: dict[int, int]      # reached node -> depth, ascending node ids
+
+    def depth(self, node: int) -> Optional[int]:
+        """Hops from the origin to `node`, or None when the flood missed it."""
+        for depth, level in enumerate(self.levels):
+            if level >> node & 1:
+                return depth
+        return None
 
 
 class LinkSpan:
@@ -337,9 +343,21 @@ class Radio:
         return table[self.epoch]
 
     def diameter(self, t: float) -> int:
-        """Largest finite hop distance over all pairs at t."""
+        """Largest finite hop distance over all pairs at t, walking only the
+        trees that can set it (BoundingDiameters: Takes and Kosters, CIKM
+        2011). A tree of depth e bounds the eccentricity of each node it
+        reaches at depth d by e + d; a node not yet reached has the bound n.
+        The lowest-id node whose bound exceeds the largest depth found is
+        walked next, until no node's bound does."""
         rows = self._rows(t)
-        return max(len(kernels.bfs_tree(rows, src)) for src in range(len(rows))) - 1
+        unsettled = (1 << len(rows)) - 1    # the nodes whose bound exceeds found
+        found, trees = 0, []
+        while unsettled:
+            trees.append(kernels.bfs_tree(rows, (unsettled & -unsettled).bit_length() - 1))
+            found = max(found, len(trees[-1]) - 1)
+            for levels in trees:    # each settles its nodes within found - e hops
+                unsettled &= ~sum(levels[:found - len(levels) + 2])
+        return found
 
     def route(self, src: int, dst: int, t: float) -> Optional[tuple[int, ...]]:
         """Hop path src -> dst on the snapshot at t, or None. Charges nothing;
@@ -415,7 +433,7 @@ class Radio:
         # isolated one still transmits once
         units = sum(levels[:ttl]).bit_count()
         self.ledger.charge(kind, origin, BROADCAST, units, t, request_id)
-        return FloodResult(rows, levels, kernels.depths(levels))
+        return FloodResult(rows, levels)
 
     def flood_depth(self, origin: int, target: int, kind: MessageKind,
                     t: float) -> Optional[int]:
@@ -440,7 +458,7 @@ class Radio:
 
     def flood_path(self, flood: FloodResult, node: int) -> tuple[int, ...]:
         """Relay path origin -> node inside a flood's BFS tree."""
-        depth = flood.depths.get(node)
+        depth = flood.depth(node)
         if depth is None:
             raise ValueError(f"node {node} was not reached by the flood")
         return kernels.path_back(flood.rows, flood.levels[:depth + 1], node)

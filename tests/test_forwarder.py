@@ -228,6 +228,25 @@ class TestWalkRepairs:
         kinds = set(proto.radio.ledger.by_kind)
         assert {"ChainRepairFlood", "ChainRepairReply"} <= kinds
 
+    def test_only_the_host_and_higher_members_answer_in_ascending_id(self):
+        # chain 0 -> 1 -> 2 -> 4 -> host 3; station 2's link to 4 is out of
+        # range, and its ttl-3 search reaches every node: the lower members
+        # 0 and 1, the non-member 5 that bridges 2 and 4, the higher member
+        # 4 and the host 3
+        proto = make_forwarder(static_model(
+            [(0, 0), (200, 0), (400, 0), (800, 200), (800, 0), (600, 0)]))
+        for host in (1, 2, 4, 3):
+            jump_code(proto, host)
+        record = issue(proto, 0.0)
+        proto.engine.run_until(1.0)
+        floods = [r for r in proto.radio.ledger.rows
+                  if r.kind is MessageKind.CHAIN_REPAIR_FLOOD]
+        replies = [(r.src, r.dst) for r in proto.radio.ledger.rows
+                   if r.kind is MessageKind.CHAIN_REPAIR_REPLY]
+        assert [(r.src, r.units) for r in floods] == [(2, 5)]
+        assert replies == [(3, 2), (4, 2)]
+        assert record.returned_host == 3
+
     def test_bypassed_station_is_dropped_from_the_chain(self):
         proto = make_forwarder(self.repair_model())
         jump_code(proto, 1)

@@ -26,11 +26,11 @@ from adhocloc.engine import DRAW_BLOCK, stream
 from adhocloc.metrics import MetricsReport
 from adhocloc.mobility import RandomWaypointModel
 from adhocloc.protocols.base import CodeMigrationProcess, LocalizationProtocol
-from adhocloc.radio import Radio
+from adhocloc.radio import PER_HOP_LATENCY, Radio
 from adhocloc.scenario import World, WorldKey, run_scenario
 from adhocloc.sweep import (AVERAGE_SEED, CSV_COLUMNS, average_row, cell_rows,
                             comparison_table, run_sweep, write_csv)
-from conftest import build_ctx, classify_mobility, static_model
+from conftest import build_ctx, classify_mobility, scripted_model, static_model
 import pins
 from pins import pin
 
@@ -384,18 +384,37 @@ class TestScenario:
 
     def test_the_model_horizon_covers_the_reads_after_the_last_event(self):
         # messages in flight when the run ends still have hops checked, so
-        # some runs read past their duration, but never past the horizon
-        past_end = []
+        # a run may read past its duration, but never past the horizon
         with pytest.MonkeyPatch.context() as patch:
-            latest = reads_within_horizon(patch)
+            reads_within_horizon(patch)
             for protocol in PROTOCOLS:
                 for seed in (1, 2):
-                    latest[0] = 0.0
-                    cfg = ScenarioConfig(protocol=protocol, lam=4.0, node_mob="high",
-                                         code_band="high", duration=100.0, seed=seed)
-                    run_scenario(cfg)
-                    past_end.append(latest[0] - cfg.duration)
-        assert max(past_end) > 0.0
+                    run_scenario(ScenarioConfig(protocol=protocol, lam=4.0,
+                                                node_mob="high", code_band="high",
+                                                duration=100.0, seed=seed))
+
+    def test_a_query_sent_at_the_end_is_checked_past_it(self, monkeypatch):
+        # the world's model, built with the horizon the world gives it, is a
+        # line 0-1-2-3-4 with node 5 above node 2, leaving its range at
+        # t = 20. The one request comes at t = 20, the run's end, with the
+        # code off the mother at seed 2, and its query to the agent (node 2,
+        # two hops off) leaves at that crossing, where no window answers, so
+        # its second hop is checked past the end
+        def line(*args, horizon):
+            model = scripted_model([[(0.0, 200.0 * k, 0.0)] for k in range(5)]
+                                   + [[(0.0, 400.0, 200.0), (40.0, 400.0, 300.0)]])
+            model.horizon = horizon
+            return model
+
+        monkeypatch.setattr(scenario, "RandomWaypointModel", line)
+        monkeypatch.setattr(scenario, "_draw_arrivals", lambda seed, lam, end: [end])
+        latest = reads_within_horizon(monkeypatch)
+        result = run_scenario(short_cfg(protocol="centralized", n_nodes=6,
+                                        duration=20.0, seed=2))
+        assert result.protocol.agent.host == 2
+        (record,) = result.records
+        assert record.units == 2 and record.resolved_at is None
+        assert latest[0] == pytest.approx(20.0 + PER_HOP_LATENCY)
 
     @pytest.mark.parametrize("overrides, parked", [
         *(pytest.param({"protocol": p}, False, id=p) for p in PROTOCOLS),

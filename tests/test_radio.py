@@ -5,9 +5,10 @@ import itertools
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adhocloc import kernels
@@ -207,33 +208,33 @@ class TestFlood:
     def test_unlimited_flood_reaches_all_and_counts_transmitters(self):
         radio, ledger = line_radio()
         flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
-        assert flood.depths == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert kernels.depths(flood.levels) == {0: 0, 1: 1, 2: 2, 3: 3}
         assert ledger.rows[-1].units == 4
 
     def test_ttl_limits_depth_and_frontier_nodes_do_not_relay(self):
         radio, ledger = line_radio()
         f1 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0, ttl=1)
-        assert list(f1.depths) == [0, 1] and ledger.rows[-1].units == 1
+        assert list(kernels.depths(f1.levels)) == [0, 1] and ledger.rows[-1].units == 1
         f2 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.1, ttl=2)
-        assert list(f2.depths) == [0, 1, 2] and ledger.rows[-1].units == 2
+        assert list(kernels.depths(f2.levels)) == [0, 1, 2] and ledger.rows[-1].units == 2
 
     @pytest.mark.parametrize("ttl", [None, 1, 3])
     def test_isolated_origin_still_pays_its_own_broadcast(self, ttl):
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, ttl=ttl)
-        assert list(flood.depths) == [0]
+        assert list(kernels.depths(flood.levels)) == [0]
         assert radio.ledger.rows[-1].units == 1
 
     def test_member_mask_blocks_excluded_relays(self):
         radio, _ = line_radio()
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1101)
-        assert list(flood.depths) == [0]
+        assert list(kernels.depths(flood.levels)) == [0]
 
     def test_origin_is_always_a_member_of_its_own_flood(self):
         radio, _ = line_radio()
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1110)
-        assert list(flood.depths) == [0, 1, 2, 3]
+        assert list(kernels.depths(flood.levels)) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("ttl", [None, 1, 2, 4])
     def test_masked_flood_equals_the_masked_matrix(self, ttl):
@@ -248,8 +249,10 @@ class TestFlood:
                                         ttl=ttl, member_mask=bits)
                     depths, parents, units, reached = flood_on_matrix(
                         adj, origin, ttl, member)
-                    assert tuple(flood.depths) == reached
-                    assert list(flood.depths.values()) == [depths[v] for v in reached]
+                    hops = [flood.depth(v) for v in range(n)]
+                    assert hops == [depths[v] if v in reached else None
+                                    for v in range(n)]
+                    assert hops == list(map(kernels.depths(flood.levels).get, range(n)))
                     for v in reached:
                         if v != origin:
                             assert radio.flood_path(flood, v)[-2] == parents[v]
@@ -304,7 +307,7 @@ class TestFloodDepth:
         ref = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         expected = []
         for origin, target in queries:
-            expected.append(ref.flood(origin, kind, 0.0).depths.get(target))
+            expected.append(ref.flood(origin, kind, 0.0).depth(target))
         radio = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         trees = count_trees(monkeypatch)
         depths = [radio.flood_depth(origin, target, kind, 0.0)
@@ -325,8 +328,33 @@ class TestFloodDepth:
         for t in (0.0, 10.0, 0.0):
             for origin in range(4):
                 flood = ref.flood(origin, kind, t)
-                assert radio.flood_depth(origin, 0, kind, t) == flood.depths.get(0)
+                assert radio.flood_depth(origin, 0, kind, t) == flood.depth(0)
         assert radio.ledger.rows == ref.ledger.rows
+
+
+class TestDiameter:
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 500)),
+                           min_size=1, max_size=30),
+           range_m=st.floats(1.0, 1200.0))
+    @example(points=[(0, 0)], range_m=250.0)                       # one node
+    @example(points=[(0, 0), (500, 0), (1000, 0)], range_m=250.0)  # no edges
+    @example(points=LINE, range_m=250.0)                           # connected
+    @example(points=LINE + [(900, 400), (1000, 400)], range_m=250.0)
+    def test_equals_the_largest_component_diameter(self, points, range_m):
+        radio = Radio(LinkSpan(static_model(points), range_m), MessageLedger())
+        graph = nx.from_numpy_array(kernels.adjacency(radio.model.positions(0.0),
+                                                      range_m))
+        assert radio.diameter(0.0) == max(
+            nx.diameter(graph.subgraph(part))
+            for part in nx.connected_components(graph))
+
+    def test_walks_fewer_trees_than_nodes(self, monkeypatch):
+        radio, adj = random_radio(np.random.default_rng(5), 25)
+        assert nx.is_connected(nx.from_numpy_array(adj))
+        trees = count_trees(monkeypatch)
+        assert radio.diameter(0.0) == nx.diameter(nx.from_numpy_array(adj))
+        assert 0 < len(trees) < 25
 
 
 class TestBfsWork:

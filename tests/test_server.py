@@ -12,7 +12,7 @@ from adhocloc.engine import DRAW_BLOCK, Engine, stream
 from adhocloc.metrics import RequestRecord
 from adhocloc.protocols.server import (CHASE_BUDGET, SERVICE_TIME, CentralizedProtocol,
                                        ServerAgent)
-from adhocloc.radio import MessageKind
+from adhocloc.radio import PER_HOP_LATENCY, MessageKind
 from adhocloc.scenario import run_scenario
 from conftest import build_ctx, jump_code, scripted_model, static_model
 from pins import pin
@@ -195,7 +195,8 @@ class TestRequestPath:
         proto.engine.run_until(4.0)
         # two hops to the agent, one service time, two hops back, three out
         # to the host
-        assert record.resolved_at == pytest.approx(2.106)
+        assert record.resolved_at == pytest.approx(
+            2.0 + 7 * PER_HOP_LATENCY + SERVICE_TIME)
         assert record.returned_host == 3 and record.truth_host == 3
         assert record.retries == 0
         assert proto.radio.ledger.units_for_request(1) == 7
@@ -210,7 +211,10 @@ class TestRequestPath:
         proto.engine.run_until(4.0)
         assert record.retries == 1
         assert record.returned_host == 4 and record.truth_host == 4
-        assert record.resolved_at == pytest.approx(2.222)
+        # the requery waits behind host 4's one-hop update, sent at the jump;
+        # then two hops back and three out to host 4
+        assert record.resolved_at == pytest.approx(
+            2.09 + 6 * PER_HOP_LATENCY + 2 * SERVICE_TIME)
         assert proto.radio.ledger.units_for_request(1) == 14
 
     def test_an_agent_without_the_code_entry_is_requeried_until_failure(self):
@@ -222,7 +226,8 @@ class TestRequestPath:
         # four queries of two hops and one service time each, no reply sent
         assert record.resolved_at is None
         assert record.retries == 3
-        assert record.failed_at == pytest.approx(2.224)
+        assert record.failed_at == pytest.approx(
+            2.0 + 4 * (2 * PER_HOP_LATENCY + SERVICE_TIME))
         assert proto.radio.ledger.units_for_request(1) == 8
 
 
@@ -263,7 +268,10 @@ class TestHandoff:
         proto.known_server[0] = 4
         record = issue(proto)
         proto.engine.run_until(8.0)
-        assert record.resolved_at == pytest.approx(6.086)
+        # five hops (the chase through the forward map included) and one
+        # service time
+        assert record.resolved_at == pytest.approx(
+            6.0 + 5 * PER_HOP_LATENCY + SERVICE_TIME)
         assert record.returned_host == 3
         assert proto.radio.ledger.units_for_request(1) == 5
 
@@ -278,7 +286,7 @@ class TestHandoff:
         # four queries of two hops each, none of them reaching the agent
         assert record.resolved_at is None
         assert record.retries == 3
-        assert record.failed_at == pytest.approx(2.08)
+        assert record.failed_at == pytest.approx(2.0 + 8 * PER_HOP_LATENCY)
         assert proto.radio.ledger.units_for_request(1) == 8
         assert proto.agent.processed == 1    # the initial location update
 

@@ -86,7 +86,8 @@ class TestRequestPath:
         record = issue(proto)
         proto.engine.run_until(4.0)
         # one hop each for query, reply and contact plus one service time
-        assert record.resolved_at == pytest.approx(2.066)
+        assert record.resolved_at == pytest.approx(
+            2.0 + 3 * PER_HOP_LATENCY + SERVICE_TIME)
         assert record.returned_host == 1 and record.retries == 0
         assert proto.radio.ledger.units_for_request(1) == 3
         assert ring_rows(proto) == []
@@ -96,7 +97,10 @@ class TestRequestPath:
         proto.engine.run_until(2.0)
         record = issue(proto)
         proto.engine.run_until(4.0)
-        assert record.resolved_at == pytest.approx(2.122)
+        # five hops, the ring forward included, and a service time at each
+        # of the two agents
+        assert record.resolved_at == pytest.approx(
+            2.0 + 5 * PER_HOP_LATENCY + 2 * SERVICE_TIME)
         assert record.returned_host == 2 and record.retries == 0
         assert proto.radio.ledger.units_for_request(1) == 5
         assert len(ring_rows(proto)) == 1
@@ -111,7 +115,8 @@ class TestRequestPath:
         # every attempt rings all four agents and buys a charged not-found
         assert record.resolved_at is None
         assert record.retries == 3
-        assert record.failed_at == pytest.approx(1.816)
+        assert record.failed_at == pytest.approx(
+            1.0 + 4 * (6 * PER_HOP_LATENCY + 4 * SERVICE_TIME))
         assert proto.radio.ledger.units_for_request(1) == 24
         assert len(ring_rows(proto)) == 12
 
@@ -128,7 +133,10 @@ class TestDatabaseUpkeep:
         proto.engine.run_until(2.0)
         record = issue(proto)
         proto.engine.run_until(4.0)
-        assert record.resolved_at == pytest.approx(2.188)
+        # eight hops, two ring forwards among them, and a service time at
+        # each of the three agents asked
+        assert record.resolved_at == pytest.approx(
+            2.0 + 8 * PER_HOP_LATENCY + 3 * SERVICE_TIME)
         assert record.returned_host == 4
         assert proto.radio.ledger.units_for_request(1) == 8
         assert len(ring_rows(proto)) == 2
@@ -288,7 +296,7 @@ class TestReelection:
         assert len(announced) == 1
         (res, units), = announced
         assert res.levels[0] == 1
-        assert list(res.depths) == [0, 1]
+        assert res.levels == [0b1, 0b10]
         assert units == 2
 
 
