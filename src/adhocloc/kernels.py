@@ -1,38 +1,49 @@
-"""Hot numeric kernels, vectorised with numpy: each handles all nodes at once,
-with no per-node Python loop but one knot search per node for a block of
-sample times. That search also counts each node's knots at every instant
-some node turns, from which `range_crossings` cuts each pair's own segments.
-`bfs_tree` walks neighbour bitmasks level by level, as far as its
-caller asks; `path_back` reads a path back from those levels and `depths`
-each reached node's hop count. The tests hold loop references that the
+"""Hot numeric kernels. One instant's positions are a bisection of each node's
+knots on Python floats (`position_at`), which at the networks simulated here
+beats any array pass; a block of sample times is vectorised with numpy, one
+knot search per node for all of them. That search also counts each node's
+knots at every instant some node turns, from which `range_crossings` cuts
+each pair's own segments. `bfs_tree` walks neighbour bitmasks level by level,
+as far as its caller asks; `path_back` reads a path back from those levels
+and `depth` one node's hop count. The tests hold loop references that the
 kernels must match bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 
-def positions_at(knot_t, knot_x, knot_y, offsets, t):
-    """Interpolate every node's position at time t.
+def position_at(times, xs, ys, t):
+    """One node's position at time t >= 0 from its knot lists: linear between
+    knots; before the first knot or past the last one the node rests there.
+    Of knots sharing a time, the last one holds at that time."""
+    if t < 0:
+        raise ValueError(f"negative query time {t}")
+    k = bisect_right(times, t) - 1
+    if k < 0:
+        return xs[0], ys[0]
+    if k == len(times) - 1:
+        return xs[k], ys[k]
+    w = (t - times[k]) / (times[k + 1] - times[k])
+    x0, y0 = xs[k], ys[k]
+    return x0 + (xs[k + 1] - x0) * w, y0 + (ys[k + 1] - y0) * w
 
-    Trajectories are piecewise-linear knot sequences stored flat with per-node
-    offsets, at least one knot per node; before the first knot or past the
-    last one the node rests there.
-    """
-    # knots at or before t per node; each node's knot times are sorted, so
-    # this equals searchsorted(side="right") within the node's segment. One
-    # searchsorted over node-shifted times would not: the shift can round a
-    # knot just after t onto t.
-    count = np.add.reduceat((knot_t <= t).astype(np.int64), offsets[:-1])
-    return _interpolate(knot_t, knot_x, knot_y, offsets, count, t)
+
+def positions_at(trajectories, t):
+    """Every node's `position_at` time t as an (n, 2) array, from trajectories
+    with `times`, `xs` and `ys` knot lists."""
+    return np.array([position_at(traj.times, traj.xs, traj.ys, t)
+                     for traj in trajectories], dtype=np.float64)
 
 
 def positions_block(knot_t, knot_x, knot_y, offsets, times):
     """Positions for every node at each sample time: shape (len(times), n, 2).
 
     One pass: one searchsorted per node counts its knots at or before every
-    time, and `positions_at`'s expressions run once on (times × nodes)
+    time, and `position_at`'s expressions run once on (times × nodes)
     arrays, so each sample equals `positions_at` bit for bit.
     """
     count = _knots_at_or_before(knot_t, offsets, times)
@@ -135,11 +146,12 @@ def path_back(rows, levels, dst):
     return tuple(path)
 
 
-def depths(levels):
-    """Hop count of every node a walk's levels reach, as a {node: depth}
-    dict in ascending node id."""
-    hops = {v: d for d, level in enumerate(levels) for v in set_bits(level)}
-    return dict(sorted(hops.items()))
+def depth(levels, node):
+    """Hops from levels[0]'s node to `node`, or None when the walk missed it."""
+    for d, level in enumerate(levels):
+        if level >> node & 1:
+            return d
+    return None
 
 
 def _motion(knot_t, knot_x, knot_y, k, last, begin):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -29,10 +28,6 @@ class Trajectory:
     times: list[float]
     xs: list[float]
     ys: list[float]
-
-    @property
-    def end_time(self) -> float:
-        return self.times[-1]
 
 
 class RandomWaypointModel:
@@ -89,7 +84,7 @@ class RandomWaypointModel:
         """Build a model around externally supplied trajectories (tests, replays)."""
         model = cls.__new__(cls)
         model.n_nodes = len(trajectories)
-        model.horizon = max(t.end_time for t in trajectories)
+        model.horizon = max(t.times[-1] for t in trajectories)
         model.trajectories = trajectories
         return model
 
@@ -104,27 +99,12 @@ class RandomWaypointModel:
 
     def positions(self, t: float) -> np.ndarray:
         """All node positions at time t as an (n, 2) array."""
-        if t < 0:
-            raise ValueError(f"negative query time {t}")
-        knot_t, knot_x, knot_y, offsets = self.knot_arrays
-        return kernels.positions_at(knot_t, knot_x, knot_y, offsets, t)
+        return kernels.positions_at(self.trajectories, t)
 
     def position(self, node: int, t: float) -> tuple[float, float]:
-        """One node's position at time t, bit for bit `positions(t)[node]`:
-        a bisection of that node's knots and `kernels.positions_at`'s
-        expression on Python floats."""
-        if t < 0:
-            raise ValueError(f"negative query time {t}")
+        """One node's position at time t, bit for bit `positions(t)[node]`."""
         traj = self.trajectories[node]
-        times = traj.times
-        k = bisect_right(times, t) - 1
-        if k < 0:
-            return traj.xs[0], traj.ys[0]
-        if k == len(times) - 1:
-            return traj.xs[k], traj.ys[k]
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        x0, y0 = traj.xs[k], traj.ys[k]
-        return x0 + (traj.xs[k + 1] - x0) * w, y0 + (traj.ys[k + 1] - y0) * w
+        return kernels.position_at(traj.times, traj.xs, traj.ys, t)
 
     def positions_block(self, times: np.ndarray) -> np.ndarray:
         knot_t, knot_x, knot_y, offsets = self.knot_arrays

@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import kernels
 from ..metrics import RequestRecord
 from ..radio import MessageKind
 from .base import LocalizationProtocol, ScenarioContext
@@ -257,21 +258,21 @@ class ForwarderProtocol(LocalizationProtocol):
 
         # the host and the members above the searcher that the flood reached
         # answer, in ascending id
-        reached = sum(flood.levels)
         answerers = {x for x, e in self.entries.items() if e.order > searcher_order}
         replies: List[Tuple[float, int]] = []
         for x in sorted((answerers | {code.host}) - {station}):
-            if not reached >> x & 1:
+            depth = kernels.depth(flood.levels, x)
+            if depth is None:
                 continue
             arrival = self.radio.unicast(x, station, MessageKind.CHAIN_REPAIR_REPLY,
-                                         t + flood.depth(x) * lat, request_id=request_id)
+                                         t + depth * lat, request_id=request_id)
             if arrival is not None:
                 replies.append((arrival, x))
 
         # an unreached sought station lies beyond every answerer
-        sought_depth = None if sought is None else flood.depth(sought)
+        sought_depth = None if sought is None else kernels.depth(flood.levels, sought)
         pool = [x for _, x in replies if sought_depth is None
-                or x == sought or flood.depth(x) < sought_depth]
+                or x == sought or kernels.depth(flood.levels, x) < sought_depth]
 
         if not pool:
             if ttl is not None:
@@ -286,7 +287,7 @@ class ForwarderProtocol(LocalizationProtocol):
         def preference(x: int) -> Tuple[float, int, int]:
             e = self.entries.get(x)
             order = e.order if e is not None else float(code.jumps)
-            return (-order, flood.depth(x), x)
+            return (-order, kernels.depth(flood.levels, x), x)
 
         best = min(pool, key=preference)
         path = self.radio.flood_path(flood, best)

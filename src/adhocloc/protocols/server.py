@@ -57,8 +57,7 @@ class ServerAgent:
     """One FIFO worker taking SERVICE_TIME per message.
 
     `process` enqueues a unit of work arriving now and schedules `action`
-    at its completion instant; with `action` None the job only occupies the
-    worker, advancing `busy_until` and `processed` but scheduling nothing.
+    at its completion instant.
     `code_host` is the code's host as last reported to this agent, None
     when it holds no code entry; `stations` holds the ids of the stations
     whose position reports the agent has processed.
@@ -109,12 +108,11 @@ class ServerAgent:
             self.engine.schedule(arrival, lambda: self.process(
                 lambda: self.stations.add(station)))
 
-    def process(self, action: Optional[Callable[[], None]]) -> None:
+    def process(self, action: Callable[[], None]) -> None:
         done = max(self.engine.now, self.busy_until) + SERVICE_TIME
         self._busy_until = done
         self._processed += 1
-        if action is not None:
-            self.engine.schedule(done, action)
+        self.engine.schedule(done, action)
 
     def _take_arrived(self) -> None:
         engine, pending = self.engine, self._occupancy
@@ -270,11 +268,10 @@ class CentralizedProtocol(ServerProtocol):
         holder = self.agent.host
         t = self.engine.now
         flood = self.radio.flood(holder, MessageKind.SERVER_UPDATE, t, ttl=None)
+        self.known_server[holder] = holder
         lat = self.radio.latency
-        for v, depth in kernels.depths(flood.levels).items():
-            if depth == 0:
-                self.known_server[v] = holder
-            else:
+        for depth, level in enumerate(flood.levels[1:], 1):
+            for v in kernels.set_bits(level):
                 self.engine.schedule(t + depth * lat,
                                      lambda v=v: self.known_server.__setitem__(v, holder))
 

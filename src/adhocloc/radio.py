@@ -40,17 +40,16 @@ the hops that leave at or after the close of the send instant's window are
 checked, and a unicast with none such needs no path: its hop count is its
 BFS depth. Every charge lands in the MessageLedger, whose raw log is the
 ground truth any total must recount to. The log is kept as columns, so a
-charge is one append per column; its rows, a read-only view (`LedgerRows`),
-and its totals by kind and by request are built where they are read.
+charge is one append per column. Its rows are a read-only view
+(`LedgerRows`), counted or iterated, that builds each row as it is read; its
+totals by kind and by request are built where they are read.
 """
 
 from __future__ import annotations
 
-import operator
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -106,9 +105,10 @@ class LedgerRow:
     t: float
 
 
-class LedgerRows(Sequence):
-    """Read-only view of a ledger's columns that builds each `LedgerRow` as
-    it is read; a charge made after the view was taken shows in it."""
+class LedgerRows:
+    """Read-only view of a ledger's columns, counted or iterated, that builds
+    each `LedgerRow` as it is read; a charge made after the view was taken
+    shows in it."""
 
     __slots__ = ("_columns",)
 
@@ -118,18 +118,8 @@ class LedgerRows(Sequence):
     def __len__(self) -> int:
         return len(self._columns[0])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(LedgerRow, *(column[index] for column in self._columns)))
-        return LedgerRow(*(column[index] for column in self._columns))
-
     def __iter__(self):
         return map(LedgerRow, *self._columns)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (LedgerRows, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 class MessageLedger:
@@ -194,13 +184,6 @@ class MessageLedger:
 class FloodResult:
     rows: list[int]             # the topology flooded, for flood_path
     levels: list[int]           # bitmask of the nodes at each depth
-
-    def depth(self, node: int) -> Optional[int]:
-        """Hops from the origin to `node`, or None when the flood missed it."""
-        for depth, level in enumerate(self.levels):
-            if level >> node & 1:
-                return depth
-        return None
 
 
 class LinkSpan:
@@ -449,16 +432,16 @@ class Radio:
             levels = kernels.bfs_tree(rows, target)
             size = sum(levels).bit_count()
             self._depth_memo = rows, target, levels, size
-        for depth, level in enumerate(levels):
-            if level >> origin & 1:
-                self.ledger.charge(kind, origin, BROADCAST, size, t)
-                return depth
-        self.flood(origin, kind, t)
-        return None
+        depth = kernels.depth(levels, origin)
+        if depth is None:
+            self.flood(origin, kind, t)
+        else:
+            self.ledger.charge(kind, origin, BROADCAST, size, t)
+        return depth
 
     def flood_path(self, flood: FloodResult, node: int) -> tuple[int, ...]:
         """Relay path origin -> node inside a flood's BFS tree."""
-        depth = flood.depth(node)
+        depth = kernels.depth(flood.levels, node)
         if depth is None:
             raise ValueError(f"node {node} was not reached by the flood")
         return kernels.path_back(flood.rows, flood.levels[:depth + 1], node)

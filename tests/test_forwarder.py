@@ -215,6 +215,19 @@ class TestWalkRepairs:
         # the resolution then collapsed the repaired chain as usual
         assert proto.entries == {0: ForwarderEntry(2, 0.0)}
 
+    def test_a_repair_path_between_other_endpoints_raises(self, monkeypatch):
+        proto = make_forwarder(self.repair_model())
+        jump_code(proto, 1)
+        jump_code(proto, 2)
+        proto.engine.run_until(2.0)
+        flood_path = proto.radio.flood_path
+        # the relay path read back from the adoptee to the searcher
+        monkeypatch.setattr(proto.radio, "flood_path",
+                            lambda flood, node: flood_path(flood, node)[::-1])
+        issue(proto, 2.0)
+        with pytest.raises(RuntimeError, match="endpoints"):
+            proto.engine.run_until(4.0)
+
     def test_repair_cost_is_charged_to_the_request(self):
         proto = make_forwarder(self.repair_model())
         jump_code(proto, 1)

@@ -546,7 +546,7 @@ class TestSweep:
         for shared in results:
             alone = run_scenario(shared.cfg)
             assert shared.records == alone.records
-            assert shared.ledger.rows == alone.ledger.rows
+            assert list(shared.ledger.rows) == list(alone.ledger.rows)
             assert ((shared.mover.jumps_attempted, shared.mover.jumps_made)
                     == (alone.mover.jumps_attempted, alone.mover.jumps_made))
             assert shared.report.measured_mob == alone.report.measured_mob

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adhocloc import kernels
+from adhocloc.mobility import Trajectory
 from adhocloc.radio import SLACK, LinkSpan, MessageLedger, Radio
 from conftest import static_model
 
@@ -21,6 +22,12 @@ def flatten_trajectories(trajs):
     knot_x = np.concatenate([np.asarray(xs, float) for _, xs, _ in trajs])
     knot_y = np.concatenate([np.asarray(ys, float) for _, _, ys in trajs])
     return knot_t, knot_x, knot_y, offsets
+
+
+def as_trajectories(trajs):
+    """Wrap (times, xs, ys) lists as the trajectories `positions_at` reads."""
+    return [Trajectory(list(map(float, ts)), list(map(float, xs)), list(map(float, ys)))
+            for ts, xs, ys in trajs]
 
 
 def interp_oracle(ts, vs, t):
@@ -112,27 +119,25 @@ class TestPositionKernels:
     def test_positions_at_matches_scalar_interpolation(self):
         rng = np.random.default_rng(0)
         trajs = random_trajs(rng, 8)
-        flat = flatten_trajectories(trajs)
         for t in (0.0, 3.7, 25.0, 49.9, 80.0):
-            pos = kernels.positions_at(*flat, t)
+            pos = kernels.positions_at(as_trajectories(trajs), t)
             for i, (ts, xs, ys) in enumerate(trajs):
                 assert pos[i, 0] == pytest.approx(interp_oracle(ts, xs, t), rel=1e-12)
                 assert pos[i, 1] == pytest.approx(interp_oracle(ts, ys, t), rel=1e-12)
 
     def test_positions_block_stacks_per_time_slices(self):
         rng = np.random.default_rng(1)
-        flat = flatten_trajectories(random_trajs(rng, 5))
+        trajs = random_trajs(rng, 5)
         times = np.array([0.0, 1.5, 10.0, 60.0])
-        block = kernels.positions_block(*flat, times)
+        block = kernels.positions_block(*flatten_trajectories(trajs), times)
         assert block.shape == (4, 5, 2)
         for j, t in enumerate(times):
-            assert np.array_equal(block[j], kernels.positions_at(*flat, t))
+            assert np.array_equal(block[j], kernels.positions_at(as_trajectories(trajs), t))
 
     def test_clamping_before_first_and_after_last_knot(self):
-        flat = flatten_trajectories([([0.0, 2.0], [10.0, 30.0], [5.0, 5.0])])
-        assert np.allclose(kernels.positions_at(*flat, -1.0), [[10.0, 5.0]])
-        assert np.allclose(kernels.positions_at(*flat, 99.0), [[30.0, 5.0]])
-
+        trajs = as_trajectories([([1.0, 2.0], [10.0, 30.0], [5.0, 5.0])])
+        assert np.allclose(kernels.positions_at(trajs, 0.5), [[10.0, 5.0]])
+        assert np.allclose(kernels.positions_at(trajs, 99.0), [[30.0, 5.0]])
 
     def test_positions_at_is_bit_identical_to_the_per_node_loop(self):
         rng = np.random.default_rng(7)
@@ -143,15 +148,15 @@ class TestPositionKernels:
             for _ in range(n):
                 k = int(rng.integers(1, 8))          # single-knot nodes included
                 # few decimals, so knot times repeat within and across nodes
-                ts = np.sort(np.round(rng.uniform(0.0, 40.0, k), int(rng.integers(0, 2))))
+                ts = np.sort(np.round(rng.uniform(5.0, 45.0, k), int(rng.integers(0, 2))))
                 trajs.append((list(ts), list(rng.uniform(0, 1000, k)),
                               list(rng.uniform(0, 500, k))))
             flat = flatten_trajectories(trajs)
             knot_t = flat[0]
-            times = np.concatenate([rng.uniform(-5.0, 45.0, 8), knot_t,
+            times = np.concatenate([rng.uniform(0.0, 50.0, 8), knot_t,
                                     [knot_t.min() - 1.0, knot_t.max() + 1.0]])
             for t in times:
-                assert np.array_equal(kernels.positions_at(*flat, t),
+                assert np.array_equal(kernels.positions_at(as_trajectories(trajs), t),
                                       positions_at_loop(*flat, t)), t
                 queries += 1
         assert queries > 1000
@@ -164,25 +169,25 @@ class TestPositionKernels:
             for _ in range(n):
                 k = int(rng.integers(1, 8))          # single-knot nodes included
                 # few decimals, so knot times repeat within and across nodes
-                ts = np.sort(np.round(rng.uniform(0.0, 40.0, k), int(rng.integers(0, 2))))
+                ts = np.sort(np.round(rng.uniform(5.0, 45.0, k), int(rng.integers(0, 2))))
                 trajs.append((list(ts), list(rng.uniform(0, 1000, k)),
                               list(rng.uniform(0, 500, k))))
             flat = flatten_trajectories(trajs)
             knot_t = flat[0]
-            times = np.concatenate([rng.uniform(-5.0, 45.0, 8), knot_t,
+            times = np.concatenate([rng.uniform(0.0, 50.0, 8), knot_t,
                                     [knot_t.min() - 1.0, knot_t.max() + 1.0]])
             block = kernels.positions_block(*flat, times)
-            assert np.array_equal(
-                block, np.stack([kernels.positions_at(*flat, t) for t in times]))
+            assert np.array_equal(block, np.stack(
+                [kernels.positions_at(as_trajectories(trajs), t) for t in times]))
 
     def test_duplicate_knot_times_rest_at_the_later_knot(self):
         # a zero-length segment: at t == 2 the node is at the last knot stamped 2
-        flat = flatten_trajectories([([0.0, 2.0, 2.0, 4.0], [0.0, 10.0, 20.0, 40.0],
-                                      [0.0, 0.0, 0.0, 0.0]),
-                                     ([1.0], [7.0], [8.0])])
-        assert np.array_equal(kernels.positions_at(*flat, 2.0),
+        trajs = as_trajectories([([0.0, 2.0, 2.0, 4.0], [0.0, 10.0, 20.0, 40.0],
+                                  [0.0, 0.0, 0.0, 0.0]),
+                                 ([1.0], [7.0], [8.0])])
+        assert np.array_equal(kernels.positions_at(trajs, 2.0),
                               [[20.0, 0.0], [7.0, 8.0]])
-        assert np.array_equal(kernels.positions_at(*flat, 3.0),
+        assert np.array_equal(kernels.positions_at(trajs, 3.0),
                               [[30.0, 0.0], [7.0, 8.0]])
 
 
@@ -246,9 +251,9 @@ class TestNeighbourBits:
 
 def tree_lists(rows, levels):
     """Hop counts and parents, as lists, read from a walk's levels through
-    `depths` and `path_back`; -1 marks unreachable / root."""
-    reached = kernels.depths(levels)
-    hops = [reached.get(v, -1) for v in range(len(rows))]
+    `depth` and `path_back`; -1 marks unreachable / root."""
+    hops = [kernels.depth(levels, v) for v in range(len(rows))]
+    hops = [-1 if d is None else d for d in hops]
     parents = [kernels.path_back(rows, levels[:d + 1], v)[-2] if d > 0 else -1
                for v, d in enumerate(hops)]
     return hops, parents
@@ -260,12 +265,11 @@ class TestBfsTree:
         for _ in range(20):
             pos = rng.uniform(0, 1000, (18, 2))
             adj = kernels.adjacency(pos, 280.0)
-            depths = kernels.depths(kernels.bfs_tree(kernels.neighbour_bits(adj), 0))
+            levels = kernels.bfs_tree(kernels.neighbour_bits(adj), 0)
             g = nx.from_numpy_array(adj)
             lengths = nx.single_source_shortest_path_length(g, 0)
-            assert list(depths) == sorted(depths)
             for v in range(18):
-                assert depths.get(v, -1) == lengths.get(v, -1)
+                assert kernels.depth(levels, v) == lengths.get(v)
 
     def test_parents_are_canonical_lowest_id_at_previous_depth(self):
         rng = np.random.default_rng(4)
@@ -286,7 +290,7 @@ class TestBfsTree:
         rows = kernels.neighbour_bits(kernels.adjacency(pos, 150.0))
         levels = kernels.bfs_tree(rows, 0)
         assert levels == [0b001, 0b010]
-        assert kernels.depths(levels) == {0: 0, 1: 1}
+        assert [kernels.depth(levels, v) for v in range(3)] == [0, 1, None]
         assert tree_lists(rows, levels) == ([0, 1, -1], [-1, 0, -1])
 
     @settings(max_examples=60, deadline=None)

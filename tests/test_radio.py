@@ -102,7 +102,7 @@ class TestUnicast:
     def test_self_send_is_free_and_instant(self):
         radio, ledger = line_radio()
         assert radio.unicast(2, 2, MessageKind.DATA, 1.0) == 1.0
-        assert ledger.rows[-1].units == 0
+        assert list(ledger.rows)[-1].units == 0
         assert radio.route(2, 2, 1.0) == (2,)
         # an arrival at t = 0 is a delivery, though 0.0 is a false value
         assert radio.unicast(2, 2, MessageKind.DATA, 0.0) == 0.0
@@ -118,7 +118,7 @@ class TestUnicast:
         radio, ledger = line_radio()
         arrival = radio.unicast(0, 3, MessageKind.DATA, 2.0, request_id=9)
         assert arrival == pytest.approx(2.03)
-        assert ledger.rows[-1].units == 3
+        assert list(ledger.rows)[-1].units == 3
         assert radio.route(0, 3, 2.0) == (0, 1, 2, 3)
         assert ledger.units_for_request(9) == 3
 
@@ -195,7 +195,7 @@ class TestDirect:
     def test_one_hop_within_range(self):
         radio, ledger = line_radio()
         assert radio.direct(1, 2, MessageKind.CHAIN_CHECK, 0.5) == pytest.approx(0.51)
-        assert ledger.rows[-1].units == 1
+        assert list(ledger.rows)[-1].units == 1
         assert ledger.recount() == 1
 
     def test_out_of_range_is_silent_and_free(self):
@@ -208,33 +208,33 @@ class TestFlood:
     def test_unlimited_flood_reaches_all_and_counts_transmitters(self):
         radio, ledger = line_radio()
         flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
-        assert kernels.depths(flood.levels) == {0: 0, 1: 1, 2: 2, 3: 3}
-        assert ledger.rows[-1].units == 4
+        assert flood.levels == [0b0001, 0b0010, 0b0100, 0b1000]
+        assert list(ledger.rows)[-1].units == 4
 
     def test_ttl_limits_depth_and_frontier_nodes_do_not_relay(self):
         radio, ledger = line_radio()
         f1 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0, ttl=1)
-        assert list(kernels.depths(f1.levels)) == [0, 1] and ledger.rows[-1].units == 1
+        assert f1.levels == [0b0001, 0b0010] and list(ledger.rows)[-1].units == 1
         f2 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.1, ttl=2)
-        assert list(kernels.depths(f2.levels)) == [0, 1, 2] and ledger.rows[-1].units == 2
+        assert f2.levels == [0b0001, 0b0010, 0b0100] and list(ledger.rows)[-1].units == 2
 
     @pytest.mark.parametrize("ttl", [None, 1, 3])
     def test_isolated_origin_still_pays_its_own_broadcast(self, ttl):
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, ttl=ttl)
-        assert list(kernels.depths(flood.levels)) == [0]
-        assert radio.ledger.rows[-1].units == 1
+        assert flood.levels == [0b01]
+        assert list(radio.ledger.rows)[-1].units == 1
 
     def test_member_mask_blocks_excluded_relays(self):
         radio, _ = line_radio()
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1101)
-        assert list(kernels.depths(flood.levels)) == [0]
+        assert flood.levels == [0b0001]
 
     def test_origin_is_always_a_member_of_its_own_flood(self):
         radio, _ = line_radio()
         flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1110)
-        assert list(kernels.depths(flood.levels)) == [0, 1, 2, 3]
+        assert flood.levels == [0b0001, 0b0010, 0b0100, 0b1000]
 
     @pytest.mark.parametrize("ttl", [None, 1, 2, 4])
     def test_masked_flood_equals_the_masked_matrix(self, ttl):
@@ -249,14 +249,13 @@ class TestFlood:
                                         ttl=ttl, member_mask=bits)
                     depths, parents, units, reached = flood_on_matrix(
                         adj, origin, ttl, member)
-                    hops = [flood.depth(v) for v in range(n)]
+                    hops = [kernels.depth(flood.levels, v) for v in range(n)]
                     assert hops == [depths[v] if v in reached else None
                                     for v in range(n)]
-                    assert hops == list(map(kernels.depths(flood.levels).get, range(n)))
                     for v in reached:
                         if v != origin:
                             assert radio.flood_path(flood, v)[-2] == parents[v]
-                    assert radio.ledger.rows[-1].units == units
+                    assert list(radio.ledger.rows)[-1].units == units
 
     def test_flood_is_charged_as_a_broadcast_row(self):
         radio, ledger = line_radio()
@@ -307,14 +306,14 @@ class TestFloodDepth:
         ref = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         expected = []
         for origin, target in queries:
-            expected.append(ref.flood(origin, kind, 0.0).depth(target))
+            expected.append(kernels.depth(ref.flood(origin, kind, 0.0).levels, target))
         radio = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         trees = count_trees(monkeypatch)
         depths = [radio.flood_depth(origin, target, kind, 0.0)
                   for origin, target in queries]
         assert depths == expected
         assert all(type(d) is int for d in depths if d is not None)
-        assert radio.ledger.rows == ref.ledger.rows
+        assert list(radio.ledger.rows) == list(ref.ledger.rows)
         # one tree per target change, plus the floods of the origins outside
         # the target's component
         assert trees == [2, 4, 5, 4, 5, 4, 0, 1, 2, 3, 0, 4, 5]
@@ -328,8 +327,8 @@ class TestFloodDepth:
         for t in (0.0, 10.0, 0.0):
             for origin in range(4):
                 flood = ref.flood(origin, kind, t)
-                assert radio.flood_depth(origin, 0, kind, t) == flood.depth(0)
-        assert radio.ledger.rows == ref.ledger.rows
+                assert radio.flood_depth(origin, 0, kind, t) == kernels.depth(flood.levels, 0)
+        assert list(radio.ledger.rows) == list(ref.ledger.rows)
 
 
 class TestDiameter:
@@ -410,14 +409,7 @@ CHARGES = st.tuples(
 
 def assert_same_ledger(ledger, ref, request_ids):
     rows = ledger.rows
-    assert list(rows) == ref.rows and rows == ref.rows
-    assert len(rows) == len(ref.rows)
-    if ref.rows:
-        assert rows[-1] == ref.rows[-1]
-    else:
-        with pytest.raises(IndexError):
-            rows[-1]
-    assert rows[1::2] == ref.rows[1::2] and rows[-3:] == ref.rows[-3:]
+    assert list(rows) == ref.rows and len(rows) == len(ref.rows)
     # Counter equality forgives a key whose count is 0; the items do not
     assert list(ledger.by_kind.items()) == list(ref.by_kind.items())
     for request_id in [*request_ids, None, 99]:
@@ -447,18 +439,12 @@ class TestLedger:
 
     def test_rows_are_read_only(self):
         ledger = MessageLedger()
+        rows = ledger.rows
         ledger.charge(MessageKind.DATA, 0, 1, 3, 0.5)
+        (row,) = rows           # a charge made after the view was taken shows
         with pytest.raises(FrozenInstanceError):
-            ledger.rows[0].units = 4
-        assert ledger.rows[0].units == 3
-
-    def test_rows_equal_only_a_view_or_a_list(self):
-        ledger = MessageLedger()
-        ledger.charge(MessageKind.DATA, 0, 1, 3, 0.5)
-        assert ledger.rows == list(ledger.rows) == ledger.rows
-        # any other operand falls back to its own comparison, here identity
-        assert not ledger.rows == 5
-        assert ledger.rows != tuple(ledger.rows)
+            row.units = 4
+        assert [row.units for row in ledger.rows] == [3]
 
     def test_recount_sums_the_raw_rows(self):
         ledger = MessageLedger()
@@ -703,7 +689,7 @@ class TestLinkTimeline:
                 patch.setattr(Radio, "build", lambda self: None)
                 exact = run_scenario(cfg)
             assert len(exact.radio.opens) == 0
-            assert timed.ledger.rows == exact.ledger.rows
+            assert list(timed.ledger.rows) == list(exact.ledger.rows)
             assert timed.records == exact.records
 
     def test_no_window_is_built_before_the_event_loop(self, monkeypatch):
@@ -764,7 +750,7 @@ class TestTimelineShortcuts:
             for src, dst in itertools.product(range(n), repeat=2):
                 assert (radio.unicast(src, dst, MessageKind.DATA, t, request_id)
                         == exact.unicast(src, dst, MessageKind.DATA, t, request_id))
-        assert radio.ledger.rows == exact.ledger.rows
+        assert list(radio.ledger.rows) == list(exact.ledger.rows)
 
     def test_only_the_hops_past_the_window_are_checked(self, monkeypatch):
         # a still 0-1-2-3-4 line, and node 5 that comes into node 4's range
@@ -786,7 +772,7 @@ class TestTimelineShortcuts:
 
         monkeypatch.setattr(Radio, "in_range", wrapped)
         assert radio.unicast(0, 4, MessageKind.DATA, t) == t + 4 * PER_HOP_LATENCY
-        assert radio.ledger.rows[-1].units == 4
+        assert list(radio.ledger.rows)[-1].units == 4
         assert checked == [t + 3 * PER_HOP_LATENCY]
         assert all(at >= until for at in checked)
 
@@ -847,5 +833,5 @@ class TestTimelineShortcuts:
         # the table's answers equal a fresh world's, and so does the run
         alone = run_scenario(other)
         assert alone.radio.span.connectivity == table
-        assert second.ledger.rows == alone.ledger.rows
+        assert list(second.ledger.rows) == list(alone.ledger.rows)
         assert second.records == alone.records

@@ -198,7 +198,7 @@ class TestDatabaseUpkeep:
         proto = make_zoned(static_model(TWO_ROWS), mother=3, n_zones=2)
         assert [agent.host for agent in proto.agents] == [0, 1]
         jump_out_and_back(proto)
-        rows = proto.radio.ledger.rows[-4:]
+        rows = list(proto.radio.ledger.rows)[-4:]
         assert proto.sdb_zone == 0
         assert [(r.src, r.dst, r.units) for r in rows] == [(7, 1, 3), (7, 0, 3),
                                                           (2, 0, 1), (2, 1, 1)]
@@ -275,7 +275,7 @@ class TestReelection:
 
         def recording_flood(origin, kind, t, **kwargs):
             result = flood(origin, kind, t, **kwargs)
-            floods.append((origin, kind, t, result, proto.radio.ledger.rows[-1].units))
+            floods.append((origin, kind, t, result, list(proto.radio.ledger.rows)[-1].units))
             return result
 
         proto.radio.flood = recording_flood
