@@ -76,6 +76,22 @@ class TestServerAgent:
         assert fired == [1.0 + s, 1.0 + s + s, 3.0 + s]
         assert agent.processed == 3 and agent.busy_until == 3.0 + s
 
+    def test_a_job_whose_action_does_nothing_still_occupies_the_worker(self):
+        engine = Engine()
+        agent = ServerAgent(engine, host=0)
+        s = SERVICE_TIME
+        fired = []
+        engine.schedule(1.0, lambda: agent.process(lambda: None))
+        engine.schedule(1.0 + s / 2,
+                        lambda: agent.process(lambda: fired.append(engine.now)))
+        engine.run_until(1.0)
+        assert agent.busy_until == 1.0 + s and agent.processed == 1
+        engine.run_until(5.0)
+        # the second job still queues behind the first, and every job's
+        # completion is an event: two deliveries and two completions ran
+        assert fired == [1.0 + s + s]
+        assert agent.processed == 2 and engine.executed == 4
+
     @settings(max_examples=200, deadline=None)
     @given(ticks=st.lists(st.tuples(TICK_TIMES, st.lists(st.tuples(DELAYS, st.booleans()),
                                                          min_size=1, max_size=4)),
@@ -138,6 +154,26 @@ class TestElection:
         # the announcement flood and the host's first location update land
         assert proto.known_server == [2] * 6
         assert proto.agent.code_host == 3
+
+    def test_the_announcement_reaches_each_node_after_its_depth_in_hops(self):
+        proto = make_server(static_model(CLUSTER6), host=3)
+        proto.engine.run_until(0.05)
+        learned = []
+
+        class Logged(list):
+            def __setitem__(self, node, host):
+                learned.append((proto.engine.now, node, host))
+                super().__setitem__(node, host)
+
+        proto.known_server = Logged([None] * 6)
+        proto._announce()
+        proto.engine.run_until(0.1)
+        # the holder at once, its four neighbours one hop later in id
+        # order, and node 0, two hops out behind node 1, last
+        lat = proto.radio.latency
+        assert learned == [(0.05, 2, 2)] + [(0.05 + lat, v, 2) for v in (1, 3, 4, 5)] \
+            + [(0.05 + 2 * lat, 0, 2)]
+        assert proto.known_server == [2] * 6
 
     def test_stations_report_positions_on_a_jittered_cadence(self):
         proto = make_server(static_model(CLUSTER6), host=3,
