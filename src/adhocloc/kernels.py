@@ -70,7 +70,7 @@ def _interpolate(knot_t, knot_x, knot_y, offsets, count, t):
     k1 = np.minimum(k + 1, last)
     t0 = knot_t[k]
     t1 = knot_t[k1]
-    rest = before | (k == last) | (t1 == t0)
+    rest = before | (k == last)
     w = (t - t0) / np.where(rest, 1.0, t1 - t0)
     out = np.empty(k.shape + (2,), dtype=np.float64)
     for col, knot_v in ((0, knot_x), (1, knot_y)):

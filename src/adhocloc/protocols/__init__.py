@@ -12,13 +12,11 @@ __all__ = [
 ]
 
 
-def make_protocol(name: str, ctx: ScenarioContext) -> LocalizationProtocol:
-    if name == "forwarder_reactive":
-        return ForwarderProtocol(ctx, proactive=False)
-    if name == "forwarder_proactive":
-        return ForwarderProtocol(ctx, proactive=True)
+def make_protocol(ctx: ScenarioContext) -> LocalizationProtocol:
+    """The protocol `ctx.cfg.protocol` names; `ScenarioConfig` refuses any other."""
+    name = ctx.cfg.protocol
     if name == "centralized":
         return CentralizedProtocol(ctx)
     if name == "zoned":
         return ZonedProtocol(ctx)
-    raise ValueError(f"unknown protocol {name!r}")
+    return ForwarderProtocol(ctx, proactive=name == "forwarder_proactive")

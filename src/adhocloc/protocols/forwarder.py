@@ -251,8 +251,8 @@ class ForwarderProtocol(LocalizationProtocol):
         searcher_order = anchor.order if anchor is not None else -1.0
         t = self.engine.now
         lat = self.radio.latency
-        flood = self.radio.flood(station, MessageKind.CHAIN_REPAIR_FLOOD, t,
-                                 ttl=ttl, request_id=request_id)
+        levels = self.radio.flood(station, MessageKind.CHAIN_REPAIR_FLOOD, t,
+                                  ttl=ttl, request_id=request_id)
         code = self.code
         sought = anchor.next_hop if anchor is not None else None
 
@@ -261,7 +261,7 @@ class ForwarderProtocol(LocalizationProtocol):
         answerers = {x for x, e in self.entries.items() if e.order > searcher_order}
         replies: List[Tuple[float, int]] = []
         for x in sorted((answerers | {code.host}) - {station}):
-            depth = kernels.depth(flood.levels, x)
+            depth = kernels.depth(levels, x)
             if depth is None:
                 continue
             arrival = self.radio.unicast(x, station, MessageKind.CHAIN_REPAIR_REPLY,
@@ -270,9 +270,9 @@ class ForwarderProtocol(LocalizationProtocol):
                 replies.append((arrival, x))
 
         # an unreached sought station lies beyond every answerer
-        sought_depth = None if sought is None else kernels.depth(flood.levels, sought)
+        sought_depth = None if sought is None else kernels.depth(levels, sought)
         pool = [x for _, x in replies if sought_depth is None
-                or x == sought or kernels.depth(flood.levels, x) < sought_depth]
+                or x == sought or kernels.depth(levels, x) < sought_depth]
 
         if not pool:
             if ttl is not None:
@@ -287,10 +287,10 @@ class ForwarderProtocol(LocalizationProtocol):
         def preference(x: int) -> Tuple[float, int, int]:
             e = self.entries.get(x)
             order = e.order if e is not None else float(code.jumps)
-            return (-order, kernels.depth(flood.levels, x), x)
+            return (-order, kernels.depth(levels, x), x)
 
         best = min(pool, key=preference)
-        path = self.radio.flood_path(flood, best)
+        path = self.radio.flood_path(levels, best, t)
         resume_at = max(arrival for arrival, _ in replies)
         self.engine.schedule(resume_at, lambda: self._finish_repair(
             station, anchor, best, path, on_done))

@@ -267,10 +267,10 @@ class CentralizedProtocol(ServerProtocol):
     def _announce(self) -> None:
         holder = self.agent.host
         t = self.engine.now
-        flood = self.radio.flood(holder, MessageKind.SERVER_UPDATE, t, ttl=None)
+        levels = self.radio.flood(holder, MessageKind.SERVER_UPDATE, t, ttl=None)
         self.known_server[holder] = holder
         lat = self.radio.latency
-        for depth, level in enumerate(flood.levels[1:], 1):
+        for depth, level in enumerate(levels[1:], 1):
             for v in kernels.set_bits(level):
                 self.engine.schedule(t + depth * lat,
                                      lambda v=v: self.known_server.__setitem__(v, holder))

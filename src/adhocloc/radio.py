@@ -180,12 +180,6 @@ class MessageLedger:
         return totals.get(request_id, 0)
 
 
-@dataclass(slots=True)
-class FloodResult:
-    rows: list[int]             # the topology flooded, for flood_path
-    levels: list[int]           # bitmask of the nodes at each depth
-
-
 class LinkSpan:
     """The quiet windows of one model at one range up to the model's horizon:
     open intervals inside (0, horizon) that hold no guard-band point and no
@@ -261,8 +255,6 @@ class Radio:
         self._open = self.until = 0.0           # the cursor's, open and empty
         # (rows, target, levels, component size) of flood_depth's last tree
         self._depth_memo: tuple = (None, None, None, 0)
-        # (instant, rows) of snapshot's last answer
-        self._exact: tuple = (None, None)
 
     def build(self) -> None:
         (self.opens, self.closes, self._epochs, self._a, self._b,
@@ -294,12 +286,9 @@ class Radio:
         return self._epoch_rows
 
     def snapshot(self, t: float) -> list[int]:
-        """Neighbour bitmasks at time t, computed exactly from the positions and
-        kept for the next read at an equal t: the exact path of topology queries."""
-        if t != self._exact[0]:
-            adjacency = kernels.adjacency(self.model.positions(t), self.range_m)
-            self._exact = t, kernels.neighbour_bits(adjacency)
-        return self._exact[1]
+        """Neighbour bitmasks at time t, computed exactly from the positions:
+        the exact path of topology queries."""
+        return kernels.neighbour_bits(kernels.adjacency(self.model.positions(t), self.range_m))
 
     def _rows(self, t: float) -> list[int]:
         rows = self._windowed(t)
@@ -397,8 +386,9 @@ class Radio:
 
     def flood(self, origin: int, kind: MessageKind, t: float,
               ttl: Optional[int] = None, request_id: Optional[int] = None,
-              member_mask: int = -1) -> FloodResult:
-        """Breadth-first diffusion from origin on the snapshot at t.
+              member_mask: int = -1) -> list[int]:
+        """Breadth-first diffusion from origin on the snapshot at t; returns
+        its levels, the bitmask of the nodes at each depth up to the ttl.
 
         Every reached node rebroadcasts once except those exactly at a finite
         ttl, which receive without relaying; the origin always transmits, even
@@ -408,15 +398,14 @@ class Radio:
         """
         if ttl is not None and ttl < 1:
             raise ValueError("flood ttl must be >= 1")
-        rows = self._rows(t)
-        levels = kernels.bfs_tree(rows, origin, member_mask)
+        levels = kernels.bfs_tree(self._rows(t), origin, member_mask)
         if ttl is not None:
             del levels[ttl + 1:]
         # the nodes short of the ttl relay; levels[0] is the origin, so an
         # isolated one still transmits once
         units = sum(levels[:ttl]).bit_count()
         self.ledger.charge(kind, origin, BROADCAST, units, t, request_id)
-        return FloodResult(rows, levels)
+        return levels
 
     def flood_depth(self, origin: int, target: int, kind: MessageKind,
                     t: float) -> Optional[int]:
@@ -439,9 +428,10 @@ class Radio:
             self.ledger.charge(kind, origin, BROADCAST, size, t)
         return depth
 
-    def flood_path(self, flood: FloodResult, node: int) -> tuple[int, ...]:
-        """Relay path origin -> node inside a flood's BFS tree."""
-        depth = kernels.depth(flood.levels, node)
+    def flood_path(self, levels: list[int], node: int, t: float) -> tuple[int, ...]:
+        """Relay path origin -> node inside the tree of a flood at t. The rows
+        at t depend on t alone, wherever the cursor has moved since."""
+        depth = kernels.depth(levels, node)
         if depth is None:
             raise ValueError(f"node {node} was not reached by the flood")
-        return kernels.path_back(flood.rows, flood.levels[:depth + 1], node)
+        return kernels.path_back(self._rows(t), levels[:depth + 1], node)

@@ -155,7 +155,7 @@ def run_scenario(cfg: ScenarioConfig, world: Optional[World] = None) -> Scenario
 
     # built after the arrivals, which read `protocol` when they fire, so the
     # timers these constructors schedule keep their seqs
-    protocol = make_protocol(cfg.protocol, ctx)
+    protocol = make_protocol(ctx)
     mover = CodeMigrationProcess(protocol)
     _PartitionWatchdog(radio, engine, cfg.partition_grace, cfg.duration)
     # start-up above read the exact path; the event loop reads the span

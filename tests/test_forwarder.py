@@ -223,7 +223,7 @@ class TestWalkRepairs:
         flood_path = proto.radio.flood_path
         # the relay path read back from the adoptee to the searcher
         monkeypatch.setattr(proto.radio, "flood_path",
-                            lambda flood, node: flood_path(flood, node)[::-1])
+                            lambda levels, node, t: flood_path(levels, node, t)[::-1])
         issue(proto, 2.0)
         with pytest.raises(RuntimeError, match="endpoints"):
             proto.engine.run_until(4.0)

@@ -6,7 +6,9 @@ import gc
 import hashlib
 import importlib
 import io
+import json
 import re
+import subprocess
 import tempfile
 import weakref
 from collections import Counter
@@ -940,6 +942,29 @@ class TestPublicSurface:
         same_bytes = importlib.import_module("same_bytes")
         assert (same_bytes.kept_fields(same_bytes.run_set(same_bytes.RUN_SETS["aborting"]))
                 == pin("same_bytes.aborting"))
+
+    @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1), (False, 2)])
+    def test_repin_stops_on_a_perfbench_run_that_fails_its_checks(self, monkeypatch,
+                                                                  correct, failed):
+        # perfbench exits 0 either way; only its last line says what it found
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "tools"))
+        repin = importlib.import_module("repin")
+        last = {"correct": correct, "attempted": 3, "failed": failed, "metrics": {}}
+
+        def run(args, **kwargs):
+            return subprocess.CompletedProcess(
+                args, 0, stdout=f"chain_stress seed=7 sim_digest=0123abcd\n{{}}\n"
+                                f"{json.dumps(last)}\n",
+                stderr="perfbench: note\nFAILED instance 2: rows differ\n")
+
+        monkeypatch.setattr(repin.subprocess, "run", run)
+        with pytest.raises(SystemExit) as stopped:
+            repin.perfbench_digest("chain_stress")
+        assert stopped.value.code == (f"perfbench chain_stress: correct={correct} "
+                                      f"failed={failed}\nFAILED instance 2: rows differ")
+        last.update(correct=True, failed=0)
+        assert repin.perfbench_digest("chain_stress") == "0123abcd"
 
     def test_golden_values_are_written_only_in_the_pin_file(self):
         # a run of 16 or more hex digits is a digest or a full-precision

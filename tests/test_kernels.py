@@ -332,6 +332,9 @@ class TestBfsTree:
         pos = np.round(rng.uniform(0, 1000, (n, 2)), 1)
         adj = kernels.adjacency(pos, range_m)
         radio = Radio(LinkSpan(static_model(pos), range_m), MessageLedger())
+        # the exact rows, read once for all n² routes
+        rows = radio.snapshot(0.0)
+        radio.snapshot = lambda t: rows
         for src in range(n):
             hops, parents = bfs_tree_frontier(adj, src)
             for dst in range(n):

@@ -15,7 +15,8 @@ from adhocloc import kernels
 from adhocloc.config import PROTOCOLS, ScenarioConfig
 from adhocloc.engine import Engine, stream
 from adhocloc.mobility import RandomWaypointModel, Trajectory
-from adhocloc.protocols import make_protocol
+from adhocloc.protocols import (CentralizedProtocol, ForwarderProtocol, ZonedProtocol,
+                                 make_protocol)
 from adhocloc.protocols.base import LocalizationProtocol
 from adhocloc.radio import (BROADCAST, PER_HOP_LATENCY, LedgerRow, LinkSpan,
                             MessageKind, MessageLedger, Radio)
@@ -32,9 +33,13 @@ def line_radio(range_m=250.0):
 
 
 def random_radio(rng, n, range_m=250.0):
-    """A radio over n still nodes; also returns their bool adjacency matrix."""
+    """A radio over n still nodes; also returns their bool adjacency matrix.
+    The nodes never move, so the radio reads its exact rows once, for the
+    thousands of queries a test makes at n = 70."""
     points = np.round(rng.uniform(0, [1000.0, 500.0], (n, 2)), 1)
     radio = Radio(LinkSpan(static_model(points), range_m), MessageLedger())
+    rows = radio.snapshot(0.0)
+    radio.snapshot = lambda t: rows
     return radio, kernels.adjacency(radio.model.positions(0.0), range_m)
 
 
@@ -187,8 +192,17 @@ def test_bad_arguments_are_refused():
     radio, _ = line_radio()
     with pytest.raises(ValueError, match="ttl"):
         radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0, ttl=0)
-    with pytest.raises(ValueError, match="unknown protocol"):
-        make_protocol("nope", build_ctx(model))
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_the_configured_protocol_is_built(name):
+    # an unknown name never reaches make_protocol: ScenarioConfig refuses it
+    protocol = make_protocol(build_ctx(static_model(LINE), protocol=name))
+    assert type(protocol) is {"forwarder_proactive": ForwarderProtocol,
+                              "forwarder_reactive": ForwarderProtocol,
+                              "centralized": CentralizedProtocol,
+                              "zoned": ZonedProtocol}[name]
+    assert getattr(protocol, "proactive", False) == (name == "forwarder_proactive")
 
 
 class TestDirect:
@@ -207,34 +221,34 @@ class TestDirect:
 class TestFlood:
     def test_unlimited_flood_reaches_all_and_counts_transmitters(self):
         radio, ledger = line_radio()
-        flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
-        assert flood.levels == [0b0001, 0b0010, 0b0100, 0b1000]
+        levels = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
+        assert levels == [0b0001, 0b0010, 0b0100, 0b1000]
         assert list(ledger.rows)[-1].units == 4
 
     def test_ttl_limits_depth_and_frontier_nodes_do_not_relay(self):
         radio, ledger = line_radio()
         f1 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0, ttl=1)
-        assert f1.levels == [0b0001, 0b0010] and list(ledger.rows)[-1].units == 1
+        assert f1 == [0b0001, 0b0010] and list(ledger.rows)[-1].units == 1
         f2 = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.1, ttl=2)
-        assert f2.levels == [0b0001, 0b0010, 0b0100] and list(ledger.rows)[-1].units == 2
+        assert f2 == [0b0001, 0b0010, 0b0100] and list(ledger.rows)[-1].units == 2
 
     @pytest.mark.parametrize("ttl", [None, 1, 3])
     def test_isolated_origin_still_pays_its_own_broadcast(self, ttl):
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(LinkSpan(model, 250.0), MessageLedger())
-        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, ttl=ttl)
-        assert flood.levels == [0b01]
+        levels = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, ttl=ttl)
+        assert levels == [0b01]
         assert list(radio.ledger.rows)[-1].units == 1
 
     def test_member_mask_blocks_excluded_relays(self):
         radio, _ = line_radio()
-        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1101)
-        assert flood.levels == [0b0001]
+        levels = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1101)
+        assert levels == [0b0001]
 
     def test_origin_is_always_a_member_of_its_own_flood(self):
         radio, _ = line_radio()
-        flood = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1110)
-        assert flood.levels == [0b0001, 0b0010, 0b0100, 0b1000]
+        levels = radio.flood(0, MessageKind.SERVER_UPDATE, 0.0, member_mask=0b1110)
+        assert levels == [0b0001, 0b0010, 0b0100, 0b1000]
 
     @pytest.mark.parametrize("ttl", [None, 1, 2, 4])
     def test_masked_flood_equals_the_masked_matrix(self, ttl):
@@ -245,16 +259,16 @@ class TestFlood:
                 member = rng.uniform(size=n) < 0.6 if with_mask else None
                 bits = mask_bits(member) if with_mask else -1
                 for origin in range(n):
-                    flood = radio.flood(origin, MessageKind.SERVER_UPDATE, 0.0,
-                                        ttl=ttl, member_mask=bits)
+                    levels = radio.flood(origin, MessageKind.SERVER_UPDATE, 0.0,
+                                         ttl=ttl, member_mask=bits)
                     depths, parents, units, reached = flood_on_matrix(
                         adj, origin, ttl, member)
-                    hops = [kernels.depth(flood.levels, v) for v in range(n)]
+                    hops = [kernels.depth(levels, v) for v in range(n)]
                     assert hops == [depths[v] if v in reached else None
                                     for v in range(n)]
                     for v in reached:
                         if v != origin:
-                            assert radio.flood_path(flood, v)[-2] == parents[v]
+                            assert radio.flood_path(levels, v, 0.0)[-2] == parents[v]
                     assert list(radio.ledger.rows)[-1].units == units
 
     def test_flood_is_charged_as_a_broadcast_row(self):
@@ -267,16 +281,33 @@ class TestFlood:
 
     def test_flood_path_follows_canonical_parents(self):
         radio, _ = line_radio()
-        flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
-        assert radio.flood_path(flood, 3) == (0, 1, 2, 3)
-        assert radio.flood_path(flood, 0) == (0,)
+        levels = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
+        assert radio.flood_path(levels, 3, 0.0) == (0, 1, 2, 3)
+        assert radio.flood_path(levels, 0, 0.0) == (0,)
+
+    def test_flood_path_reads_the_rows_of_the_floods_instant(self):
+        # node 3 sinks out of node 1's range at t = 5 and stays in node 2's,
+        # so the flood at t = 2 and one at t = 8 have the same levels, and
+        # the lowest-id parent of node 3 goes from node 1 to node 2
+        model = scripted_model([[(0.0, 0.0, 0.0)], [(0.0, 150.0, 100.0)],
+                                [(0.0, 150.0, -100.0)],
+                                [(0.0, 300.0, 0.0), (10.0, 300.0, -200.0)]])
+        radio = built_radio(model)
+        levels = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 2.0)
+        epoch = radio.epoch
+        # a later query in another epoch moves the cursor
+        assert radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 8.0) == levels
+        assert radio.epoch != epoch
+        path = kernels.path_back(exact_rows(model, 250.0, 2.0), levels, 3)
+        assert radio.flood_path(levels, 3, 2.0) == path == (0, 1, 3)
+        assert radio.flood_path(levels, 3, 8.0) == (0, 2, 3)
 
     def test_flood_path_to_unreached_node_raises(self):
         model = static_model([(0, 0), (900, 400)])
         radio = Radio(LinkSpan(model, 250.0), MessageLedger())
-        flood = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
+        levels = radio.flood(0, MessageKind.CHAIN_REPAIR_FLOOD, 0.0)
         with pytest.raises(ValueError):
-            radio.flood_path(flood, 1)
+            radio.flood_path(levels, 1, 0.0)
 
 
 def count_trees(monkeypatch):
@@ -306,7 +337,7 @@ class TestFloodDepth:
         ref = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         expected = []
         for origin, target in queries:
-            expected.append(kernels.depth(ref.flood(origin, kind, 0.0).levels, target))
+            expected.append(kernels.depth(ref.flood(origin, kind, 0.0), target))
         radio = Radio(LinkSpan(static_model(self.SPLIT), 250.0), MessageLedger())
         trees = count_trees(monkeypatch)
         depths = [radio.flood_depth(origin, target, kind, 0.0)
@@ -326,8 +357,8 @@ class TestFloodDepth:
         kind = MessageKind.POSITION_REPORT
         for t in (0.0, 10.0, 0.0):
             for origin in range(4):
-                flood = ref.flood(origin, kind, t)
-                assert radio.flood_depth(origin, 0, kind, t) == kernels.depth(flood.levels, 0)
+                levels = ref.flood(origin, kind, t)
+                assert radio.flood_depth(origin, 0, kind, t) == kernels.depth(levels, 0)
         assert list(radio.ledger.rows) == list(ref.ledger.rows)
 
 

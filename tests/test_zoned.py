@@ -295,8 +295,8 @@ class TestReelection:
                      if kind is MessageKind.SERVER_UPDATE and t == 5.0]
         assert len(announced) == 1
         (res, units), = announced
-        assert res.levels[0] == 1
-        assert res.levels == [0b1, 0b10]
+        assert res[0] == 1
+        assert res == [0b1, 0b10]
         assert units == 2
 
 

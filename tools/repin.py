@@ -8,9 +8,12 @@ Each value is computed by the one function its test, or the same-bytes
 tool, calls: every module listed in `main` has a `pinned_values()` that
 calls them. The seed-7 perfbench digests (the first eight hex digits of
 `sim_digest=`) come from running `perfbench/run.py --workload W --seed 7
---seconds 1 --trace 0` as it stands. The file is rewritten with sorted keys
-and a trailing newline, so a tree that moves no value leaves it
-byte-identical; CI runs this and then `git diff --exit-code
+--seconds 1 --trace 0` as it stands. perfbench exits 0 even when its own
+checks fail, so a run whose last line reports `"correct": false` or a
+failed operation stops the re-pin with a non-zero exit that names the
+workload and repeats perfbench's `FAILED` lines. The file is rewritten
+with sorted keys and a trailing newline, so a tree that moves no value
+leaves it byte-identical; CI runs this and then `git diff --exit-code
 tests/pins.json`. It prints a `name | old | new` table of the values that
 moved, one row per number or string, ready to paste into CHANGES.md.
 Running it costs the two same-bytes sets, three one-second perfbench runs
@@ -19,6 +22,7 @@ and the pinned tests' own runs.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -30,12 +34,19 @@ import pins  # noqa: E402
 
 
 def perfbench_digest(workload: str) -> str:
-    """The first eight hex digits of a workload's seed-7 `sim_digest`."""
-    out = subprocess.run(
+    """The first eight hex digits of a workload's seed-7 `sim_digest`; exits
+    when perfbench's own checks fail."""
+    run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
          "--seconds", "1", "--trace", "0"],
-        cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    return out.split(" sim_digest=", 1)[1][:8]
+        cwd=ROOT, check=True, capture_output=True, text=True)
+    result = json.loads(run.stdout.splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit("\n".join([f"perfbench {workload}: correct={result['correct']} "
+                            f"failed={result['failed']}",
+                            *(line for line in run.stderr.splitlines()
+                              if line.startswith("FAILED"))]))
+    return run.stdout.split(" sim_digest=", 1)[1][:8]
 
 
 def leaves(value, name: str = "") -> dict:
