@@ -259,11 +259,10 @@ class ForwarderProtocol(LocalizationProtocol):
         # the host and the members above the searcher that the flood reached
         # answer, in ascending id
         answerers = {x for x, e in self.entries.items() if e.order > searcher_order}
+        depths = {x: depth for x in sorted((answerers | {code.host}) - {station})
+                  if (depth := kernels.depth(levels, x)) is not None}
         replies: List[Tuple[float, int]] = []
-        for x in sorted((answerers | {code.host}) - {station}):
-            depth = kernels.depth(levels, x)
-            if depth is None:
-                continue
+        for x, depth in depths.items():
             arrival = self.radio.unicast(x, station, MessageKind.CHAIN_REPAIR_REPLY,
                                          t + depth * lat, request_id=request_id)
             if arrival is not None:
@@ -272,7 +271,7 @@ class ForwarderProtocol(LocalizationProtocol):
         # an unreached sought station lies beyond every answerer
         sought_depth = None if sought is None else kernels.depth(levels, sought)
         pool = [x for _, x in replies if sought_depth is None
-                or x == sought or kernels.depth(levels, x) < sought_depth]
+                or x == sought or depths[x] < sought_depth]
 
         if not pool:
             if ttl is not None:
@@ -287,7 +286,7 @@ class ForwarderProtocol(LocalizationProtocol):
         def preference(x: int) -> Tuple[float, int, int]:
             e = self.entries.get(x)
             order = e.order if e is not None else float(code.jumps)
-            return (-order, kernels.depth(levels, x), x)
+            return (-order, depths[x], x)
 
         best = min(pool, key=preference)
         path = self.radio.flood_path(levels, best, t)
@@ -320,8 +319,7 @@ class ForwarderProtocol(LocalizationProtocol):
             start_order = end_order - 1.0
         # relay nodes become chain members; the mother and the host never
         # carry interior pointers, the rebuilt hop simply spans past them
-        interior = [v for v in path[1:-1]
-                    if v != code.mother and v != code.host and v != best]
+        interior = [v for v in path[1:-1] if v != code.mother and v != code.host]
         sequence = [station] + interior + [best]
         span = len(sequence) - 1
         for k in range(span):
@@ -336,6 +334,5 @@ class ForwarderProtocol(LocalizationProtocol):
                        and start_order < e.order < end_order]
             for v in dropped:
                 del self.entries[v]
-                if v in self._parked:
-                    self._release_parked(v)
+                self._release_parked(v)
         on_done(True)

@@ -6,9 +6,7 @@ every topology query reads those rows. Each is one BFS walk over them
 its caller reads: a flood walks the whole tree, a route stops at its
 destination's level and reads its path back by the lowest-id parent rule
 (`kernels.path_back`), and floods read for one node's depth share one tree
-while the rows and the node stay the same (`flood_depth`). Whether the
-network is connected is a property of an epoch's rows, so the span keeps it
-per epoch for every run of its world (`LinkSpan.connectivity`).
+while the rows and the node stay the same (`flood_depth`).
 
 Trajectories are piecewise linear, so a link changes only where the pair's
 d² − r² crosses 0, at a root of one quadratic per segment between the knots
@@ -69,11 +67,6 @@ PER_HOP_LATENCY = 0.01
 #: 1e-12 leaves a thousandfold margin; the guard bands it implies have a
 #: half-width of about 1e-4 s at 1 km and 10 m/s.
 SLACK = 1e-12
-
-
-def _joins_all(rows: list[int]) -> bool:
-    """Whether the BFS tree from node 0 spans every node of `rows`."""
-    return sum(kernels.bfs_tree(rows, 0)) == (1 << len(rows)) - 1
 
 
 class MessageKind(Enum):
@@ -189,9 +182,6 @@ class LinkSpan:
     knots alone, so another node's turn moves none of them. Solved when a
     radio first builds on the span, then kept, so every run of one world
     adopts the same arrays; it holds nothing of a run.
-    `connectivity` is world data too: whether each epoch's links join every
-    node, filled by `Radio.connected` for the epochs its runs ask about, so
-    a later run of the world walks none of them again.
     """
 
     def __init__(self, model: RandomWaypointModel, range_m: float):
@@ -199,7 +189,6 @@ class LinkSpan:
             raise ValueError("radio range must be positive")
         self.model = model
         self.range_m = range_m
-        self.connectivity: dict[int, bool] = {}
 
     @cached_property
     def solved(self) -> tuple:
@@ -302,17 +291,9 @@ class Radio:
         return bool(self._rows(t)[a] >> b & 1)
 
     def connected(self, t: float) -> bool:
-        """Whether every node reaches node 0 at t. An instant a window
-        answers reads its epoch's entry in the span's connectivity table,
-        walking the rows only on a miss; the exact path walks and stores
-        nothing, for its instant has no epoch."""
-        rows = self._windowed(t)
-        if rows is None:
-            return _joins_all(self.snapshot(t))
-        table = self.span.connectivity
-        if self.epoch not in table:
-            table[self.epoch] = _joins_all(rows)
-        return table[self.epoch]
+        """Whether every node reaches node 0 at t."""
+        rows = self._rows(t)
+        return sum(kernels.bfs_tree(rows, 0)) == (1 << len(rows)) - 1
 
     def diameter(self, t: float) -> int:
         """Largest finite hop distance over all pairs at t, walking only the

@@ -6,8 +6,8 @@ localization protocol and a Poisson stream of localization requests from the
 mother station. Requests issued before the warm-up cutoff run normally but
 stay out of the metrics. A watchdog aborts the run when the network stays
 partitioned longer than partition_grace. What depends only on the seed and
-the geometry (trajectories, link span, Mob) is the run's `World`, which
-runs of one sweep share.
+the geometry (trajectories, link span, Mob, the seconds the network is
+split) is the run's `World`, which runs of one sweep share.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ class ScenarioResult:
 class _PartitionWatchdog:
     """A class: a self-rescheduling closure is a cycle, so its world would wait for the GC."""
 
-    def __init__(self, radio: Radio, engine: Engine, grace: float, duration: float):
+    def __init__(self, radio: Radio, engine: Engine, split: dict, grace: float, duration: float):
         self.radio = radio
         self.engine = engine
+        self.split = split
         self.grace = grace
         self.duration = duration
         self.split_since: Optional[float] = None
@@ -63,7 +64,9 @@ class _PartitionWatchdog:
 
     def _check(self) -> None:
         t = self.engine.now
-        if self.radio.connected(t):
+        if t not in self.split:
+            self.split[t] = not self.radio.connected(t)
+        if not self.split[t]:
             self.split_since = None
         elif self.split_since is None:
             self.split_since = t
@@ -98,17 +101,20 @@ class WorldKey(NamedTuple):
 
 class World:
     """The part of a run that depends only on its seed and geometry: the node
-    trajectories, their link span at the radio range and the measured Mob.
+    trajectories, their link span at the radio range, the measured Mob and
+    whether the network is split at each second a watchdog checked (`split`).
 
     Runs whose configs share a `WorldKey` can share one world, and their
     results do not change: each mobility stream depends only on the seed
     and the node, and a world holds nothing of a run. Each part is built
     where a run of its own would build it, by the first run that reads it:
-    the model in its set-up, the span at its first event, Mob at its end.
+    the model in its set-up, the span at its first event, a second of
+    `split` at its check, Mob at its end.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.key = WorldKey.of(cfg)
+        self.split: dict[float, bool] = {}
 
     @cached_property
     def model(self) -> RandomWaypointModel:
@@ -157,7 +163,7 @@ def run_scenario(cfg: ScenarioConfig, world: Optional[World] = None) -> Scenario
     # timers these constructors schedule keep their seqs
     protocol = make_protocol(ctx)
     mover = CodeMigrationProcess(protocol)
-    _PartitionWatchdog(radio, engine, cfg.partition_grace, cfg.duration)
+    _PartitionWatchdog(radio, engine, world.split, cfg.partition_grace, cfg.duration)
     # start-up above read the exact path; the event loop reads the span
     engine.schedule(0.0, radio.build)
 

@@ -316,6 +316,19 @@ class TestScenario:
             r"network partitioned since t=1\.000, still split at t=3\.000",
             result.abort_reason)
 
+    @pytest.mark.parametrize("graces", [(2.0, 5.0), (5.0, 2.0)])
+    def test_a_shared_world_keeps_answers_not_abort_decisions(self, graces):
+        # every second is split at range 1 m: each run aborts at 1 + its
+        # grace, whichever run of the world checked a second first
+        world = World(short_cfg(range=1.0, duration=10.0))
+        for grace in graces:
+            cfg = short_cfg(range=1.0, duration=10.0, partition_grace=grace)
+            shared, alone = run_scenario(cfg, world), run_scenario(cfg)
+            assert shared.aborted and shared.engine.now == 1.0 + grace
+            assert (shared.abort_reason, shared.engine.now, shared.records) == (
+                alone.abort_reason, alone.engine.now, alone.records)
+            assert list(shared.ledger.rows) == list(alone.ledger.rows)
+
     @pytest.mark.parametrize("seed, mob", [(3, "medium"), (3, "high"),
                                            (7001, "medium"), (7001, "high")])
     def test_every_protocol_sees_the_same_requests_and_jumps(self, seed, mob):

@@ -1,5 +1,5 @@
 """Unit-disk links, the link timeline, unicast planning with in-flight
-revalidation, the span's connectivity table, floods."""
+revalidation, the world's split seconds, floods."""
 
 import itertools
 from collections import Counter
@@ -378,6 +378,7 @@ class TestDiameter:
         assert radio.diameter(0.0) == max(
             nx.diameter(graph.subgraph(part))
             for part in nx.connected_components(graph))
+        assert radio.connected(0.0) == nx.is_connected(graph)
 
     def test_walks_fewer_trees_than_nodes(self, monkeypatch):
         radio, adj = random_radio(np.random.default_rng(5), 25)
@@ -807,12 +808,11 @@ class TestTimelineShortcuts:
         assert checked == [t + 3 * PER_HOP_LATENCY]
         assert all(at >= until for at in checked)
 
-    def test_only_an_instant_in_a_window_is_stored(self):
+    def test_connected_equals_an_unbuilt_radio_in_and_out_of_windows(self):
         # node 1 leaves node 0's range at t = 5: epoch 0 is connected, 1 not
         model = scripted_model([[(0.0, 0.0, 0.0)],
                                 [(0.0, 100.0, 0.0), (10.0, 600.0, 0.0)]])
-        span = LinkSpan(model, 250.0)
-        radio = Radio(span, MessageLedger())
+        radio = Radio(LinkSpan(model, 250.0), MessageLedger())
         exact = Radio(LinkSpan(model, 250.0), MessageLedger())
         assert radio.connected(1.0)                 # before the build
         radio.build()
@@ -820,49 +820,37 @@ class TestTimelineShortcuts:
         for t in exact_instants:
             assert radio._windowed(t) is None
             assert radio.connected(t) == exact.connected(t)
-        assert span.connectivity == {}
-        assert radio.connected(1.0) and not radio.connected(8.0)
-        assert span.connectivity == {0: True, 1: False}
+        for t, joined in ((1.0, True), (8.0, False)):
+            assert radio._windowed(t) is not None
+            assert radio.connected(t) == exact.connected(t) == joined
 
-    def test_a_second_run_of_a_world_walks_no_epoch_the_first_answered(
+    def test_a_second_run_of_a_world_reads_no_second_the_first_checked(
             self, monkeypatch):
-        walks = []
-        inside = []
-        bfs_tree, connected = kernels.bfs_tree, Radio.connected
-
-        def counted_bfs(rows, src, mask=-1, stop=0):
-            if inside:
-                walks.append(inside[-1])
-            return bfs_tree(rows, src, mask, stop)
+        asked = []
+        connected = Radio.connected
 
         def counted_connected(radio, t):
-            inside.append(t)
-            try:
-                return connected(radio, t)
-            finally:
-                inside.pop()
+            asked.append(t)
+            return connected(radio, t)
 
-        monkeypatch.setattr(kernels, "bfs_tree", counted_bfs)
         monkeypatch.setattr(Radio, "connected", counted_connected)
         cfg = ScenarioConfig(protocol="zoned", lam=1.0, seed=4, duration=60.0)
         other = ScenarioConfig(protocol="centralized", lam=0.25, seed=4, duration=60.0)
         world = World(cfg)
         run_scenario(cfg, world)
-        table = dict(world.span.connectivity)
-        # the watchdog checks once a second; the instants no window holds
-        # take the exact path, walk each time and are not stored
+        # the watchdog checks once a second, and some of its seconds take
+        # the exact path
         checks = [float(t) for t in range(1, 61)]
+        assert asked == checks
         fresh = Radio(world.span, MessageLedger())
         fresh.build()
-        exact = [t for t in checks if fresh._windowed(t) is None]
-        epochs = {fresh.epoch for t in checks if fresh._windowed(t) is not None}
-        assert walks == checks and exact and set(table) == epochs
-        walks.clear()
+        assert any(fresh._windowed(t) is None for t in checks)
+        split = {t: not connected(fresh, t) for t in checks}
+        assert world.split == split
+        asked.clear()
         second = run_scenario(other, world)
-        assert walks == exact
-        assert world.span.connectivity == table
-        # the table's answers equal a fresh world's, and so does the run
+        assert asked == [] and world.split == split
+        # the second run equals a fresh world's
         alone = run_scenario(other)
-        assert alone.radio.span.connectivity == table
         assert list(second.ledger.rows) == list(alone.ledger.rows)
         assert second.records == alone.records
